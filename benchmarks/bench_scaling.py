@@ -46,8 +46,8 @@ baseline) and gate the >= 10x reduction.
 and 1.0) through the default pipeline and a 50k-cell synthetic
 instance through the global (dispatch-heavy) stage, each recording
 wall seconds, peak RSS, and dispatch bytes for the perf ledger; plus
-a subprocess probe comparing the streaming and buffered Bookshelf
-readers' parse-time RSS on full-size ibm01.
+a subprocess probe of the Bookshelf reader's parse time and RSS on
+full-size ibm01.
 
 Results are written as machine-readable JSON so before/after runs can
 be compared; ``--baseline`` merges a previous run into a single
@@ -271,13 +271,11 @@ LARGE_ROWS = [("ibm01", 0.5, False), ("ibm01", 1.0, False),
 #: process's accumulated high-water.  Prints one JSON line.
 _PARSE_PROBE = """
 import json, sys, time
-prefix, mode = sys.argv[1], sys.argv[2]
+prefix = sys.argv[1]
 from repro.netlist import bookshelf
 from repro.obs import peak_rss_bytes
 start = time.perf_counter()
-reader = (bookshelf.read_bookshelf_streaming if mode == "streaming"
-          else bookshelf.read_bookshelf)
-netlist = reader(prefix)
+netlist = bookshelf.read_bookshelf(prefix)
 elapsed = time.perf_counter() - start
 print(json.dumps({
     "parse_seconds": elapsed,
@@ -289,15 +287,14 @@ print(json.dumps({
 
 
 def bench_bookshelf_streaming(scale: float = 1.0) -> dict:
-    """Streaming vs buffered Bookshelf parse of full-size ibm01.
+    """Bookshelf parse of full-size ibm01.
 
     Writes the circuit to a temporary Bookshelf triple, then parses it
-    with each reader in its own subprocess: a child interpreter's peak
-    RSS *is* the parse footprint (the bench process's high-water mark
-    is monotone and already inflated by earlier sections).
-    ``rss_ratio_streaming_vs_buffered`` is the bounded-memory claim in
-    one number; ``csr_nbytes`` (the netlist's signal-CSR array
-    footprint) anchors the constant-factor comparison.
+    in a subprocess: a child interpreter's peak RSS *is* the parse
+    footprint (the bench process's high-water mark is monotone and
+    already inflated by earlier sections).  ``csr_nbytes`` (the
+    netlist's signal-CSR array footprint) anchors the constant-factor
+    comparison.
     """
     import shutil
     import subprocess
@@ -312,23 +309,16 @@ def bench_bookshelf_streaming(scale: float = 1.0) -> dict:
         netlist = load_benchmark(CIRCUIT, scale=scale, seed=0)
         bookshelf.write_bookshelf(prefix, netlist)
         csr_nbytes = build_signal_csr(netlist).nbytes
-        modes: Dict[str, dict] = {}
-        for mode in ("streaming", "buffered"):
-            proc = subprocess.run(
-                [sys.executable, "-c", _PARSE_PROBE, prefix, mode],
-                capture_output=True, text=True, check=True)
-            modes[mode] = json.loads(proc.stdout)
+        proc = subprocess.run(
+            [sys.executable, "-c", _PARSE_PROBE, prefix],
+            capture_output=True, text=True, check=True)
     finally:
         shutil.rmtree(out_dir, ignore_errors=True)
     return {
         "circuit": CIRCUIT,
         "scale": scale,
         "csr_nbytes": csr_nbytes,
-        "streaming": modes["streaming"],
-        "buffered": modes["buffered"],
-        "rss_ratio_streaming_vs_buffered":
-            modes["streaming"]["peak_rss_bytes"]
-            / modes["buffered"]["peak_rss_bytes"],
+        "streaming": json.loads(proc.stdout),
     }
 
 
@@ -607,10 +597,8 @@ def run_bench(scales: Optional[List[float]] = None,
         bs = li["bookshelf_streaming"]
         writer.row(
             f"bookshelf parse ({bs['circuit']}@{bs['scale']:g}): "
-            f"streaming {bs['streaming']['parse_seconds']:.3f} s / "
-            f"{bs['streaming']['peak_rss_bytes'] / 1e6:.0f} MB rss, "
-            f"buffered {bs['buffered']['parse_seconds']:.3f} s / "
-            f"{bs['buffered']['peak_rss_bytes'] / 1e6:.0f} MB rss")
+            f"{bs['streaming']['parse_seconds']:.3f} s / "
+            f"{bs['streaming']['peak_rss_bytes'] / 1e6:.0f} MB rss")
     writer.save()
     return measurement
 
@@ -695,7 +683,7 @@ def main() -> None:
     parser.add_argument("--large", action="store_true",
                         help="also run the full-size instance rows "
                              "(ibm01 at scale 0.5/1.0, synthetic50k "
-                             "global-only) and the streaming-parse "
+                             "global-only) and the Bookshelf parse "
                              "RSS probe; takes several minutes")
     parser.add_argument("--check-overhead", type=float, metavar="PCT",
                         help="exit nonzero when telemetry overhead at "

@@ -69,7 +69,7 @@ import shutil
 import sys
 import tempfile
 import time
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -81,11 +81,12 @@ from repro import (
 )
 from repro import obs
 from repro.core.checkpoint import CheckpointError
-from repro.core.pipeline import (PipelineHalted, PipelineSpec,
-                                 default_pipeline_spec)
+from repro.core.context import auto_chip
+from repro.core.pipeline import PipelineSpec
 from repro.netlist import bookshelf
 from repro.netlist.cache import (benchmark_key, bookshelf_key,
                                  cached_netlist)
+from repro.netlist.placement import Placement
 from repro.netlist.suite import SUITE_PROFILES
 from repro.obs import configure_cli_logging
 from repro import service
@@ -350,15 +351,13 @@ def _cmd_place(args) -> int:
     else:
         netlist = cached_netlist(
             bookshelf_key(args.bookshelf),
-            lambda: bookshelf.read_bookshelf_streaming(args.bookshelf))
+            lambda: bookshelf.read_bookshelf(args.bookshelf))
     config = PlacementConfig(
         alpha_ilv=args.alpha_ilv, alpha_temp=args.alpha_temp,
         num_layers=args.layers, seed=args.seed,
         num_workers=0 if args.workers is None else args.workers)
     print(f"placing {netlist.name}: {netlist.num_cells} cells, "
           f"{netlist.num_nets} nets, {args.layers} layers")
-    spec = (PipelineSpec.from_json_file(args.pipeline)
-            if args.pipeline else default_pipeline_spec(config))
     jobs_dir = args.jobs_dir
     ephemeral = jobs_dir is None
     if ephemeral:
@@ -369,39 +368,92 @@ def _cmd_place(args) -> int:
         request = JobRequest(
             config=config.to_dict(), circuit=args.circuit,
             bookshelf=args.bookshelf, scale=args.scale,
-            spec=spec.to_dict() if args.pipeline else None,
+            spec=(PipelineSpec.from_json_file(args.pipeline).to_dict()
+                  if args.pipeline else None),
             check=True)
         job_id = engine.submit(request, netlist=netlist)
-        entry = engine.try_cache(job_id)
-        if entry is not None:
-            return _place_from_cache(args, netlist, config, engine,
-                                     job_id, entry)
-        return _place_cold(args, netlist, config, spec, engine,
-                           job_id)
+        return _place_job(args, netlist, config, engine, job_id)
     finally:
         engine.close()
         if ephemeral:
             shutil.rmtree(jobs_dir, ignore_errors=True)
 
 
-def _place_from_cache(args, netlist, config, engine, job_id,
-                      entry) -> int:
-    """The `place` cache-hit path: report from the cached placement
-    without running a single stage."""
-    from repro.core.context import auto_chip
-    from repro.netlist.placement import Placement
+def _place_job(args, netlist, config, engine, job_id) -> int:
+    """Run one `place` job inline (or serve it from the result cache)
+    and render its placement: report row, --trace, --profile, --maps,
+    --out, --telemetry-out."""
+    # --profile flips the environment opt-in *before* the recorder is
+    # built (so it auto-attaches a ResourceTracker) and before any
+    # worker processes fork (so they inherit the opt-in too).
+    profile_env_set = False
+    if args.profile and not obs.profile_enabled():
+        os.environ[obs.PROFILE_ENV] = "1"
+        profile_env_set = True
+    alloc_env_set = False
+    if args.profile_alloc and not obs.alloc_enabled():
+        os.environ[obs.ALLOC_ENV] = "1"
+        alloc_env_set = True
+    recorder: Optional[obs.Recorder] = None
+    if args.trace or args.telemetry_out or args.profile:
+        recorder = obs.Recorder(sink=(
+            obs.EventSink(f"{args.telemetry_out}.trace.jsonl")
+            if args.telemetry_out else None))
+    profiler: Optional[obs.SamplingProfiler] = None
+    if args.profile and recorder is not None:
+        profiler = obs.SamplingProfiler(
+            tracer=recorder.tracer, interval=args.profile_interval)
+    halt: Optional[Callable[[str], bool]] = (
+        None if args.halt_after is None
+        else lambda unit: args.halt_after in (unit, unit.partition(":")[2]))
+    try:
+        if profiler is not None:
+            profiler.start()
+        outcome = engine.run_inline(job_id, netlist=netlist,
+                                    recorder=recorder,
+                                    checkpoint_dir=args.checkpoint_dir,
+                                    resume=args.resume, preempt=halt)
+    except CheckpointError as exc:
+        print(f"checkpoint error: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        if profiler is not None:
+            profiler.stop()
+        if recorder is not None:
+            recorder.close()
+        if profile_env_set:
+            os.environ.pop(obs.PROFILE_ENV, None)
+        if alloc_env_set:
+            os.environ.pop(obs.ALLOC_ENV, None)
+    if outcome is not None and outcome["state"] == "preempted":
+        print(f"halted after {outcome['unit']}"
+              + (f"; checkpoint at {args.checkpoint_dir}"
+                 if args.checkpoint_dir else ""))
+        return 0
     document = engine.status(job_id)
-    summary = document["result"]
-    print(f"cache hit: reusing placement "
-          f"{document['hashes']['cache_key'][:12]} ({job_id})")
-    with np.load(entry.placement_path) as data:
+    if outcome is None:
+        print(f"cache hit: reusing placement "
+              f"{document['hashes']['cache_key'][:12]} ({job_id})")
+    with np.load(engine.store.result_dir(job_id) / "placement.npz") as data:
         placement = Placement(netlist, auto_chip(netlist, config),
                               x=data["x"], y=data["y"], z=data["z"])
     report = evaluate_placement(
         placement, config.tech,
-        runtime_seconds=float(summary["wall_seconds"]))
+        runtime_seconds=float(document["result"]["wall_seconds"]))
     print(PlacementReport.header())
     print(report.row())
+    if args.trace and outcome is not None \
+            and outcome["telemetry"] is not None:
+        print()
+        print(obs.render(outcome["telemetry"], title=netlist.name))
+    resources_doc = (recorder.finish_resources()
+                     if recorder is not None else None)
+    profile_doc = profiler.summary() if profiler is not None else None
+    if args.profile:
+        print()
+        print(obs.render_resources(resources_doc))
+        print()
+        print(obs.render_profile(profile_doc))
     if args.maps:
         pm = PowerModel(netlist, config.tech)
         powers = pm.cell_powers(compute_net_metrics(placement))
@@ -417,97 +469,9 @@ def _place_from_cache(args, netlist, config, engine, job_id,
         with open(document["manifest_path"], "r",
                   encoding="utf-8") as fh:
             manifest = json.load(fh)
-        manifest_path = obs.write_manifest(
-            f"{args.telemetry_out}.manifest.json", manifest)
-        print(f"wrote {manifest_path}")
-    return 0
-
-
-def _place_cold(args, netlist, config, spec, engine, job_id) -> int:
-    """The `place` cold path: the historical run sequence, wrapped in
-    job bookkeeping by ``PlacementEngine.run_inline``."""
-    # --profile flips the environment opt-in *before* the recorder is
-    # built (so it auto-attaches a ResourceTracker) and before any
-    # worker processes fork (so they inherit the opt-in too).
-    profile_env_set = False
-    if args.profile and not obs.profile_enabled():
-        os.environ[obs.PROFILE_ENV] = "1"
-        profile_env_set = True
-    alloc_env_set = False
-    if args.profile_alloc and not obs.alloc_enabled():
-        os.environ[obs.ALLOC_ENV] = "1"
-        alloc_env_set = True
-    recorder: Optional[obs.Recorder] = None
-    trace_path: Optional[str] = None
-    if args.trace or args.telemetry_out or args.profile:
-        sink = None
-        if args.telemetry_out:
-            trace_path = f"{args.telemetry_out}.trace.jsonl"
-            sink = obs.EventSink(trace_path)
-        recorder = obs.Recorder(sink=sink)
-    profiler: Optional[obs.SamplingProfiler] = None
-    if args.profile and recorder is not None:
-        profiler = obs.SamplingProfiler(
-            tracer=recorder.tracer, interval=args.profile_interval)
-    try:
-        if profiler is not None:
-            profiler.start()
-        result = engine.run_inline(job_id, netlist=netlist,
-                                   config=config, spec=spec,
-                                   recorder=recorder, check=True,
-                                   checkpoint_dir=args.checkpoint_dir,
-                                   resume=args.resume,
-                                   halt_after=args.halt_after)
-    except PipelineHalted as halted:
-        print(f"halted after {halted.unit}"
-              + (f"; checkpoint at {halted.directory}"
-                 if halted.directory else ""))
-        return 0
-    except CheckpointError as exc:
-        print(f"checkpoint error: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        if profiler is not None:
-            profiler.stop()
-        if recorder is not None:
-            recorder.close()
-        if profile_env_set:
-            os.environ.pop(obs.PROFILE_ENV, None)
-        if alloc_env_set:
-            os.environ.pop(obs.ALLOC_ENV, None)
-    resources_doc = (recorder.finish_resources()
-                     if recorder is not None else None)
-    profile_doc = profiler.summary() if profiler is not None else None
-    report = evaluate_placement(result.placement, config.tech,
-                                runtime_seconds=result.runtime_seconds,
-                                stage_seconds=result.stage_seconds)
-    print(PlacementReport.header())
-    print(report.row())
-    if args.trace and result.telemetry is not None:
-        print()
-        print(obs.render(result.telemetry, title=netlist.name))
-    if args.profile:
-        print()
-        print(obs.render_resources(resources_doc))
-        print()
-        print(obs.render_profile(profile_doc))
-    if args.maps:
-        pm = PowerModel(netlist, config.tech)
-        powers = pm.cell_powers(compute_net_metrics(result.placement))
-        print()
-        print(viz.layer_summary(result.placement, powers))
-        for layer in range(config.num_layers):
-            print()
-            print(viz.density_map(result.placement, layer))
-    if args.out:
-        bookshelf.write_bookshelf(args.out, netlist, result.placement)
-        print(f"wrote {args.out}.nodes/.nets/.pl")
-    if args.telemetry_out:
-        manifest = obs.build_manifest(
-            netlist, config, result, trace_path=trace_path,
-            peak_temperature=report.max_temperature,
-            pipeline=spec.to_dict(), resources=resources_doc,
-            profile=profile_doc, job=engine.job_section(job_id))
+        manifest["result"]["peak_temperature"] = report.max_temperature
+        manifest["resources"] = resources_doc
+        manifest["profile"] = profile_doc
         manifest_path = obs.write_manifest(
             f"{args.telemetry_out}.manifest.json", manifest)
         if profiler is not None:
@@ -521,7 +485,8 @@ def _place_cold(args, netlist, config, spec, engine, job_id) -> int:
             print(f"manifest failed schema validation: {manifest_path}",
                   file=sys.stderr)
             return 1
-        print(f"wrote {trace_path} and {manifest_path}")
+        print("wrote " + " and ".join(
+            filter(None, (manifest["trace_path"], manifest_path))))
     return 0
 
 

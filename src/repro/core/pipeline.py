@@ -32,8 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 import json
 
@@ -44,15 +44,18 @@ from repro.core.stages import create_stage, get_stage
 from repro.obs import get_logger
 from repro.obs.trace import SpanStats
 
-__all__ = ["PipelineHalted", "PipelinePreempted", "PipelineSpec",
-           "PlacementPipeline", "RepeatEntry", "StageEntry",
-           "default_pipeline_spec", "stage_summary"]
+__all__ = ["PipelineHalted", "PipelineSpec", "PlacementPipeline",
+           "RepeatEntry", "StageEntry", "default_pipeline_spec",
+           "stage_summary"]
 
 _log = get_logger(__name__)
 
 
 class PipelineHalted(RuntimeError):
-    """Raised when the runner stops at a requested boundary.
+    """Raised when the ``preempt`` hook stops the run at a boundary.
+
+    The stop comes *after* that unit's checkpoint was saved, so the run
+    is resumable bit-identically.
 
     Attributes:
         unit: the unit label the run halted after.
@@ -65,17 +68,6 @@ class PipelineHalted(RuntimeError):
             + (f"; checkpoint at {directory}" if directory else ""))
         self.unit = unit
         self.directory = directory
-
-
-class PipelinePreempted(PipelineHalted):
-    """Raised when the cooperative preemption hook requested a stop.
-
-    A subclass of :class:`PipelineHalted` — both stop at a unit
-    boundary *after* the checkpoint for that unit was saved, so the run
-    is resumable bit-identically.  Preemption differs only in who asked:
-    the scheduler's ``preempt`` callable rather than a ``halt_after``
-    label.
-    """
 
 
 # ----------------------------------------------------------------------
@@ -206,8 +198,7 @@ class PipelineSpec:
 
     def round_stage_names(self) -> List[str]:
         """Stage names that appear inside repeat groups, in order,
-        deduplicated — the spec-derived replacement for the historical
-        hardcoded ``ROUND_STAGES`` tuple."""
+        deduplicated."""
         seen: List[str] = []
         for entry in self.entries:
             if isinstance(entry, RepeatEntry):
@@ -349,28 +340,22 @@ class PlacementPipeline:
         checkpoint_dir: when given, the context is serialized after
             every completed unit, and :meth:`resume` can pick the run
             back up from the last boundary.
-        halt_after: stop (raising :class:`PipelineHalted`) after the
-            unit with this label — either the full ``idx:name`` form or
-            the part after the entry index (``round1/end``).  Used by
-            the CLI's ``--halt-after`` for controlled interruption in
-            tests and operational drills.
-        preempt: cooperative preemption hook, polled once per completed
-            unit *after* its checkpoint is saved.  Returning ``True``
-            stops the run with :class:`PipelinePreempted`; the job
-            scheduler in :mod:`repro.service` uses this (backed by a
-            cancel sentinel file) to park a running job at the nearest
-            stage boundary, resumable bit-identically.
+        preempt: the stop hook, called with each completed unit's label
+            (``1:round1/moves``) *after* its checkpoint is saved.
+            Returning ``True`` stops the run with
+            :class:`PipelineHalted`.  The job worker backs it with a
+            cancel sentinel file, so a cancelled job parks at the
+            nearest stage boundary; the CLI's ``--halt-after`` backs it
+            with a label match.
     """
 
     def __init__(self, spec: PipelineSpec, ctx: PlacementContext,
                  checkpoint_dir: Optional[Union[str, Path]] = None,
-                 halt_after: Optional[str] = None,
-                 preempt: Optional[Callable[[], bool]] = None) -> None:
+                 preempt: Optional[Callable[[str], bool]] = None) -> None:
         self.spec = spec
         self.ctx = ctx
         self.checkpoint_dir = (str(checkpoint_dir)
                                if checkpoint_dir is not None else None)
-        self.halt_after = halt_after
         self.preempt = preempt
         self._spec_dict = spec.to_dict()
         self._completed: List[str] = []
@@ -491,25 +476,6 @@ class PlacementPipeline:
                 ckpt.save_checkpoint(self.checkpoint_dir, self.ctx,
                                      self._spec_dict, self._completed,
                                      best=self._best)
-        if self.preempt is not None and self.preempt():
-            _log.info("preempted after %s", unit)
-            raise PipelinePreempted(unit, self.checkpoint_dir)
-        if self.halt_after is not None and self._matches_halt(unit):
+        if self.preempt is not None and self.preempt(unit):
+            _log.info("halted after %s", unit)
             raise PipelineHalted(unit, self.checkpoint_dir)
-
-    def _matches_halt(self, unit: str) -> bool:
-        if unit == self.halt_after:
-            return True
-        _, _, suffix = unit.partition(":")
-        return suffix == self.halt_after
-
-
-def iter_spec_stage_names(spec: PipelineSpec) -> Iterator[str]:
-    """Every stage name the spec references, in order (with repeats
-    listed once) — handy for validation and docs tooling."""
-    for entry in spec.entries:
-        if isinstance(entry, StageEntry):
-            yield entry.stage
-        else:
-            for stage in entry.stages:
-                yield stage.stage

@@ -47,14 +47,9 @@ from repro.geometry.chip import ChipGeometry
 from repro.netlist.netlist import Netlist
 from repro.obs import Recorder, get_logger, use_recorder
 
-__all__ = ["ROUND_STAGES", "PlacementResult", "Placer3D"]
+__all__ = ["PlacementResult", "Placer3D"]
 
 _log = get_logger(__name__)
-
-#: Stages of the default spec's repeat group, in pipeline order
-#: (back-compat constant; spec-driven code should consult
-#: ``PipelineSpec.round_stage_names()`` instead).
-ROUND_STAGES = ("moves", "cellshift", "detailed", "refine")
 
 
 class Placer3D:
@@ -108,8 +103,7 @@ class Placer3D:
     def run(self, check: bool = False, *,
             checkpoint_dir: Optional[Union[str, Path]] = None,
             resume: bool = False,
-            halt_after: Optional[str] = None,
-            preempt: Optional[Callable[[], bool]] = None,
+            preempt: Optional[Callable[[str], bool]] = None,
             ) -> PlacementResult:
         """Run the configured pipeline.
 
@@ -121,22 +115,18 @@ class Placer3D:
                 before running; completed stages are skipped and the
                 final placement is bit-identical to an uninterrupted
                 run.
-            halt_after: stop after the named pipeline unit (e.g.
-                ``"round1/detailed"``), leaving the checkpoint behind;
-                raises :class:`~repro.core.pipeline.PipelineHalted`.
-            preempt: cooperative preemption hook polled at every unit
-                boundary after its checkpoint is saved; returning
-                ``True`` raises
-                :class:`~repro.core.pipeline.PipelinePreempted` (the
-                job scheduler's cancel path).
+            preempt: stop hook called with each completed unit's
+                label (e.g. ``"1:round1/detailed"``) after its
+                checkpoint is saved; returning ``True`` stops the run
+                there with :class:`~repro.core.pipeline.PipelineHalted`
+                (the job worker's cancel path and ``--halt-after``).
 
         Returns:
             A :class:`PlacementResult` with the legal placement.
 
         Raises:
             CheckpointError: ``resume`` without a matching checkpoint.
-            PipelineHalted: the ``halt_after`` boundary was reached.
-            PipelinePreempted: the ``preempt`` hook requested a stop.
+            PipelineHalted: the ``preempt`` hook requested a stop.
         """
         config = self.config
         provided = self.recorder
@@ -154,7 +144,6 @@ class Placer3D:
                                           chip=self.chip, recorder=rec)
             pipeline = PlacementPipeline(self.spec, ctx,
                                          checkpoint_dir=checkpoint_dir,
-                                         halt_after=halt_after,
                                          preempt=preempt)
             if resume:
                 pipeline.resume()

@@ -32,7 +32,7 @@ _ROLE_OF_DIRECTION = {"O": PinRole.DRIVER, "I": PinRole.SINK,
                       "B": PinRole.SINK}
 _DIRECTION_OF_ROLE = {PinRole.DRIVER: "O", PinRole.SINK: "I"}
 
-#: Pin-role codes in the streaming reader's preallocated role array.
+#: Pin-role codes in the reader's preallocated role array.
 _ROLE_SINK = 0
 _ROLE_DRIVER = 1
 _ROLE_CODE = {PinRole.SINK: _ROLE_SINK, PinRole.DRIVER: _ROLE_DRIVER}
@@ -44,8 +44,8 @@ def _iter_content_lines(path: str) -> Iterator[str]:
     The first line of every Bookshelf file is a format banner (``UCLA
     nodes 1.0`` etc.) which is skipped along with ``#`` comments.
     Iterating the open file reads in buffered chunks — the whole file
-    is never resident, which is what keeps the streaming reader's peak
-    memory at the size of its preallocated arrays.
+    is never resident, which is what keeps the reader's peak memory at
+    the size of its preallocated arrays.
     """
     with open(path) as f:
         for i, line in enumerate(f):
@@ -56,141 +56,6 @@ def _iter_content_lines(path: str) -> Iterator[str]:
                 continue
             yield stripped
 
-
-def _content_lines(path: str) -> List[str]:
-    """Non-empty, non-comment lines of a Bookshelf file, as a list."""
-    return list(_iter_content_lines(path))
-
-
-def read_nodes(path: str, netlist: Netlist, unit: float = 1e-6,
-               default_height: Optional[float] = None) -> None:
-    """Parse a ``.nodes`` file into an existing (usually empty) netlist.
-
-    Terminals are added as fixed cells at the origin; their true
-    positions come later from :func:`read_pl`.
-
-    Args:
-        path: the ``.nodes`` file.
-        netlist: destination netlist; cells are appended.
-        unit: metres per Bookshelf unit.
-        default_height: height for nodes listed without one, metres.
-    """
-    for line in _content_lines(path):
-        fields = line.split()
-        key = fields[0]
-        if key in ("NumNodes", "NumTerminals"):
-            continue
-        name = fields[0]
-        rest = [f for f in fields[1:]]
-        terminal = "terminal" in rest
-        dims = [f for f in rest if f != "terminal"]
-        if len(dims) >= 2:
-            width = float(dims[0]) * unit
-            height = float(dims[1]) * unit
-        elif len(dims) == 1:
-            width = float(dims[0]) * unit
-            if default_height is None:
-                raise ValueError(
-                    f"{path}: node {name} has no height and no default")
-            height = default_height
-        else:
-            raise ValueError(f"{path}: node {name} has no dimensions")
-        if terminal:
-            netlist.add_cell(name, width, height, fixed=True,
-                             fixed_position=(0.0, 0.0, 0))
-        else:
-            netlist.add_cell(name, width, height)
-
-
-def read_nets(path: str, netlist: Netlist,
-              default_activity: float = 0.2) -> None:
-    """Parse a ``.nets`` file into a netlist whose cells already exist.
-
-    Nets whose first listed pin has no explicit direction get the first
-    pin as driver — the convention the IBM-PLACE conversion scripts used.
-    """
-    lines = _content_lines(path)
-    i = 0
-    net_count = 0
-    while i < len(lines):
-        fields = lines[i].split()
-        if fields[0] in ("NumNets", "NumPins"):
-            i += 1
-            continue
-        if fields[0] != "NetDegree":
-            raise ValueError(f"{path}: expected NetDegree, got {lines[i]!r}")
-        # "NetDegree : <k> [name]"
-        parts = lines[i].replace(":", " ").split()
-        degree = int(parts[1])
-        name = parts[2] if len(parts) > 2 else f"net{net_count}"
-        i += 1
-        pins: List[Tuple[int, PinRole]] = []
-        saw_direction = False
-        for _ in range(degree):
-            pf = lines[i].split()
-            cell_name = pf[0]
-            role = PinRole.SINK
-            if len(pf) > 1 and pf[1] in _ROLE_OF_DIRECTION:
-                role = _ROLE_OF_DIRECTION[pf[1]]
-                saw_direction = True
-            pins.append((netlist.cell(cell_name).id, role))
-            i += 1
-        if not saw_direction and pins:
-            pins[0] = (pins[0][0], PinRole.DRIVER)
-        elif pins and not any(r is PinRole.DRIVER for _, r in pins):
-            pins[0] = (pins[0][0], PinRole.DRIVER)
-        netlist.add_net(name, pins, activity=default_activity)
-        net_count += 1
-
-
-def read_pl(path: str, netlist: Netlist, unit: float = 1e-6
-            ) -> Dict[str, Tuple[float, float, int]]:
-    """Parse a ``.pl`` file; returns ``{cell name: (x, y, layer)}``.
-
-    Fixed cells in the netlist get their ``fixed_position`` updated in
-    place.  Positions in ``.pl`` files are lower-left corners; they are
-    converted to cell centres.  An optional fourth numeric column is read
-    as the layer index (our 3D extension); 2D files default to layer 0.
-    """
-    positions: Dict[str, Tuple[float, float, int]] = {}
-    for line in _content_lines(path):
-        fields = line.split()
-        name = fields[0]
-        if name not in netlist._cell_by_name:
-            raise ValueError(f"{path}: unknown cell {name!r}")
-        x = float(fields[1]) * unit
-        y = float(fields[2]) * unit
-        layer = 0
-        if len(fields) > 3:
-            try:
-                layer = int(fields[3])
-            except ValueError:
-                layer = 0  # orientation token such as ": N"
-        cell = netlist.cell(name)
-        cx = x + 0.5 * cell.width
-        cy = y + 0.5 * cell.height
-        positions[name] = (cx, cy, layer)
-        if cell.fixed:
-            cell.fixed_position = (cx, cy, layer)
-    return positions
-
-
-def read_bookshelf(prefix: str, unit: float = 1e-6,
-                   default_activity: float = 0.2) -> Netlist:
-    """Read ``<prefix>.nodes`` and ``<prefix>.nets`` (plus ``.pl`` if
-    present) into a fresh netlist."""
-    netlist = Netlist(name=os.path.basename(prefix))
-    read_nodes(prefix + ".nodes", netlist, unit=unit)
-    read_nets(prefix + ".nets", netlist, default_activity=default_activity)
-    if os.path.exists(prefix + ".pl"):
-        read_pl(prefix + ".pl", netlist, unit=unit)
-    netlist.validate()
-    return netlist
-
-
-# ---------------------------------------------------------------------
-# Streaming reader (full-size instances)
-# ---------------------------------------------------------------------
 
 def _header_count(path: str, line: str, key: str) -> int:
     """Parse a ``<key> : <count>`` header line's count."""
@@ -207,20 +72,36 @@ def _header_count(path: str, line: str, key: str) -> int:
     return count
 
 
-def read_nodes_streaming(path: str, netlist: Netlist,
-                         unit: float = 1e-6,
-                         default_height: Optional[float] = None) -> None:
-    """Streaming ``.nodes`` parser with preallocated attribute arrays.
+def _number(path: str, line: str, token: str) -> float:
+    """``float(token)``, or a ``ValueError`` naming the file and line."""
+    try:
+        return float(token)
+    except ValueError:
+        raise ValueError(
+            f"{path}: non-numeric value {token!r} in {line!r}") from None
 
-    Parses node records into width/height/terminal arrays sized from
-    the ``NumNodes`` header — no per-line Python list accumulation —
-    then materializes the cells.  Produces a netlist identical to
-    :func:`read_nodes` on well-formed input.
+
+def read_nodes(path: str, netlist: Netlist, unit: float = 1e-6,
+               default_height: Optional[float] = None) -> None:
+    """Parse a ``.nodes`` file into an existing (usually empty) netlist.
+
+    Node records go into width/height/terminal arrays sized from the
+    ``NumNodes`` header — no per-line Python list accumulation — and
+    the cells are materialized after the last record.  Terminals are
+    added as fixed cells at the origin; their true positions come
+    later from :func:`read_pl`.
+
+    Args:
+        path: the ``.nodes`` file.
+        netlist: destination netlist; cells are appended.
+        unit: metres per Bookshelf unit.
+        default_height: height for nodes listed without one, metres.
 
     Raises:
         ValueError: missing/malformed ``NumNodes`` header, a node line
-            without dimensions, more nodes than declared, or a
-            truncated file (fewer nodes than declared).
+            without dimensions or with a non-numeric one, more nodes
+            than declared, or a truncated file (fewer nodes than
+            declared).
     """
     num_nodes = -1
     names: List[str] = []
@@ -250,13 +131,13 @@ def read_nodes_streaming(path: str, netlist: Netlist,
         is_term = "terminal" in rest
         dims = [f for f in rest if f != "terminal"]
         if len(dims) >= 2:
-            widths[count] = float(dims[0]) * unit
-            heights[count] = float(dims[1]) * unit
+            widths[count] = _number(path, line, dims[0]) * unit
+            heights[count] = _number(path, line, dims[1]) * unit
         elif len(dims) == 1:
             if default_height is None:
                 raise ValueError(
                     f"{path}: node {key} has no height and no default")
-            widths[count] = float(dims[0]) * unit
+            widths[count] = _number(path, line, dims[0]) * unit
             heights[count] = default_height
         else:
             raise ValueError(f"{path}: node {key} has no dimensions")
@@ -280,23 +161,23 @@ def read_nodes_streaming(path: str, netlist: Netlist,
                              float(heights[i]))
 
 
-def read_nets_streaming(path: str, netlist: Netlist,
-                        default_activity: float = 0.2) -> None:
-    """Streaming ``.nets`` parser with preallocated CSR pin arrays.
+def read_nets(path: str, netlist: Netlist,
+              default_activity: float = 0.2) -> None:
+    """Parse a ``.nets`` file into a netlist whose cells already exist.
 
     Pin records go straight into flat arrays sized from the
     ``NumNets`` / ``NumPins`` headers, dtype-minimized through
     :func:`repro.netlist.csr.index_dtype` (int32 until a circuit
     exceeds 2^31 - 1 pins — the overflow guard the dtype choice
-    encodes).  Driver-defaulting rules match :func:`read_nets`
-    exactly: a net listing no explicit directions, or directions but
-    no driver, gets its first pin promoted to driver.
+    encodes).  A net listing no explicit pin directions, or directions
+    but no driver, gets its first pin as driver — the convention the
+    IBM-PLACE conversion scripts used.
 
     Raises:
-        ValueError: missing headers, a malformed ``NetDegree`` or pin
-            line, an unknown cell name, more nets/pins than declared,
-            or a truncated file (a net cut short, or fewer nets/pins
-            than the headers declare).
+        ValueError: missing headers, a malformed or negative
+            ``NetDegree``, an unknown cell name, more nets/pins than
+            declared, or a truncated file (a net cut short, or fewer
+            nets/pins than the headers declare).
     """
     num_nets = num_pins = -1
     net_names: List[str] = []
@@ -360,8 +241,10 @@ def read_nets_streaming(path: str, netlist: Netlist,
         try:
             degree = int(parts[1])
         except (IndexError, ValueError):
+            degree = -1
+        if degree < 0:
             raise ValueError(
-                f"{path}: malformed NetDegree line: {line!r}") from None
+                f"{path}: malformed NetDegree line: {line!r}")
         net_names.append(parts[2] if len(parts) > 2 else f"net{net_i}")
         net_start = pin_i
         net_ptr[net_i] = net_start
@@ -394,25 +277,66 @@ def read_nets_streaming(path: str, netlist: Netlist,
         netlist.add_net(net_names[i], pins, activity=default_activity)
 
 
-def read_bookshelf_streaming(prefix: str, unit: float = 1e-6,
-                             default_activity: float = 0.2) -> Netlist:
-    """Streaming twin of :func:`read_bookshelf` for full-size files.
+def read_pl(path: str, netlist: Netlist, unit: float = 1e-6
+            ) -> Dict[str, Tuple[float, float, int]]:
+    """Parse a ``.pl`` file; returns ``{cell name: (x, y, layer)}``.
 
-    Reads ``<prefix>.nodes`` and ``<prefix>.nets`` (plus ``.pl`` if
-    present) through the chunked, preallocated parsers, so peak memory
-    during the parse is bounded by the attribute/CSR arrays (plus the
-    netlist being built) rather than the file's line list.  On
-    well-formed input the result is identical to the buffered reader,
-    which the round-trip tests assert circuit by circuit.
+    Fixed cells in the netlist get their ``fixed_position`` updated in
+    place.  Positions in ``.pl`` files are lower-left corners; they are
+    converted to cell centres.  An optional fourth numeric column is read
+    as the layer index (our 3D extension); 2D files default to layer 0.
+
+    Raises:
+        ValueError: an unknown cell, a line with fewer than three
+            fields, or a non-numeric coordinate.
+    """
+    positions: Dict[str, Tuple[float, float, int]] = {}
+    for line in _iter_content_lines(path):
+        fields = line.split()
+        if len(fields) < 3:
+            raise ValueError(f"{path}: expected 'name x y', got {line!r}")
+        name = fields[0]
+        if name not in netlist._cell_by_name:
+            raise ValueError(f"{path}: unknown cell {name!r}")
+        x = _number(path, line, fields[1]) * unit
+        y = _number(path, line, fields[2]) * unit
+        layer = 0
+        if len(fields) > 3:
+            try:
+                layer = int(fields[3])
+            except ValueError:
+                layer = 0  # orientation token such as ": N"
+        cell = netlist.cell(name)
+        cx = x + 0.5 * cell.width
+        cy = y + 0.5 * cell.height
+        positions[name] = (cx, cy, layer)
+        if cell.fixed:
+            cell.fixed_position = (cx, cy, layer)
+    return positions
+
+
+def read_bookshelf(prefix: str, unit: float = 1e-6,
+                   default_activity: float = 0.2) -> Netlist:
+    """Read ``<prefix>.nodes`` and ``<prefix>.nets`` (plus ``.pl`` if
+    present) into a fresh netlist.
+
+    Every file streams line by line into preallocated arrays, so peak
+    memory during the parse is bounded by those arrays plus the
+    netlist being built, not by the file's size.
     """
     netlist = Netlist(name=os.path.basename(prefix))
-    read_nodes_streaming(prefix + ".nodes", netlist, unit=unit)
-    read_nets_streaming(prefix + ".nets", netlist,
-                        default_activity=default_activity)
+    read_nodes(prefix + ".nodes", netlist, unit=unit)
+    read_nets(prefix + ".nets", netlist,
+              default_activity=default_activity)
     if os.path.exists(prefix + ".pl"):
         read_pl(prefix + ".pl", netlist, unit=unit)
     netlist.validate()
     return netlist
+
+
+# benchmarks/e2e/workload.py calls the reader by this name; drop the
+# alias with the next change to that benchmark.
+read_bookshelf_streaming = read_bookshelf
 
 
 def write_nodes(path: str, netlist: Netlist, unit: float = 1e-6) -> None:

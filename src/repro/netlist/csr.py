@@ -29,7 +29,7 @@ long before the index arrays do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List
 
 import numpy as np
 
@@ -234,9 +234,3 @@ def signal_csr(netlist: "Netlist") -> SignalCSR:
 def clear_keyed_store() -> None:
     """Drop the content-keyed store (tests)."""
     _BY_CONTENT_KEY.clear()
-
-
-def keyed_store_stats() -> Tuple[int, int]:
-    """(entries, total bytes) of the content-keyed store."""
-    total = sum(c.nbytes for c in _BY_CONTENT_KEY.values())
-    return len(_BY_CONTENT_KEY), total

@@ -143,10 +143,6 @@ class Netlist:
         """Number of movable (non-fixed) cells."""
         return sum(1 for c in self.cells if c.movable)
 
-    def movable_cells(self) -> List[Cell]:
-        """All movable cells."""
-        return [c for c in self.cells if c.movable]
-
     @property
     def movable_ids(self) -> IntArray:
         """Ids of movable cells as an int64 array, cached until the

@@ -327,8 +327,3 @@ def resolve(ref: SegmentRef) -> Dict[str, Any]:
         else:
             payload[key] = value
     return payload
-
-
-def _reset_worker_cache() -> None:
-    """Drop the attachment cache (tests; also safe mid-run)."""
-    _close_attached()

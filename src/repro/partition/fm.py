@@ -342,16 +342,3 @@ class FMRefiner:
             if free[v] and side[v] == 0:
                 weight0 += vw[v]
         return counts_l, gains_l, weight0
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _legal(new_w0: float, cur_w0: float, lo: float, hi: float) -> bool:
-        """A move is legal if it lands in the balance window, or at least
-        reduces an existing violation."""
-        if lo <= new_w0 <= hi:
-            return True
-        if cur_w0 < lo:
-            return new_w0 > cur_w0
-        if cur_w0 > hi:
-            return new_w0 < cur_w0
-        return False

@@ -6,31 +6,25 @@ execution backend and the scheduler into one object with two modes:
 - **Spooled** (``submit`` + ``wait``/``serve``): jobs execute as
   :func:`~repro.service.worker.execute_job` payloads on the backend —
   the ``sweep`` and ``serve`` paths.
-- **Inline** (``run_inline``): the caller's own netlist/config/spec
-  objects run on the calling thread, with job bookkeeping wrapped
-  around the exact historical call sequence — the ``place`` path,
-  which must stay bit-identical to the pre-service CLI.
+- **Inline** (``run_inline``): the job runs on the calling thread with
+  the caller's own netlist and recorder — the ``place`` path.
 
-Either way the result lands in the content-addressed cache, so a
-``place`` today seeds a cache hit for a ``sweep`` point tomorrow.
+Both run the one job body, :func:`~repro.service.worker.run_job`, and
+leave ``running`` through the one settle step,
+:meth:`~repro.service.scheduler.Scheduler.settle`.  Either way the
+result lands in the content-addressed cache, so a ``place`` today
+seeds a cache hit for a ``sweep`` point tomorrow.
 """
 
 from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
-
-import numpy as np
+from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from repro import obs
-from repro.core.checkpoint import CheckpointError
 from repro.core.config import PlacementConfig
-from repro.core.pipeline import (PipelineHalted, PipelineSpec,
-                                 default_pipeline_spec)
-from repro.core.placer import Placer3D
-from repro.core.result import PlacementResult
-from repro.metrics.report import evaluate_placement
+from repro.core.pipeline import default_pipeline_spec
 from repro.netlist.netlist import Netlist
 from repro.obs.manifest import config_hash, content_hash
 from repro.parallel import create_backend
@@ -38,7 +32,7 @@ from repro.service.cache import (CacheEntry, ResultCache, cache_key,
                                  netlist_hash)
 from repro.service.jobstore import JobRequest, JobStateError, JobStore
 from repro.service.scheduler import Scheduler, fulfil_from_cache
-from repro.service.worker import (load_job_netlist, result_summary)
+from repro.service.worker import load_job_netlist, run_job
 
 __all__ = ["PlacementEngine"]
 
@@ -114,75 +108,46 @@ class PlacementEngine:
 
     # -- inline execution (the bit-identical `place` path) -------------
     def run_inline(self, job_id: str, *, netlist: Netlist,
-                   config: PlacementConfig, spec: PipelineSpec,
                    recorder: Optional[obs.Recorder] = None,
-                   check: bool = False,
                    checkpoint_dir: Optional[Union[str, Path]] = None,
                    resume: bool = False,
-                   halt_after: Optional[str] = None,
-                   ) -> PlacementResult:
+                   preempt: Optional[Callable[[str], bool]] = None,
+                   ) -> Optional[Dict[str, Any]]:
         """Run a queued job on the calling thread with the caller's
-        own objects.
+        own netlist and recorder.
 
-        The placer invocation is exactly the historical CLI sequence —
-        same netlist/config/spec/recorder instances, same keyword
-        values — so the resulting placement is bit-identical to the
-        pre-service run path; the engine only wraps state transitions
-        and result/cache publication around it.
+        A cached result short-circuits the job to ``done`` without
+        running a stage.  Otherwise the job runs through
+        :func:`~repro.service.worker.run_job`, as a spooled job does,
+        and is settled by the scheduler's one settle step.
+
+        Returns:
+            ``None`` when the result cache served the job, else the
+            ``run_job`` outcome (``done``, or ``preempted`` when the
+            ``preempt`` hook stopped the run; the job then parks as
+            ``cancelled``, resumable from ``checkpoint_dir``).
 
         Raises:
-            PipelineHalted: ``halt_after`` boundary reached (job parks
-                as ``cancelled``, resumable).
-            CheckpointError: resume mismatch (job parks as ``failed``).
+            CheckpointError: resume mismatch (job parks as ``failed``,
+                as on any other run error).
         """
-        self.store.transition(job_id, "running", expect=("queued",))
+        if self.try_cache(job_id) is not None:
+            return None
+        document = self.store.transition(job_id, "running",
+                                         expect=("queued",))
         self.recorder.count("cache/miss")
-        placer = Placer3D(netlist, config, recorder=recorder, spec=spec)
+        key = str(document["hashes"]["cache_key"])
         try:
-            result = placer.run(check=check,
-                                checkpoint_dir=checkpoint_dir,
-                                resume=resume, halt_after=halt_after)
-        except PipelineHalted:
-            # halted at a boundary with its checkpoint behind: park as
-            # cancelled (the resumable parking state)
-            self.store.transition(job_id, "cancelled",
-                                  expect=("running",))
-            raise
-        except CheckpointError as exc:
-            self.store.transition(job_id, "failed", expect=("running",),
-                                  error=str(exc))
-            raise
+            outcome = run_job(document, self.store.result_dir(job_id),
+                              netlist, recorder,
+                              checkpoint_dir=checkpoint_dir,
+                              resume=resume, preempt=preempt)
         except Exception as exc:
-            self.store.transition(job_id, "failed", expect=("running",),
-                                  error=str(exc))
+            self.scheduler.settle(job_id, key,
+                                  {"state": "failed", "error": str(exc)})
             raise
-        self._publish_inline(job_id, netlist, config, spec, result)
-        return result
-
-    def _publish_inline(self, job_id: str, netlist: Netlist,
-                        config: PlacementConfig, spec: PipelineSpec,
-                        result: PlacementResult) -> None:
-        document = self.store.load(job_id)
-        result_dir = self.store.result_dir(job_id)
-        result_dir.mkdir(exist_ok=True)
-        placement_path = result_dir / "placement.npz"
-        np.savez_compressed(placement_path, x=result.placement.x,
-                            y=result.placement.y, z=result.placement.z)
-        manifest = obs.build_manifest(
-            netlist, config, result, pipeline=spec.to_dict(),
-            job={"id": job_id, "cache": "miss",
-                 "preemptions": int(document["preemptions"])})
-        manifest_path = obs.write_manifest(result_dir / "manifest.json",
-                                           manifest)
-        report = evaluate_placement(result.placement, config.tech,
-                                    thermal=False)
-        summary = result_summary(result, report)
-        self.store.transition(job_id, "done", expect=("running",),
-                              result=summary,
-                              manifest_path=manifest_path)
-        self.recorder.count("jobs/done")
-        self.cache.store(str(document["hashes"]["cache_key"]),
-                         placement_path, manifest, summary)
+        self.scheduler.settle(job_id, key, outcome)
+        return outcome
 
     def try_cache(self, job_id: str) -> Optional[CacheEntry]:
         """Short-circuit a queued job if its key is already cached."""
@@ -228,13 +193,6 @@ class PlacementEngine:
         """Requeue a cancelled/failed job to resume from its
         checkpoint."""
         return self.store.requeue(job_id)
-
-    def job_section(self, job_id: str) -> Dict[str, Any]:
-        """The manifest ``job`` section for this job."""
-        document = self.store.load(job_id)
-        return {"id": str(document["id"]),
-                "cache": str(document["cache"]),
-                "preemptions": int(document["preemptions"])}
 
     def outcome(self, job_id: str) -> Optional[Dict[str, Any]]:
         """In-memory worker outcome (telemetry included), if any."""

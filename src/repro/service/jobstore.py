@@ -21,9 +21,8 @@ legal state machine::
 
 Cancellation of a *running* job is cooperative: the store writes the
 ``CANCEL`` sentinel, the worker's preemption hook (polled at every
-stage boundary, after the checkpoint is saved) sees it and stops with
-:class:`~repro.core.pipeline.PipelinePreempted`; the scheduler then
-parks the job as ``cancelled``.  Because the checkpoint for the last
+stage boundary, after the checkpoint is saved) sees it and stops the
+run there; the scheduler then parks the job as ``cancelled``.  Because the checkpoint for the last
 completed unit is already on disk, a later resume replays the rest of
 the pipeline bit-identically.
 

@@ -15,10 +15,13 @@ Scheduling policy, all observable through the job store:
   ``done`` with ``cache="hit"`` (the ``cache/hit`` telemetry counter).
 - A queued job whose cache key is *in flight* is coalesced: it stays
   queued and resolves as a cache hit once the leader publishes.
-- A running job that stops with
-  :class:`~repro.core.pipeline.PipelinePreempted` is parked as
+- A running job whose run stopped at a stage boundary (its cancel
+  sentinel fired the pipeline's ``preempt`` hook) is parked as
   ``cancelled`` with its preemption count bumped; its checkpoint
   remains, so a requeue resumes bit-identically.
+
+Finished runs, spooled or inline, all leave the ``running`` state
+through :meth:`Scheduler.settle`.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from __future__ import annotations
 import json
 import shutil
 import threading
-import time
 from typing import Any, Dict, Optional, Tuple
 
 from repro.obs import Recorder, get_logger
@@ -124,37 +126,54 @@ class Scheduler:
             del self._inflight[job_id]
             self.backend.forget(job_id)
             error = handle.exception()
-            if error is not None:
-                _log.warning("job %s failed: %s", job_id, error)
+            self.settle(job_id, key,
+                        handle.result() if error is None
+                        else {"state": "failed", "error": str(error)})
+
+    def settle(self, job_id: str, key: str,
+               outcome: Dict[str, Any]) -> None:
+        """Move a running job to where its outcome leaves it.
+
+        ``failed`` parks it with the error; ``preempted`` parks it as
+        ``cancelled`` with its preemption count bumped (its checkpoint
+        stays, so a requeue resumes bit-identically); ``done`` records
+        the result and publishes it to the cache under ``key``.
+
+        Args:
+            job_id: the running job.
+            key: its cache key.
+            outcome: a :func:`~repro.service.worker.run_job` outcome,
+                or ``{"state": "failed", "error": ...}``.
+        """
+        with self._lock:
+            state = outcome["state"]
+            if state == "failed":
+                _log.warning("job %s failed: %s", job_id,
+                             outcome["error"])
                 self.store.transition(job_id, "failed",
                                       expect=("running",),
-                                      error=str(error))
+                                      error=str(outcome["error"]))
                 self._count("jobs/failed")
-                continue
-            outcome = handle.result()
-            if outcome["state"] == "preempted":
+                return
+            if state == "preempted":
                 document = self.store.load(job_id)
                 self.store.transition(
                     job_id, "cancelled", expect=("running",),
                     preemptions=int(document["preemptions"]) + 1)
                 self._count("jobs/preempted")
-                continue
+                return
             self._outcomes[job_id] = outcome
+            summary = dict(outcome["summary"])
             self.store.transition(
-                job_id, "done", expect=("running",),
-                result=dict(outcome["summary"]),
+                job_id, "done", expect=("running",), result=summary,
                 manifest_path=str(outcome["manifest_path"]))
             self._count("jobs/done")
-            self._publish(job_id, key, outcome)
-
-    def _publish(self, job_id: str, key: str,
-                 outcome: Dict[str, Any]) -> None:
-        placement_path = self.store.result_dir(job_id) / "placement.npz"
-        with open(outcome["manifest_path"], "r",
-                  encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        self.cache.store(key, placement_path, manifest,
-                         dict(outcome["summary"]))
+            with open(outcome["manifest_path"], "r",
+                      encoding="utf-8") as fh:
+                manifest = json.load(fh)
+            self.cache.store(
+                key, self.store.result_dir(job_id) / "placement.npz",
+                manifest, summary)
 
     def _dispatch(self) -> int:
         capacity = self.backend.num_workers - len(self._inflight)
@@ -194,20 +213,6 @@ class Scheduler:
         return active
 
     # -- blocking / threaded operation ---------------------------------
-    def drain(self, timeout: Optional[float] = None) -> None:
-        """Pump until no job is queued or running.
-
-        Raises:
-            TimeoutError: active jobs remain after ``timeout`` seconds.
-        """
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
-        while self.pump() > 0:
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"jobs still active after {timeout:.1f}s")
-            time.sleep(self.poll_seconds)
-
     def start(self) -> None:
         """Run the pump loop in a daemon thread (the serve path)."""
         if self._thread is not None:

@@ -1,13 +1,17 @@
-"""The job execution payload: what runs on a backend worker.
+"""Running a job: one body for every path.
 
-:func:`execute_job` is a module-level function of one picklable
-``{"job_dir": ...}`` payload, so the scheduler can dispatch it through
-either execution backend unchanged — inline on
-:class:`~repro.parallel.SerialBackend`, in a separate process on
-:class:`~repro.parallel.ProcessPoolBackend`.  Everything it needs is
-(re)built from the spooled ``job.json``: the netlist from the request
-descriptor, the config from its dict form, the pipeline spec from its
-serialized form.
+:func:`run_job` is the job body: it places the netlist with the
+request's config, spec and ``check`` flag, writes the result artifacts
+and returns the outcome the scheduler settles.  The engine's inline
+path (``repro place``) calls it with the caller's netlist and
+recorder.
+
+:func:`execute_job` is the spooled path's loader around it: a
+module-level function of one picklable ``{"job_dir": ...}`` payload,
+so the scheduler can dispatch it through either execution backend
+unchanged — inline on :class:`~repro.parallel.SerialBackend`, in a
+separate process on :class:`~repro.parallel.ProcessPoolBackend`.  It
+rebuilds the netlist and recorder from the spooled ``job.json``.
 
 Cancellation and resume both ride the checkpoint substrate: the run
 always checkpoints into the job's ``checkpoint/`` directory, the
@@ -20,14 +24,14 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Mapping, Optional, Union
 
 import numpy as np
 
 from repro import obs
 from repro.core.checkpoint import has_checkpoint
 from repro.core.config import PlacementConfig
-from repro.core.pipeline import (PipelinePreempted, PipelineSpec,
+from repro.core.pipeline import (PipelineHalted, PipelineSpec,
                                  default_pipeline_spec)
 from repro.core.placer import Placer3D
 from repro.metrics.report import PlacementReport, evaluate_placement
@@ -38,7 +42,8 @@ from repro.netlist.netlist import Netlist
 from repro.netlist.suite import load_benchmark
 from repro.service.jobstore import JobRequest
 
-__all__ = ["execute_job", "load_job_netlist", "result_summary"]
+__all__ = ["execute_job", "load_job_netlist", "result_summary",
+           "run_job"]
 
 
 def load_job_netlist(request: JobRequest, seed: int) -> Netlist:
@@ -47,8 +52,6 @@ def load_job_netlist(request: JobRequest, seed: int) -> Netlist:
     Loads go through the content-keyed netlist cache: a sweep's
     per-alpha jobs and service resubmissions of one circuit parse or
     generate it once and unpickle pristine copies after that.
-    Bookshelf circuits use the streaming reader, so full-size files
-    parse in bounded memory.
     """
     if request.circuit is not None:
         circuit = request.circuit
@@ -60,7 +63,7 @@ def load_job_netlist(request: JobRequest, seed: int) -> Netlist:
     prefix = request.bookshelf
     return cached_netlist(
         bookshelf_key(prefix),
-        lambda: bookshelf.read_bookshelf_streaming(prefix))
+        lambda: bookshelf.read_bookshelf(prefix))
 
 
 def result_summary(result: Any,
@@ -80,67 +83,63 @@ def result_summary(result: Any,
     }
 
 
-def execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one spooled job to its next boundary: done or preempted.
+def run_job(document: Mapping[str, Any], result_dir: Path,
+            netlist: Netlist, recorder: Optional[obs.Recorder], *,
+            checkpoint_dir: Optional[Union[str, Path]] = None,
+            resume: bool = False,
+            preempt: Optional[Callable[[str], bool]] = None,
+            ) -> Dict[str, Any]:
+    """Run one job to its next boundary: done or preempted.
+
+    The config, pipeline spec and ``check`` flag come from the job
+    document's request; the netlist and recorder come from the caller,
+    and the recorder is closed on every exit path.  A finished run
+    leaves ``placement.npz`` and ``manifest.json`` in ``result_dir``.
 
     Args:
-        payload: ``{"job_dir": <path>}`` — the job's spool directory
-            (must contain ``job.json``).
+        document: the job document (``job.json``).
+        result_dir: where the result artifacts go.
+        netlist: the circuit the request describes.
+        recorder: telemetry recorder for the run, or ``None``; the
+            manifest's ``trace_path`` is its sink's path.
+        checkpoint_dir: serialize the run state here after every
+            stage boundary.
+        resume: continue from the last checkpoint in
+            ``checkpoint_dir``.
+        preempt: stop hook polled with each finished unit's label.
 
     Returns:
-        ``{"state": "preempted", "unit": ...}`` when the cancel
-        sentinel stopped the run at a stage boundary (checkpoint
-        already saved), else ``{"state": "done", "summary": ...,
+        ``{"state": "preempted", "unit": ...}`` when ``preempt``
+        stopped the run at a stage boundary (checkpoint already
+        saved), else ``{"state": "done", "summary": ...,
         "manifest_path": ..., "manifest_errors": [...],
-        "telemetry": Telemetry | None}``.  Exceptions propagate to the
-        handle and park the job as ``failed``.
+        "telemetry": Telemetry | None}``.  Exceptions propagate.
     """
-    job_dir = Path(payload["job_dir"])
-    with open(job_dir / "job.json", "r", encoding="utf-8") as fh:
-        document = json.load(fh)
-    request = JobRequest.from_dict(document["request"])
-    config = PlacementConfig.from_dict(request.config)
-    netlist = load_job_netlist(request, config.seed)
-    spec = (PipelineSpec.from_dict(request.spec)
-            if request.spec is not None
-            else default_pipeline_spec(config))
-
-    recorder: Optional[obs.Recorder] = None
-    trace_path: Optional[str] = None
-    if request.want_telemetry or request.telemetry_prefix:
-        sink = None
-        if request.telemetry_prefix:
-            trace_path = f"{request.telemetry_prefix}.trace.jsonl"
-            sink = obs.EventSink(trace_path)
-        recorder = obs.Recorder(sink=sink)
-
-    checkpoint_dir = job_dir / "checkpoint"
-    cancel_path = job_dir / "CANCEL"
-
-    def preempt() -> bool:
-        return cancel_path.exists()
-
-    placer = Placer3D(netlist, config, recorder=recorder, spec=spec)
+    trace_path = (recorder.sink.path
+                  if recorder is not None and recorder.sink is not None
+                  else None)
     try:
-        result = placer.run(check=request.check,
-                            checkpoint_dir=checkpoint_dir,
-                            resume=has_checkpoint(checkpoint_dir),
-                            preempt=preempt)
-    except PipelinePreempted as stopped:
+        request = JobRequest.from_dict(document["request"])
+        config = PlacementConfig.from_dict(request.config)
+        spec = (PipelineSpec.from_dict(request.spec)
+                if request.spec is not None
+                else default_pipeline_spec(config))
+        result = Placer3D(netlist, config, recorder=recorder,
+                          spec=spec).run(check=request.check,
+                                         checkpoint_dir=checkpoint_dir,
+                                         resume=resume, preempt=preempt)
+    except PipelineHalted as stopped:
+        return {"state": "preempted", "unit": stopped.unit}
+    finally:
         if recorder is not None:
             recorder.close()
-        return {"state": "preempted", "unit": stopped.unit}
-    if recorder is not None:
-        recorder.close()
 
     report = evaluate_placement(result.placement, config.tech,
                                 thermal=False)
-    result_dir = job_dir / "result"
     result_dir.mkdir(exist_ok=True)
-    placement_path = result_dir / "placement.npz"
-    np.savez_compressed(placement_path, x=result.placement.x,
-                        y=result.placement.y, z=result.placement.z)
-
+    np.savez_compressed(result_dir / "placement.npz",
+                        x=result.placement.x, y=result.placement.y,
+                        z=result.placement.z)
     manifest = obs.build_manifest(
         netlist, config, result, trace_path=trace_path,
         pipeline=spec.to_dict(),
@@ -148,7 +147,6 @@ def execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
              "preemptions": int(document.get("preemptions", 0))})
     manifest_path = obs.write_manifest(result_dir / "manifest.json",
                                        manifest)
-    errors = list(obs.validate_manifest(manifest))
     if request.telemetry_prefix:
         obs.write_manifest(f"{request.telemetry_prefix}.manifest.json",
                            manifest)
@@ -156,6 +154,40 @@ def execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
         "state": "done",
         "summary": result_summary(result, report),
         "manifest_path": manifest_path,
-        "manifest_errors": errors,
+        "manifest_errors": list(obs.validate_manifest(manifest)),
         "telemetry": result.telemetry,
     }
+
+
+def execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Load one spooled job and :func:`run_job` it.
+
+    The run checkpoints into the job's ``checkpoint/`` directory,
+    resumes from it when a checkpoint is there, and stops at the first
+    stage boundary after the job's ``CANCEL`` sentinel appears.
+
+    Args:
+        payload: ``{"job_dir": <path>}`` — the job's spool directory
+            (must contain ``job.json``).
+
+    Returns:
+        The :func:`run_job` outcome.  Exceptions propagate to the
+        handle and park the job as ``failed``.
+    """
+    job_dir = Path(payload["job_dir"])
+    with open(job_dir / "job.json", "r", encoding="utf-8") as fh:
+        document = json.load(fh)
+    request = JobRequest.from_dict(document["request"])
+    netlist = load_job_netlist(
+        request, PlacementConfig.from_dict(request.config).seed)
+    recorder: Optional[obs.Recorder] = None
+    if request.want_telemetry or request.telemetry_prefix:
+        recorder = obs.Recorder(sink=(
+            obs.EventSink(f"{request.telemetry_prefix}.trace.jsonl")
+            if request.telemetry_prefix else None))
+    checkpoint_dir = job_dir / "checkpoint"
+    cancel_path = job_dir / "CANCEL"
+    return run_job(document, job_dir / "result", netlist, recorder,
+                   checkpoint_dir=checkpoint_dir,
+                   resume=has_checkpoint(checkpoint_dir),
+                   preempt=lambda unit: cancel_path.exists())

@@ -39,6 +39,11 @@ def _config(**overrides) -> PlacementConfig:
     return PlacementConfig(**base)
 
 
+def _stop_after(unit):
+    """A ``preempt`` hook that stops the run after ``unit``."""
+    return lambda done: done == unit
+
+
 def _final_arrays(result):
     pl = result.placement
     return pl.x.copy(), pl.y.copy(), pl.z.copy()
@@ -57,7 +62,7 @@ class TestResumeBitIdentical:
             ckpt_dir = tmp_path / unit.replace("/", "_").replace(":", "-")
             with pytest.raises(PipelineHalted):
                 Placer3D(_netlist(), config).run(
-                    checkpoint_dir=ckpt_dir, halt_after=unit)
+                    checkpoint_dir=ckpt_dir, preempt=_stop_after(unit))
             assert has_checkpoint(ckpt_dir)
             resumed = Placer3D(_netlist(), config).run(
                 checkpoint_dir=ckpt_dir, resume=True)
@@ -74,7 +79,8 @@ class TestResumeBitIdentical:
         ckpt_dir = tmp_path / "thermal"
         with pytest.raises(PipelineHalted):
             Placer3D(_netlist(40), config).run(
-                checkpoint_dir=ckpt_dir, halt_after="round1/cellshift")
+                checkpoint_dir=ckpt_dir,
+                preempt=_stop_after("1:round1/cellshift"))
         resumed = Placer3D(_netlist(40), config).run(
             checkpoint_dir=ckpt_dir, resume=True)
         assert np.array_equal(resumed.placement.x, ref_x)
@@ -89,7 +95,7 @@ class TestResumeBitIdentical:
         last = default_pipeline_spec(config).units()[-1]
         with pytest.raises(PipelineHalted):
             Placer3D(_netlist(40), config).run(
-                checkpoint_dir=ckpt_dir, halt_after=last)
+                checkpoint_dir=ckpt_dir, preempt=_stop_after(last))
         resumed = Placer3D(_netlist(40), config).run(
             checkpoint_dir=ckpt_dir, resume=True)
         assert np.array_equal(resumed.placement.x,
@@ -103,7 +109,8 @@ class TestCheckpointFormat:
         ckpt_dir = tmp_path / "fmt"
         with pytest.raises(PipelineHalted):
             Placer3D(_netlist(40), config).run(
-                checkpoint_dir=ckpt_dir, halt_after="round1/moves")
+                checkpoint_dir=ckpt_dir,
+                preempt=_stop_after("1:round1/moves"))
         return ckpt_dir, config
 
     def test_metadata_passes_schema_validation(self, tmp_path):
@@ -163,7 +170,7 @@ class TestResumeRefusals:
         ckpt_dir = tmp_path / "refuse"
         with pytest.raises(PipelineHalted):
             Placer3D(_netlist(40), config).run(
-                checkpoint_dir=ckpt_dir, halt_after="0:global")
+                checkpoint_dir=ckpt_dir, preempt=_stop_after("0:global"))
         return ckpt_dir
 
     def test_different_config_refused(self, tmp_path):

@@ -239,6 +239,31 @@ class TestPipelineFlags:
                 open(out_b + ".pl", "rb") as fb:
             assert fa.read() == fb.read()
 
+    def test_halt_after_takes_a_qualified_label(self, capsys, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        code = main(["place", "--circuit", "ibm01", "--scale", "0.01",
+                     "--layers", "2", "--checkpoint-dir", str(ckpt),
+                     "--halt-after", "0:global"])
+        assert code == 0
+        assert "halted after 0:global" in capsys.readouterr().out
+        assert (ckpt / "checkpoint.json").is_file()
+
+    def test_second_run_is_served_from_the_cache(self, capsys, tmp_path):
+        import json
+        jobs = str(tmp_path / "jobs")
+        base = ["place", "--circuit", "ibm01", "--scale", "0.01",
+                "--layers", "2", "--jobs-dir", jobs]
+        cold, hit = str(tmp_path / "cold"), str(tmp_path / "hit")
+        assert main(base + ["--out", cold]) == 0
+        assert "cache hit" not in capsys.readouterr().out
+        assert main(base + ["--out", hit, "--telemetry-out",
+                            str(tmp_path / "hit")]) == 0
+        assert "cache hit" in capsys.readouterr().out
+        with open(cold + ".pl", "rb") as fa, open(hit + ".pl", "rb") as fb:
+            assert fa.read() == fb.read()
+        manifest = json.load(open(hit + ".manifest.json"))
+        assert manifest["job"]["cache"] == "hit"
+
     def test_resume_without_dir_is_usage_error(self, capsys):
         code = main(["place", "--circuit", "ibm01", "--scale", "0.01",
                      "--layers", "2", "--resume"])

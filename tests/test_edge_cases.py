@@ -89,27 +89,30 @@ class TestOverfullDesign:
 class TestMalformedBookshelf:
     def test_node_without_dimensions(self, tmp_path):
         bad = tmp_path / "x.nodes"
-        bad.write_text("UCLA nodes 1.0\n  a\n")
+        bad.write_text("UCLA nodes 1.0\nNumNodes : 1\n  a\n")
         nl = Netlist("x")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no dimensions"):
             bookshelf.read_nodes(str(bad), nl)
 
     def test_net_with_unknown_cell(self, tmp_path):
         (tmp_path / "x.nodes").write_text(
-            "UCLA nodes 1.0\n  a 1 1\n")
+            "UCLA nodes 1.0\nNumNodes : 1\n  a 1 1\n")
         (tmp_path / "x.nets").write_text(
-            "UCLA nets 1.0\nNetDegree : 2 n\n  a O\n  ghost I\n")
+            "UCLA nets 1.0\nNumNets : 1\nNumPins : 2\n"
+            "NetDegree : 2 n\n  a O\n  ghost I\n")
         nl = Netlist("x")
         bookshelf.read_nodes(str(tmp_path / "x.nodes"), nl)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown cell 'ghost'"):
             bookshelf.read_nets(str(tmp_path / "x.nets"), nl)
 
     def test_missing_netdegree_header(self, tmp_path):
-        (tmp_path / "x.nodes").write_text("UCLA nodes 1.0\n  a 1 1\n")
-        (tmp_path / "x.nets").write_text("UCLA nets 1.0\n  a O\n")
+        (tmp_path / "x.nodes").write_text(
+            "UCLA nodes 1.0\nNumNodes : 1\n  a 1 1\n")
+        (tmp_path / "x.nets").write_text(
+            "UCLA nets 1.0\nNumNets : 1\nNumPins : 1\n  a O\n")
         nl = Netlist("x")
         bookshelf.read_nodes(str(tmp_path / "x.nodes"), nl)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected NetDegree"):
             bookshelf.read_nets(str(tmp_path / "x.nets"), nl)
 
 

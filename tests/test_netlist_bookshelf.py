@@ -1,7 +1,10 @@
 """Unit tests for the Bookshelf reader/writer."""
 
 import os
+import re
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.geometry.chip import ChipGeometry
@@ -150,12 +153,23 @@ class TestRoundTrip:
             assert list(na.pins) == list(nb.pins)
             assert na.activity == nb.activity
 
-    def test_streaming_matches_buffered_on_fixture(self, prefix):
-        buffered = bookshelf.read_bookshelf(prefix)
-        streaming = bookshelf.read_bookshelf_streaming(prefix)
-        self._assert_netlists_equal(buffered, streaming)
+    def _assert_round_trips(self, prefix, tmp_path):
+        """read → write → read reproduces the first read exactly."""
+        first = bookshelf.read_bookshelf(prefix)
+        positions = None
+        if os.path.exists(prefix + ".pl"):
+            centres = bookshelf.read_pl(prefix + ".pl", first)
+            positions = SimpleNamespace(**{
+                axis: np.array([centres[c.name][k] for c in first.cells])
+                for k, axis in enumerate("xyz")})
+        out = str(tmp_path / "again")
+        bookshelf.write_bookshelf(out, first, positions)
+        self._assert_netlists_equal(first, bookshelf.read_bookshelf(out))
 
-    def test_streaming_matches_buffered_on_suite_circuit(self, tmp_path):
+    def test_reader_round_trips_fixture(self, prefix, tmp_path):
+        self._assert_round_trips(prefix, tmp_path)
+
+    def test_reader_round_trips_suite_circuit(self, tmp_path):
         from repro.netlist.suite import load_benchmark
         nl = load_benchmark("ibm01", scale=0.05, seed=0)
         chip = ChipGeometry(width=500e-6, height=500e-6, num_layers=4,
@@ -163,18 +177,14 @@ class TestRoundTrip:
         pl = Placement.random(nl, chip, seed=7)
         out = str(tmp_path / "ibm")
         bookshelf.write_bookshelf(out, nl, pl)
-        buffered = bookshelf.read_bookshelf(out)
-        streaming = bookshelf.read_bookshelf_streaming(out)
-        self._assert_netlists_equal(buffered, streaming)
+        self._assert_round_trips(out, tmp_path)
 
-    def test_streaming_matches_buffered_on_synthetic(self, tmp_path):
+    def test_reader_round_trips_synthetic(self, tmp_path):
         from repro.netlist.suite import load_benchmark
         nl = load_benchmark("synthetic2k", scale=1.0, seed=1)
         out = str(tmp_path / "syn")
         bookshelf.write_bookshelf(out, nl)
-        buffered = bookshelf.read_bookshelf(out)
-        streaming = bookshelf.read_bookshelf_streaming(out)
-        self._assert_netlists_equal(buffered, streaming)
+        self._assert_round_trips(out, tmp_path)
 
     def test_trr_nets_not_written(self, prefix, tmp_path):
         nl = bookshelf.read_bookshelf(prefix)
@@ -188,7 +198,8 @@ class TestRoundTrip:
 
 
 class TestStreamingErrorPaths:
-    """Malformed and truncated inputs must fail loudly, not silently."""
+    """Malformed and truncated inputs must fail loudly, not silently,
+    with a ``ValueError`` naming the file."""
 
     def _nodes(self, tmp_path, text):
         path = tmp_path / "bad.nodes"
@@ -203,36 +214,36 @@ class TestStreamingErrorPaths:
     def test_nodes_missing_header(self, tmp_path):
         path = self._nodes(tmp_path, "UCLA nodes 1.0\n")
         with pytest.raises(ValueError, match="missing NumNodes"):
-            bookshelf.read_nodes_streaming(path, Netlist("t"))
+            bookshelf.read_nodes(path, Netlist("t"))
 
     def test_nodes_record_before_header(self, tmp_path):
         path = self._nodes(tmp_path, "UCLA nodes 1.0\n  a 2.0 1.0\n")
         with pytest.raises(ValueError, match="before NumNodes"):
-            bookshelf.read_nodes_streaming(path, Netlist("t"))
+            bookshelf.read_nodes(path, Netlist("t"))
 
     def test_nodes_truncated(self, tmp_path):
         path = self._nodes(
             tmp_path, "UCLA nodes 1.0\nNumNodes : 3\n  a 2.0 1.0\n")
         with pytest.raises(ValueError, match="truncated .nodes"):
-            bookshelf.read_nodes_streaming(path, Netlist("t"))
+            bookshelf.read_nodes(path, Netlist("t"))
 
     def test_nodes_overdeclared(self, tmp_path):
         path = self._nodes(
             tmp_path, "UCLA nodes 1.0\nNumNodes : 1\n"
                       "  a 2.0 1.0\n  b 2.0 1.0\n")
         with pytest.raises(ValueError, match="more than NumNodes"):
-            bookshelf.read_nodes_streaming(path, Netlist("t"))
+            bookshelf.read_nodes(path, Netlist("t"))
 
     def test_nodes_without_dimensions(self, tmp_path):
         path = self._nodes(
             tmp_path, "UCLA nodes 1.0\nNumNodes : 1\n  a\n")
         with pytest.raises(ValueError, match="no dimensions"):
-            bookshelf.read_nodes_streaming(path, Netlist("t"))
+            bookshelf.read_nodes(path, Netlist("t"))
 
     def test_nodes_malformed_header(self, tmp_path):
         path = self._nodes(tmp_path, "UCLA nodes 1.0\nNumNodes : x\n")
         with pytest.raises(ValueError, match="malformed NumNodes"):
-            bookshelf.read_nodes_streaming(path, Netlist("t"))
+            bookshelf.read_nodes(path, Netlist("t"))
 
     def _netlist_ab(self):
         nl = Netlist("t")
@@ -243,52 +254,84 @@ class TestStreamingErrorPaths:
     def test_nets_missing_headers(self, tmp_path):
         path = self._nets(tmp_path, "UCLA nets 1.0\n")
         with pytest.raises(ValueError, match="missing NumNets"):
-            bookshelf.read_nets_streaming(path, self._netlist_ab())
+            bookshelf.read_nets(path, self._netlist_ab())
 
     def test_nets_netdegree_before_headers(self, tmp_path):
         path = self._nets(tmp_path,
                           "UCLA nets 1.0\nNetDegree : 2\n  a\n  b\n")
         with pytest.raises(ValueError, match="before NumNets"):
-            bookshelf.read_nets_streaming(path, self._netlist_ab())
+            bookshelf.read_nets(path, self._netlist_ab())
 
     def test_nets_truncated_mid_net(self, tmp_path):
         path = self._nets(
             tmp_path, "UCLA nets 1.0\nNumNets : 1\nNumPins : 2\n"
                       "NetDegree : 2\n  a\n")
         with pytest.raises(ValueError, match="missing 1 of its pins"):
-            bookshelf.read_nets_streaming(path, self._netlist_ab())
+            bookshelf.read_nets(path, self._netlist_ab())
 
     def test_nets_count_mismatch(self, tmp_path):
         path = self._nets(
             tmp_path, "UCLA nets 1.0\nNumNets : 2\nNumPins : 2\n"
                       "NetDegree : 2\n  a\n  b\n")
         with pytest.raises(ValueError, match="expected 2 nets"):
-            bookshelf.read_nets_streaming(path, self._netlist_ab())
+            bookshelf.read_nets(path, self._netlist_ab())
 
     def test_nets_pin_count_mismatch(self, tmp_path):
         path = self._nets(
             tmp_path, "UCLA nets 1.0\nNumNets : 1\nNumPins : 3\n"
                       "NetDegree : 2\n  a\n  b\n")
         with pytest.raises(ValueError, match="NumPins=3"):
-            bookshelf.read_nets_streaming(path, self._netlist_ab())
+            bookshelf.read_nets(path, self._netlist_ab())
 
     def test_nets_unknown_cell(self, tmp_path):
         path = self._nets(
             tmp_path, "UCLA nets 1.0\nNumNets : 1\nNumPins : 2\n"
                       "NetDegree : 2\n  a\n  zz\n")
         with pytest.raises(ValueError, match="unknown cell 'zz'"):
-            bookshelf.read_nets_streaming(path, self._netlist_ab())
+            bookshelf.read_nets(path, self._netlist_ab())
 
     def test_nets_malformed_netdegree(self, tmp_path):
         path = self._nets(
             tmp_path, "UCLA nets 1.0\nNumNets : 1\nNumPins : 2\n"
                       "NetDegree : x\n")
         with pytest.raises(ValueError, match="malformed NetDegree"):
-            bookshelf.read_nets_streaming(path, self._netlist_ab())
+            bookshelf.read_nets(path, self._netlist_ab())
 
     def test_nets_stray_record(self, tmp_path):
         path = self._nets(
             tmp_path, "UCLA nets 1.0\nNumNets : 1\nNumPins : 2\n"
                       "  a\n")
         with pytest.raises(ValueError, match="expected NetDegree"):
-            bookshelf.read_nets_streaming(path, self._netlist_ab())
+            bookshelf.read_nets(path, self._netlist_ab())
+
+    def test_nets_negative_netdegree(self, tmp_path):
+        path = self._nets(
+            tmp_path, "UCLA nets 1.0\nNumNets : 1\nNumPins : 2\n"
+                      "NetDegree : -1\n  a\n  b\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: malformed NetDegree line: 'NetDegree : -1'")):
+            bookshelf.read_nets(path, self._netlist_ab())
+
+    def test_nodes_non_numeric_size(self, tmp_path):
+        path = self._nodes(
+            tmp_path, "UCLA nodes 1.0\nNumNodes : 1\n  a 2.0 tall\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: non-numeric value 'tall' in 'a 2.0 tall'")):
+            bookshelf.read_nodes(path, Netlist("t"))
+
+    def _pl(self, tmp_path, text):
+        path = tmp_path / "bad.pl"
+        path.write_text(text)
+        return str(path)
+
+    def test_pl_short_line(self, tmp_path):
+        path = self._pl(tmp_path, "UCLA pl 1.0\n  a 1.0\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: expected 'name x y', got 'a 1.0'")):
+            bookshelf.read_pl(path, self._netlist_ab())
+
+    def test_pl_non_numeric_coordinate(self, tmp_path):
+        path = self._pl(tmp_path, "UCLA pl 1.0\n  a 1.0 y0 0\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: non-numeric value 'y0' in 'a 1.0 y0 0'")):
+            bookshelf.read_pl(path, self._netlist_ab())

@@ -15,7 +15,7 @@ import dataclasses
 import pytest
 
 from repro import Placer3D
-from repro.core.placer import ROUND_STAGES
+from repro.core.pipeline import default_pipeline_spec
 from repro.obs import (
     EventSink,
     Recorder,
@@ -81,8 +81,8 @@ class TestSpanTree:
                 assert per_round[stage] > 0.0
 
     def test_flat_stage_seconds_sum_the_rounds(self, telemetry_run):
-        _, _, result, _ = telemetry_run
-        for stage in ROUND_STAGES:
+        _, config, result, _ = telemetry_run
+        for stage in default_pipeline_spec(config).round_stage_names():
             if stage not in result.stage_seconds:
                 continue
             total = sum(r.get(stage, 0.0) for r in result.round_seconds)

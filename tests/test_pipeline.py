@@ -3,8 +3,8 @@
 Covers the stage registry (lookup, options validation, duplicates),
 PipelineSpec JSON round-trips with unknown-key rejection, unit-label
 enumeration, the default spec's equivalence to the historical flow,
-drop-in alternate global stages, halt-after boundaries, and the
-context's idempotent TRR-net ownership.
+drop-in alternate global stages, the preempt hook's stop boundaries,
+and the context's idempotent TRR-net ownership.
 """
 
 from __future__ import annotations
@@ -205,15 +205,30 @@ class TestHaltAfter:
         config = PlacementConfig(alpha_ilv=1e-5, num_layers=2, seed=0)
         placer = Placer3D(_netlist(40), config)
         with pytest.raises(PipelineHalted) as excinfo:
-            placer.run(halt_after="round1/moves")
+            placer.run(preempt=lambda unit: unit == "1:round1/moves")
         assert excinfo.value.unit == "1:round1/moves"
         assert excinfo.value.directory is None
 
     def test_halt_matches_fully_qualified_label(self):
+        """The hook sees each unit's ``idx:name`` label, in order."""
         config = PlacementConfig(alpha_ilv=1e-5, num_layers=2, seed=0)
-        placer = Placer3D(_netlist(40), config)
+        seen = []
+
+        def hook(unit):
+            seen.append(unit)
+            return unit == "0:global"
+
         with pytest.raises(PipelineHalted):
-            placer.run(halt_after="0:global")
+            Placer3D(_netlist(40), config).run(preempt=hook)
+        assert seen == ["0:global"]
+
+        def record(unit):
+            seen.append(unit)
+            return False
+
+        seen.clear()
+        Placer3D(_netlist(40), config).run(preempt=record)
+        assert seen == default_pipeline_spec(config).units()
 
 
 class TestContextTrrOwnership:

@@ -18,6 +18,8 @@ import time
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.core.checkpoint import CheckpointError
 from repro.core.config import PlacementConfig
 from repro.core.placer import Placer3D
 from repro.netlist.bookshelf import read_bookshelf, write_bookshelf
@@ -30,6 +32,7 @@ from repro.service import (JOB_STATES, TERMINAL_STATES, JobError,
                            RpcServer, ServiceClient, cache_key,
                            netlist_hash)
 from repro.service.jobstore import validate_job
+from repro.service.worker import run_job
 
 
 def _netlist(num_cells: int = 40, seed: int = 17):
@@ -402,6 +405,22 @@ class TestPlacementEngine:
             assert document["state"] == "failed"
             assert document["error"]
             assert engine.counters()["jobs/failed"] == 1
+
+
+class TestRunJob:
+    def test_failed_run_closes_its_recorder(self, tmp_path):
+        """A run that raises still flushes and closes its trace."""
+        trace_path = tmp_path / "run.trace.jsonl"
+        recorder = obs.Recorder(sink=obs.EventSink(trace_path))
+        document = {"id": "job-000001", "preemptions": 0,
+                    "request": _request(str(tmp_path / "svc")).to_dict()}
+        with pytest.raises(CheckpointError, match="no checkpoint"):
+            run_job(document, tmp_path / "result", _netlist(), recorder,
+                    checkpoint_dir=tmp_path / "empty", resume=True)
+        # the span event reaches the file only once the sink is closed
+        assert any(event["type"] == "span" and event["path"] == "place"
+                   for event in obs.read_events(str(trace_path)))
+        assert not (tmp_path / "result").exists()
 
 
 class TestRpcDispatch:

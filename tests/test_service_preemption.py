@@ -16,8 +16,7 @@ import pytest
 
 from repro.core.checkpoint import has_checkpoint
 from repro.core.config import PlacementConfig
-from repro.core.pipeline import (PipelinePreempted,
-                                 default_pipeline_spec)
+from repro.core.pipeline import PipelineHalted, default_pipeline_spec
 from repro.core.placer import Placer3D
 from repro.netlist.bookshelf import read_bookshelf, write_bookshelf
 from repro.netlist.generator import GeneratorSpec, generate_netlist
@@ -46,7 +45,7 @@ class _FireAt:
         self.fire_at = fire_at
         self.calls = 0
 
-    def __call__(self) -> bool:
+    def __call__(self, unit: str) -> bool:
         self.calls += 1
         return self.calls == self.fire_at
 
@@ -65,7 +64,7 @@ class TestPreemptEveryBoundary:
         for index, unit in enumerate(units):
             ckpt_dir = tmp_path / f"boundary-{index:02d}"
             hook = _FireAt(index + 1)
-            with pytest.raises(PipelinePreempted) as excinfo:
+            with pytest.raises(PipelineHalted) as excinfo:
                 Placer3D(_netlist(), config).run(
                     checkpoint_dir=ckpt_dir, preempt=hook)
             # the hook fired right after this unit's checkpoint landed
@@ -85,7 +84,7 @@ class TestPreemptEveryBoundary:
         config = _config(legalization_rounds=1, refine_passes=0)
         units = default_pipeline_spec(config).units()
         ckpt_dir = tmp_path / "resume-polls"
-        with pytest.raises(PipelinePreempted):
+        with pytest.raises(PipelineHalted):
             Placer3D(_netlist(40), config).run(
                 checkpoint_dir=ckpt_dir, preempt=_FireAt(1))
         hook = _FireAt(len(units) + 1)  # never fires
@@ -113,8 +112,12 @@ class TestServiceJobPreemption:
                 {"job_dir": str(engine.store.job_dir(job_id))})
             assert outcome["state"] == "preempted"
             assert has_checkpoint(engine.store.checkpoint_dir(job_id))
-            engine.store.transition(job_id, "cancelled",
-                                    preemptions=1)
+            engine.scheduler.settle(
+                job_id, engine.status(job_id)["hashes"]["cache_key"],
+                outcome)
+            parked = engine.status(job_id)
+            assert parked["state"] == "cancelled"
+            assert parked["preemptions"] == 1
 
             resumed = engine.resume(job_id)
             assert resumed["state"] == "queued"
