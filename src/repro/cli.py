@@ -313,9 +313,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="JSONL ledger path (default "
                              "benchmarks/results/ledger.jsonl)")
     hist_p.add_argument("--append", metavar="MEASUREMENT.json",
-                        help="convert a bench measurement (or merged "
-                             "before/after document) into a ledger "
-                             "entry and append it")
+                        help="append the flat 'metrics' map of a bench "
+                             "document as one ledger entry")
     hist_p.add_argument("--label",
                         help="label for the appended entry "
                              "(required with --append)")

@@ -4,8 +4,8 @@ A checkpoint is a directory holding two files:
 
 - ``checkpoint.json`` — metadata: the full config (plus its stable
   hash), the serialized pipeline spec (plus hash), a netlist signature,
-  the ordered list of completed pipeline units, the context RNG state,
-  and the objective accumulators' scalar half.  The document is pinned
+  the ordered list of completed pipeline units and the objective
+  accumulators' scalar half.  The document is pinned
   by ``checkpoint_schema.json`` and validated with the same
   dependency-free validator the run manifests use.
 - ``state.npz`` — the placement coordinate arrays, the per-cell power
@@ -112,7 +112,7 @@ def save_checkpoint(directory: Union[str, Path], ctx: PlacementContext,
 
     Args:
         directory: checkpoint directory (created if needed).
-        ctx: the run's context (placement, objective, RNG stream).
+        ctx: the run's context (placement and objective).
         spec_dict: the serialized pipeline spec being executed.
         completed: ordered unit labels finished so far.
         best: the runner's best-round snapshot, if tracking one.
@@ -152,7 +152,6 @@ def save_checkpoint(directory: Union[str, Path], ctx: PlacementContext,
         "objective_built": ctx.objective_built,
         "objective_total": objective_total,
         "best_objective": best_objective,
-        "rng_state": ctx.rng_state(),
         "arrays_file": npz_path.name,
     }
     errors = validate_checkpoint_meta(meta)

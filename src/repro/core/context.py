@@ -4,17 +4,15 @@ A :class:`PlacementContext` bundles everything one placement run owns:
 the netlist (with TRR-net injection applied exactly once, owned here
 rather than by whichever stage happens to run first), the chip volume,
 the coordinate arrays, the power model, the lazily built incremental
-:class:`~repro.core.objective.ObjectiveState`, a seeded RNG stream and
-the telemetry recorder.  Stages receive the context and nothing else,
+:class:`~repro.core.objective.ObjectiveState` and the telemetry
+recorder.  Stages receive the context and nothing else,
 so any stage composition the :class:`~repro.core.pipeline.PipelineSpec`
 describes runs against the same state without hidden coupling.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
-
-import numpy as np
+from typing import Dict, Optional
 
 from repro.core.config import PlacementConfig
 from repro.core.objective import ObjectiveState
@@ -62,10 +60,6 @@ class PlacementContext:
         power_model: netlist-bound power attribution (Eq. 10).
         recorder: the run's telemetry recorder (never ``None``; the
             shared null recorder when telemetry is off).
-        rng: the context-owned seeded generator stream.  Stages that
-            need randomness beyond their historical per-stage seeds
-            draw from it; its state is serialized into checkpoints so
-            resumed runs continue the same stream.
         trr_net_ids: cell id -> TRR net id for the injected nets
             (empty when thermal placement is off).
     """
@@ -81,7 +75,6 @@ class PlacementContext:
         self.placement = placement
         self.power_model = power_model
         self.recorder = recorder
-        self.rng = np.random.default_rng(config.seed)
         self.trr_net_ids: Dict[int, int] = dict(trr_net_ids or {})
         self._objective: Optional[ObjectiveState] = None
 
@@ -139,14 +132,3 @@ class PlacementContext:
         """Drop the objective state (a stage replaced the placement
         wholesale and the caches must be rebuilt on next access)."""
         self._objective = None
-
-    # ------------------------------------------------------------------
-    def rng_state(self) -> Dict[str, Any]:
-        """JSON-safe snapshot of the context RNG stream."""
-        state = self.rng.bit_generator.state
-        assert isinstance(state, dict)
-        return state
-
-    def set_rng_state(self, state: Dict[str, Any]) -> None:
-        """Restore the context RNG stream from :meth:`rng_state`."""
-        self.rng.bit_generator.state = state

@@ -116,14 +116,10 @@ class GlobalPlacer:
         config: all coefficients and effort knobs (including
             ``num_workers``, the execution-backend parallelism).
         power_model: shared power model (created if omitted).
-        backend: execution backend for per-level bisection batches.
-            When omitted, one is created from ``config.num_workers``
-            for the duration of :meth:`run` and closed afterwards.
     """
 
     def __init__(self, placement: Placement, config: PlacementConfig,
-                 power_model: Optional[PowerModel] = None,
-                 backend: Optional[ExecutionBackend] = None) -> None:
+                 power_model: Optional[PowerModel] = None) -> None:
         self.placement = placement
         self.config = config
         self.netlist = placement.netlist
@@ -131,7 +127,6 @@ class GlobalPlacer:
         self.power_model = power_model or PowerModel(self.netlist,
                                                      config.tech)
         self.resistance = ResistanceModel(self.chip, config.tech)
-        self.backend = backend
         # refreshed once per level:
         self._lateral_w = np.ones(self.netlist.num_nets)
         self._vertical_w = np.ones(self.netlist.num_nets)
@@ -144,15 +139,8 @@ class GlobalPlacer:
         root = Region(cell_ids=movable, xlo=0.0, xhi=self.chip.width,
                       ylo=0.0, yhi=self.chip.height,
                       zlo=0, zhi=self.chip.num_layers - 1, path=1)
-        backend = self.backend
-        owned = backend is None
-        if backend is None:
-            backend = create_backend(self.config.num_workers)
-        try:
+        with create_backend(self.config.num_workers) as backend:
             self._run_levels(root, backend)
-        finally:
-            if owned:
-                backend.close()
 
     def _run_levels(self, root: Region,
                     backend: ExecutionBackend) -> None:

@@ -120,16 +120,15 @@ class RepeatEntry:
     Attributes:
         stages: the stages run once per round, in order.
         rounds: how many rounds to run (>= 1).
-        snapshot_best: track the best post-round objective snapshot and
-            restore it after the last round if the final state is worse
-            — the policy previously inlined in ``Placer3D.run()`` (the
-            move/swap phase deliberately un-legalizes, so rounds are
-            not monotone).
+
+    The runner tracks the best post-round objective snapshot of every
+    group and restores it after the last round if the final state is
+    worse: the move/swap phase deliberately un-legalizes, so rounds are
+    not monotone.
     """
 
     stages: Tuple[StageEntry, ...]
     rounds: int = 1
-    snapshot_best: bool = True
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
@@ -151,15 +150,13 @@ class RepeatEntry:
         """JSON form."""
         return {"repeat": {
             "rounds": self.rounds,
-            "snapshot_best": self.snapshot_best,
             "stages": [s.to_dict() for s in self.stages],
         }}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RepeatEntry":
         """Inverse of :meth:`to_dict`, rejecting unknown keys."""
-        unknown = sorted(set(data)
-                         - {"rounds", "snapshot_best", "stages"})
+        unknown = sorted(set(data) - {"rounds", "stages"})
         if unknown:
             raise ValueError(f"unknown repeat-group keys: {unknown}")
         stages = data.get("stages")
@@ -167,8 +164,7 @@ class RepeatEntry:
             raise ValueError("repeat group needs a 'stages' list")
         return cls(
             stages=tuple(StageEntry.from_dict(s) for s in stages),
-            rounds=int(data.get("rounds", 1)),
-            snapshot_best=bool(data.get("snapshot_best", True)))
+            rounds=int(data.get("rounds", 1)))
 
 
 Entry = Union[StageEntry, RepeatEntry]
@@ -384,7 +380,6 @@ class PlacementPipeline:
                 data.power, float(data.meta["objective_total"]))
         self._best = data.best
         self._completed = data.completed
-        self.ctx.set_rng_state(dict(data.meta["rng_state"]))
         _log.info("resumed from %s: %d/%d units done",
                   self.checkpoint_dir, len(self._completed),
                   len(self.spec.units()))
@@ -402,7 +397,7 @@ class PlacementPipeline:
             for _ in range(entry.rounds):
                 round_no += 1
                 self._run_round(idx, entry, round_no)
-            self._finish_group(idx, entry)
+            self._finish_group(idx)
 
     def _run_stage_unit(self, unit: str, entry: StageEntry) -> None:
         if unit in self._completed:
@@ -432,11 +427,10 @@ class PlacementPipeline:
         if end_unit in self._completed:
             return
         objective = self.ctx.objective
-        if entry.snapshot_best:
-            if self._best is None or objective.total < self._best[0]:
-                placement = self.ctx.placement
-                self._best = (objective.total, placement.x.copy(),
-                              placement.y.copy(), placement.z.copy())
+        if self._best is None or objective.total < self._best[0]:
+            placement = self.ctx.placement
+            self._best = (objective.total, placement.x.copy(),
+                          placement.y.copy(), placement.z.copy())
         terms = objective.terms()
         best_objective = (self._best[0] if self._best is not None
                           else objective.total)
@@ -452,11 +446,11 @@ class PlacementPipeline:
             best_objective, terms.wirelength, terms.ilv)
         self._complete(end_unit)
 
-    def _finish_group(self, idx: int, entry: RepeatEntry) -> None:
+    def _finish_group(self, idx: int) -> None:
         unit = f"{idx}:end"
         if unit in self._completed:
             return
-        if entry.snapshot_best and self._best is not None:
+        if self._best is not None:
             objective = self.ctx.objective
             if objective.total > self._best[0]:
                 placement = self.ctx.placement

@@ -42,7 +42,6 @@ from repro.core.globalplace import GlobalPlacer
 from repro.core.moves import MoveOptimizer
 from repro.core.refine import LegalRefiner
 from repro.netlist.placement import Placement
-from repro.parallel import create_backend
 
 __all__ = ["Stage", "available_stages", "create_stage", "get_stage",
            "register_stage"]
@@ -121,28 +120,12 @@ def create_stage(name: str,
 # ----------------------------------------------------------------------
 @register_stage("global")
 class GlobalBisectionStage(Stage):
-    """Recursive-bisection global placement (the paper's Section 3).
-
-    Args:
-        workers: overrides ``config.num_workers`` for this stage's
-            execution backend when given (results are bit-identical
-            for every worker count; see :mod:`repro.parallel`).
-    """
+    """Recursive-bisection global placement (the paper's Section 3)."""
 
     needs_objective = False
 
-    def __init__(self, workers: Optional[int] = None) -> None:
-        self.workers = workers
-
     def run(self, ctx: PlacementContext) -> None:
-        num_workers = (ctx.config.num_workers if self.workers is None
-                       else int(self.workers))
-        backend = create_backend(num_workers)
-        try:
-            GlobalPlacer(ctx.placement, ctx.config, ctx.power_model,
-                         backend=backend).run()
-        finally:
-            backend.close()
+        GlobalPlacer(ctx.placement, ctx.config, ctx.power_model).run()
 
 
 @register_stage("quadratic")
@@ -190,20 +173,11 @@ class RandomGlobalStage(Stage):
 
 @register_stage("moves")
 class MovesStage(Stage):
-    """Global then local greedy move/swap passes (Section 4.2).
-
-    Args:
-        passes: overrides ``config.move_passes`` when given.
-    """
-
-    def __init__(self, passes: Optional[int] = None) -> None:
-        self.passes = passes
+    """Global then local greedy move/swap passes (Section 4.2)."""
 
     def run(self, ctx: PlacementContext) -> None:
-        passes = self.passes if self.passes is not None \
-            else ctx.config.move_passes
         mover = MoveOptimizer(ctx.objective, ctx.config)
-        for _ in range(max(1, passes)):
+        for _ in range(max(1, ctx.config.move_passes)):
             mover.global_pass()
             mover.local_pass()
 
@@ -226,17 +200,9 @@ class DetailedStage(Stage):
 
 @register_stage("refine")
 class RefineStage(Stage):
-    """Legality-preserving post-optimization passes.
-
-    Args:
-        passes: overrides ``config.refine_passes`` when given.
-    """
-
-    def __init__(self, passes: Optional[int] = None) -> None:
-        self.passes = passes
+    """Legality-preserving post-optimization passes."""
 
     def run(self, ctx: PlacementContext) -> None:
-        passes = self.passes if self.passes is not None \
-            else ctx.config.refine_passes
-        if passes > 0:
-            LegalRefiner(ctx.objective, ctx.config).run(passes)
+        if ctx.config.refine_passes > 0:
+            LegalRefiner(ctx.objective, ctx.config).run(
+                ctx.config.refine_passes)

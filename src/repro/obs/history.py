@@ -2,9 +2,9 @@
 
 The scaling benchmark (``benchmarks/bench_scaling.py``) produces a
 point-in-time measurement; this module turns those points into a
-*trajectory*.  ``repro obs history --append`` converts a bench
-measurement JSON into one ledger entry (flat ``{metric: value}``
-rows) and appends it to a committed JSONL file
+*trajectory*.  ``repro obs history --append`` copies the flat
+``{metric: value}`` map of a bench document into one ledger entry
+and appends it to a committed JSONL file
 (``benchmarks/results/ledger.jsonl``); ``repro obs history --check``
 compares the newest entry against a rolling-median baseline of the
 previous entries and exits nonzero when any watched metric regressed
@@ -64,102 +64,26 @@ class Regression:
     pct: float
 
 
-def _flatten_metrics(measurement: Mapping[str, Any]) -> Dict[str, float]:
-    """Flatten a bench measurement into ledger ``{metric: value}`` rows.
-
-    Understands the ``BENCH_scaling.json`` measurement shape
-    (``placement`` per-scale entries, ``rebuild``, ``solve_powers``,
-    ``thermal_fidelity``, ``service_cache``, ``large_instances``
-    per-row entries); unknown top-level numeric fields are kept
-    under their own name so future bench sections ride along without a
-    schema change here.
-    """
-    metrics: Dict[str, float] = {}
-    placement = measurement.get("placement")
-    if isinstance(placement, Mapping):
-        for scale, entry in sorted(placement.items()):
-            if not isinstance(entry, Mapping):
-                continue
-            for key in ("wall_seconds", "peak_rss_bytes"):
-                value = entry.get(key)
-                if isinstance(value, (int, float)) \
-                        and not isinstance(value, bool):
-                    metrics[f"{key}/{scale}"] = float(value)
-    rebuild = measurement.get("rebuild")
-    if isinstance(rebuild, Mapping) \
-            and isinstance(rebuild.get("seconds"), (int, float)):
-        metrics["rebuild_seconds"] = float(rebuild["seconds"])
-    solve = measurement.get("solve_powers")
-    if isinstance(solve, Mapping) \
-            and isinstance(solve.get("repeat_seconds"), (int, float)):
-        metrics["solve_powers_repeat_seconds"] = float(
-            solve["repeat_seconds"])
-    thermal = measurement.get("thermal_fidelity")
-    if isinstance(thermal, Mapping):
-        for key in ("exact_eval_seconds", "surrogate_eval_seconds",
-                    "calibration_seconds"):
-            value = thermal.get(key)
-            if isinstance(value, (int, float)) \
-                    and not isinstance(value, bool):
-                metrics[f"thermal/{key}"] = float(value)
-    service = measurement.get("service_cache")
-    if isinstance(service, Mapping):
-        # only the two "lower is better" latencies; the speedup ratio
-        # would read an *improvement* as a one-sided regression
-        for key in ("cold_seconds", "hit_seconds"):
-            value = service.get(key)
-            if isinstance(value, (int, float)) \
-                    and not isinstance(value, bool):
-                metrics[f"service_cache/{key}"] = float(value)
-    large = measurement.get("large_instances")
-    if isinstance(large, Mapping):
-        rows = large.get("rows")
-        if isinstance(rows, Mapping):
-            for label, row in sorted(rows.items()):
-                if not isinstance(row, Mapping):
-                    continue
-                for key in ("wall_seconds", "peak_rss_bytes",
-                            "dispatch_bytes"):
-                    value = row.get(key)
-                    if isinstance(value, (int, float)) \
-                            and not isinstance(value, bool):
-                        metrics[f"large/{key}/{label}"] = float(value)
-        streaming = large.get("bookshelf_streaming")
-        if isinstance(streaming, Mapping) \
-                and isinstance(streaming.get("streaming"), Mapping):
-            probe = streaming["streaming"]
-            for key in ("parse_seconds", "peak_rss_bytes"):
-                value = probe.get(key)
-                if isinstance(value, (int, float)) \
-                        and not isinstance(value, bool):
-                    metrics[f"large/bookshelf_{key}"] = float(value)
-    for key, value in measurement.items():
-        if key in ("placement", "rebuild", "solve_powers",
-                   "thermal_fidelity", "service_cache",
-                   "large_instances"):
-            continue
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            metrics[key] = float(value)
-    return metrics
-
-
 def entry_from_measurement(measurement: Mapping[str, Any], label: str,
                            commit: Optional[str] = None,
                            recorded_unix: Optional[float] = None,
                            ) -> Dict[str, Any]:
-    """Build one ledger entry from a bench measurement dict.
+    """Build one ledger entry from a bench document's ``metrics`` map.
 
-    Accepts either a bare measurement or a merged bench document
-    (``{"before": ..., "after": ...}``) — the ``after`` block wins,
-    matching how ``bench_scaling.py --baseline`` writes its output.
+    The bench already names its metrics the way the ledger tracks them
+    (``wall_seconds/0.05``, ``large/peak_rss_bytes/ibm01`` …), so the
+    entry copies the flat map's numeric values as they are.
 
     Raises:
-        ValueError: when no numeric metrics can be extracted.
+        ValueError: when the document carries no numeric metrics.
     """
-    after = measurement.get("after")
-    if isinstance(after, Mapping):
-        measurement = after
-    metrics = _flatten_metrics(measurement)
+    raw = measurement.get("metrics")
+    if not isinstance(raw, Mapping):
+        raise ValueError("measurement has no 'metrics' map")
+    metrics = {str(name): float(value)
+               for name, value in sorted(raw.items())
+               if isinstance(value, (int, float))
+               and not isinstance(value, bool)}
     if not metrics:
         raise ValueError("measurement contains no ledger metrics")
     entry: Dict[str, Any] = {

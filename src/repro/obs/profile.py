@@ -51,8 +51,9 @@ PROFILE_ENV = "REPRO_PROFILE"
 
 #: Default sampling interval, seconds (100 Hz).  One sample costs a
 #: stack walk of the profiled thread (~tens of microseconds), so the
-#: default rate keeps the telemetry-gated overhead budget (<= 5 %,
-#: gated by ``benchmarks/bench_scaling.py --check-overhead``).
+#: default rate keeps the profiled run within its overhead budget
+#: (<= 5 %, gated by ``benchmarks/bench_scaling.py
+#: --check-profile-overhead``).
 DEFAULT_INTERVAL = 0.01
 
 #: Path fragments stripped from frame filenames so collapsed stacks

@@ -522,14 +522,6 @@ class SurrogateThermalModel:
         assert isinstance(out, np.ndarray)
         return out
 
-    def tile_of(self, x: float, y: float) -> int:
-        """Raveled grid-tile index of one lateral position."""
-        i, j = grid_bin_indices(
-            self.chip, self.nx, self.ny,
-            np.asarray([x], dtype=np.float64),
-            np.asarray([y], dtype=np.float64))
-        return int(i[0]) * self.ny + int(j[0])
-
 
 def power_map_of(placement: Placement, cell_powers: FloatArray,
                  nx: int, ny: int) -> FloatArray:

@@ -155,7 +155,7 @@ class TestCheckpointFormat:
         ckpt_dir, _ = self._halted_checkpoint(tmp_path)
         meta_path, _ = checkpoint_paths(ckpt_dir)
         meta = json.loads(meta_path.read_text())
-        del meta["rng_state"]
+        del meta["spec_hash"]
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(CheckpointError, match="schema validation"):
             load_checkpoint(ckpt_dir)

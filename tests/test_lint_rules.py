@@ -360,7 +360,7 @@ class TestRPL010StageInstantiation:
     def test_direct_instantiation_flagged(self):
         assert rules_of("""
             def f() -> None:
-                stage = MovesStage(passes=2)
+                stage = QuadraticGlobalStage(iterations=2)
                 stage.run(None)
         """) == ["RPL010"]
 
@@ -377,7 +377,7 @@ class TestRPL010StageInstantiation:
             from repro.core.stages import create_stage
 
             def f() -> None:
-                create_stage("moves", {"passes": 2})
+                create_stage("quadratic", {"iterations": 2})
         """) == []
 
     def test_non_stage_suffix_names_allowed(self):
@@ -391,7 +391,7 @@ class TestRPL010StageInstantiation:
     def test_registry_and_runner_modules_exempt(self):
         src = textwrap.dedent("""
             def f() -> None:
-                MovesStage(passes=2)
+                QuadraticGlobalStage(iterations=2)
         """)
         for path in ("src/repro/core/stages.py",
                      "src/repro/core/pipeline.py"):

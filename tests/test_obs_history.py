@@ -1,9 +1,10 @@
 """Tests for the committed perf ledger (``repro.obs.history`` + CLI).
 
-Covers measurement flattening, entry construction (including merged
-before/after bench documents), JSONL round-trip with loud failure on
-malformed lines, the rolling-median regression check, the history
-renderer, and the ``repro obs history`` CLI exit codes.
+Covers entry construction from a bench document's flat ``metrics``
+map (including the committed ``BENCH_scaling.json``), JSONL round-trip
+with loud failure on malformed lines, the rolling-median regression
+check, the history renderer, and the ``repro obs history`` CLI exit
+codes.
 """
 
 from __future__ import annotations
@@ -20,15 +21,11 @@ from repro.obs.history import (LEDGER_KIND, append_entry, check_latest,
 
 def _measurement(wall=1.5):
     return {
-        "placement": {
-            "0.05": {"wall_seconds": wall, "peak_rss_bytes": 1000.0,
-                     "cells": 600},
-        },
-        "rebuild": {"seconds": 0.2},
-        "solve_powers": {"repeat_seconds": 0.05},
-        "thermal_fidelity": {"exact_eval_seconds": 0.3,
-                             "surrogate_eval_seconds": 0.01,
-                             "calibration_seconds": 0.4},
+        "rows": {"ladder/0.05/plain/0": {"wall_seconds": wall}},
+        "metrics": {"wall_seconds/0.05": wall,
+                    "peak_rss_bytes/0.05": 1000.0,
+                    "rebuild_seconds": 0.2,
+                    "solve_powers_repeat_seconds": 0.05},
     }
 
 
@@ -38,8 +35,11 @@ def _entry(label, **metrics):
 
 
 class TestEntryFromMeasurement:
-    def test_flattens_known_sections(self):
-        entry = entry_from_measurement(_measurement(), label="run",
+    def test_copies_flat_metrics_map(self):
+        measurement = _measurement()
+        measurement["metrics"]["note"] = "not a number"
+        measurement["metrics"]["flag"] = True
+        entry = entry_from_measurement(measurement, label="run",
                                        recorded_unix=12.0)
         assert entry["kind"] == LEDGER_KIND
         assert entry["recorded_unix"] == 12.0
@@ -48,22 +48,22 @@ class TestEntryFromMeasurement:
             "peak_rss_bytes/0.05": 1000.0,
             "rebuild_seconds": 0.2,
             "solve_powers_repeat_seconds": 0.05,
-            "thermal/exact_eval_seconds": 0.3,
-            "thermal/surrogate_eval_seconds": 0.01,
-            "thermal/calibration_seconds": 0.4,
         }
 
-    def test_after_block_wins_in_merged_document(self):
-        merged = {"before": _measurement(wall=9.0),
-                  "after": _measurement(wall=1.0)}
-        entry = entry_from_measurement(merged, label="x",
-                                       recorded_unix=0.0)
-        assert entry["metrics"]["wall_seconds/0.05"] == 1.0
-
-    def test_unknown_numeric_top_level_rides_along(self):
-        entry = entry_from_measurement({"new_bench_seconds": 3.5},
-                                       label="x", recorded_unix=0.0)
+    def test_unknown_metric_names_ride_along(self):
+        # only the flat map is read: top-level numbers stay out
+        entry = entry_from_measurement(
+            {"metrics": {"new_bench_seconds": 3.5}, "available_cpus": 4},
+            label="x", recorded_unix=0.0)
         assert entry["metrics"] == {"new_bench_seconds": 3.5}
+
+    def test_nested_sections_are_not_read(self):
+        # the per-section shape the bench used to write fails loudly
+        # instead of appending an empty or partial entry
+        with pytest.raises(ValueError, match="no 'metrics' map"):
+            entry_from_measurement(
+                {"placement": {"0.05": {"wall_seconds": 1.5}}},
+                label="x")
 
     def test_commit_is_optional(self):
         entry = entry_from_measurement(_measurement(), label="x",
@@ -77,6 +77,9 @@ class TestEntryFromMeasurement:
     def test_empty_measurement_raises(self):
         with pytest.raises(ValueError):
             entry_from_measurement({"notes": "nothing numeric"},
+                                   label="x")
+        with pytest.raises(ValueError, match="no ledger metrics"):
+            entry_from_measurement({"metrics": {"notes": "text"}},
                                    label="x")
 
 
@@ -247,3 +250,22 @@ class TestObsHistoryCli:
         entries = load_ledger("benchmarks/results/ledger.jsonl")
         assert len(entries) >= 1
         assert entries[0]["metrics"]
+
+    def test_committed_bench_ingests(self, tmp_path):
+        ledger = tmp_path / "ledger.jsonl"
+        assert main(["obs", "history", "--ledger", str(ledger),
+                     "--append", "BENCH_scaling.json",
+                     "--label", "committed"]) == 0
+        (entry,) = load_ledger(ledger)
+        metrics = entry["metrics"]
+        # every name the committed ledger tracks is still fed, except
+        # the retired thermal_fidelity row's
+        tracked = {name
+                   for past in load_ledger("benchmarks/results/ledger.jsonl")
+                   for name in past["metrics"]
+                   if not name.startswith("thermal/")}
+        assert tracked <= set(metrics)
+        # each full-size row ran in its own process, so it reports its
+        # own peak RSS rather than a shared high-water mark
+        assert metrics["large/peak_rss_bytes/ibm01"] \
+            != metrics["large/peak_rss_bytes/synthetic50k"]

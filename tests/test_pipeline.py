@@ -48,8 +48,16 @@ class TestStageRegistry:
             create_stage("moves", {"bogus_option": 1})
 
     def test_create_stage_applies_options(self):
-        stage = create_stage("moves", {"passes": 4})
-        assert getattr(stage, "passes") == 4
+        stage = create_stage("quadratic", {"iterations": 4})
+        assert getattr(stage, "iterations") == 4
+
+    @pytest.mark.parametrize("name, option", [
+        ("global", "workers"), ("moves", "passes"), ("refine", "passes")])
+    def test_options_shadowing_config_fields_rejected(self, name, option):
+        # num_workers, move_passes and refine_passes are config fields;
+        # a spec cannot carry a second knob for the same setting
+        with pytest.raises(ValueError, match="bad options for stage"):
+            create_stage(name, {option: 2})
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -108,6 +116,13 @@ class TestPipelineSpec:
         with pytest.raises(ValueError, match="unknown stage-entry"):
             PipelineSpec.from_dict(
                 {"pipeline": [{"stage": "moves", "pases": 2}]})
+
+    def test_snapshot_best_key_rejected(self):
+        # every repeat group keeps its best round; there is no opt-out
+        with pytest.raises(ValueError, match="unknown repeat-group"):
+            PipelineSpec.from_dict({"pipeline": [{"repeat": {
+                "rounds": 1, "snapshot_best": False,
+                "stages": [{"stage": "moves"}]}}]})
 
     def test_unknown_repeat_key_rejected(self):
         with pytest.raises(ValueError, match="unknown repeat-group"):
