@@ -20,7 +20,8 @@ bounds); swaps must keep both bins within the limit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from array import array
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -28,6 +29,36 @@ from repro.core.config import PlacementConfig
 from repro.core.objective import ObjectiveState
 from repro.geometry.density import BinIndex, DensityMesh
 from repro.obs import get_recorder
+
+
+class _Candidates:
+    """One pass's phase-1 candidates in flat typed buffers.
+
+    A move is ``(cell, x, y, bin)`` and a swap ``(cell, partner, bin)``;
+    bins are stored as ``(i, j, k)`` triples, and a move lands on its
+    bin's layer ``k``.  ``entry`` lists every candidate in generation
+    order (``k`` for move ``k``, ``~k`` for swap ``k``), and ``span``
+    holds where each cell's run of entries starts, plus a final end:
+    cell ``i`` of the pass order owns ``entry[span[i]:span[i + 1]]``.
+    Scalar reads return plain ``int``/``float``, and phase 1 hands the
+    buffers to the batch scorers as zero-copy ``np.frombuffer`` views.
+    """
+
+    def __init__(self) -> None:
+        self.mv_cell: array[int] = array("q")
+        self.mv_x: array[float] = array("d")
+        self.mv_y: array[float] = array("d")
+        self.mv_bin: array[int] = array("q")
+        self.sw_a: array[int] = array("q")
+        self.sw_b: array[int] = array("q")
+        self.sw_bin: array[int] = array("q")
+        self.entry: array[int] = array("q")
+        self.span: array[int] = array("q", [0])
+
+
+def _bin_at(bins: array[int], n: int) -> BinIndex:
+    """The ``n``-th ``(i, j, k)`` triple of a flat bin buffer."""
+    return (bins[3 * n], bins[3 * n + 1], bins[3 * n + 2])
 
 
 class MoveOptimizer:
@@ -121,14 +152,16 @@ class MoveOptimizer:
         """One move/swap pass in two phases.
 
         Phase 1 generates every cell's candidates against a snapshot of
-        the entering state and scores them in one batched move call and
-        one batched swap call.  Phase 2 walks the cells in permutation
-        order and greedily applies each cell's best candidate: while the
-        cell's (and a swap partner's) incident nets are untouched the
-        cached delta is exact and is used as-is; once the neighbourhood
-        has been dirtied by earlier applies, the chosen candidate is
-        re-checked with a scalar evaluation before committing.  Cells
-        displaced mid-pass by a swap partner fall back to the sequential
+        the entering state into flat buffers (:class:`_Candidates`) and
+        scores them in one batched move call and one batched swap call.
+        Phase 2 walks the cells in permutation order and greedily
+        applies each cell's best candidate, the first minimum of its
+        span in generation order: while the cell's (and a swap
+        partner's) incident nets are untouched the cached delta is
+        exact and is used as-is; once the neighbourhood has been
+        dirtied by earlier applies, the chosen candidate is re-checked
+        with a scalar evaluation before committing.  Cells displaced
+        mid-pass by a swap partner fall back to the sequential
         :meth:`_best_action` scan from their new position.
         """
         self._rebuild_mesh()
@@ -137,37 +170,35 @@ class MoveOptimizer:
         mesh = self.mesh
         order = [int(c) for c in self._rng.permutation(self._movable)]
 
-        # ---- phase 1: candidate generation + two giant batch scores --
-        cur_bin_of: Dict[int, BinIndex] = {}
-        per_cell: Dict[int, List[Tuple[int, int]]] = {}
-        mv_xs: List[float] = []
-        mv_ys: List[float] = []
-        mv_zs: List[int] = []
-        mv_bins: List[BinIndex] = []
-        mv_cells: List[int] = []
-        sw_a: List[int] = []
-        sw_b: List[int] = []
-        sw_bins: List[BinIndex] = []
-        centers: Optional[Dict[int, Tuple[float, float, float]]] = None
-        if not local_only:
-            orc = obj.optimal_region_centers(order)
-            centers = {cid: (orc[0, i], orc[1, i], orc[2, i])
-                       for i, cid in enumerate(order)}
-        for cid in order:
+        # ---- phase 1: candidate generation + two batch scores --------
+        cur_bins: List[BinIndex] = []
+        cand = _Candidates()
+        orc = obj.optimal_region_centers(order) if not local_only \
+            else None
+        for i, cid in enumerate(order):
             cur_bin = mesh.bin_of(float(placement.x[cid]),
                                   float(placement.y[cid]),
                                   int(placement.z[cid]))
-            cur_bin_of[cid] = cur_bin
+            cur_bins.append(cur_bin)
             targets = self._targets(
                 cid, cur_bin, local_only, radius,
-                centers[cid] if centers is not None else None)
-            entries = self._collect_candidates(
-                cid, cur_bin, targets, mv_cells, mv_xs, mv_ys, mv_zs,
-                mv_bins, sw_a, sw_b, sw_bins)
-            if entries:
-                per_cell[cid] = entries
-        move_deltas = obj.eval_moves_batch(mv_cells, mv_xs, mv_ys, mv_zs)
-        swap_deltas = obj.eval_swaps_batch(sw_a, sw_b)
+                (orc[0, i], orc[1, i], orc[2, i]) if orc is not None
+                else None)
+            self._collect_candidates(cid, cur_bin, targets, cand)
+            cand.span.append(len(cand.entry))
+        move_deltas = obj.eval_moves_batch(
+            np.frombuffer(cand.mv_cell, dtype=np.int64),
+            np.frombuffer(cand.mv_x, dtype=np.float64),
+            np.frombuffer(cand.mv_y, dtype=np.float64),
+            np.frombuffer(cand.mv_bin, dtype=np.int64)[2::3])
+        swap_deltas = obj.eval_swaps_batch(
+            np.frombuffer(cand.sw_a, dtype=np.int64),
+            np.frombuffer(cand.sw_b, dtype=np.int64))
+        # every candidate's delta in generation order: entry k >= 0 is
+        # move k, entry ~k is swap k
+        entry = np.frombuffer(cand.entry, dtype=np.int64)
+        deltas = np.concatenate((move_deltas, swap_deltas))[
+            np.where(entry >= 0, entry, len(move_deltas) + ~entry)]
 
         # ---- phase 2: greedy apply with staleness tracking -----------
         executed = 0
@@ -176,7 +207,8 @@ class MoveOptimizer:
         areas = self._areas
         limit = self.density_limit * mesh.bin_capacity
         cell_nets = obj.cell_nets
-        for cid in order:
+        span = cand.span
+        for i, cid in enumerate(order):
             if cid in moved_since:
                 # displaced by an earlier swap: rescan from the new spot
                 cur_bin = mesh.bin_of(float(placement.x[cid]),
@@ -194,37 +226,34 @@ class MoveOptimizer:
                         moved_since.add(partner)
                         dirty.update(cell_nets(partner))
                 continue
-            entries = per_cell.get(cid)
-            if not entries:
+            lo, hi = span[i], span[i + 1]
+            if lo == hi:
                 continue
-            best: Optional[Tuple[int, int]] = None
-            best_delta = -1e-18  # strictly improving only
-            for kind, k in entries:  # already in generation (seq) order
-                delta = (move_deltas[k] if kind == 0 else swap_deltas[k])
-                if delta < best_delta:
-                    best_delta = delta
-                    best = (kind, k)
-            if best is None:
+            # deltas are finite, so the first minimum is what a strict
+            # "<" scan in generation order would keep
+            best = lo + int(np.argmin(deltas[lo:hi]))
+            if not deltas[best] < -1e-18:  # strictly improving only
                 continue
-            kind, k = best
+            k = cand.entry[best]
             stale = not dirty.isdisjoint(cell_nets(cid))
             area = float(areas[cid])
-            if kind == 0:
-                t = mv_bins[k]
+            if k >= 0:
+                t = _bin_at(cand.mv_bin, k)
                 # the bin may have filled up since the snapshot
                 if mesh.area_in(t) + area > limit:
                     continue
-                mv = [(cid, mv_xs[k], mv_ys[k], mv_zs[k])]
+                mv = [(cid, cand.mv_x[k], cand.mv_y[k], t[2])]
                 partner = None
             else:
-                other = sw_b[k]
+                k = ~k
+                other = cand.sw_b[k]
                 if other in moved_since:
                     continue
-                t = sw_bins[k]
+                t = _bin_at(cand.sw_bin, k)
                 other_area = float(areas[other])
                 if mesh.area_in(t) - other_area + area > limit:
                     continue
-                if (mesh.area_in(cur_bin_of[cid]) - area + other_area
+                if (mesh.area_in(cur_bins[i]) - area + other_area
                         > limit):
                     continue
                 stale = stale or not dirty.isdisjoint(cell_nets(other))
@@ -238,7 +267,7 @@ class MoveOptimizer:
             if stale and obj.eval_moves(mv) >= -1e-18:
                 continue
             obj.apply_moves(mv)
-            self._update_mesh(cid, cur_bin_of[cid], t, partner)
+            self._update_mesh(cid, cur_bins[i], t, partner)
             executed += 1
             moved_since.add(cid)
             dirty.update(cell_nets(cid))
@@ -247,7 +276,7 @@ class MoveOptimizer:
                 dirty.update(cell_nets(partner))
         rec = get_recorder()
         if rec.enabled:
-            n_cand = len(mv_cells) + len(sw_a)
+            n_cand = len(cand.entry)
             rec.count("moves/candidates", float(n_cand))
             rec.count("moves/executed", float(executed))
             rec.record("moves/pass",
@@ -260,14 +289,9 @@ class MoveOptimizer:
 
     def _collect_candidates(self, cid: int, cur_bin: BinIndex,
                             targets: List[BinIndex],
-                            mv_cells: List[int], mv_xs: List[float],
-                            mv_ys: List[float], mv_zs: List[int],
-                            mv_bins: List[BinIndex], sw_a: List[int],
-                            sw_b: List[int], sw_bins: List[BinIndex]
-                            ) -> List[Tuple[int, int]]:
-        """Append one cell's move/swap candidates to the shared batch
-        lists; returns ``(kind, index)`` entries in generation order
-        (kind 0 = move, 1 = swap)."""
+                            cand: _Candidates) -> None:
+        """Append one cell's move/swap candidates to ``cand`` in
+        generation order."""
         mesh = self.mesh
         areas = self._areas
         area = float(areas[cid])
@@ -278,22 +302,17 @@ class MoveOptimizer:
         bh = mesh.bin_height
         cur_area = float(bin_area[cur_bin])
         max_swaps = self.max_swap_candidates
-        entries: List[Tuple[int, int]] = []
         jitter = self._rng.random(2 * len(targets)).tolist()
         for ti, t in enumerate(targets):
             if t == cur_bin:
                 continue
-            tx = (t[0] + jitter[2 * ti]) * bw
-            ty = (t[1] + jitter[2 * ti + 1]) * bh
-            tz = t[2]
             area_t = float(bin_area[t])
             if area_t + area <= limit:
-                entries.append((0, len(mv_cells)))
-                mv_cells.append(cid)
-                mv_xs.append(tx)
-                mv_ys.append(ty)
-                mv_zs.append(tz)
-                mv_bins.append(t)
+                cand.entry.append(len(cand.mv_cell))
+                cand.mv_cell.append(cid)
+                cand.mv_x.append((t[0] + jitter[2 * ti]) * bw)
+                cand.mv_y.append((t[1] + jitter[2 * ti + 1]) * bh)
+                cand.mv_bin.extend(t)
             members = bin_members.get(t)
             if not members:
                 continue
@@ -309,11 +328,10 @@ class MoveOptimizer:
                     continue
                 if cur_area - area + other_area > limit:
                     continue
-                entries.append((1, len(sw_a)))
-                sw_a.append(cid)
-                sw_b.append(other)
-                sw_bins.append(t)
-        return entries
+                cand.entry.append(~len(cand.sw_a))
+                cand.sw_a.append(cid)
+                cand.sw_b.append(other)
+                cand.sw_bin.extend(t)
 
     # ------------------------------------------------------------------
     def _best_action(self, cid: int, cur_bin: BinIndex,

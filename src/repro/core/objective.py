@@ -49,6 +49,14 @@ from repro.thermal.resistance import ResistanceModel
 
 Move = Tuple[int, float, float, int]  # (cell_id, x, y, layer)
 
+#: Candidates per vectorized slice of :meth:`ObjectiveState.eval_moves_batch`
+#: and :meth:`~ObjectiveState.eval_swaps_batch`.  A candidate's delta
+#: reads only its own (candidate, net) pair rows and its own thermal
+#: terms, and slices end between candidates, so a sliced call returns
+#: the same bits as one unsliced call while its pair-row temporaries
+#: stay a few MB at any batch size.
+BATCH_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class ObjectiveTerms:
@@ -440,8 +448,9 @@ class ObjectiveState:
 
         Each candidate ``(cells[b], xs[b], ys[b], zs[b])`` is scored as
         if it were applied alone to the current state (exactly
-        ``eval_moves([move_b])``), in one vectorized call.  A cell may
-        appear in any number of candidates.  No state is changed.
+        ``eval_moves([move_b])``), in vectorized slices of
+        :data:`BATCH_CHUNK` candidates.  A cell may appear in any number
+        of candidates.  No state is changed.
 
         Returns:
             Array of ``new_objective - old_objective`` per candidate.
@@ -453,6 +462,18 @@ class ObjectiveState:
         ys = np.asarray(ys, dtype=np.float64)
         zs = np.asarray(zs, dtype=np.int64)
         self._refresh_extremes()
+        out = np.empty(len(cells), dtype=np.float64)
+        # lint: ok[RPL005] ceil(n / BATCH_CHUNK) vectorized slices
+        for lo in range(0, len(cells), BATCH_CHUNK):
+            hi = lo + BATCH_CHUNK
+            out[lo:hi] = self._score_moves(cells[lo:hi], xs[lo:hi],
+                                           ys[lo:hi], zs[lo:hi])
+        return out
+
+    @hot_path
+    def _score_moves(self, cells: IntArray, xs: FloatArray,
+                     ys: FloatArray, zs: IntArray) -> FloatArray:
+        """One slice of :meth:`eval_moves_batch` (extremes fresh)."""
         alpha_temp = self.alpha_temp
         out = np.zeros(len(cells), dtype=np.float64)
 
@@ -488,7 +509,8 @@ class ObjectiveState:
         two-move joint set :meth:`eval_moves` scores).  Nets containing
         both cells are unchanged by a full exchange — their coordinate
         multiset is preserved — so each side reduces to single-pin
-        exclusion queries over its non-shared nets.
+        exclusion queries over its non-shared nets.  Candidates are
+        scored in slices of :data:`BATCH_CHUNK`.
 
         Returns:
             Array of objective deltas per swap candidate.
@@ -498,6 +520,16 @@ class ObjectiveState:
         if a.size == 0:
             return np.zeros(0, dtype=np.float64)
         self._refresh_extremes()
+        out = np.empty(len(a), dtype=np.float64)
+        # lint: ok[RPL005] ceil(n / BATCH_CHUNK) vectorized slices
+        for lo in range(0, len(a), BATCH_CHUNK):
+            hi = lo + BATCH_CHUNK
+            out[lo:hi] = self._score_swaps(a[lo:hi], b[lo:hi])
+        return out
+
+    @hot_path
+    def _score_swaps(self, a: IntArray, b: IntArray) -> FloatArray:
+        """One slice of :meth:`eval_swaps_batch` (extremes fresh)."""
         pl = self.placement
         alpha_temp = self.alpha_temp
         out = np.zeros(len(a), dtype=np.float64)

@@ -261,8 +261,9 @@ class DensityMesh:
 
     @property
     def max_density(self) -> float:
-        """The largest bin density on the mesh."""
-        return float(self.densities.max())
+        """The largest bin density on the mesh (dividing by the positive
+        capacity keeps the order, so no density array is built)."""
+        return float(self._area.max()) / self.bin_capacity
 
     def overflow(self, limit: float = 1.0) -> float:
         """Total cell area above ``limit`` x capacity, summed over bins."""
@@ -277,11 +278,12 @@ class DensityMesh:
         it is the vertical stack at lateral index ``(j, k)`` interpreted as
         ``(i, j)``.
         """
-        dens = self.densities
         if axis == "x":
-            return dens[:, j, k].copy()
-        if axis == "y":
-            return dens[j, :, k].copy()
-        if axis == "z":
-            return dens[j, k, :].copy()
-        raise ValueError(f"unknown axis {axis!r}")
+            row = self._area[:, j, k]
+        elif axis == "y":
+            row = self._area[j, :, k]
+        elif axis == "z":
+            row = self._area[j, k, :]
+        else:
+            raise ValueError(f"unknown axis {axis!r}")
+        return row / self.bin_capacity

@@ -38,6 +38,7 @@ class Netlist:
         self._arrays_dirty = True
         self._widths: Optional[FloatArray] = None
         self._heights: Optional[FloatArray] = None
+        self._areas: Optional[FloatArray] = None
         self._movable_ids: Optional[IntArray] = None
         # signal-structure caches (see repro.netlist.csr / .cache):
         # the CSR survives TRR-net injection — TRR nets are excluded
@@ -202,6 +203,7 @@ class Netlist:
                                 dtype=np.float64)
         self._heights = np.array([c.height for c in self.cells],
                                  dtype=np.float64)
+        self._areas = self._widths * self._heights
         self._arrays_dirty = False
 
     @property
@@ -220,8 +222,11 @@ class Netlist:
 
     @property
     def areas(self) -> FloatArray:
-        """Cell areas (square metres) indexed by cell id."""
-        return self.widths * self.heights
+        """Cell areas (square metres) indexed by cell id, cached until
+        the netlist changes.  Treat as read-only."""
+        self._refresh_arrays()
+        assert self._areas is not None
+        return self._areas
 
     @property
     def total_cell_area(self) -> float:

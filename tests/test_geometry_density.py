@@ -138,6 +138,28 @@ class TestRowDensities:
         with pytest.raises(ValueError):
             mesh.row_densities("w", 0, 0)
 
+    def test_rows_and_max_equal_the_density_array_exactly(self, mesh,
+                                                          chip):
+        rng = np.random.default_rng(4)
+        for cid in range(40):
+            mesh.add_cell(cid, float(rng.uniform(0.0, chip.width)),
+                          float(rng.uniform(0.0, chip.height)),
+                          int(rng.integers(0, chip.num_layers)),
+                          float(rng.uniform(1e-12, 3e-10)))
+        dens = mesh.densities
+        assert mesh.max_density == float(dens.max())
+        for k in range(mesh.nz):
+            for j in range(mesh.ny):
+                np.testing.assert_array_equal(
+                    mesh.row_densities("x", j, k), dens[:, j, k])
+            for i in range(mesh.nx):
+                np.testing.assert_array_equal(
+                    mesh.row_densities("y", i, k), dens[i, :, k])
+        for i in range(mesh.nx):
+            for j in range(mesh.ny):
+                np.testing.assert_array_equal(
+                    mesh.row_densities("z", i, j), dens[i, j, :])
+
 
 class TestFactories:
     def test_coarse_mesh_bin_size(self, chip):

@@ -10,6 +10,10 @@ Three families of invariants guard the array-backed fast paths:
   :meth:`ObjectiveState.eval_swaps_batch`,
   :meth:`ObjectiveState.optimal_region_centers`) must agree with their
   scalar counterparts candidate for candidate.
+- **Chunking is invisible**: batched scoring in slices of any size
+  returns the same bits as one unsliced call, so whole legalization
+  trajectories do not depend on ``BATCH_CHUNK``, and the transient
+  memory of one call stays bounded by one slice.
 - **Cached factorization == fresh solve**: repeated
   :meth:`ThermalSolver.solve_powers` calls reuse a sparse LU; the
   temperatures must match a fresh ``spsolve`` of the same system.
@@ -20,10 +24,13 @@ checks cache consistency after every stage.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import make_chip
+from repro.core import objective as objective_module
 from repro.core.cellshift import CellShifter
 from repro.core.config import PlacementConfig
 from repro.core.detailed import DetailedLegalizer, check_legal
@@ -60,6 +67,14 @@ def _random_moves(objective, rng, count: int):
              float(rng.uniform(0.0, chip.height)),
              int(rng.integers(0, chip.num_layers)))
             for cid in cells]
+
+
+def _distinct_pairs(rng, cells, count: int):
+    """``count`` (a, b) swap pairs over ``cells`` with a != b; cells
+    repeat across pairs."""
+    ia = rng.integers(0, len(cells), count)
+    ib = (ia + rng.integers(1, len(cells), count)) % len(cells)
+    return cells[ia], cells[ib]
 
 
 @pytest.mark.parametrize("alpha_temp,trr", [
@@ -120,6 +135,90 @@ def test_batch_swaps_match_scalar(small_netlist, alpha_temp):
             (cb, float(placement.x[ca]), float(placement.y[ca]),
              int(placement.z[ca]))])
         assert delta == pytest.approx(joint, rel=1e-9, abs=1e-15)
+
+
+@pytest.mark.parametrize("alpha_temp", [0.0, 4e-5])
+def test_batch_scoring_is_chunk_invariant(small_netlist, monkeypatch,
+                                          alpha_temp):
+    """Any slice size returns exactly the deltas of one unsliced call."""
+    config = PlacementConfig(alpha_ilv=1e-5, alpha_temp=alpha_temp,
+                             num_layers=4, seed=0)
+    objective = _objective(small_netlist, config, trr=False)
+    chip = objective.placement.chip
+    rng = np.random.default_rng(31)
+    movable = np.array([c.id for c in small_netlist.cells if c.movable])
+    # 45 moves and 38 swaps, neither a multiple of 7; cells repeat
+    cells = rng.choice(movable, size=45)
+    xs = rng.uniform(0.0, chip.width, 45)
+    ys = rng.uniform(0.0, chip.height, 45)
+    zs = rng.integers(0, chip.num_layers, 45)
+    a, b = _distinct_pairs(rng, movable, 38)
+
+    def score():
+        return (objective.eval_moves_batch(cells, xs, ys, zs),
+                objective.eval_swaps_batch(a, b))
+
+    scored = [score()]  # the default chunk
+    for chunk in (1, 7, 1000):  # 1000 exceeds both batches: one slice
+        monkeypatch.setattr(objective_module, "BATCH_CHUNK", chunk)
+        scored.append(score())
+    for got in scored:
+        for got_part, want_part in zip(got, scored[-1]):
+            np.testing.assert_array_equal(got_part, want_part)
+
+
+def test_batch_scoring_memory_is_bounded(small_netlist):
+    """The traced peak of a 16-slice swap batch stays within 2x of one
+    slice's: scoring memory does not grow with the batch."""
+    config = PlacementConfig(alpha_ilv=1e-5, alpha_temp=4e-5,
+                             num_layers=4, seed=0)
+    objective = _objective(small_netlist, config, trr=False)
+    chunk = objective_module.BATCH_CHUNK
+    rng = np.random.default_rng(37)
+    movable = np.array([c.id for c in small_netlist.cells if c.movable])
+    a, b = _distinct_pairs(rng, movable, 16 * chunk)
+    objective.eval_swaps_batch(a[:1], b[:1])  # refresh the extremes
+
+    def traced_peak(n):
+        tracemalloc.start()
+        try:
+            objective.eval_swaps_batch(a[:n], b[:n])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = traced_peak(chunk)
+    many = traced_peak(16 * chunk)
+    assert many <= 2 * one, (one, many)
+
+
+def test_legalization_is_chunk_invariant(medium_netlist, monkeypatch):
+    """moves, cellshift, detailed and refine give identical coordinates
+    at a slice of 7 candidates and at the default."""
+    config = PlacementConfig(alpha_ilv=1e-5, alpha_temp=4e-5,
+                             num_layers=4, seed=0)
+    chip = make_chip(medium_netlist, config.num_layers)
+    start = Placement.at_center(medium_netlist, chip)
+    power_model = PowerModel(medium_netlist, config.tech)
+    GlobalPlacer(start, config, power_model).run()
+
+    def legalize():
+        placement = start.copy()
+        objective = ObjectiveState(placement, config, power_model)
+        mover = MoveOptimizer(objective, config)
+        mover.global_pass()
+        mover.local_pass()
+        CellShifter(objective, config).run()
+        DetailedLegalizer(objective, config).run()
+        LegalRefiner(objective, config).run(config.refine_passes)
+        return placement
+
+    default = legalize()
+    monkeypatch.setattr(objective_module, "BATCH_CHUNK", 7)
+    sliced = legalize()
+    for axis in ("x", "y", "z"):
+        np.testing.assert_array_equal(getattr(sliced, axis),
+                                      getattr(default, axis))
 
 
 def test_batch_region_centers_match_scalar(small_netlist):

@@ -131,6 +131,20 @@ class TestNetlistArrays:
         assert tiny_netlist.widths.shape == (7,)
         assert tiny_netlist.widths[-1] == pytest.approx(4e-6)
 
+    def test_areas_cached_and_refreshed_after_adding_cells(
+            self, tiny_netlist):
+        areas = tiny_netlist.areas
+        np.testing.assert_array_equal(
+            areas, tiny_netlist.widths * tiny_netlist.heights)
+        assert tiny_netlist.areas is areas  # cached, not recomputed
+        tiny_netlist.add_cell("extra", 4e-6, 3e-6)
+        refreshed = tiny_netlist.areas
+        assert refreshed is not areas
+        assert refreshed.shape == (7,)
+        np.testing.assert_array_equal(
+            refreshed, tiny_netlist.widths * tiny_netlist.heights)
+        assert refreshed[-1] == 4e-6 * 3e-6
+
     def test_average_of_empty_netlist_raises(self):
         nl = Netlist("empty")
         with pytest.raises(ValueError):
