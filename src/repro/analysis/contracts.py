@@ -31,8 +31,8 @@ from __future__ import annotations
 import functools
 import inspect
 import os
-from typing import (Any, Callable, Dict, Mapping, Optional, Sequence,
-                    Tuple, TypeVar, Union)
+from typing import (Any, Callable, Dict, Mapping, Optional, Tuple,
+                    TypeVar, Union)
 
 import numpy as np
 from numpy.typing import NDArray

@@ -2,10 +2,10 @@
 
 Pipeline (Section 6 of the paper):
 
-1. TRR nets are added and all cells start at the chip centre.
+1. All cells start at the chip centre.
 2. :mod:`~repro.core.globalplace` — recursive bisection with
    direction-aware cuts, terminal propagation, thermal net weights
-   (Eq. 8) and TRR net weights (Eq. 12).
+   (Eq. 8) and, in z cuts, TRR nets (Eq. 12).
 3. :mod:`~repro.core.moves` — global then local move/swap passes.
 4. :mod:`~repro.core.cellshift` — iterative row-aware cell shifting
    until the maximum bin density approaches one.

@@ -27,7 +27,8 @@ class PlacementConfig:
 
     Thermal-mechanism toggles (for ablations):
         use_thermal_net_weights: apply Eq. 8 net weights in partitioning.
-        use_trr_nets: add thermal-resistance-reduction nets (Eq. 12).
+        use_trr_nets: add thermal-resistance-reduction nets (Eq. 12)
+            to z-cut bisection tasks.
 
     Global placement:
         min_region_cells: stop recursing below this many cells.

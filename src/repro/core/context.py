@@ -1,9 +1,8 @@
 """Shared state the pipeline stages operate on.
 
 A :class:`PlacementContext` bundles everything one placement run owns:
-the netlist (with TRR-net injection applied exactly once, owned here
-rather than by whichever stage happens to run first), the chip volume,
-the coordinate arrays, the power model, the lazily built incremental
+the netlist (read, never mutated), the chip volume, the coordinate
+arrays, the power model, the lazily built incremental
 :class:`~repro.core.objective.ObjectiveState` and the telemetry
 recorder.  Stages receive the context and nothing else,
 so any stage composition the :class:`~repro.core.pipeline.PipelineSpec`
@@ -12,11 +11,10 @@ describes runs against the same state without hidden coupling.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.config import PlacementConfig
 from repro.core.objective import ObjectiveState
-from repro.core.trrnets import add_trr_nets
 from repro.geometry.chip import ChipGeometry
 from repro.netlist.netlist import Netlist
 from repro.netlist.placement import Placement
@@ -48,34 +46,28 @@ def auto_chip(netlist: Netlist, config: PlacementConfig) -> ChipGeometry:
 class PlacementContext:
     """Everything one placement run reads and mutates.
 
-    Build one with :meth:`create` (which applies the run's netlist
-    preparation) rather than the constructor.
+    Build one with :meth:`create` rather than the constructor.
 
     Attributes:
-        netlist: the circuit being placed, TRR nets included when
-            thermal placement is enabled.
+        netlist: the circuit being placed.
         config: the placement configuration.
         chip: the placement volume.
         placement: the evolving coordinate arrays.
         power_model: netlist-bound power attribution (Eq. 10).
         recorder: the run's telemetry recorder (never ``None``; the
             shared null recorder when telemetry is off).
-        trr_net_ids: cell id -> TRR net id for the injected nets
-            (empty when thermal placement is off).
     """
 
     def __init__(self, netlist: Netlist, config: PlacementConfig,
                  chip: ChipGeometry, placement: Placement,
                  power_model: PowerModel,
-                 recorder: Recorder = NULL_RECORDER,
-                 trr_net_ids: Optional[Dict[int, int]] = None) -> None:
+                 recorder: Recorder = NULL_RECORDER) -> None:
         self.netlist = netlist
         self.config = config
         self.chip = chip
         self.placement = placement
         self.power_model = power_model
         self.recorder = recorder
-        self.trr_net_ids: Dict[int, int] = dict(trr_net_ids or {})
         self._objective: Optional[ObjectiveState] = None
 
     # ------------------------------------------------------------------
@@ -83,23 +75,15 @@ class PlacementContext:
     def create(cls, netlist: Netlist, config: PlacementConfig,
                chip: Optional[ChipGeometry] = None,
                recorder: Recorder = NULL_RECORDER) -> "PlacementContext":
-        """Prepare a fresh run: inject TRR nets, start cells centred.
-
-        TRR-net injection is idempotent (``add_trr_nets`` reuses nets
-        that already exist), so creating any number of contexts over
-        one netlist — or re-running one placer — never duplicates them.
-        """
+        """Prepare a fresh run with every cell at the chip centre."""
         if chip is None:
             chip = auto_chip(netlist, config)
         elif chip.num_layers != config.num_layers:
             raise ValueError("chip layer count disagrees with config")
-        trr_ids: Dict[int, int] = {}
-        if config.thermal_enabled and config.use_trr_nets:
-            trr_ids = add_trr_nets(netlist)
         placement = Placement.at_center(netlist, chip)
         power_model = PowerModel(netlist, config.tech)
         return cls(netlist, config, chip, placement, power_model,
-                   recorder=recorder, trr_net_ids=trr_ids)
+                   recorder=recorder)
 
     # ------------------------------------------------------------------
     @property

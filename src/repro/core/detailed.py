@@ -316,8 +316,6 @@ class DetailedLegalizer:
         n = netlist.num_cells
         degree = np.zeros(n, dtype=np.float64)
         for net in netlist.nets:
-            if net.is_trr:
-                continue
             for cid in net.unique_cell_ids:
                 degree[cid] += 1
         areas = netlist.areas

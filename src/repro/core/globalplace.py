@@ -111,8 +111,7 @@ class GlobalPlacer:
 
     Args:
         placement: cells should start at the chip centre
-            (:meth:`Placement.at_center`); TRR nets should already be on
-            the netlist if thermal placement is wanted.
+            (:meth:`Placement.at_center`).
         config: all coefficients and effort knobs (including
             ``num_workers``, the execution-backend parallelism).
         power_model: shared power model (created if omitted).
@@ -369,8 +368,6 @@ class GlobalPlacer:
                     continue
                 seen.add(nid)
                 net = self.netlist.nets[nid]
-                if net.is_trr:
-                    continue
                 internal = []
                 ext_sides = set()
                 for pc in net.unique_cell_ids:

@@ -57,8 +57,6 @@ def compute_net_weights(placement: Placement, config: PlacementConfig,
     areas = np.maximum(netlist.areas, 1e-18)
     r_net = np.zeros(m)
     for net in netlist.nets:
-        if net.is_trr:
-            continue
         total = 0.0
         for d in net.driver_ids:
             total += rm.cell_resistance(

@@ -15,7 +15,7 @@ for the thermal term, which this class evaluates directly.
 Data layout (the "kernel layer", see DESIGN.md):
 
 - The static net/pin structure is a CSR-style pair of flat int arrays:
-  ``_net_ptr`` (length ``num_signal_nets + 1``) and ``_pin_cell`` (one
+  ``_net_ptr`` (length ``csr.num_nets + 1``) and ``_pin_cell`` (one
   entry per unique net pin), so full recomputation (`rebuild`) is a
   handful of ``np.minimum.reduceat``/``np.maximum.reduceat`` segment
   reductions instead of a Python loop over per-net lists.  Drivers and

@@ -7,8 +7,7 @@ config (or accepts a custom one), creates the shared
 :class:`~repro.core.pipeline.PlacementPipeline` runner.  The default
 spec is the paper's flow:
 
-1. add TRR nets and start all cells at the chip centre (context
-   creation);
+1. start all cells at the chip centre (context creation);
 2. global placement by recursive bisection (Section 3);
 3. global then local move/swap passes (Section 4.2);
 4. iterative cell shifting until the coarse mesh's max density is close
@@ -56,10 +55,8 @@ class Placer3D:
     """Thermal- and via-aware 3D placer.
 
     Args:
-        netlist: the circuit to place.  TRR nets are added in place when
-            thermal placement is enabled (idempotently — re-running a
-            placer or constructing several over one netlist never
-            duplicates them).
+        netlist: the circuit to place; read, never mutated, so one
+            netlist can back any number of placers.
         config: coefficients and effort knobs.
         chip: the placement volume; sized automatically from the cell
             area, layer count, whitespace and row spacing when omitted.

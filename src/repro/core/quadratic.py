@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
 from repro.core.config import PlacementConfig
@@ -155,8 +155,6 @@ class QuadraticPlacer:
                 rhs[b] += w * pos_a
 
         for net in self.netlist.nets:
-            if net.is_trr:
-                continue
             ids = net.unique_cell_ids
             if len(ids) < 2:
                 continue

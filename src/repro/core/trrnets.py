@@ -13,52 +13,25 @@ chip centre.  The paper floors them at PEKO-style *optimal* values
 (Eqs. 13-15), computed here by
 :meth:`repro.thermal.power.PowerModel.peko_optimal`.
 
-In this library the TRR net is represented as a degree-1 net flagged
-``is_trr`` (the bottom anchor is implicit: it tracks the cell laterally,
-so only the z direction ever feels it), and its weight is recomputed
-from the evolving placement by :func:`compute_trr_weights`.
+TRR nets never enter the netlist.  This module computes their weights
+from the evolving placement (:func:`compute_trr_weights`), and
+:meth:`repro.core.globalplace.GlobalPlacer._build_task` adds one
+two-pin net per weighted cell to each z-cut bisection task, tying the
+cell to the bottom part's terminal.  The bottom anchor tracks the cell
+laterally, so only z cuts ever feel it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core.config import PlacementConfig
 from repro.metrics.wirelength import NetMetrics, compute_net_metrics
-from repro.netlist.net import PinRole
-from repro.netlist.netlist import Netlist
 from repro.netlist.placement import Placement
 from repro.thermal.power import PowerModel
 from repro.thermal.resistance import ResistanceModel, VerticalProfile
-
-#: Name prefix of generated TRR nets.
-TRR_PREFIX = "__trr__"
-
-
-def add_trr_nets(netlist: Netlist) -> Dict[int, int]:
-    """Add one TRR net per movable cell (idempotent).
-
-    Returns:
-        Mapping from cell id to its TRR net id.
-    """
-    existing: Dict[int, int] = {}
-    for net in netlist.nets:
-        if net.is_trr:
-            existing[net.pins[0][0]] = net.id
-    mapping: Dict[int, int] = {}
-    for cell in netlist.cells:
-        if not cell.movable:
-            continue
-        if cell.id in existing:
-            mapping[cell.id] = existing[cell.id]
-            continue
-        net = netlist.add_net(f"{TRR_PREFIX}{cell.name}",
-                              [(cell.id, PinRole.SINK)],
-                              activity=0.0, is_trr=True)
-        mapping[cell.id] = net.id
-    return mapping
 
 
 def compute_trr_weights(placement: Placement, config: PlacementConfig,

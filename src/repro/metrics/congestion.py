@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.metrics.wirelength import NetMetrics, compute_net_metrics
+from repro.metrics.wirelength import NetMetrics
 from repro.netlist.placement import Placement
 
 
@@ -87,8 +87,6 @@ def estimate_congestion(placement: Placement, nx: int = 16,
     ys = placement.y
     zs = placement.z
     for net in placement.netlist.nets:
-        if net.is_trr:
-            continue
         ids = net.unique_cell_ids
         if len(ids) < 2:
             continue

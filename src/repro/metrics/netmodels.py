@@ -81,8 +81,6 @@ def compare_net_models(placement: Placement,
     zs = placement.z
     hpwl = star = clique = rsmt = 0.0
     for net in placement.netlist.nets:
-        if net.is_trr:
-            continue
         ids = net.unique_cell_ids
         if len(ids) < 2:
             continue

@@ -3,7 +3,7 @@
 The paper's objective (Eq. 1/3) uses bounding-box (HPWL) wirelength for
 the lateral dimensions and counts one interlayer via per layer boundary
 the net's bounding box crosses: a net spanning layers ``zmin..zmax``
-needs ``zmax - zmin`` vias.  TRR (virtual) nets are always excluded.
+needs ``zmax - zmin`` vias.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ from repro.netlist.placement import Placement
 @dataclass
 class NetMetrics:
     """Per-net geometry arrays, indexed by net id.
-
-    TRR nets get all-zero entries so the arrays stay aligned with
-    ``netlist.nets``.
 
     Attributes:
         wl_x, wl_y: bounding-box extents per net, metres.
@@ -76,8 +73,6 @@ def compute_net_metrics(placement: Placement) -> NetMetrics:
     ys = placement.y.tolist()
     zs = placement.z.tolist()
     for net in netlist.nets:
-        if net.is_trr:
-            continue
         ids = net.unique_cell_ids
         nx = [xs[c] for c in ids]
         ny = [ys[c] for c in ids]
@@ -89,12 +84,12 @@ def compute_net_metrics(placement: Placement) -> NetMetrics:
 
 
 def total_hpwl(placement: Placement) -> float:
-    """Total lateral HPWL over signal nets, metres."""
+    """Total lateral HPWL over all nets, metres."""
     return compute_net_metrics(placement).total_wl
 
 
 def total_ilv(placement: Placement) -> int:
-    """Total interlayer-via count over signal nets."""
+    """Total interlayer-via count over all nets."""
     return compute_net_metrics(placement).total_ilv
 
 

@@ -353,8 +353,8 @@ def write_nodes(path: str, netlist: Netlist, unit: float = 1e-6) -> None:
 
 
 def write_nets(path: str, netlist: Netlist) -> None:
-    """Write a ``.nets`` file (signal nets only; TRR nets are virtual)."""
-    nets = netlist.signal_nets()
+    """Write a ``.nets`` file."""
+    nets = netlist.nets
     num_pins = sum(n.degree for n in nets)
     with open(path, "w") as f:
         f.write("UCLA nets 1.0\n")

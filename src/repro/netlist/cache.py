@@ -1,33 +1,26 @@
-"""Content-keyed cache of loaded netlists.
+"""Source-keyed cache of loaded netlists.
 
 ``sweep`` dispatches one job per ``alpha_ILV`` point and the placement
 service re-executes resubmitted requests — and every one of those jobs
 used to re-parse or re-generate its circuit from scratch, the single
 largest fixed cost of a job at full instance scale (~0.3 s for
-ibm01@1.0, dwarfing the cache-hit path itself).  This cache stores the
-*pristine* pickled bytes of each loaded netlist under a source key and
-answers repeats with a fresh unpickled copy:
+ibm01@1.0, dwarfing the cache-hit path itself).  This cache keeps each
+loaded :class:`Netlist` under a source key and answers repeats with
+that same object:
 
-- **pristine**: the placer mutates netlists in place (TRR-net
-  injection, fixed-position updates), so live objects cannot be shared
-  between jobs; the bytes are captured before the first use and every
-  copy starts clean.
+- **shared**: the placer never mutates a netlist, so every job of one
+  circuit can read the same instance.  Structures derived from it (the
+  signal CSR of :mod:`repro.netlist.csr`, the service's netlist hash)
+  are cached on the instance, so they too are built once per process.
 - **source key**: the key describes where the netlist came from —
   generator parameters (:func:`benchmark_key`) or Bookshelf file
   identity including mtime/size (:func:`bookshelf_key`) — so an edited
   file on disk misses and re-parses, while a resubmission hits.
-
-Each served copy carries ``content_key`` so downstream derived-data
-caches (the signal CSR of :mod:`repro.netlist.csr`, the service's
-netlist hash) can share work across copies without re-walking the
-netlist — the same hash-triple machinery the PR-9 result cache keys
-on.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 from collections import OrderedDict
 from typing import Callable, Dict, Optional
 
@@ -61,20 +54,18 @@ def bookshelf_key(prefix: str) -> str:
 
 
 class NetlistCache:
-    """LRU store of pristine pickled netlists, keyed by source.
+    """LRU store of loaded netlists, keyed by source.
 
     Args:
         capacity: maximum cached circuits; the least recently used
-            entry is evicted first.  Full-size suite circuits pickle
-            to a few MB each, so the default keeps the cache tens of
-            MB at worst.
+            entry is evicted first.
     """
 
     def __init__(self, capacity: int = 6) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._entries: "OrderedDict[str, bytes]" = OrderedDict()
+        self._entries: "OrderedDict[str, Netlist]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
@@ -82,33 +73,25 @@ class NetlistCache:
                     loader: Callable[[], Netlist]) -> Netlist:
         """The netlist for ``key``, loading (and caching) on a miss.
 
-        A hit returns a fresh unpickled copy — never a shared live
-        object — with ``content_key`` set so derived-data caches can
-        recognise equal content.  On a miss the loader's netlist is
-        snapshotted to bytes *before* being returned, so later copies
-        are unaffected by any mutation the caller performs.
+        Every call for one key returns the same object; callers read it
+        and must not add cells or nets to it.
         """
-        blob = self._entries.get(key)
-        if blob is not None:
+        netlist = self._entries.get(key)
+        if netlist is not None:
             self.hits += 1
             self._entries.move_to_end(key)
-            netlist = pickle.loads(blob)
-            assert isinstance(netlist, Netlist)
             return netlist
         self.misses += 1
         netlist = loader()
-        netlist.content_key = key
-        self._entries[key] = pickle.dumps(
-            netlist, protocol=pickle.HIGHEST_PROTOCOL)
+        self._entries[key] = netlist
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
         return netlist
 
     def stats(self) -> Dict[str, int]:
-        """Counters and footprint: hits, misses, entries, bytes."""
+        """Counters: hits, misses, entries."""
         return {"hits": self.hits, "misses": self.misses,
-                "entries": len(self._entries),
-                "bytes": sum(len(b) for b in self._entries.values())}
+                "entries": len(self._entries)}
 
     def clear(self) -> None:
         """Drop every entry (counters keep running)."""

@@ -1,22 +1,14 @@
 """Dtype-minimized CSR views of a netlist's signal structure.
 
-:class:`ObjectiveState` (and anything else that wants vectorized
-net/pin kernels) needs the same handful of flat arrays: the net->pin
-CSR over unique cell ids, the driver CSR, the cell->net incidence CSR
-and the sorted membership keys.  Building them walks every net's
-Python pin list — cheap once, wasteful when a sweep or the placement
-service evaluates the same circuit many times.  This module builds
-them once per netlist *content*:
-
-- per-instance: the result is cached on the :class:`Netlist` and
-  invalidated when a cell or signal net is added (TRR nets are
-  excluded from the signal structure, so injecting them does not
-  invalidate);
-- across instances: when the netlist carries a ``content_key`` (set by
-  :mod:`repro.netlist.cache` when a circuit is served from the
-  content-addressed netlist cache), the CSR is shared through a small
-  keyed store, so re-submissions of the same circuit skip the rebuild
-  entirely.
+:class:`~repro.core.objective.ObjectiveState`'s vectorized net/pin
+kernels need the same handful of flat arrays: the net->pin CSR over
+unique cell ids, the driver CSR, the cell->net incidence CSR and the
+sorted membership keys.  Building them walks every net's Python pin
+list — cheap once, wasteful when a sweep or the placement service
+evaluates the same circuit many times.  :func:`signal_csr` caches the
+result on the :class:`Netlist` until a cell or net is added; since
+:mod:`repro.netlist.cache` serves one loaded instance per circuit,
+every run of that circuit in a process shares one build.
 
 Index arrays are dtype-minimized: int32 when every index and every
 pin count fits (``ranges allow``), int64 otherwise — full ibm01 needs
@@ -29,7 +21,7 @@ long before the index arrays do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, List
 
 import numpy as np
 
@@ -64,8 +56,8 @@ class SignalCSR:
 
     Attributes:
         num_cells: cell count of the owning netlist.
-        net_ids: netlist net id per signal net (nets with pins, TRR
-            excluded), in net order.
+        net_ids: netlist net id per signal net (nets with pins), in net
+            order.
         net_ptr: length ``m + 1``; net ``e``'s unique pins are
             ``pin_cell[net_ptr[e]:net_ptr[e + 1]]``.
         pin_cell: unique cell ids per net, first-occurrence pin order.
@@ -130,7 +122,7 @@ def build_signal_csr(netlist: "Netlist") -> SignalCSR:
     pins: List[List[int]] = []
     drivers: List[List[int]] = []
     for net in netlist.nets:
-        if net.is_trr or not net.pins:
+        if not net.pins:
             continue
         net_ids.append(net.id)
         pins.append(net.unique_cell_ids)
@@ -196,41 +188,6 @@ def build_signal_csr(netlist: "Netlist") -> SignalCSR:
         cell_net_idx=cell_net_idx, cell_net_drvmult=drvmult)
 
 
-#: Content-keyed CSR store: circuits served repeatedly through the
-#: netlist cache (sweeps, service resubmissions) share one build.
-_BY_CONTENT_KEY: Dict[str, SignalCSR] = {}
-
-#: Keep the keyed store small; entries are a few MB at full scale.
-_MAX_KEYED = 8
-
-
 def signal_csr(netlist: "Netlist") -> SignalCSR:
-    """The netlist's signal CSR, built at most once per content.
-
-    Lookup order: the instance cache (invalidated on structural
-    mutation), then the content-keyed store for netlists carrying a
-    ``content_key``, then a fresh :func:`build_signal_csr`.
-    """
-    cached = netlist._signal_csr
-    if cached is not None:
-        return cached
-    key = netlist.content_key
-    if key is not None and key in _BY_CONTENT_KEY:
-        csr = _BY_CONTENT_KEY[key]
-        if csr.num_cells == netlist.num_cells:
-            # lint: ok[RPL001] this module owns the Netlist-side slot
-            netlist._signal_csr = csr
-            return csr
-    csr = build_signal_csr(netlist)
-    # lint: ok[RPL001] this module owns the Netlist-side slot
-    netlist._signal_csr = csr
-    if key is not None:
-        if len(_BY_CONTENT_KEY) >= _MAX_KEYED:
-            _BY_CONTENT_KEY.pop(next(iter(_BY_CONTENT_KEY)))
-        _BY_CONTENT_KEY[key] = csr
-    return csr
-
-
-def clear_keyed_store() -> None:
-    """Drop the content-keyed store (tests)."""
-    _BY_CONTENT_KEY.clear()
+    """The netlist's signal CSR, built once until the netlist changes."""
+    return netlist.derived(build_signal_csr)

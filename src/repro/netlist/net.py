@@ -31,17 +31,12 @@ class Net:
             the same net).
         activity: switching activity ``a_i`` in Eq. 4, the expected number
             of transitions per clock cycle (0..1].
-        is_trr: True for virtual thermal-resistance-reduction nets
-            (Section 3.2).  TRR nets are excluded from all wirelength /
-            via metrics and from the power model; they exist only to pull
-            their cell toward the heat sink.
     """
 
     id: int
     name: str
     pins: List[Tuple[int, PinRole]] = field(default_factory=list)
     activity: float = 0.2
-    is_trr: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.activity <= 1.0:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
+                    TypeVar, cast)
 
 import numpy as np
 
@@ -11,8 +11,7 @@ from repro.analysis import FloatArray, IntArray
 from repro.netlist.cell import Cell
 from repro.netlist.net import Net, PinRole
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.netlist.csr import SignalCSR
+_T = TypeVar("_T")
 
 
 class Netlist:
@@ -22,9 +21,8 @@ class Netlist:
     per-cell or per-net quantity elsewhere in the library can live in a
     flat NumPy array indexed by id.
 
-    Thermal-resistance-reduction (TRR) nets added by the placer are kept
-    in the same net list, flagged ``is_trr``; all metrics and the power
-    model skip them via :meth:`signal_nets`.
+    The placer never mutates a netlist, so one loaded instance can serve
+    every run of its circuit (see :mod:`repro.netlist.cache`).
     """
 
     def __init__(self, name: str = "netlist") -> None:
@@ -40,13 +38,9 @@ class Netlist:
         self._heights: Optional[FloatArray] = None
         self._areas: Optional[FloatArray] = None
         self._movable_ids: Optional[IntArray] = None
-        # signal-structure caches (see repro.netlist.csr / .cache):
-        # the CSR survives TRR-net injection — TRR nets are excluded
-        # from the signal structure — but not cell or signal-net adds
-        self._signal_csr: Optional["SignalCSR"] = None
-        #: content-hash key set when this instance came out of the
-        #: netlist cache; lets equal-content copies share derived CSR
-        self.content_key: Optional[str] = None
+        # structures other modules derive from this netlist, keyed by
+        # their builder (see :meth:`derived`)
+        self._derived: Dict[Callable[["Netlist"], object], object] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -68,21 +62,17 @@ class Netlist:
         self.cells.append(cell)
         self._cell_by_name[name] = cell.id
         self._invalidate()
-        self._signal_csr = None
-        self.content_key = None
         return cell
 
     def add_net(self, name: str,
                 pins: Sequence[Tuple[int, PinRole]],
-                activity: float = 0.2,
-                is_trr: bool = False) -> Net:
+                activity: float = 0.2) -> Net:
         """Create a net over existing cells and return it.
 
         Args:
             name: net name, unique within the netlist.
             pins: ``(cell_id, role)`` pairs; at least one pin.
             activity: switching activity ``a_i``.
-            is_trr: marks virtual thermal-resistance-reduction nets.
 
         Raises:
             ValueError: on duplicate names, empty pin lists or bad ids.
@@ -95,28 +85,30 @@ class Netlist:
             if not 0 <= cid < len(self.cells):
                 raise ValueError(f"net {name!r}: unknown cell id {cid}")
         net = Net(id=len(self.nets), name=name, pins=list(pins),
-                  activity=activity, is_trr=is_trr)
+                  activity=activity)
         self.nets.append(net)
         self._net_by_name[name] = net.id
         self._invalidate()
-        if not is_trr:
-            # TRR nets are excluded from the signal CSR, so injecting
-            # them leaves the derived structure (and content key) valid
-            self._signal_csr = None
-            self.content_key = None
         return net
 
     def _invalidate(self) -> None:
         self._cell_nets = None
         self._arrays_dirty = True
         self._movable_ids = None
+        self._derived.clear()
 
-    def __getstate__(self) -> Dict[str, object]:
-        # the signal CSR is derived data: cheap to rebuild, shareable
-        # through the content-keyed store, and dead weight in a pickle
-        state = self.__dict__.copy()
-        state["_signal_csr"] = None
-        return state
+    def derived(self, build: Callable[["Netlist"], _T]) -> _T:
+        """``build(self)``, computed once until a cell or net is added.
+
+        Lets other modules cache what they derive from the netlist (the
+        signal CSR, the content hash) on the instance itself.  The cache
+        is keyed by ``build``, so pass a module-level function.
+        """
+        try:
+            return cast(_T, self._derived[build])
+        except KeyError:
+            value = self._derived[build] = build(self)
+            return value
 
     # ------------------------------------------------------------------
     # lookups
@@ -136,7 +128,7 @@ class Netlist:
 
     @property
     def num_nets(self) -> int:
-        """Number of nets (signal + TRR)."""
+        """Number of nets."""
         return len(self.nets)
 
     @property
@@ -159,14 +151,6 @@ class Netlist:
         """All fixed cells (terminals / pads)."""
         return [c for c in self.cells if c.fixed]
 
-    def signal_nets(self) -> List[Net]:
-        """All real (non-TRR) nets."""
-        return [n for n in self.nets if not n.is_trr]
-
-    def trr_nets(self) -> List[Net]:
-        """All virtual thermal-resistance-reduction nets."""
-        return [n for n in self.nets if n.is_trr]
-
     def nets_of_cell(self, cell_id: int) -> List[int]:
         """Ids of nets incident to a cell."""
         if self._cell_nets is None:
@@ -175,12 +159,10 @@ class Netlist:
         return self._cell_nets[cell_id]
 
     def driven_nets_of_cell(self, cell_id: int) -> List[int]:
-        """Ids of non-TRR nets the cell drives (has a DRIVER pin on)."""
+        """Ids of nets the cell drives (has a DRIVER pin on)."""
         out: List[int] = []
         for nid in self.nets_of_cell(cell_id):
             net = self.nets[nid]
-            if net.is_trr:
-                continue
             if any(cid == cell_id and role is PinRole.DRIVER
                    for cid, role in net.pins):
                 out.append(nid)
@@ -254,23 +236,23 @@ class Netlist:
     # statistics & validation
     # ------------------------------------------------------------------
     def degree_histogram(self) -> Dict[int, int]:
-        """Histogram of signal-net degrees (pin counts)."""
+        """Histogram of net degrees (pin counts)."""
         hist: Dict[int, int] = {}
-        for net in self.signal_nets():
+        for net in self.nets:
             hist[net.degree] = hist.get(net.degree, 0) + 1
         return hist
 
     def num_pins(self) -> int:
-        """Total pin count over signal nets."""
-        return sum(net.degree for net in self.signal_nets())
+        """Total pin count over all nets."""
+        return sum(net.degree for net in self.nets)
 
     def validate(self) -> None:
         """Consistency checks; raises ``ValueError`` on violation.
 
         Checks that ids are dense, names map back correctly, all pins
-        reference existing cells, and every non-TRR net with pins has at
-        most reasonable structure (>= 1 pin; single-pin nets are tolerated
-        because benchmark formats contain them, but they carry no cost).
+        reference existing cells, and every net has >= 1 pin (single-pin
+        nets are tolerated because benchmark formats contain them, but
+        they carry no cost).
         """
         for i, cell in enumerate(self.cells):
             if cell.id != i:
@@ -288,6 +270,3 @@ class Netlist:
                 if not 0 <= cid < len(self.cells):
                     raise ValueError(
                         f"net {net.name!r} references unknown cell {cid}")
-            if net.is_trr and net.degree != 1:
-                raise ValueError(
-                    f"TRR net {net.name!r} must have exactly one real pin")

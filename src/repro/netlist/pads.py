@@ -11,7 +11,7 @@ boundary of a given chip, each wired to a sample of internal cells.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -33,8 +33,8 @@ class NetlistSummary:
 
     Attributes:
         name: netlist name.
-        cells, nets, pins: counts (signal nets only).
-        avg_degree: mean pins per signal net.
+        cells, nets, pins: counts.
+        avg_degree: mean pins per net.
         degree_histogram: pin-count -> net count.
         total_area: movable cell area, m^2.
         avg_cell_width / avg_cell_height: metres.
@@ -67,7 +67,7 @@ class NetlistSummary:
 
 def summarize(netlist: Netlist) -> NetlistSummary:
     """Compute the headline statistics of a netlist."""
-    nets = netlist.signal_nets()
+    nets = netlist.nets
     pins = sum(n.degree for n in nets)
     return NetlistSummary(
         name=netlist.name,
@@ -101,8 +101,8 @@ def rent_exponent(netlist: Netlist, min_cells: int = 12,
         ValueError: if the netlist is too small to produce at least two
             distinct block sizes.
     """
-    # hypergraph of the signal nets
-    nets = [n.unique_cell_ids for n in netlist.signal_nets()
+    # hypergraph of the multi-pin nets
+    nets = [n.unique_cell_ids for n in netlist.nets
             if len(n.unique_cell_ids) >= 2]
     samples: List[Tuple[int, int]] = []
 

@@ -33,30 +33,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["CacheEntry", "ResultCache", "cache_key", "netlist_hash"]
 
 
-#: Memoized hashes for netlists served from the netlist cache: every
-#: unpickled copy of one cached circuit shares a ``content_key``, so
-#: the (linear-walk) hash below runs once per circuit, not per copy.
-_HASH_BY_CONTENT_KEY: Dict[str, str] = {}
-
-#: Bound on the memo; keys are short strings, digests 64 chars.
-_MAX_HASH_MEMO = 64
-
-
 def netlist_hash(netlist: "Netlist") -> str:
     """Stable content hash of a netlist's placement-relevant content.
 
-    Hashes cell geometry/fixity and the *signal* net hypergraph (TRR
-    nets are derived from the config, so including them would make the
-    hash depend on whether thermal nets were already materialised).
-    Two structurally identical netlists hash identically regardless of
-    load path.  Copies carrying a netlist-cache ``content_key`` share
-    one memoized computation.
+    Hashes cell geometry/fixity and the net hypergraph.  Two
+    structurally identical netlists hash identically regardless of
+    load path.  The digest is cached on the netlist until it changes.
     """
-    memo_key = netlist.content_key
-    if memo_key is not None:
-        cached = _HASH_BY_CONTENT_KEY.get(memo_key)
-        if cached is not None:
-            return cached
+    return netlist.derived(_netlist_digest)
+
+
+def _netlist_digest(netlist: "Netlist") -> str:
     cells = [[cell.name, float(cell.width), float(cell.height),
               bool(cell.fixed),
               (None if cell.fixed_position is None
@@ -66,14 +53,9 @@ def netlist_hash(netlist: "Netlist") -> str:
              for cell in netlist.cells]
     nets = [[net.name, float(net.activity),
              [[int(cell_id), role.value] for cell_id, role in net.pins]]
-            for net in netlist.signal_nets()]
-    digest = content_hash({"name": netlist.name, "cells": cells,
-                           "nets": nets})
-    if memo_key is not None:
-        if len(_HASH_BY_CONTENT_KEY) >= _MAX_HASH_MEMO:
-            _HASH_BY_CONTENT_KEY.pop(next(iter(_HASH_BY_CONTENT_KEY)))
-        _HASH_BY_CONTENT_KEY[memo_key] = digest
-    return digest
+            for net in netlist.nets]
+    return content_hash({"name": netlist.name, "cells": cells,
+                         "nets": nets})
 
 
 def cache_key(config_hash: str, spec_hash: str,

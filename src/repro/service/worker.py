@@ -49,9 +49,9 @@ __all__ = ["execute_job", "load_job_netlist", "result_summary",
 def load_job_netlist(request: JobRequest, seed: int) -> Netlist:
     """Rebuild the netlist a job request describes.
 
-    Loads go through the content-keyed netlist cache: a sweep's
+    Loads go through the source-keyed netlist cache: a sweep's
     per-alpha jobs and service resubmissions of one circuit parse or
-    generate it once and unpickle pristine copies after that.
+    generate it once and share the loaded netlist after that.
     """
     if request.circuit is not None:
         circuit = request.circuit

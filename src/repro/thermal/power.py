@@ -47,8 +47,7 @@ class PekoOptimal:
 class PowerModel:
     """Dynamic-power calculations bound to a netlist and technology.
 
-    All per-net quantities are NumPy arrays indexed by net id; TRR nets
-    get zeros (they are virtual and consume no power).
+    All per-net quantities are NumPy arrays indexed by net id.
     """
 
     def __init__(self, netlist: Netlist, tech: Optional[TechnologyConfig]
@@ -59,30 +58,17 @@ class PowerModel:
         self._activity = np.zeros(m, dtype=np.float64)
         self._n_input = np.zeros(m, dtype=np.float64)
         self._n_output = np.zeros(m, dtype=np.float64)
-        self._is_signal = np.zeros(m, dtype=bool)
         for net in netlist.nets:
-            if net.is_trr:
-                continue
-            self._is_signal[net.id] = True
             self._activity[net.id] = net.activity
             self._n_input[net.id] = net.num_input_pins
             self._n_output[net.id] = max(1, net.num_output_pins)
         scale = self.tech.switching_energy_scale
         act = scale * self._activity
         # Eq. 6/11 coefficients, per output pin:
-        self.s_wl = np.where(
-            self._is_signal,
-            act * self.tech.cap_per_wirelength / self._n_output_safe(), 0.0)
-        self.s_ilv = np.where(
-            self._is_signal,
-            act * self.tech.cap_per_via / self._n_output_safe(), 0.0)
-        self.s_input_pins = np.where(
-            self._is_signal,
-            act * self.tech.input_pin_cap * self._n_input
-            / self._n_output_safe(), 0.0)
-
-    def _n_output_safe(self) -> FloatArray:
-        return np.where(self._n_output > 0, self._n_output, 1.0)
+        self.s_wl = act * self.tech.cap_per_wirelength / self._n_output
+        self.s_ilv = act * self.tech.cap_per_via / self._n_output
+        self.s_input_pins = (act * self.tech.input_pin_cap * self._n_input
+                             / self._n_output)
 
     # ------------------------------------------------------------------
     # net-level power (Eqs. 4-5)
@@ -90,10 +76,9 @@ class PowerModel:
     def net_capacitances(self, metrics: NetMetrics) -> FloatArray:
         """Total capacitance per net (Eq. 5), farads."""
         tech = self.tech
-        caps = (tech.cap_per_wirelength * (metrics.wl_x + metrics.wl_y)
+        return (tech.cap_per_wirelength * (metrics.wl_x + metrics.wl_y)
                 + tech.cap_per_via * metrics.ilv
                 + tech.input_pin_cap * self._n_input)
-        return np.where(self._is_signal, caps, 0.0)
 
     def net_powers(self, metrics: NetMetrics) -> FloatArray:
         """Dynamic power per net (Eq. 4), watts."""
@@ -138,8 +123,6 @@ class PowerModel:
         per_net_share = self.s_wl * wl + self.s_ilv * ilv + self.s_input_pins
         powers = self.leakage_powers().copy()
         for net in self.netlist.nets:
-            if net.is_trr:
-                continue
             share = float(per_net_share[net.id])
             if not exact_nonzero(share):
                 continue
@@ -168,16 +151,9 @@ class PowerModel:
             raise ValueError("alpha_ilv must be positive for PEKO floors")
         w = self.netlist.average_cell_width
         h = self.netlist.average_cell_height
-        m = self.netlist.num_nets
-        n_pins = np.zeros(m)
-        for net in self.netlist.nets:
-            if not net.is_trr:
-                n_pins[net.id] = net.degree
+        n_pins = np.array([net.degree for net in self.netlist.nets],
+                          dtype=np.float64)
         side = np.cbrt(alpha_ilv * w * h * n_pins)
-        wl_x = np.clip(side - w, 0.0, None)
-        wl_y = np.clip(side - h, 0.0, None)
-        ilv = np.clip(side / alpha_ilv - 1.0, 0.0, None)
-        ilv = np.where(self._is_signal, ilv, 0.0)
-        return PekoOptimal(wl_x=np.where(self._is_signal, wl_x, 0.0),
-                           wl_y=np.where(self._is_signal, wl_y, 0.0),
-                           ilv=ilv)
+        return PekoOptimal(wl_x=np.clip(side - w, 0.0, None),
+                           wl_y=np.clip(side - h, 0.0, None),
+                           ilv=np.clip(side / alpha_ilv - 1.0, 0.0, None))

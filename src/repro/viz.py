@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.geometry.density import DensityMesh
 from repro.netlist.placement import Placement
-from repro.technology import TechnologyConfig
 from repro.thermal.solver import TemperatureField
 
 #: Shade ramp from empty to overfull/hot.

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.cellshift import BETA_CANDIDATES, CellShifter, shifted_widths
-from repro.core.config import PlacementConfig
 from repro.core.objective import ObjectiveState
 from repro.netlist.placement import Placement
 from tests.conftest import make_chip

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.config import PlacementConfig
 from repro.core.detailed import (
     DetailedLegalizer,
     RowSegments,

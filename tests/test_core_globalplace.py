@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.config import PlacementConfig
 from repro.core.globalplace import GlobalPlacer, Region
-from repro.core.trrnets import add_trr_nets
 from repro.metrics.wirelength import compute_net_metrics
 from repro.netlist.placement import Placement
 from tests.conftest import make_chip
@@ -121,7 +120,6 @@ class TestPlacementOutcome:
                                    num_layers=4, seed=0)
         hot_cfg = PlacementConfig(alpha_ilv=1e-5, alpha_temp=6e-4,
                                   num_layers=4, seed=0)
-        add_trr_nets(medium_netlist)
         base = place(medium_netlist, cold_cfg)
         thermal = place(medium_netlist, hot_cfg)
         pm = PowerModel(medium_netlist, hot_cfg.tech)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.config import PlacementConfig
 from repro.core.moves import MoveOptimizer
 from repro.core.objective import ObjectiveState
 from repro.netlist.placement import Placement

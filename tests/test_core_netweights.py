@@ -1,11 +1,15 @@
 """Unit tests for thermal net weighting (Eq. 8) and TRR nets (Eq. 12)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.config import PlacementConfig
+from repro.core.globalplace import GlobalPlacer, Region
 from repro.core.netweights import compute_net_weights
-from repro.core.trrnets import TRR_PREFIX, add_trr_nets, compute_trr_weights
+from repro.core.trrnets import compute_trr_weights
+from repro.netlist.net import PinRole
 from repro.netlist.placement import Placement
 from repro.thermal.power import PowerModel
 from tests.conftest import make_chip
@@ -80,28 +84,67 @@ class TestNetWeights:
         assert np.allclose(excess2, 2 * excess1, rtol=1e-9)
 
 
+def _z_task(netlist, config):
+    """The bisection task of a region holding every movable cell that
+    can only be cut in z, plus the TRR weights it was built from."""
+    chip = make_chip(netlist, num_layers=config.num_layers)
+    placer = GlobalPlacer(Placement.at_center(netlist, chip), config)
+    placer._refresh_weights()
+    region = Region(netlist.movable_ids.tolist(), 0.0, 1e-12, 0.0, 1e-12,
+                    0, config.num_layers - 1)
+    return placer._build_task(region), placer._trr_w
+
+
+def _task_trr_nets(netlist, config):
+    """Pin lists the TRR nets add to the z-cut task, and its weights."""
+    task, trr_w = _z_task(netlist, config)
+    plain, _ = _z_task(netlist, dataclasses.replace(config,
+                                                    use_trr_nets=False))
+    # TRR nets are appended after the unchanged signal nets
+    signal_pins = int(plain.net_ptr[-1])
+    np.testing.assert_array_equal(task.pin_vertices[:signal_pins],
+                                  plain.pin_vertices)
+    np.testing.assert_array_equal(task.net_weights[:plain.num_nets],
+                                  plain.net_weights)
+    ptr = task.net_ptr[plain.num_nets:].tolist()
+    nets = [task.pin_vertices[a:b].tolist()
+            for a, b in zip(ptr[:-1], ptr[1:])]
+    return nets, task, trr_w
+
+
 class TestTrrNets:
-    def test_one_per_movable_cell(self, small_netlist):
-        mapping = add_trr_nets(small_netlist)
-        assert len(mapping) == small_netlist.num_movable
-        for cid, nid in mapping.items():
-            net = small_netlist.nets[nid]
-            assert net.is_trr
-            assert net.pins[0][0] == cid
-            assert net.name.startswith(TRR_PREFIX)
+    """TRR nets live only in z-cut bisection tasks, never the netlist."""
 
-    def test_idempotent(self, small_netlist):
-        first = add_trr_nets(small_netlist)
-        count = small_netlist.num_nets
-        second = add_trr_nets(small_netlist)
-        assert small_netlist.num_nets == count
-        assert first == second
+    def test_one_per_movable_cell(self, small_netlist, thermal_config):
+        nets, task, trr_w = _task_trr_nets(small_netlist, thermal_config)
+        movable = small_netlist.movable_ids.tolist()
+        weighted = [i for i, cid in enumerate(movable) if trr_w[cid] > 0]
+        assert weighted
+        # each ties its cell to the terminal of the bottom part
+        bottom = int(np.flatnonzero(task.fixed == 0)[0])
+        assert nets == [[i, bottom] for i in weighted]
 
-    def test_fixed_cells_skipped(self, small_netlist):
-        small_netlist.add_cell("pad", 1e-6, 1e-6, fixed=True,
-                               fixed_position=(0.0, 0.0, 0))
-        mapping = add_trr_nets(small_netlist)
-        assert small_netlist.cell("pad").id not in mapping
+    def test_idempotent(self, small_netlist, thermal_config):
+        nets_before = small_netlist.num_nets
+        first, _ = _z_task(small_netlist, thermal_config)
+        second, _ = _z_task(small_netlist, thermal_config)
+        assert small_netlist.num_nets == nets_before
+        np.testing.assert_array_equal(first.net_ptr, second.net_ptr)
+        np.testing.assert_array_equal(first.pin_vertices,
+                                      second.pin_vertices)
+        np.testing.assert_array_equal(first.net_weights,
+                                      second.net_weights)
+
+    def test_fixed_cells_skipped(self, small_netlist, thermal_config):
+        pad = small_netlist.add_cell("pad", 1e-6, 1e-6, fixed=True,
+                                     fixed_position=(0.0, 0.0, 0))
+        small_netlist.add_net("pad_out", [(pad.id, PinRole.DRIVER),
+                                          (0, PinRole.SINK)])
+        nets, _, trr_w = _task_trr_nets(small_netlist, thermal_config)
+        # the pad drives a net, so it has a TRR weight, but no TRR net
+        assert trr_w[pad.id] > 0
+        movable = small_netlist.movable_ids.tolist()
+        assert len(nets) == sum(1 for cid in movable if trr_w[cid] > 0)
 
 
 class TestTrrWeights:

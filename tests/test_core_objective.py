@@ -7,7 +7,6 @@ from repro.core.config import PlacementConfig
 from repro.core.objective import ObjectiveState, _median_interval_point
 from repro.metrics.wirelength import compute_net_metrics
 from repro.netlist.placement import Placement
-from repro.thermal.power import PowerModel
 from tests.conftest import make_chip
 
 

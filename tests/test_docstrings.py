@@ -8,8 +8,6 @@ import importlib
 import inspect
 import pkgutil
 
-import pytest
-
 import repro
 
 SKIP_MEMBER_NAMES = {"__init__"}

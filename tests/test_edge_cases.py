@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import Placer3D, PlacementConfig, evaluate_placement
+from repro import Placer3D, PlacementConfig
 from repro.core.detailed import DetailedLegalizer, check_legal
 from repro.core.objective import ObjectiveState
 from repro.geometry.chip import ChipGeometry
@@ -182,7 +182,6 @@ class TestConfigValidation:
 
 class TestLeakagePower:
     def test_leakage_flows_into_thermal_term(self, small_netlist):
-        import dataclasses
         from repro.technology import TechnologyConfig
         tech = TechnologyConfig(leakage_power_density=1e4)  # 1 W/cm^2
         config = PlacementConfig(alpha_ilv=1e-5, alpha_temp=4e-5,

@@ -1,7 +1,5 @@
 """Unit tests for repro.geometry.chip."""
 
-import math
-
 import pytest
 
 from repro.geometry.chip import ChipGeometry

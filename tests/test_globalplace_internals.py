@@ -4,16 +4,13 @@ balance targets, tolerance derivation and weight refresh."""
 import numpy as np
 import pytest
 
-from repro.core.config import PlacementConfig
 from repro.core.globalplace import GlobalPlacer, Region
-from repro.core.trrnets import add_trr_nets
 from repro.netlist.placement import Placement
 from tests.conftest import make_chip
 
 
 @pytest.fixture
 def placer(small_netlist, thermal_config):
-    add_trr_nets(small_netlist)
     chip = make_chip(small_netlist,
                      num_layers=thermal_config.num_layers)
     pl = Placement.at_center(small_netlist, chip)

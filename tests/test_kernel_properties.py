@@ -38,17 +38,14 @@ from repro.core.globalplace import GlobalPlacer
 from repro.core.moves import MoveOptimizer
 from repro.core.objective import ObjectiveState
 from repro.core.refine import LegalRefiner
-from repro.core.trrnets import add_trr_nets
 from repro.geometry.chip import ChipGeometry
 from repro.netlist.placement import Placement
 from repro.thermal.power import PowerModel
 from repro.thermal.solver import ThermalSolver
 
 
-def _objective(netlist, config, trr: bool, seed: int = 5):
+def _objective(netlist, config, seed: int = 5):
     """A fresh ObjectiveState on a random placement."""
-    if trr:
-        add_trr_nets(netlist)
     chip = make_chip(netlist, config.num_layers)
     placement = Placement.random(netlist, chip, seed=seed)
     power = PowerModel(netlist, config.tech) if config.alpha_temp > 0 \
@@ -85,8 +82,8 @@ def _distinct_pairs(rng, cells, count: int):
 def test_random_apply_matches_rebuild(small_netlist, alpha_temp, trr):
     """Chained eval+apply stays within 1e-9 of a full recompute."""
     config = PlacementConfig(alpha_ilv=1e-5, alpha_temp=alpha_temp,
-                             num_layers=4, seed=0)
-    objective = _objective(small_netlist, config, trr)
+                             num_layers=4, seed=0, use_trr_nets=trr)
+    objective = _objective(small_netlist, config)
     rng = np.random.default_rng(17)
     running = objective.total
     for step in range(25):
@@ -104,7 +101,7 @@ def test_batch_moves_match_scalar(small_netlist, alpha_temp):
     """eval_moves_batch equals per-candidate scalar eval_moves."""
     config = PlacementConfig(alpha_ilv=1e-5, alpha_temp=alpha_temp,
                              num_layers=4, seed=0)
-    objective = _objective(small_netlist, config, trr=False)
+    objective = _objective(small_netlist, config)
     rng = np.random.default_rng(23)
     moves = _random_moves(objective, rng, 40)
     batch = objective.eval_moves_batch(
@@ -120,7 +117,7 @@ def test_batch_swaps_match_scalar(small_netlist, alpha_temp):
     """eval_swaps_batch equals the joint two-move scalar evaluation."""
     config = PlacementConfig(alpha_ilv=1e-5, alpha_temp=alpha_temp,
                              num_layers=4, seed=0)
-    objective = _objective(small_netlist, config, trr=False)
+    objective = _objective(small_netlist, config)
     placement = objective.placement
     rng = np.random.default_rng(29)
     movable = [c.id for c in small_netlist.cells if c.movable]
@@ -143,7 +140,7 @@ def test_batch_scoring_is_chunk_invariant(small_netlist, monkeypatch,
     """Any slice size returns exactly the deltas of one unsliced call."""
     config = PlacementConfig(alpha_ilv=1e-5, alpha_temp=alpha_temp,
                              num_layers=4, seed=0)
-    objective = _objective(small_netlist, config, trr=False)
+    objective = _objective(small_netlist, config)
     chip = objective.placement.chip
     rng = np.random.default_rng(31)
     movable = np.array([c.id for c in small_netlist.cells if c.movable])
@@ -172,7 +169,7 @@ def test_batch_scoring_memory_is_bounded(small_netlist):
     slice's: scoring memory does not grow with the batch."""
     config = PlacementConfig(alpha_ilv=1e-5, alpha_temp=4e-5,
                              num_layers=4, seed=0)
-    objective = _objective(small_netlist, config, trr=False)
+    objective = _objective(small_netlist, config)
     chunk = objective_module.BATCH_CHUNK
     rng = np.random.default_rng(37)
     movable = np.array([c.id for c in small_netlist.cells if c.movable])
@@ -224,7 +221,7 @@ def test_legalization_is_chunk_invariant(medium_netlist, monkeypatch):
 def test_batch_region_centers_match_scalar(small_netlist):
     """optimal_region_centers equals the scalar per-cell query."""
     config = PlacementConfig(alpha_ilv=1e-5, num_layers=4, seed=0)
-    objective = _objective(small_netlist, config, trr=False)
+    objective = _objective(small_netlist, config)
     movable = [c.id for c in small_netlist.cells if c.movable]
     centers = objective.optimal_region_centers(movable)
     assert centers.shape == (3, len(movable))
@@ -265,8 +262,6 @@ def test_pipeline_stages_preserve_consistency(small_netlist, alpha_temp):
     """check_consistency passes after every legalization stage."""
     config = PlacementConfig(alpha_ilv=1e-5, alpha_temp=alpha_temp,
                              num_layers=4, seed=0)
-    if config.thermal_enabled and config.use_trr_nets:
-        add_trr_nets(small_netlist)
     chip = make_chip(small_netlist, config.num_layers)
     placement = Placement.at_center(small_netlist, chip)
     power_model = PowerModel(small_netlist, config.tech)

@@ -1,6 +1,5 @@
 """Unit tests for wirelength/via metrics and the placement report."""
 
-import numpy as np
 import pytest
 
 from repro.geometry.chip import ChipGeometry
@@ -50,15 +49,6 @@ class TestComputeNetMetrics:
         assert m.total_wl == pytest.approx(float(m.wl.sum()))
         assert total_hpwl(placed_tiny) == pytest.approx(m.total_wl)
         assert total_ilv(placed_tiny) == m.total_ilv
-
-    def test_trr_nets_excluded(self, placed_tiny, tiny_netlist):
-        before = compute_net_metrics(placed_tiny).total_wl
-        tiny_netlist.add_net("__trr__c0", [(0, PinRole.SINK)],
-                             activity=0.0, is_trr=True)
-        after = compute_net_metrics(placed_tiny)
-        assert after.total_wl == pytest.approx(before)
-        assert after.wl_x[-1] == 0.0
-        assert after.ilv[-1] == 0
 
     def test_single_cell_net_zero(self, tiny_netlist, chip4):
         tiny_netlist.add_net("loop", [(0, PinRole.DRIVER)])

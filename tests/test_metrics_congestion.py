@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.metrics.congestion import CongestionMap, estimate_congestion
-from repro.netlist.net import PinRole
 from repro.netlist.placement import Placement
 from tests.conftest import make_chip
 
@@ -14,7 +13,7 @@ class TestEstimate:
         chip = make_chip(small_netlist)
         pl = Placement.random(small_netlist, chip, seed=2)
         cmap = estimate_congestion(pl, nx=8)
-        multi_pin = sum(1 for n in small_netlist.signal_nets()
+        multi_pin = sum(1 for n in small_netlist.nets
                         if len(n.unique_cell_ids) >= 2)
         assert cmap.horizontal.sum() == pytest.approx(multi_pin)
         assert cmap.vertical.sum() == pytest.approx(multi_pin)
@@ -40,15 +39,6 @@ class TestEstimate:
         a = estimate_congestion(spread, nx=8)
         b = estimate_congestion(clustered, nx=8)
         assert b.peak_to_average > a.peak_to_average
-
-    def test_trr_nets_ignored(self, small_netlist):
-        from repro.core.trrnets import add_trr_nets
-        chip = make_chip(small_netlist)
-        pl = Placement.random(small_netlist, chip, seed=2)
-        before = estimate_congestion(pl, nx=8).total.sum()
-        add_trr_nets(small_netlist)
-        after = estimate_congestion(pl, nx=8).total.sum()
-        assert after == pytest.approx(before)
 
     def test_empty_peak_to_average(self):
         cmap = CongestionMap(horizontal=np.zeros((2, 2)),

@@ -1,6 +1,5 @@
 """Tests for the alternative net-length models."""
 
-import numpy as np
 import pytest
 
 from repro.metrics.netmodels import (
@@ -12,7 +11,6 @@ from repro.netlist.net import PinRole
 from repro.netlist.netlist import Netlist
 from repro.netlist.placement import Placement
 from repro.geometry.chip import ChipGeometry
-from tests.conftest import make_chip
 
 
 def two_pin_case():
@@ -72,10 +70,3 @@ class TestCompareModels:
         b = compare_net_models(pl)
         assert a.hpwl == pytest.approx(40e-6)
         assert b.hpwl > a.hpwl
-
-    def test_trr_excluded(self, small_placement):
-        from repro.core.trrnets import add_trr_nets
-        before = compare_net_models(small_placement)
-        add_trr_nets(small_placement.netlist)
-        after = compare_net_models(small_placement)
-        assert after.hpwl == pytest.approx(before.hpwl)

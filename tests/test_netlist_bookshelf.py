@@ -9,7 +9,6 @@ import pytest
 
 from repro.geometry.chip import ChipGeometry
 from repro.netlist import bookshelf
-from repro.netlist.net import PinRole
 from repro.netlist.netlist import Netlist
 from repro.netlist.placement import Placement
 
@@ -185,16 +184,6 @@ class TestRoundTrip:
         out = str(tmp_path / "syn")
         bookshelf.write_bookshelf(out, nl)
         self._assert_round_trips(out, tmp_path)
-
-    def test_trr_nets_not_written(self, prefix, tmp_path):
-        nl = bookshelf.read_bookshelf(prefix)
-        nl.add_net("__trr__a", [(nl.cell("a").id, PinRole.SINK)],
-                   activity=0.0, is_trr=True)
-        out = str(tmp_path / "trr")
-        bookshelf.write_nets(out + ".nets", nl)
-        text = open(out + ".nets").read()
-        assert "__trr__" not in text
-        assert "NumNets : 2" in text
 
 
 class TestStreamingErrorPaths:

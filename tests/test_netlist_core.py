@@ -95,12 +95,6 @@ class TestNetlistQueries:
         assert tiny_netlist.driven_nets_of_cell(2) == [4]
         assert tiny_netlist.driven_nets_of_cell(5) == []
 
-    def test_signal_vs_trr_nets(self, tiny_netlist):
-        tiny_netlist.add_net("__trr__c0", [(0, PinRole.SINK)],
-                             activity=0.0, is_trr=True)
-        assert len(tiny_netlist.signal_nets()) == 5
-        assert len(tiny_netlist.trr_nets()) == 1
-
     def test_degree_histogram(self, tiny_netlist):
         hist = tiny_netlist.degree_histogram()
         assert hist == {3: 1, 2: 4}
@@ -154,10 +148,3 @@ class TestNetlistArrays:
 class TestValidation:
     def test_valid_netlist_passes(self, tiny_netlist):
         tiny_netlist.validate()
-
-    def test_trr_net_with_extra_pins_fails(self, tiny_netlist):
-        tiny_netlist.add_net("__trr__bad",
-                             [(0, PinRole.SINK), (1, PinRole.SINK)],
-                             activity=0.0, is_trr=True)
-        with pytest.raises(ValueError):
-            tiny_netlist.validate()

@@ -1,22 +1,11 @@
 """Unit tests for the dtype-minimized signal CSR and its caches."""
 
-import pickle
-
 import numpy as np
-import pytest
 
-from repro.netlist.csr import (build_signal_csr, clear_keyed_store,
-                               index_dtype, signal_csr)
+from repro.netlist.csr import build_signal_csr, index_dtype, signal_csr
 from repro.netlist.net import PinRole
 from repro.netlist.netlist import Netlist
 from repro.netlist.suite import load_benchmark
-
-
-@pytest.fixture(autouse=True)
-def _clean_keyed_store():
-    clear_keyed_store()
-    yield
-    clear_keyed_store()
 
 
 def _small_netlist():
@@ -48,18 +37,10 @@ class TestBuildSignalCSR:
         assert csr.pin_lists() == [[0, 1, 2], [2, 3]]
         assert csr.driver_lists() == [[0], [2]]
 
-    def test_excludes_trr_nets(self):
-        nl = _small_netlist()
-        nl.add_net("__trr__x", [(0, PinRole.SINK)], activity=0.0,
-                   is_trr=True)
-        csr = build_signal_csr(nl)
-        assert csr.num_nets == 2
-
     def test_matches_python_construction_on_suite(self):
         nl = load_benchmark("ibm01", scale=0.02, seed=0)
         csr = build_signal_csr(nl)
-        expected_ids = [net.id for net in nl.nets
-                        if not net.is_trr and net.pins]
+        expected_ids = [net.id for net in nl.nets if net.pins]
         assert csr.net_ids.tolist() == expected_ids
         nets = {net.id: net for net in nl.nets}
         for net_id, pins, drivers in zip(csr.net_ids.tolist(),
@@ -97,24 +78,3 @@ class TestSignalCSRCaching:
         again = signal_csr(nl)
         assert again is not first
         assert again.num_nets == 3
-
-    def test_trr_injection_preserves_cache(self):
-        nl = _small_netlist()
-        first = signal_csr(nl)
-        nl.add_net("__trr__x", [(0, PinRole.SINK)], activity=0.0,
-                   is_trr=True)
-        assert signal_csr(nl) is first
-
-    def test_content_key_shares_build_across_copies(self):
-        nl = _small_netlist()
-        nl.content_key = "test:key"
-        first = signal_csr(nl)
-        clone = pickle.loads(pickle.dumps(nl))
-        assert clone.content_key == "test:key"
-        assert signal_csr(clone) is first
-
-    def test_pickle_drops_derived_csr(self):
-        nl = _small_netlist()
-        signal_csr(nl)
-        clone = pickle.loads(pickle.dumps(nl))
-        assert clone._signal_csr is None

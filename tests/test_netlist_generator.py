@@ -1,15 +1,9 @@
 """Unit tests for the synthetic netlist generator and benchmark suite."""
 
-import math
-
 import numpy as np
 import pytest
 
-from repro.netlist.generator import (
-    DEFAULT_DEGREE_WEIGHTS,
-    GeneratorSpec,
-    generate_netlist,
-)
+from repro.netlist.generator import GeneratorSpec, generate_netlist
 from repro.netlist.suite import (
     SUITE_PROFILES,
     benchmark_names,

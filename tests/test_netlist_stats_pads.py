@@ -21,14 +21,6 @@ class TestSummarize:
         assert "cells 120" in text
         assert "degree histogram" in text
 
-    def test_excludes_trr_nets(self, tiny_netlist):
-        from repro.core.trrnets import add_trr_nets
-        before = summarize(tiny_netlist)
-        add_trr_nets(tiny_netlist)
-        after = summarize(tiny_netlist)
-        assert after.nets == before.nets
-        assert after.pins == before.pins
-
 
 class TestRentExponent:
     def test_local_netlist_sublinear(self):
@@ -104,4 +96,3 @@ class TestPads:
         for cell in small_netlist.fixed_cells():
             assert result.placement.position(cell.id) == \
                 cell.fixed_position
-

@@ -6,7 +6,6 @@ definitions, and its move deltas must price layer changes by the
 resistance profile.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.config import PlacementConfig

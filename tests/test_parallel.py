@@ -27,7 +27,7 @@ from repro.core.placer import Placer3D
 from repro.netlist.bookshelf import write_pl
 from repro.netlist.generator import GeneratorSpec, generate_netlist
 from repro.netlist.placement import Placement
-from repro.obs import Recorder, Telemetry, use_recorder
+from repro.obs import Recorder, Telemetry
 from repro.obs.manifest import config_hash
 from repro.obs.trace import SpanStats
 from repro.parallel import (ProcessPoolBackend, SerialBackend,

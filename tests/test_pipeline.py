@@ -4,7 +4,7 @@ Covers the stage registry (lookup, options validation, duplicates),
 PipelineSpec JSON round-trips with unknown-key rejection, unit-label
 enumeration, the default spec's equivalence to the historical flow,
 drop-in alternate global stages, the preempt hook's stop boundaries,
-and the context's idempotent TRR-net ownership.
+and that a run leaves its netlist untouched.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ from repro.core.placer import Placer3D
 from repro.core.stages import (Stage, available_stages, create_stage,
                                get_stage, register_stage)
 from repro.netlist.generator import GeneratorSpec, generate_netlist
+from repro.netlist.suite import load_benchmark
+from repro.obs import build_manifest
+from repro.service import netlist_hash
 
 
 def _netlist(num_cells: int = 60, seed: int = 11):
@@ -246,37 +249,24 @@ class TestHaltAfter:
         assert seen == default_pipeline_spec(config).units()
 
 
-class TestContextTrrOwnership:
-    def _thermal_config(self):
-        return PlacementConfig(alpha_ilv=1e-5, alpha_temp=1e-5,
-                               num_layers=2, seed=0)
-
-    def test_trr_injection_idempotent_across_contexts(self):
-        netlist = _netlist(30)
-        config = self._thermal_config()
-        first = PlacementContext.create(netlist, config)
-        nets_after_first = netlist.num_nets
-        second = PlacementContext.create(netlist, config)
-        assert netlist.num_nets == nets_after_first
-        assert first.trr_net_ids == second.trr_net_ids
-        assert len(first.trr_net_ids) == \
-            sum(1 for c in netlist.cells if c.movable)
-
-    def test_trr_skipped_when_thermal_off(self):
-        netlist = _netlist(30)
-        before = netlist.num_nets
-        ctx = PlacementContext.create(
-            netlist, PlacementConfig(alpha_ilv=1e-5, alpha_temp=0.0))
-        assert netlist.num_nets == before
-        assert ctx.trr_net_ids == {}
-
-    def test_rerunning_one_placer_does_not_duplicate_nets(self):
-        netlist = _netlist(30)
-        placer = Placer3D(netlist, self._thermal_config())
+class TestPlacerLeavesNetlistUnchanged:
+    def test_thermal_run_on_ibm01(self):
+        netlist = load_benchmark("ibm01", scale=0.02, seed=0)
+        pristine = load_benchmark("ibm01", scale=0.02, seed=0)
+        incidence = [list(netlist.nets_of_cell(cid))
+                     for cid in range(netlist.num_cells)]
+        config = PlacementConfig(alpha_temp=1e-5)
+        placer = Placer3D(netlist, config)
+        result = placer.run()
+        # TRR nets live in the bisection tasks, never in the netlist
+        assert netlist.num_nets == pristine.num_nets == 258
+        assert netlist_hash(netlist) == netlist_hash(pristine)
+        assert [netlist.nets_of_cell(cid)
+                for cid in range(netlist.num_cells)] == incidence
+        manifest = build_manifest(netlist, config, result)
+        assert manifest["circuit"]["num_nets"] == 258
         placer.run()
-        nets_after_first = netlist.num_nets
-        placer.run()
-        assert netlist.num_nets == nets_after_first
+        assert netlist.num_nets == 258
 
 
 class TestContextObjectiveLifecycle:

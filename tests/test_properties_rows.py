@@ -1,7 +1,6 @@
 """Property-based tests for the row-segment structure used by detailed
 legalization."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

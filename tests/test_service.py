@@ -21,9 +21,9 @@ import pytest
 from repro import obs
 from repro.core.checkpoint import CheckpointError
 from repro.core.config import PlacementConfig
-from repro.core.placer import Placer3D
 from repro.netlist.bookshelf import read_bookshelf, write_bookshelf
 from repro.netlist.generator import GeneratorSpec, generate_netlist
+from repro.netlist.net import PinRole
 from repro.obs.manifest import (EXECUTION_ONLY_KEYS, HASHED_CONFIG_KEYS,
                                 config_hash)
 from repro.service import (JOB_STATES, TERMINAL_STATES, JobError,
@@ -277,6 +277,17 @@ class TestCacheKeying:
             != netlist_hash(_netlist(seed=18))
         assert netlist_hash(_netlist(num_cells=40)) \
             != netlist_hash(_netlist(num_cells=41))
+
+    def test_netlist_hash_follows_added_cells_and_nets(self):
+        netlist = _netlist()
+        first = netlist_hash(netlist)
+        assert netlist_hash(netlist) == first  # cached on the netlist
+        netlist.add_cell("extra", 1e-6, 1e-6)
+        second = netlist_hash(netlist)
+        assert second != first
+        netlist.add_net("extra_net", [(0, PinRole.DRIVER),
+                                      (1, PinRole.SINK)])
+        assert netlist_hash(netlist) != second
 
 
 class TestConfigKeyClassification:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.netlist.net import PinRole
 from repro.netlist.placement import Placement
 from repro.thermal.analysis import analyze_placement
 from repro.thermal.power import PowerModel

@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.geometry.chip import ChipGeometry
 from repro.metrics.wirelength import NetMetrics, compute_net_metrics
-from repro.netlist.net import PinRole
-from repro.netlist.netlist import Netlist
 from repro.netlist.placement import Placement
-from repro.technology import TechnologyConfig
 from repro.thermal.power import PowerModel
 
 
@@ -52,13 +48,6 @@ class TestNetPower:
         metrics = manual_metrics(tiny_netlist, wl=0.0, ilv=0)
         powers = model.net_powers(metrics)
         assert np.all(powers > 0)  # input pin caps remain
-
-    def test_trr_nets_have_zero_power(self, tiny_netlist, tech):
-        tiny_netlist.add_net("__trr__c0", [(0, PinRole.SINK)],
-                             activity=0.0, is_trr=True)
-        model = PowerModel(tiny_netlist, tech)
-        metrics = manual_metrics(tiny_netlist)
-        assert model.net_powers(metrics)[-1] == 0.0
 
     def test_total_power_from_placement(self, tiny_netlist, tech, chip4):
         model = PowerModel(tiny_netlist, tech)

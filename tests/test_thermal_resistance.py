@@ -6,8 +6,7 @@ import pytest
 
 from repro.geometry.chip import ChipGeometry
 from repro.netlist.placement import Placement
-from repro.technology import TechnologyConfig
-from repro.thermal.resistance import ResistanceModel, VerticalProfile
+from repro.thermal.resistance import ResistanceModel
 
 
 @pytest.fixture

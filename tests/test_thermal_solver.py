@@ -7,7 +7,6 @@ import pytest
 
 from repro.geometry.chip import ChipGeometry
 from repro.netlist.placement import Placement
-from repro.technology import TechnologyConfig
 from repro.thermal.solver import ThermalSolver
 
 
