@@ -4,7 +4,7 @@ Covers the stage registry (lookup, options validation, duplicates),
 PipelineSpec JSON round-trips with unknown-key rejection, unit-label
 enumeration, the default spec's equivalence to the historical flow,
 drop-in alternate global stages, the preempt hook's stop boundaries,
-and that a run leaves its netlist untouched.
+and that neither a context nor a run adds nets to its netlist.
 """
 
 from __future__ import annotations
@@ -267,6 +267,42 @@ class TestPlacerLeavesNetlistUnchanged:
         assert manifest["circuit"]["num_nets"] == 258
         placer.run()
         assert netlist.num_nets == 258
+
+
+class TestContextTrrOwnership:
+    """TRR nets belong to the bisection tasks, not the caller's netlist."""
+
+    def _thermal_config(self):
+        return PlacementConfig(alpha_ilv=1e-5, alpha_temp=1e-5,
+                               num_layers=2, seed=0)
+
+    def test_trr_injection_idempotent_across_contexts(self):
+        netlist = _netlist(30)
+        before = netlist.num_nets
+        digest = netlist_hash(netlist)
+        config = self._thermal_config()
+        first = PlacementContext.create(netlist, config)
+        second = PlacementContext.create(netlist, config)
+        assert first.netlist is second.netlist is netlist
+        assert netlist.num_nets == before
+        assert netlist_hash(netlist) == digest
+
+    def test_trr_skipped_when_thermal_off(self):
+        netlist = _netlist(30)
+        before = netlist.num_nets
+        ctx = PlacementContext.create(
+            netlist, PlacementConfig(alpha_ilv=1e-5, alpha_temp=0.0))
+        assert ctx.netlist is netlist
+        assert netlist.num_nets == before
+
+    def test_rerunning_one_placer_does_not_duplicate_nets(self):
+        netlist = _netlist(30)
+        before = netlist.num_nets
+        placer = Placer3D(netlist, self._thermal_config())
+        placer.run()
+        assert netlist.num_nets == before
+        placer.run()
+        assert netlist.num_nets == before
 
 
 class TestContextObjectiveLifecycle:
