@@ -19,6 +19,7 @@ be checkpointed to disk and reloaded.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -73,12 +74,20 @@ def _header_count(path: str, line: str, key: str) -> int:
 
 
 def _number(path: str, line: str, token: str) -> float:
-    """``float(token)``, or a ``ValueError`` naming the file and line."""
+    """``float(token)``, or a ``ValueError`` naming the file and line.
+
+    ``float`` also parses ``nan`` and ``inf``; neither is a size or a
+    coordinate, so both are rejected too.
+    """
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ValueError(
             f"{path}: non-numeric value {token!r} in {line!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(
+            f"{path}: non-finite value {token!r} in {line!r}")
+    return value
 
 
 def read_nodes(path: str, netlist: Netlist, unit: float = 1e-6,
@@ -99,9 +108,9 @@ def read_nodes(path: str, netlist: Netlist, unit: float = 1e-6,
 
     Raises:
         ValueError: missing/malformed ``NumNodes`` header, a node line
-            without dimensions or with a non-numeric one, more nodes
-            than declared, or a truncated file (fewer nodes than
-            declared).
+            without dimensions or with a non-numeric or non-finite one,
+            more nodes than declared, or a truncated file (fewer nodes
+            than declared).
     """
     num_nodes = -1
     names: List[str] = []
@@ -288,7 +297,7 @@ def read_pl(path: str, netlist: Netlist, unit: float = 1e-6
 
     Raises:
         ValueError: an unknown cell, a line with fewer than three
-            fields, or a non-numeric coordinate.
+            fields, or a non-numeric or non-finite coordinate.
     """
     positions: Dict[str, Tuple[float, float, int]] = {}
     for line in _iter_content_lines(path):

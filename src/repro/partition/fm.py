@@ -11,6 +11,25 @@ locks them, and finally rolls back to the best prefix seen — exactly the
 FM schedule, with a balance window ``[target - tol, target + tol]`` on
 part 0's share of the free vertex weight.
 
+Whether the window allows a move depends only on the vertex's side, its
+weight and part 0's current weight ``weight0``, so entries it blocks
+are held outside the heap, in one *held group* per (side, weight), and
+are not popped again until their group is admitted.  After each move a
+side's waiting groups are admitted lightest-first while the balance
+allows them: inside the window the allowed weights form a threshold
+(side 0 needs ``lo <= weight0 - w``, side 1 ``weight0 + w <= hi``, for
+finite non-negative weights), and outside it every group is admitted
+and the pop decides.  An admitted group keeps only its best entry in
+the heap; when that entry leaves the heap (moved, stale or blocked
+again) the group's next live entry replaces it if the group is still
+admitted, otherwise the group waits.  A vertex's group is fixed when
+the pass starts, so a moved vertex's stale entries belong to the side
+it left.  The selected vertex cannot change: a waiting group is blocked
+at the current balance, and every live entry of an admitted group is
+in the heap or held behind a group entry there with no larger key, so
+the first legal live entry popped is still the legal unlocked vertex
+with the smallest ``(-gain, noise, vertex)`` key.
+
 The move loop deliberately uses plain Python lists: the hypergraphs have
 tiny nets, where list indexing beats NumPy scalar access several-fold,
 and this loop dominates total placement runtime.  The *setup* of each
@@ -35,6 +54,9 @@ from repro.partition.hypergraph import FREE, Hypergraph
 #: Below this many total pins the scalar setup path is used: NumPy's
 #: per-call overhead beats the loop only once there is real data.
 VECTOR_MIN_PINS = 256
+
+#: A move candidate: ``(-gain, noise, vertex, stamp)``.
+_Entry = Tuple[float, float, int, int]
 
 
 def _side_counts(graph: Hypergraph, side: IntArray
@@ -106,6 +128,11 @@ class FMRefiner:
         # scalar access several-fold
         self._vw: List[float] = graph.vertex_weights.tolist()
         self._free: List[bool] = (graph.fixed == FREE).tolist()
+        # distinct vertex weights, ascending, and each vertex's index
+        # into them: the weight classes of the pass's held groups
+        self._class_w: List[float] = sorted(set(self._vw))
+        index = {w: c for c, w in enumerate(self._class_w)}
+        self._class: List[int] = [index[w] for w in self._vw]
 
     # ------------------------------------------------------------------
     @contract(shapes={"parts": ("v",)}, dtypes={"parts": np.integer})
@@ -168,11 +195,37 @@ class FMRefiner:
         locked = [False] * n
         stamp = [0] * n
         noise = self.rng.random(n).tolist()
-        heap: List[Tuple[float, float, int, int]] = [
+        heap: List[_Entry] = [
             (-gains[v], noise[v], v, 0) for v in range(n) if free[v]]
         heapq.heapify(heap)
         heappop = heapq.heappop
         heappush = heapq.heappush
+
+        # Held groups (module docstring): group 2*c + s holds the
+        # blocked entries of side-s vertices of weight class c, with
+        # sides as the pass starts.  ``rep[gid]`` is an admitted
+        # group's entry in the heap; ``waiting[s]`` holds side s's
+        # waiting groups, lightest class first.
+        class_w = self._class_w
+        grp = [c + c + s for c, s in zip(self._class, side)]
+        n_grp = 2 * len(class_w)
+        held: List[List[_Entry]] = [[] for _ in range(n_grp)]
+        rep: List[Optional[_Entry]] = [None] * n_grp
+        admitted = [True] * n_grp
+        waiting: Tuple[List[int], List[int]] = ([], [])
+        wait0, wait1 = waiting
+
+        def admit(gid: int) -> None:
+            """Admit group ``gid``: its best live entry enters the heap."""
+            admitted[gid] = True
+            h = held[gid]
+            while h:
+                it = heappop(h)
+                u = it[2]
+                if not locked[u] and it[3] == stamp[u]:
+                    rep[gid] = it
+                    heappush(heap, it)
+                    return
 
         moves: List[int] = []
         cum_gain = 0.0
@@ -186,12 +239,16 @@ class FMRefiner:
         best_key = (viol0, 0.0)
         best_gain = 0.0
         best_prefix = 0
-        deferred: List[Tuple[float, float, int, int]] = []
 
         while heap:
             item = heappop(heap)
             neg_gain, _, v, st = item
+            gid = grp[v]
             if locked[v] or st != stamp[v]:
+                if item is rep[gid]:
+                    rep[gid] = None
+                    if admitted[gid]:
+                        admit(gid)
                 continue
             w = vw[v]
             new_w0 = weight0 - w if side[v] == 0 else weight0 + w
@@ -205,16 +262,24 @@ class FMRefiner:
                 else:
                     legal = False
                 if not legal:
-                    # Set aside until the balance changes (the next
-                    # applied move re-queues it).  Every pop consumes a
-                    # heap entry, so the pass terminates.
-                    deferred.append(item)
+                    # Every entry of the group is blocked until the
+                    # balance changes: hold it, and the group waits.
+                    # Only a move re-admits it, so between moves no
+                    # entry is popped twice and the pass terminates.
+                    if item is rep[gid]:
+                        rep[gid] = None
+                    heappush(held[gid], item)
+                    if admitted[gid]:
+                        admitted[gid] = False
+                        heappush(waiting[gid & 1], gid)
                     continue
-            if deferred:
-                for it in deferred:
-                    if not locked[it[2]]:
-                        heappush(heap, it)
-                deferred.clear()
+            if item is rep[gid]:
+                rep[gid] = None
+                if held[gid]:
+                    # the group waits; the post-move admission puts its
+                    # next entry in the heap if the new balance allows
+                    admitted[gid] = False
+                    heappush(waiting[gid & 1], gid)
 
             # ---- apply the move with FM critical-net gain updates ----
             frm = side[v]
@@ -267,7 +332,25 @@ class FMRefiner:
                 if d:
                     gains[u] += d
                     stamp[u] += 1
-                    heappush(heap, (-gains[u], noise[u], u, stamp[u]))
+                    gu = grp[u]
+                    heappush(heap if admitted[gu] else held[gu],
+                             (-gains[u], noise[u], u, stamp[u]))
+
+            # Admit the waiting groups the new balance allows.  Inside
+            # the window a move is legal exactly when it stays inside,
+            # which for non-negative weights admits a side's classes
+            # lightest-first up to a threshold; outside it, legality is
+            # left to the pop.
+            if lo <= weight0 <= hi:
+                while wait0 and lo <= weight0 - class_w[wait0[0] >> 1]:
+                    admit(heappop(wait0))
+                while wait1 and weight0 + class_w[wait1[0] >> 1] <= hi:
+                    admit(heappop(wait1))
+            else:
+                for gid in wait0 + wait1:
+                    admit(gid)
+                wait0.clear()
+                wait1.clear()
 
         # roll back to the best prefix
         for v in moves[best_prefix:]:

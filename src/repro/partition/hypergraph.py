@@ -56,6 +56,11 @@ class Hypergraph:
                                else np.asarray(vertex_weights, dtype=float))
         if self.vertex_weights.shape != (self.num_vertices,):
             raise ValueError("vertex_weights length mismatch")
+        # FM's balance rule relies on finite, non-negative weights
+        if not (np.isfinite(self.vertex_weights).all()
+                and (self.vertex_weights >= 0).all()):
+            raise ValueError("vertex weights must be finite and "
+                             "non-negative")
         self.fixed = (np.full(self.num_vertices, FREE, dtype=np.int64)
                       if fixed is None
                       else np.asarray(fixed, dtype=np.int64))

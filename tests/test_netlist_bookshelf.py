@@ -308,6 +308,14 @@ class TestStreamingErrorPaths:
                 f"{path}: non-numeric value 'tall' in 'a 2.0 tall'")):
             bookshelf.read_nodes(path, Netlist("t"))
 
+    @pytest.mark.parametrize("size", ["nan", "inf"])
+    def test_nodes_non_finite_size(self, tmp_path, size):
+        path = self._nodes(
+            tmp_path, f"UCLA nodes 1.0\nNumNodes : 1\n  a 2.0 {size}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: non-finite value '{size}' in 'a 2.0 {size}'")):
+            bookshelf.read_nodes(path, Netlist("t"))
+
     def _pl(self, tmp_path, text):
         path = tmp_path / "bad.pl"
         path.write_text(text)
@@ -323,4 +331,10 @@ class TestStreamingErrorPaths:
         path = self._pl(tmp_path, "UCLA pl 1.0\n  a 1.0 y0 0\n")
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: non-numeric value 'y0' in 'a 1.0 y0 0'")):
+            bookshelf.read_pl(path, self._netlist_ab())
+
+    def test_pl_non_finite_coordinate(self, tmp_path):
+        path = self._pl(tmp_path, "UCLA pl 1.0\n  a -inf 1.0 0\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: non-finite value '-inf' in 'a -inf 1.0 0'")):
             bookshelf.read_pl(path, self._netlist_ab())

@@ -1,10 +1,149 @@
 """Unit tests for FM refinement."""
 
+import heapq
+from typing import Dict, List, Tuple
+
 import numpy as np
 import pytest
 
 from repro.partition.fm import FMRefiner, cut_cost
 from repro.partition.hypergraph import FREE, Hypergraph
+
+
+class ReferenceFM(FMRefiner):
+    """FM with the plain deferred-list pass: every entry the balance
+    window blocks is set aside and pushed back after the next move.
+    The reference the held-group pass must match move for move."""
+
+    def _pass(self, side: List[int]) -> Tuple[float, int, int]:
+        """One FM pass over ``side`` (mutated in place).
+
+        Returns:
+            ``(improvement, kept_moves, rolled_back)`` — the cut
+            improvement of the kept prefix (may be negative if the
+            prefix was kept to repair an out-of-window balance), its
+            length, and the number of tentative moves undone.
+        """
+        g = self.graph
+        n = g.num_vertices
+        nets = g.nets
+        net_w = g.net_weights
+        vnets = g.vertex_nets_all()
+        vw = self._vw
+        free = self._free
+
+        counts, gains, weight0 = self._pass_setup(side, free, vw)
+
+        locked = [False] * n
+        stamp = [0] * n
+        noise = self.rng.random(n).tolist()
+        heap: List[Tuple[float, float, int, int]] = [
+            (-gains[v], noise[v], v, 0) for v in range(n) if free[v]]
+        heapq.heapify(heap)
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+
+        moves: List[int] = []
+        cum_gain = 0.0
+        lo, hi = self.lo, self.hi
+
+        # Best prefix: feasibility (smallest balance violation) first,
+        # then cut gain — otherwise moves that only repair an
+        # out-of-window start would always be rolled back.
+        viol0 = lo - weight0 if weight0 < lo else (
+            weight0 - hi if weight0 > hi else 0.0)
+        best_key = (viol0, 0.0)
+        best_gain = 0.0
+        best_prefix = 0
+        deferred: List[Tuple[float, float, int, int]] = []
+
+        while heap:
+            item = heappop(heap)
+            neg_gain, _, v, st = item
+            if locked[v] or st != stamp[v]:
+                continue
+            w = vw[v]
+            new_w0 = weight0 - w if side[v] == 0 else weight0 + w
+            # legality check (inlined): inside the window, or at least
+            # reducing an existing violation
+            if not (lo <= new_w0 <= hi):
+                if weight0 < lo:
+                    legal = new_w0 > weight0
+                elif weight0 > hi:
+                    legal = new_w0 < weight0
+                else:
+                    legal = False
+                if not legal:
+                    # Set aside until the balance changes (the next
+                    # applied move re-queues it).  Every pop consumes a
+                    # heap entry, so the pass terminates.
+                    deferred.append(item)
+                    continue
+            if deferred:
+                for it in deferred:
+                    if not locked[it[2]]:
+                        heappush(heap, it)
+                deferred.clear()
+
+            # ---- apply the move with FM critical-net gain updates ----
+            frm = side[v]
+            to = 1 - frm
+            delta: Dict[int, float] = {}
+            dget = delta.get
+            for e in vnets[v]:
+                pins = nets[e]
+                we = net_w[e]
+                c = counts[e]
+                t_before = c[to]
+                if t_before == 0:
+                    for u in pins:
+                        if u != v and free[u] and not locked[u]:
+                            delta[u] = dget(u, 0.0) + we
+                elif t_before == 1:
+                    for u in pins:
+                        if side[u] == to:
+                            if free[u] and not locked[u]:
+                                delta[u] = dget(u, 0.0) - we
+                            break
+                c[frm] -= 1
+                c[to] += 1
+                f_after = c[frm]
+                if f_after == 0:
+                    for u in pins:
+                        if u != v and free[u] and not locked[u]:
+                            delta[u] = dget(u, 0.0) - we
+                elif f_after == 1:
+                    for u in pins:
+                        if u != v and side[u] == frm:
+                            if free[u] and not locked[u]:
+                                delta[u] = dget(u, 0.0) + we
+                            break
+            side[v] = to
+            weight0 = new_w0
+            locked[v] = True
+            moves.append(v)
+            cum_gain += -neg_gain
+            viol = lo - weight0 if weight0 < lo else (
+                weight0 - hi if weight0 > hi else 0.0)
+            if (viol < best_key[0] - 1e-15
+                    or (abs(viol - best_key[0]) <= 1e-15
+                        and -cum_gain < best_key[1] - 1e-15)):
+                best_key = (viol, -cum_gain)
+                best_gain = cum_gain
+                best_prefix = len(moves)
+
+            for u, d in delta.items():
+                if d:
+                    gains[u] += d
+                    stamp[u] += 1
+                    heappush(heap, (-gains[u], noise[u], u, stamp[u]))
+
+        # roll back to the best prefix
+        for v in moves[best_prefix:]:
+            side[v] = 1 - side[v]
+        return best_gain, best_prefix, len(moves) - best_prefix
+
+
 
 
 def two_cliques() -> Hypergraph:
@@ -35,10 +174,10 @@ class TestRefine:
         refiner = FMRefiner(g, rng=np.random.default_rng(0))
         cut = refiner.refine(parts)
         assert cut == pytest.approx(1.0)
-        assert set(parts[:3]) != set(parts[3:]) or True
         # the two triangles must be separated
         assert parts[0] == parts[1] == parts[2]
         assert parts[3] == parts[4] == parts[5]
+        assert parts[0] != parts[3]
 
     def test_never_worsens_balanced_starts(self):
         rng = np.random.default_rng(3)
@@ -110,3 +249,77 @@ class TestRefine:
             FMRefiner(g, target=0.0)
         with pytest.raises(ValueError):
             FMRefiner(g, tolerance=-0.1)
+
+
+def random_instance(classes: int, n: int, start: float, seed: int
+                    ) -> Tuple[Hypergraph, np.ndarray]:
+    """A seeded random hypergraph and start for the pass comparison.
+
+    ``n`` free vertices draw their weights from ``classes`` distinct
+    values; with two or more classes, one of them is 0 (zero-weight
+    free vertices).  Odd seeds use small integer weights, so moves can
+    land exactly on a window edge; even seeds draw them at random.
+    Four zero-weight terminals are fixed, two to each side.  A share
+    ``start`` of the free vertices starts on side 1.
+    """
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        pool = np.arange(1.0, classes + 1.0)
+    else:
+        pool = rng.uniform(0.3, 3.0, classes)
+    if classes > 1:
+        pool[0] = 0.0
+    weights = np.concatenate([pool[np.arange(n) % classes],
+                              np.zeros(4)])
+    total = n + 4
+    fixed = [FREE] * n + [0, 1, 0, 1]
+    nets = [rng.choice(total, size=int(rng.integers(2, 6)),
+                       replace=False).tolist()
+            for _ in range(2 * n)]
+    if seed % 3:
+        net_w = rng.integers(1, 4, len(nets)).astype(float)
+    else:
+        net_w = rng.uniform(0.1, 2.0, len(nets))
+    graph = Hypergraph(total, nets, net_w, weights, fixed)
+    parts = (rng.random(total) < start).astype(np.int64)
+    parts[n:] = [0, 1, 0, 1]
+    return graph, parts
+
+
+# (weight classes, free vertices, tolerance, target, share on side 1)
+PASS_CASES = [
+    (classes, n, tol, target, start)
+    for classes, n in ((1, 40), (2, 120), (3, 500), (6, 200), (40, 300))
+    for start in (0.05, 0.5, 0.9)
+    for tol, target in ((0.0, 0.5), (0.02 + 0.015 * (classes % 3), 0.3))
+]
+
+
+class TestHeldGroupsMatchReference:
+    """The held-group pass makes exactly the moves of the deferred-list
+    pass it replaced: same gains, prefixes and sides, pass by pass."""
+
+    @pytest.mark.parametrize("classes,n,tol,target,start", PASS_CASES)
+    def test_passes_and_refine_match(self, classes, n, tol, target,
+                                     start):
+        seed = classes + n + int(100 * start) + int(1000 * tol)
+        graph, parts = random_instance(classes, n, start, seed)
+        new = FMRefiner(graph, target, tol, np.random.default_rng(seed))
+        ref = ReferenceFM(graph, target, tol,
+                          np.random.default_rng(seed))
+        side_new = parts.tolist()
+        side_ref = parts.tolist()
+        for _ in range(6):
+            assert new._pass(side_new) == ref._pass(side_ref)
+            assert side_new == side_ref
+
+        parts_new = parts.copy()
+        parts_ref = parts.copy()
+        cost_new = FMRefiner(graph, target, tol,
+                             np.random.default_rng(seed)
+                             ).refine(parts_new)
+        cost_ref = ReferenceFM(graph, target, tol,
+                               np.random.default_rng(seed)
+                               ).refine(parts_ref)
+        assert cost_new == cost_ref
+        assert parts_new.tolist() == parts_ref.tolist()
