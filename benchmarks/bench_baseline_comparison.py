@@ -4,17 +4,14 @@ random.
 The paper motivates a partitioning-based approach for 3D placement
 (Section 1); this benchmark quantifies that choice against the two
 reference placers built on the *same* objective, legalizer and metrics:
-a random-start baseline and a classic range-limited annealer.  The
+a random-start baseline and a classic range-limited annealer.  All three
+run through ``Placer3D``; the baselines are pipeline specs.  The
 bisection placer must win on the objective at comparable runtime.
 """
 
 from common import SCALE, SeriesWriter
 from repro import Placer3D, PlacementConfig, load_benchmark
-from repro.core.baseline import (
-    AnnealingPlacer,
-    AnnealingSchedule,
-    random_baseline,
-)
+from repro.core.pipeline import PipelineSpec, StageEntry
 
 
 def run_comparison():
@@ -27,15 +24,18 @@ def run_comparison():
     config = PlacementConfig(alpha_ilv=1e-5, alpha_temp=0.0,
                              num_layers=4, seed=0)
 
-    results = {}
+    specs = {
+        "random+legalize": PipelineSpec(entries=(
+            StageEntry("random"), StageEntry("detailed"))),
+        "simulated annealing": PipelineSpec(entries=(
+            StageEntry("random"),
+            StageEntry("anneal", {"moves_per_cell": 80, "stages": 24}),
+            StageEntry("detailed"))),
+        "recursive bisection": None,
+    }
     netlist = load_benchmark("ibm01", scale=SCALE)
-    results["random+legalize"] = random_baseline(netlist, config)
-    netlist = load_benchmark("ibm01", scale=SCALE)
-    results["simulated annealing"] = AnnealingPlacer(
-        netlist, config, schedule=AnnealingSchedule(
-            moves_per_cell=80, stages=24)).run()
-    netlist = load_benchmark("ibm01", scale=SCALE)
-    results["recursive bisection"] = Placer3D(netlist, config).run()
+    results = {label: Placer3D(netlist, config, spec=spec).run()
+               for label, spec in specs.items()}
 
     for label, r in results.items():
         writer.row(f"{label:<22} {r.objective:>12.5e} "

@@ -31,7 +31,7 @@ def run_effort():
         netlist = load_benchmark("ibm01", scale=SCALE)
         config = PlacementConfig(alpha_ilv=1e-5, alpha_temp=0.0,
                                  num_layers=4, seed=0, **knobs)
-        results[label] = Placer3D(netlist, config).run(check=True)
+        results[label] = Placer3D(netlist, config).run()
 
     base = results["default"]
     for label, result in results.items():

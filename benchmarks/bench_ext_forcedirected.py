@@ -5,13 +5,13 @@ The paper's introduction argues that partitioning-based placement suits
 designs may lack the encompassing pad arrangement those methods lean
 on.  This study places the same padless circuits with both paradigms —
 the recursive-bisection flow and a clique-model quadratic placer with
-rank spreading — sharing the objective and legalizer, and reports the
-gap.
+rank spreading (the spec ``[quadratic, detailed]``) — sharing the
+objective and legalizer, and reports the gap.
 """
 
 from common import SCALE, SeriesWriter, suite_subset
 from repro import Placer3D, PlacementConfig, load_benchmark
-from repro.core.quadratic import QuadraticPlacer
+from repro.core.pipeline import PipelineSpec, StageEntry
 
 
 def run_forcedirected():
@@ -22,13 +22,14 @@ def run_forcedirected():
                f"{'quadratic obj':>14} {'gap':>7}")
     config = PlacementConfig(alpha_ilv=1e-5, alpha_temp=0.0,
                              num_layers=4, seed=0)
+    quadratic = PipelineSpec(entries=(StageEntry("quadratic"),
+                                      StageEntry("detailed")))
     wins = 0
     total = 0
     for circuit in suite_subset()[:3]:
         netlist = load_benchmark(circuit, scale=SCALE)
         bis = Placer3D(netlist, config).run()
-        netlist = load_benchmark(circuit, scale=SCALE)
-        quad = QuadraticPlacer(netlist, config).run()
+        quad = Placer3D(netlist, config, spec=quadratic).run()
         gap = (quad.objective / bis.objective - 1) * 100
         wins += bis.objective < quad.objective
         total += 1

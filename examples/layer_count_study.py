@@ -35,7 +35,7 @@ def main() -> None:
         netlist = load_benchmark("ibm01", scale=scale)
         config = PlacementConfig(alpha_ilv=1e-5, alpha_temp=0.0,
                                  num_layers=layers, seed=0)
-        result = Placer3D(netlist, config).run(check=True)
+        result = Placer3D(netlist, config).run()
         report = evaluate_placement(result.placement, config.tech)
         if baseline_wl is None:
             baseline_wl = report.wirelength

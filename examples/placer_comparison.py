@@ -2,7 +2,8 @@
 
 Places one circuit with the paper's partitioning-based flow, a classic
 simulated annealer and a random+legalize baseline — all sharing the same
-objective, legalizer and metrics — then prints objective quality,
+objective, legalizer and metrics, and all run through ``Placer3D``: the
+baselines are pipeline specs — then prints objective quality,
 congestion statistics and a density map of the winner's bottom layer.
 
 Run:
@@ -12,11 +13,7 @@ Run:
 import sys
 
 from repro import Placer3D, PlacementConfig, load_benchmark
-from repro.core.baseline import (
-    AnnealingPlacer,
-    AnnealingSchedule,
-    random_baseline,
-)
+from repro.core.pipeline import PipelineSpec, StageEntry
 from repro.metrics import estimate_congestion
 from repro import viz
 
@@ -26,16 +23,19 @@ def main() -> None:
     config = PlacementConfig(alpha_ilv=1e-5, alpha_temp=0.0,
                              num_layers=4, seed=0)
 
-    runs = {}
+    specs = {
+        "random+legalize": PipelineSpec(entries=(
+            StageEntry("random"), StageEntry("detailed"))),
+        "simulated annealing": PipelineSpec(entries=(
+            StageEntry("random"),
+            StageEntry("anneal", {"moves_per_cell": 60, "stages": 20}),
+            StageEntry("detailed"))),
+        "recursive bisection": None,  # the paper's default flow
+    }
     print(f"Placing ibm01 (scale {scale}) three ways...\n")
     netlist = load_benchmark("ibm01", scale=scale)
-    runs["random+legalize"] = random_baseline(netlist, config)
-    netlist = load_benchmark("ibm01", scale=scale)
-    runs["simulated annealing"] = AnnealingPlacer(
-        netlist, config,
-        schedule=AnnealingSchedule(moves_per_cell=60, stages=20)).run()
-    netlist = load_benchmark("ibm01", scale=scale)
-    runs["recursive bisection"] = Placer3D(netlist, config).run()
+    runs = {label: Placer3D(netlist, config, spec=spec).run()
+            for label, spec in specs.items()}
 
     print(f"{'placer':<22} {'objective':>12} {'WL (mm)':>9} "
           f"{'ILVs':>6} {'congestion':>11} {'time (s)':>9}")

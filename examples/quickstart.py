@@ -41,7 +41,7 @@ def main() -> None:
 
     print("Placing (global -> moves/swaps -> cell shifting -> detailed "
           "legalization)...")
-    result = placer.run(check=True)
+    result = placer.run()
     print(f"  done in {result.runtime_seconds:.1f}s "
           f"({ {k: round(v, 2) for k, v in result.stage_seconds.items()} })")
 

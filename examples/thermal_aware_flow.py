@@ -38,7 +38,7 @@ def run(alpha_temp: float, scale: float):
     netlist = load_benchmark("ibm01", scale=scale)
     config = PlacementConfig(alpha_ilv=1e-5, alpha_temp=alpha_temp,
                              num_layers=4, seed=0)
-    result = Placer3D(netlist, config).run(check=True)
+    result = Placer3D(netlist, config).run()
     report = evaluate_placement(result.placement, config.tech)
     fractions = layer_power_fractions(result.placement, config.tech)
     return result, report, fractions

@@ -51,7 +51,12 @@ The ``place`` pipeline is composable: ``--pipeline SPEC.json`` runs a
 custom stage sequence (see ``repro.core.pipeline``), and with
 ``--checkpoint-dir`` the run state is serialized after every stage
 boundary so ``--resume`` continues an interrupted run bit-identically.
-``--halt-after UNIT`` stops at a named boundary (testing/drills).
+``--halt-after UNIT`` stops at a named boundary (testing/drills).  The
+baselines are specs too: ``[random, detailed]``, ``[random, anneal,
+detailed]`` and ``[quadratic, detailed]``.  Every finished run ends
+with the check its spec implies — full legality when the spec ends
+with ``detailed`` (``refine`` may follow), else die and layer bounds —
+and a failed check fails the job: ``place`` exits 1.
 
 Verbosity: ``-v`` shows per-stage progress (INFO), ``-vv`` debug,
 ``-q`` errors only.  ``--telemetry-out PREFIX`` writes
@@ -246,9 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
     job_submit.add_argument("--alpha-temp", type=float, default=0.0)
     job_submit.add_argument("--layers", type=int, default=4)
     job_submit.add_argument("--seed", type=int, default=0)
-    job_submit.add_argument("--check", action="store_true",
-                            help="assert legality of the final "
-                                 "placement")
     job_submit.add_argument("--label", help="display label")
     job_submit.add_argument("--wait", action="store_true",
                             help="block until the job reaches a "
@@ -368,8 +370,7 @@ def _cmd_place(args) -> int:
             config=config.to_dict(), circuit=args.circuit,
             bookshelf=args.bookshelf, scale=args.scale,
             spec=(PipelineSpec.from_json_file(args.pipeline).to_dict()
-                  if args.pipeline else None),
-            check=True)
+                  if args.pipeline else None))
         job_id = engine.submit(request, netlist=netlist)
         return _place_job(args, netlist, config, engine, job_id)
     finally:
@@ -414,6 +415,13 @@ def _place_job(args, netlist, config, engine, job_id) -> int:
                                     resume=args.resume, preempt=halt)
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        # the engine has parked the job as failed with this error; the
+        # traceback shows at -vv
+        obs.get_logger("cli").debug("job %s failed", job_id,
+                                    exc_info=True)
+        print(f"job {job_id} failed: {exc}", file=sys.stderr)
         return 1
     finally:
         if profiler is not None:
@@ -587,7 +595,7 @@ def _job_request_from_args(args) -> JobRequest:
         num_layers=args.layers, seed=args.seed, num_workers=1)
     return JobRequest(config=config.to_dict(), circuit=args.circuit,
                       bookshelf=args.bookshelf, scale=args.scale,
-                      label=args.label, check=args.check)
+                      label=args.label)
 
 
 def _cmd_job(args) -> int:

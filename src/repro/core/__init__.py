@@ -14,10 +14,11 @@ Pipeline (Section 6 of the paper):
 Everything optimizes the single objective of Eq. 3, implemented
 incrementally in :mod:`~repro.core.objective`.
 
-The one-call entry point is :class:`~repro.core.placer.Placer3D`.
+The one-call entry point is :class:`~repro.core.placer.Placer3D`; the
+comparison baselines (random, annealing, quadratic) run through it as
+pipeline specs (see :mod:`repro.core.stages`).
 """
 
-from repro.core.baseline import AnnealingPlacer, random_baseline
 from repro.core.checkpoint import (CheckpointError, has_checkpoint,
                                    load_checkpoint, save_checkpoint)
 from repro.core.config import PlacementConfig
@@ -27,14 +28,12 @@ from repro.core.pipeline import (PipelineHalted, PipelineSpec,
                                  PlacementPipeline, RepeatEntry,
                                  StageEntry, default_pipeline_spec)
 from repro.core.placer import Placer3D, PlacementResult
-from repro.core.quadratic import QuadraticPlacer
 from repro.core.refine import LegalRefiner
 from repro.core.stages import (Stage, available_stages, create_stage,
                                get_stage, register_stage)
 
 __all__ = ["PlacementConfig", "ObjectiveState", "Placer3D",
-           "PlacementResult", "AnnealingPlacer", "QuadraticPlacer",
-           "random_baseline", "LegalRefiner",
+           "PlacementResult", "LegalRefiner",
            "PlacementContext", "PipelineSpec", "StageEntry",
            "RepeatEntry", "PlacementPipeline", "PipelineHalted",
            "default_pipeline_spec",

@@ -1,191 +1,122 @@
-"""Baseline placers for comparison experiments.
+"""Simulated-annealing baseline: the loop behind the ``anneal`` stage.
 
 The paper's contribution is a *partitioning-based* 3D placer; its
 introduction surveys nonlinear, quadratic/force-directed and simulated-
-annealing alternatives [1-6].  To let the benchmark harness demonstrate
-where recursive bisection stands, this module provides two reference
-points built on the same objective, legalizer and metrics:
+annealing alternatives [1-6].  The baselines that show where recursive
+bisection stands are pipeline specs over the same objective, legalizer
+and metrics:
 
-- :func:`random_baseline` — uniform random positions, then detailed
+- ``[random, detailed]`` — uniform random positions, then detailed
   legalization.  The floor any real placer must clear.
-- :class:`AnnealingPlacer` — a classic low-temperature-window simulated
-  annealer over cell positions (range-limited displacements and cell
-  swaps under the Metropolis rule), then detailed legalization.  With a
-  modest move budget it is the "straightforward alternative" a
+- ``[random, anneal, detailed]`` — a classic low-temperature-window
+  simulated annealer over cell positions (range-limited displacements
+  and cell swaps under the Metropolis rule) from the random start.
+  With a modest move budget it is the "straightforward alternative" a
   practitioner would try first; the recursive-bisection placer should
   beat it at equal-ish runtime on anything non-trivial.
+- ``[quadratic, detailed]`` — the force-directed paradigm
+  (:mod:`repro.core.quadratic`).
+
+This module holds the annealing loop; the stage registry wraps it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import List
 
 import numpy as np
 
-from repro.core.config import PlacementConfig
-from repro.core.context import auto_chip
-from repro.core.detailed import DetailedLegalizer
 from repro.core.objective import ObjectiveState
-from repro.core.result import PlacementResult
-from repro.geometry.chip import ChipGeometry
-from repro.netlist.netlist import Netlist
-from repro.netlist.placement import Placement
-from repro.obs import Stopwatch
+
+#: Target fraction of uphill moves accepted at the starting temperature
+#: (calibrated from sampled deltas).
+INITIAL_ACCEPTANCE = 0.5
+
+#: Geometric temperature decay per temperature stage.
+COOLING = 0.85
+
+#: Fraction of attempts that are two-cell swaps rather than single-cell
+#: displacements.
+SWAP_FRACTION = 0.3
+
+#: Offset of the annealer's random stream from the config seed, so it
+#: never replays the random start's draws.
+SEED_OFFSET = 40_487
 
 
-def _auto_chip(netlist: Netlist, config: PlacementConfig) -> ChipGeometry:
-    return auto_chip(netlist, config)
-
-
-def random_baseline(netlist: Netlist, config: PlacementConfig,
-                    chip: Optional[ChipGeometry] = None
-                    ) -> PlacementResult:
-    """Uniform random placement followed by detailed legalization."""
-    watch = Stopwatch()
-    chip = chip or _auto_chip(netlist, config)
-    placement = Placement.random(netlist, chip, seed=config.seed)
-    objective = ObjectiveState(placement, config)
-    DetailedLegalizer(objective, config).run()
-    runtime = watch.elapsed()
-    return PlacementResult(
-        placement=placement,
-        objective=objective.total,
-        wirelength=objective.wirelength(),
-        ilv=objective.total_ilv(),
-        runtime_seconds=runtime,
-        stage_seconds={"legalize": runtime})
-
-
-@dataclass
-class AnnealingSchedule:
-    """Cooling schedule of the annealing baseline.
-
-    Attributes:
-        moves_per_cell: attempted moves per cell over the whole run.
-        initial_acceptance: target fraction of uphill moves accepted at
-            the starting temperature (calibrated from sampled deltas).
-        cooling: geometric temperature decay per stage.
-        stages: number of temperature stages.
-        swap_fraction: fraction of attempts that are two-cell swaps
-            rather than single-cell displacements.
-    """
-
-    moves_per_cell: int = 60
-    initial_acceptance: float = 0.5
-    cooling: float = 0.85
-    stages: int = 24
-    swap_fraction: float = 0.3
-
-
-class AnnealingPlacer:
-    """Simulated-annealing baseline over the same objective (Eq. 3).
+def anneal(objective: ObjectiveState, seed: int, moves_per_cell: int,
+           stages: int) -> None:
+    """Anneal the objective's placement in place.
 
     Args:
-        netlist: circuit to place.
-        config: objective coefficients (shared with the main placer).
-        schedule: cooling schedule; the default lands in the same
-            runtime ballpark as the recursive-bisection flow on small
-            instances.
+        objective: the shared incremental objective; every accepted
+            move goes through it.
+        seed: the config seed (offset by :data:`SEED_OFFSET`).
+        moves_per_cell: attempted moves per movable cell over the run.
+        stages: number of temperature stages.
     """
+    placement = objective.placement
+    chip = placement.chip
+    rng = np.random.default_rng(seed + SEED_OFFSET)
+    movable = [c.id for c in placement.netlist.cells if c.movable]
+    if not movable:
+        return
+    temperature = _calibrate_temperature(objective, movable, rng)
+    per_stage = max(1, moves_per_cell * len(movable) // stages)
+    window_x = chip.width
+    window_y = chip.height
+    for _ in range(stages):
+        accepted = 0
+        for _ in range(per_stage):
+            if rng.random() < SWAP_FRACTION:
+                a, b = rng.choice(len(movable), size=2, replace=False)
+                a = movable[int(a)]
+                b = movable[int(b)]
+                moves = [
+                    (a, float(placement.x[b]), float(placement.y[b]),
+                     int(placement.z[b])),
+                    (b, float(placement.x[a]), float(placement.y[a]),
+                     int(placement.z[a])),
+                ]
+            else:
+                cid = movable[int(rng.integers(0, len(movable)))]
+                nx = float(np.clip(
+                    placement.x[cid] + rng.uniform(-window_x, window_x),
+                    0.0, chip.width))
+                ny = float(np.clip(
+                    placement.y[cid] + rng.uniform(-window_y, window_y),
+                    0.0, chip.height))
+                nz = int(rng.integers(0, chip.num_layers))
+                moves = [(cid, nx, ny, nz)]
+            delta = objective.eval_moves(moves)
+            if delta <= 0 or (temperature > 0 and
+                              rng.random() < math.exp(
+                                  -delta / temperature)):
+                objective.apply_moves(moves)
+                accepted += 1
+        temperature *= COOLING
+        # shrink the displacement window with the acceptance rate, the
+        # classic range-limiting rule
+        shrink = 0.5 + 0.5 * (accepted / per_stage)
+        window_x = max(window_x * shrink,
+                       2 * chip.width / max(chip.rows_per_layer, 4))
+        window_y = max(window_y * shrink, 2 * chip.row_pitch)
 
-    def __init__(self, netlist: Netlist, config: PlacementConfig,
-                 chip: Optional[ChipGeometry] = None,
-                 schedule: Optional[AnnealingSchedule] = None) -> None:
-        self.netlist = netlist
-        self.config = config
-        self.chip = chip or _auto_chip(netlist, config)
-        self.schedule = schedule or AnnealingSchedule()
 
-    # ------------------------------------------------------------------
-    def run(self) -> PlacementResult:
-        """Anneal from a random start, then legalize."""
-        watch = Stopwatch()
-        config = self.config
-        rng = np.random.default_rng(config.seed + 40_487)
-        placement = Placement.random(self.netlist, self.chip,
-                                     seed=config.seed)
-        objective = ObjectiveState(placement, config)
-        movable = [c.id for c in self.netlist.cells if c.movable]
-        if movable:
-            self._anneal(objective, movable, rng)
-        DetailedLegalizer(objective, config).run()
-        runtime = watch.elapsed()
-        return PlacementResult(
-            placement=placement,
-            objective=objective.total,
-            wirelength=objective.wirelength(),
-            ilv=objective.total_ilv(),
-            runtime_seconds=runtime,
-            stage_seconds={"anneal+legalize": runtime})
-
-    # ------------------------------------------------------------------
-    def _calibrate_temperature(self, objective: ObjectiveState,
-                               movable, rng) -> float:
-        """Starting temperature from the uphill-delta distribution."""
-        chip = self.chip
-        placement = objective.placement
-        uphill = []
-        for _ in range(64):
-            cid = int(rng.choice(movable))
-            move = (cid, float(rng.uniform(0, chip.width)),
-                    float(rng.uniform(0, chip.height)),
-                    int(rng.integers(0, chip.num_layers)))
-            delta = objective.eval_moves([move])
-            if delta > 0:
-                uphill.append(delta)
-        if not uphill:
-            return 1e-30
-        mean_up = float(np.mean(uphill))
-        p = min(max(self.schedule.initial_acceptance, 1e-3), 0.999)
-        return -mean_up / math.log(p)
-
-    def _anneal(self, objective: ObjectiveState, movable, rng) -> None:
-        schedule = self.schedule
-        chip = self.chip
-        placement = objective.placement
-        temperature = self._calibrate_temperature(objective, movable, rng)
-        total_moves = schedule.moves_per_cell * len(movable)
-        per_stage = max(1, total_moves // schedule.stages)
-        window_x = chip.width
-        window_y = chip.height
-        for stage in range(schedule.stages):
-            accepted = 0
-            for _ in range(per_stage):
-                if rng.random() < schedule.swap_fraction:
-                    a, b = rng.choice(len(movable), size=2, replace=False)
-                    a = movable[int(a)]
-                    b = movable[int(b)]
-                    moves = [
-                        (a, float(placement.x[b]), float(placement.y[b]),
-                         int(placement.z[b])),
-                        (b, float(placement.x[a]), float(placement.y[a]),
-                         int(placement.z[a])),
-                    ]
-                else:
-                    cid = movable[int(rng.integers(0, len(movable)))]
-                    nx = float(np.clip(
-                        placement.x[cid]
-                        + rng.uniform(-window_x, window_x),
-                        0.0, chip.width))
-                    ny = float(np.clip(
-                        placement.y[cid]
-                        + rng.uniform(-window_y, window_y),
-                        0.0, chip.height))
-                    nz = int(rng.integers(0, chip.num_layers))
-                    moves = [(cid, nx, ny, nz)]
-                delta = objective.eval_moves(moves)
-                if delta <= 0 or (temperature > 0 and
-                                  rng.random() < math.exp(
-                                      -delta / temperature)):
-                    objective.apply_moves(moves)
-                    accepted += 1
-            temperature *= schedule.cooling
-            # shrink the displacement window with the acceptance rate,
-            # the classic range-limiting rule
-            rate = accepted / per_stage
-            shrink = 0.5 + 0.5 * rate
-            window_x = max(window_x * shrink, 2 * chip.width
-                           / max(chip.rows_per_layer, 4))
-            window_y = max(window_y * shrink, 2 * chip.row_pitch)
+def _calibrate_temperature(objective: ObjectiveState, movable: List[int],
+                           rng: np.random.Generator) -> float:
+    """Starting temperature from the uphill-delta distribution."""
+    chip = objective.placement.chip
+    uphill = []
+    for _ in range(64):
+        cid = int(rng.choice(movable))
+        move = (cid, float(rng.uniform(0, chip.width)),
+                float(rng.uniform(0, chip.height)),
+                int(rng.integers(0, chip.num_layers)))
+        delta = objective.eval_moves([move])
+        if delta > 0:
+            uphill.append(delta)
+    if not uphill:
+        return 1e-30
+    return -float(np.mean(uphill)) / math.log(INITIAL_ACCEPTANCE)

@@ -33,13 +33,28 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis import FloatArray, IntArray
-from repro.core.config import PlacementConfig
 from repro.core.objective import ObjectiveState
 from repro.geometry.density import DensityMesh
 from repro.obs import get_recorder
 
 #: Movement-retention candidates tried per cell (Eq. 17's beta).
 BETA_CANDIDATES = (1.0, 0.5, 0.25)
+
+#: Shifting iterates until the coarse mesh's max density drops to this
+#: ("a desired value close to one").
+MAX_DENSITY = 1.15
+
+#: Hard cap on shifting iterations.
+MAX_ITERATIONS = 40
+
+#: Figure 2's ``a_upper``: width response slope of congested bins.
+A_UPPER = 1.0
+
+#: Figure 2's ``a_lower``: width response slope of sparse bins.
+A_LOWER = 0.5
+
+#: Figure 2's ``b``: width ratio of a bin at density one.
+B = 1.0
 
 
 def shifted_widths(densities: Sequence[float], width: float,
@@ -93,15 +108,12 @@ class CellShifter:
     Args:
         objective: the shared incremental objective; all cell movement
             flows through it so its caches stay valid.
-        config: placement configuration (Figure 2 parameters, density
-            target, iteration cap).
         mesh: coarse mesh; built internally if omitted.
     """
 
-    def __init__(self, objective: ObjectiveState, config: PlacementConfig,
+    def __init__(self, objective: ObjectiveState,
                  mesh: Optional[DensityMesh] = None) -> None:
         self.objective = objective
-        self.config = config
         # movement-retention override; None = per-cell greedy candidates
         self._fixed_beta: Optional[float] = None
         placement = objective.placement
@@ -117,10 +129,8 @@ class CellShifter:
         Returns:
             The number of iterations executed.
         """
-        config = self.config
         rec = get_recorder()
-        limit = (config.shift_max_iterations if max_iterations is None
-                 else max_iterations)
+        limit = MAX_ITERATIONS if max_iterations is None else max_iterations
         iterations = 0
         self._fixed_beta = None
         placement = self.objective.placement
@@ -135,11 +145,11 @@ class CellShifter:
                            iteration=float(iterations),
                            max_density=float(self.mesh.max_density),
                            overflow=float(self.mesh.overflow(
-                               config.shift_max_density)))
-            if self.mesh.max_density <= config.shift_max_density:
+                               MAX_DENSITY)))
+            if self.mesh.max_density <= MAX_DENSITY:
                 best_state = None  # current state is the one to keep
                 break
-            overflow = self.mesh.overflow(config.shift_max_density)
+            overflow = self.mesh.overflow(MAX_DENSITY)
             if best_overflow is None or overflow < 0.98 * best_overflow:
                 stalled = 0
             else:
@@ -174,7 +184,7 @@ class CellShifter:
             # keep whichever of {final state, best snapshot} overflows
             # less
             self._rebuild_mesh()
-            final = self.mesh.overflow(config.shift_max_density)
+            final = self.mesh.overflow(MAX_DENSITY)
             assert best_overflow is not None
             if final > best_overflow:
                 self._restore(best_state)
@@ -275,14 +285,11 @@ class CellShifter:
         lists; :meth:`_shift_axis` scores and applies them jointly.
         """
         mesh = self.mesh
-        config = self.config
         n_bins, width = self._row_geometry(axis)
         if n_bins < 2:
             return
         densities = mesh.row_densities(axis, a, b)
-        new_widths = shifted_widths(
-            densities, width, config.shift_lower_slope,
-            config.shift_upper_slope, config.shift_intercept)
+        new_widths = shifted_widths(densities, width, A_LOWER, A_UPPER, B)
         if np.allclose(new_widths, width):
             return
         old_bounds = np.arange(n_bins + 1, dtype=np.float64) * width

@@ -31,23 +31,12 @@ class PlacementConfig:
             to z-cut bisection tasks.
 
     Global placement:
-        min_region_cells: stop recursing below this many cells.
         partition_starts: random starts per bisection (effort knob;
             Section 7 reports 3.8% improvement at 3.4x runtime from
             raising effort).
-        partition_passes: FM passes per refinement level.
-        min_partition_tolerance: floor on the whitespace-derived balance
-            tolerance.
 
     Coarse legalization:
-        shift_max_density: cell shifting iterates until the coarse mesh's
-            max density drops below this ("a desired value close to one").
-        shift_max_iterations: hard cap on shifting iterations.
-        shift_upper_slope / shift_lower_slope / shift_intercept: the
-            ``a_upper`` / ``a_lower`` / ``b`` parameters of the width vs
-            density response (Figure 2).
         move_target_bins: bins in a global move/swap target region.
-        move_passes: global+local move/swap passes.
         legalization_rounds: how many times coarse+detailed legalization
             repeat (Section 7: 10 rounds gave 7.7% improvement at 65x
             runtime).
@@ -76,18 +65,9 @@ class PlacementConfig:
     use_thermal_net_weights: bool = True
     use_trr_nets: bool = True
 
-    min_region_cells: int = 3
     partition_starts: int = 3
-    partition_passes: int = 5
-    min_partition_tolerance: float = 0.02
 
-    shift_max_density: float = 1.15
-    shift_max_iterations: int = 40
-    shift_upper_slope: float = 1.0
-    shift_lower_slope: float = 0.5
-    shift_intercept: float = 1.0
     move_target_bins: int = 27
-    move_passes: int = 1
     legalization_rounds: int = 1
     refine_passes: int = 3
 
@@ -105,10 +85,6 @@ class PlacementConfig:
             raise ValueError("alpha_temp cannot be negative")
         if self.num_layers < 1:
             raise ValueError("need at least one layer")
-        if self.min_region_cells < 1:
-            raise ValueError("min_region_cells must be >= 1")
-        if not 0 < self.shift_max_density:
-            raise ValueError("shift_max_density must be positive")
         if self.num_workers < 0:
             raise ValueError("num_workers cannot be negative "
                              "(0 = auto via REPRO_WORKERS)")

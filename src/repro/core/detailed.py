@@ -483,3 +483,27 @@ def check_legal(placement: Placement, tolerance: float = 1e-9) -> None:
                 raise AssertionError(
                     f"overlap between {n1} and {n2} on layer {z} "
                     f"row {row}")
+
+
+def check_bounds(placement: Placement) -> None:
+    """Assert every movable cell is inside the chip volume; raises
+    ``AssertionError`` otherwise.
+
+    Bounds: every movable cell centre inside the die and every movable
+    cell on a layer of the stack.  This is the check of a run whose
+    spec does not end legalized — a global-only placement overlaps by
+    design, but its cells must still lie inside the chip.
+    """
+    chip = placement.chip
+    movable = placement.netlist.movable_ids
+    x = placement.x[movable]
+    y = placement.y[movable]
+    z = placement.z[movable]
+    for bad, what in (
+            ((x < 0.0) | (x > chip.width) | (y < 0.0) | (y > chip.height),
+             "centre outside the die"),
+            ((z < 0) | (z >= chip.num_layers), "layer out of range")):
+        if bad.any():
+            cid = int(movable[int(np.argmax(bad))])
+            raise AssertionError(
+                f"{placement.netlist.cells[cid].name}: {what}")

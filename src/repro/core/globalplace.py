@@ -61,6 +61,15 @@ _AXES = ("x", "y", "z")
 #: levels is far beyond any real instance).
 _MAX_LEVELS = 64
 
+#: Regions of at most this many cells stop recursing and are finalized.
+MIN_REGION_CELLS = 3
+
+#: FM passes per refinement level of each bisection.
+PARTITION_PASSES = 5
+
+#: Floor on the whitespace-derived balance tolerance of a bisection.
+MIN_PARTITION_TOLERANCE = 0.02
+
 
 @dataclass
 class Region:
@@ -249,7 +258,7 @@ class GlobalPlacer:
 
     # ------------------------------------------------------------------
     def _is_terminal(self, region: Region) -> bool:
-        return len(region.cell_ids) <= self.config.min_region_cells
+        return len(region.cell_ids) <= MIN_REGION_CELLS
 
     def _finalize(self, region: Region) -> None:
         """Commit final positions for a terminal region's cells.
@@ -414,14 +423,13 @@ class GlobalPlacer:
                     / (1.0 + self.config.tech.inter_row_space))
         used = float(sum(vertex_weights))
         whitespace = max(0.0, 1.0 - used / capacity) if capacity > 0 else 0.0
-        tolerance = max(self.config.min_partition_tolerance,
-                        0.5 * whitespace)
+        tolerance = max(MIN_PARTITION_TOLERANCE, 0.5 * whitespace)
 
         return BisectionTask.from_nets(
             nets, weights, vertex_weights, fixed,
             target=target, tolerance=tolerance,
             num_starts=self.config.partition_starts,
-            max_passes=self.config.partition_passes,
+            max_passes=PARTITION_PASSES,
             seed=task_seed(self.config.seed, region.path),
             key=region.path)
 

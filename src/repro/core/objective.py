@@ -948,18 +948,3 @@ class ObjectiveState:
         for a, b in ((wl, self._wl), (ilv, self._ilv), (power, self._power)):
             if not np.allclose(a, b, rtol=1e-9, atol=1e-18):
                 raise AssertionError("per-item caches drifted")
-
-
-def _median_interval_point(los: Sequence[float],
-                           his: Sequence[float]) -> float:
-    """Midpoint of the median interval of a set of 1D intervals.
-
-    This is the minimizer set of the sum of distances to the intervals
-    (the 1D optimal region); its midpoint is returned.
-    """
-    ends = list(los) + list(his)
-    ends.sort()
-    n = len(ends)
-    lo = ends[(n - 1) // 2]
-    hi = ends[n // 2]
-    return 0.5 * (lo + hi)

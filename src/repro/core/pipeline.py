@@ -21,7 +21,8 @@ Spec JSON is a plain document, editable by hand and loadable with
 ``--pipeline SPEC.json``::
 
     {"pipeline": [
-        {"stage": "quadratic", "options": {"iterations": 4}},
+        {"stage": "random"},
+        {"stage": "anneal", "options": {"moves_per_cell": 20}},
         {"repeat": {"rounds": 2, "stages": [
             {"stage": "moves"}, {"stage": "cellshift"},
             {"stage": "detailed"}, {"stage": "refine"}]}}
@@ -40,7 +41,7 @@ import json
 from repro.core import checkpoint as ckpt
 from repro.core.config import PlacementConfig
 from repro.core.context import PlacementContext
-from repro.core.stages import create_stage, get_stage
+from repro.core.stages import Legality, create_stage, get_stage
 from repro.obs import get_logger
 from repro.obs.trace import SpanStats
 
@@ -202,6 +203,25 @@ class PipelineSpec:
                     if stage.stage not in seen:
                         seen.append(stage.stage)
         return seen
+
+    def ends_legal(self) -> bool:
+        """Whether a finished run of this spec is legal by construction.
+
+        Walking back from the last stage, stages that keep a legal
+        placement legal (``refine``) are skipped; the spec ends legal
+        when the first other stage legalizes (``detailed``).  A repeat
+        group counts as its stages once, in order: every round ends
+        with the group's last stage, and the best-round restore brings
+        back one round's end state.
+        """
+        names = [name for entry in self.entries
+                 for name in ([entry.stage] if isinstance(entry, StageEntry)
+                              else [s.stage for s in entry.stages])]
+        for name in reversed(names):
+            legality = get_stage(name).legality
+            if legality is not Legality.KEEPS:
+                return legality is Legality.MAKES
+        return False
 
     def units(self) -> List[str]:
         """Every checkpoint-boundary unit label, in execution order.

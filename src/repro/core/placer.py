@@ -28,27 +28,63 @@ With a ``checkpoint_dir``, the runner serializes the context after
 every stage boundary, and ``run(resume=True)`` picks the run back up
 from the last boundary, reproducing the uninterrupted run's final
 placement bit-identically (see :mod:`repro.core.checkpoint`).
+
+Every finished run ends with the check its spec implies: ``check_legal``
+when the spec ends legalized (see
+:meth:`~repro.core.pipeline.PipelineSpec.ends_legal`), else
+``check_bounds`` — a global-only placement overlaps by design, but its
+cells must still lie inside the die and the layer stack.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, ContextManager, Optional, Union
+from typing import Callable, ContextManager, Dict, List, Optional, Union
 
 from repro.core.config import PlacementConfig
 from repro.core.context import PlacementContext, auto_chip
-from repro.core.detailed import check_legal
+from repro.core.detailed import check_bounds, check_legal
 from repro.core.pipeline import (PipelineSpec, PlacementPipeline,
                                  default_pipeline_spec, stage_summary)
-from repro.core.result import PlacementResult
 from repro.geometry.chip import ChipGeometry
 from repro.netlist.netlist import Netlist
-from repro.obs import Recorder, get_logger, use_recorder
+from repro.netlist.placement import Placement
+from repro.obs import Recorder, Telemetry, get_logger, use_recorder
 
 __all__ = ["PlacementResult", "Placer3D"]
 
 _log = get_logger(__name__)
+
+
+@dataclass
+class PlacementResult:
+    """Outcome of a full placement run.
+
+    Attributes:
+        placement: the final placement; legal whenever the spec ends
+            legalized.
+        objective: final objective value (Eq. 3).
+        wirelength: final total lateral HPWL, metres.
+        ilv: final interlayer-via count.
+        runtime_seconds: wall-clock runtime of :meth:`Placer3D.run`.
+        stage_seconds: wall-clock per pipeline stage, summed across
+            coarse+detailed rounds (back-compat flat view).
+        round_seconds: one ``{stage: seconds}`` dict per
+            coarse+detailed round, in round order.
+        telemetry: full recorder snapshot (span tree, counters,
+            series) for the run.
+    """
+
+    placement: Placement
+    objective: float
+    wirelength: float
+    ilv: int
+    runtime_seconds: float
+    stage_seconds: Dict[str, float] = field(default_factory=dict)
+    round_seconds: List[Dict[str, float]] = field(default_factory=list)
+    telemetry: Optional[Telemetry] = None
 
 
 class Placer3D:
@@ -70,7 +106,9 @@ class Placer3D:
         spec: the pipeline to run; defaults to the paper's flow derived
             from ``config`` (``default_pipeline_spec``).  Custom specs
             swap stages by registry name — e.g. ``quadratic`` instead
-            of ``global`` — without touching this driver.
+            of ``global`` — without touching this driver; the
+            baselines are specs too (``[random, detailed]``,
+            ``[random, anneal, detailed]``, ``[quadratic, detailed]``).
 
     Example:
         >>> from repro import Placer3D, PlacementConfig, load_benchmark
@@ -97,15 +135,14 @@ class Placer3D:
             else default_pipeline_spec(config)
 
     # ------------------------------------------------------------------
-    def run(self, check: bool = False, *,
+    def run(self, *,
             checkpoint_dir: Optional[Union[str, Path]] = None,
             resume: bool = False,
             preempt: Optional[Callable[[str], bool]] = None,
             ) -> PlacementResult:
-        """Run the configured pipeline.
+        """Run the configured pipeline and check its final placement.
 
         Args:
-            check: assert legality of the final placement (tests).
             checkpoint_dir: serialize the run state here after every
                 stage boundary (and resume from here).
             resume: restore the last checkpoint in ``checkpoint_dir``
@@ -119,9 +156,11 @@ class Placer3D:
                 (the job worker's cancel path and ``--halt-after``).
 
         Returns:
-            A :class:`PlacementResult` with the legal placement.
+            A :class:`PlacementResult` with the checked placement.
 
         Raises:
+            AssertionError: the final placement fails the check its
+                spec implies (``check_legal`` or ``check_bounds``).
             CheckpointError: ``resume`` without a matching checkpoint.
             PipelineHalted: the ``preempt`` hook requested a stop.
         """
@@ -146,8 +185,10 @@ class Placer3D:
                 pipeline.resume()
             pipeline.run()
             objective = ctx.objective
-            if check:
+            if self.spec.ends_legal():
                 check_legal(ctx.placement)
+            else:
+                check_bounds(ctx.placement)
 
         place_node = rec.tracer.root.child("place")
         stage_seconds, round_seconds = stage_summary(place_node,

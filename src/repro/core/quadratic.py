@@ -1,4 +1,4 @@
-"""Quadratic (force-directed) baseline placer.
+"""Quadratic (force-directed) global placement: the ``quadratic`` stage.
 
 The paper's introduction argues that partitioning suits 3D placement
 better than the force-directed paradigm because quadratic placers "rely
@@ -14,9 +14,9 @@ claim can be tested empirically (see
    degenerate collapse the paper warns about);
 3. rank-based spreading stretches the solution over the die, a few
    anchor-pull iterations alternate solve and spread;
-4. the continuous z solution is quantized to layers, and the shared
-   :class:`~repro.core.detailed.DetailedLegalizer` produces the final
-   legal placement.
+4. the continuous z solution is quantized to layers; the downstream
+   stages legalize (the force-directed baseline is the spec
+   ``[quadratic, detailed]``).
 """
 
 from __future__ import annotations
@@ -28,13 +28,17 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
 from repro.core.config import PlacementConfig
-from repro.core.detailed import DetailedLegalizer
-from repro.core.objective import ObjectiveState
-from repro.core.result import PlacementResult
 from repro.geometry.chip import ChipGeometry
 from repro.netlist.netlist import Netlist
 from repro.netlist.placement import Placement
-from repro.obs import Stopwatch
+
+#: Solve/spread rounds.
+ITERATIONS = 3
+
+#: Relative weight of the centre tether applied to every movable cell;
+#: needed for solvability when no pads exist and deliberately weak so
+#: pad-driven spreading dominates when pads do exist.
+TETHER = 1e-3
 
 
 class QuadraticPlacer:
@@ -44,32 +48,18 @@ class QuadraticPlacer:
         netlist: circuit to place; fixed cells act as pad anchors.
         config: shared placement configuration (the via coefficient
             scales the z-direction spring stiffness).
-        chip: placement volume (auto-sized if omitted).
-        iterations: solve/spread rounds.
-        tether: relative weight of the centre tether applied to every
-            movable cell; needed for solvability when no pads exist and
-            deliberately weak so pad-driven spreading dominates when
-            pads do exist.
+        chip: placement volume.
     """
 
     def __init__(self, netlist: Netlist, config: PlacementConfig,
-                 chip: Optional[ChipGeometry] = None,
-                 iterations: int = 3, tether: float = 1e-3) -> None:
-        from repro.core.baseline import _auto_chip
+                 chip: ChipGeometry) -> None:
         self.netlist = netlist
         self.config = config
-        self.chip = chip or _auto_chip(netlist, config)
-        self.iterations = iterations
-        self.tether = tether
+        self.chip = chip
 
     # ------------------------------------------------------------------
     def place_global(self, placement: Placement) -> None:
-        """Solve, spread and quantize layers into ``placement``.
-
-        The global-placement half of :meth:`run`, without the final
-        legalization — this is what the ``quadratic`` pipeline stage
-        calls, leaving legalization to the downstream stages.
-        """
+        """Solve, spread and quantize layers into ``placement``."""
         netlist = self.netlist
         chip = self.chip
         movable = [c.id for c in netlist.cells if c.movable]
@@ -77,7 +67,7 @@ class QuadraticPlacer:
         if not movable:
             return
         x, y, z = self._solve_all(index, placement)
-        for it in range(max(1, self.iterations) - 1):
+        for _ in range(ITERATIONS - 1):
             x = _rank_spread(x, 0.0, chip.width)
             y = _rank_spread(y, 0.0, chip.height)
             # re-solve with spread positions as soft anchors
@@ -90,22 +80,6 @@ class QuadraticPlacer:
             placement.x[cid] = x[i]
             placement.y[cid] = y[i]
             placement.z[cid] = layers[i]
-
-    def run(self) -> PlacementResult:
-        """Solve, spread, quantize layers and legalize."""
-        watch = Stopwatch()
-        placement = Placement.at_center(self.netlist, self.chip)
-        self.place_global(placement)
-        objective = ObjectiveState(placement, self.config)
-        DetailedLegalizer(objective, self.config).run()
-        runtime = watch.elapsed()
-        return PlacementResult(
-            placement=placement,
-            objective=objective.total,
-            wirelength=objective.wirelength(),
-            ilv=objective.total_ilv(),
-            runtime_seconds=runtime,
-            stage_seconds={"quadratic+legalize": runtime})
 
     # ------------------------------------------------------------------
     def _solve_all(self, index: Dict[int, int], placement: Placement,
@@ -172,7 +146,7 @@ class QuadraticPlacer:
         # weak tether: solvability without pads (the collapse mode the
         # paper describes is visible because this is deliberately weak)
         base = max(diag.max(), 1.0) if n else 1.0
-        tether_w = self.tether * base
+        tether_w = TETHER * base
         diag += tether_w
         if anchor is not None:
             rhs += tether_w * anchor

@@ -24,7 +24,7 @@ improving operations are committed.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
@@ -35,6 +35,14 @@ from repro.obs import get_recorder
 
 RowKey = Tuple[int, int]
 
+#: Relative width difference under which two cells count as "equal
+#: width" for slot swaps.
+WIDTH_TOLERANCE = 1e-9
+
+#: Offset of the refiner's random stream (its cell visiting orders)
+#: from the config seed.
+SEED_OFFSET = 7919
+
 
 class LegalRefiner:
     """Iterative improvement of a legal placement.
@@ -44,22 +52,16 @@ class LegalRefiner:
             legal (row-aligned, non-overlapping) when :meth:`run` is
             called.
         config: placement configuration.
-        width_tolerance: relative width difference under which two cells
-            count as "equal width" for slot swaps.
     """
 
     def __init__(self, objective: ObjectiveState,
-                 config: PlacementConfig,
-                 width_tolerance: float = 1e-9,
-                 rng: Optional[np.random.Generator] = None) -> None:
+                 config: PlacementConfig) -> None:
         self.objective = objective
         self.config = config
         self.placement = objective.placement
         self.netlist = self.placement.netlist
         self.chip = self.placement.chip
-        self.width_tolerance = width_tolerance
-        self._rng = (rng if rng is not None
-                     else np.random.default_rng(config.seed + 7919))
+        self._rng = np.random.default_rng(config.seed + SEED_OFFSET)
 
     # ------------------------------------------------------------------
     def run(self, passes: int = 2) -> int:
@@ -197,7 +199,7 @@ class LegalRefiner:
         placement = self.placement
         # width-bucketed index of movable cells
         buckets: Dict[int, List[int]] = defaultdict(list)
-        quantum = max(float(widths.max()) * self.width_tolerance, 1e-12)
+        quantum = max(float(widths.max()) * WIDTH_TOLERANCE, 1e-12)
 
         def bucket_of(w: float) -> int:
             return int(round(w / max(quantum, 1e-30)))

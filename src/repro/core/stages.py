@@ -16,35 +16,58 @@ context.  Outside this module and the pipeline runner, instantiating a
 stage class directly is a lint error (rule RPL010) — go through the
 registry so specs, checkpoints and the CLI all see the same catalogue.
 
+Each stage class declares its :class:`Legality` effect, from which
+:meth:`~repro.core.pipeline.PipelineSpec.ends_legal` derives the check
+every finished run ends with.
+
 Registered stages:
 
-============ ========================================================
-``global``   recursive-bisection global placement (Section 3)
+============= =======================================================
+``global``    recursive-bisection global placement (Section 3)
 ``quadratic`` clique-spring quadratic placement, a drop-in ``global``
-             alternative (no legalization; downstream stages do that)
-``random``   uniform random scatter, the floor baseline
-``moves``    global+local greedy move/swap passes (Section 4.2)
+              alternative (no legalization; downstream stages do that)
+``random``    uniform random scatter, the floor baseline
+``anneal``    simulated annealing over cell positions, the annealing
+              baseline (options ``moves_per_cell``, ``stages``)
+``moves``     one global then one local greedy move/swap pass
+              (Section 4.2)
 ``cellshift`` row-aware cell shifting (Section 4.1)
-``detailed`` detailed legalization into rows (Section 5)
-``refine``   legality-preserving post-optimization passes
-============ ========================================================
+``detailed``  detailed legalization into rows (Section 5); makes the
+              placement legal
+``refine``    legality-preserving post-optimization passes; keeps the
+              placement legal
+============= =======================================================
 """
 
 from __future__ import annotations
 
+import enum
 from typing import (Any, Callable, ClassVar, Dict, Mapping, Optional,
                     Tuple, Type, cast)
 
+from repro.core.baseline import anneal
 from repro.core.cellshift import CellShifter
 from repro.core.context import PlacementContext
 from repro.core.detailed import DetailedLegalizer
 from repro.core.globalplace import GlobalPlacer
 from repro.core.moves import MoveOptimizer
+from repro.core.quadratic import QuadraticPlacer
 from repro.core.refine import LegalRefiner
 from repro.netlist.placement import Placement
 
-__all__ = ["Stage", "available_stages", "create_stage", "get_stage",
-           "register_stage"]
+__all__ = ["Legality", "Stage", "available_stages", "create_stage",
+           "get_stage", "register_stage"]
+
+
+class Legality(enum.Enum):
+    """A stage's effect on the legality of the placement it leaves."""
+
+    #: may leave the placement illegal
+    BREAKS = "breaks"
+    #: leaves a legal placement legal
+    KEEPS = "keeps"
+    #: leaves any placement legal
+    MAKES = "makes"
 
 
 class Stage:
@@ -57,10 +80,12 @@ class Stage:
             :class:`~repro.core.objective.ObjectiveState`.  The runner
             materializes the objective (under its ``objective_build``
             span) before the first stage or repeat group that needs it.
+        legality: the stage's effect on legality.
     """
 
     name: ClassVar[str] = ""
     needs_objective: ClassVar[bool] = True
+    legality: ClassVar[Legality] = Legality.BREAKS
 
     def run(self, ctx: PlacementContext) -> None:
         """Execute the stage against the shared context."""
@@ -130,29 +155,13 @@ class GlobalBisectionStage(Stage):
 
 @register_stage("quadratic")
 class QuadraticGlobalStage(Stage):
-    """Quadratic (force-directed) global placement alternative.
-
-    Args:
-        iterations: solve/spread rounds.
-        tether: relative centre-tether weight (solvability without
-            pads; see :class:`~repro.core.quadratic.QuadraticPlacer`).
-    """
+    """Quadratic (force-directed) global placement alternative."""
 
     needs_objective = False
 
-    def __init__(self, iterations: int = 3, tether: float = 1e-3) -> None:
-        self.iterations = int(iterations)
-        self.tether = float(tether)
-
     def run(self, ctx: PlacementContext) -> None:
-        # Imported here: quadratic.py needs the result type, which the
-        # placer re-exports, and the registry must stay importable from
-        # the placer without a cycle.
-        from repro.core.quadratic import QuadraticPlacer
-        placer = QuadraticPlacer(ctx.netlist, ctx.config, chip=ctx.chip,
-                                 iterations=self.iterations,
-                                 tether=self.tether)
-        placer.place_global(ctx.placement)
+        QuadraticPlacer(ctx.netlist, ctx.config,
+                        ctx.chip).place_global(ctx.placement)
         ctx.invalidate_objective()
 
 
@@ -171,15 +180,34 @@ class RandomGlobalStage(Stage):
         ctx.invalidate_objective()
 
 
+@register_stage("anneal")
+class AnnealStage(Stage):
+    """Simulated annealing over cell positions (the annealing baseline).
+
+    Args:
+        moves_per_cell: attempted moves per movable cell over the run.
+        stages: number of temperature stages (>= 1).
+    """
+
+    def __init__(self, moves_per_cell: int = 60, stages: int = 24) -> None:
+        if int(stages) < 1:
+            raise ValueError("anneal stages must be >= 1")
+        self.moves_per_cell = int(moves_per_cell)
+        self.stages = int(stages)
+
+    def run(self, ctx: PlacementContext) -> None:
+        anneal(ctx.objective, ctx.config.seed, self.moves_per_cell,
+               self.stages)
+
+
 @register_stage("moves")
 class MovesStage(Stage):
-    """Global then local greedy move/swap passes (Section 4.2)."""
+    """One global then one local greedy move/swap pass (Section 4.2)."""
 
     def run(self, ctx: PlacementContext) -> None:
         mover = MoveOptimizer(ctx.objective, ctx.config)
-        for _ in range(max(1, ctx.config.move_passes)):
-            mover.global_pass()
-            mover.local_pass()
+        mover.global_pass()
+        mover.local_pass()
 
 
 @register_stage("cellshift")
@@ -187,12 +215,14 @@ class CellShiftStage(Stage):
     """Row-aware cell shifting until densities approach one."""
 
     def run(self, ctx: PlacementContext) -> None:
-        CellShifter(ctx.objective, ctx.config).run()
+        CellShifter(ctx.objective).run()
 
 
 @register_stage("detailed")
 class DetailedStage(Stage):
     """Detailed legalization into rows (Section 5)."""
+
+    legality = Legality.MAKES
 
     def run(self, ctx: PlacementContext) -> None:
         DetailedLegalizer(ctx.objective, ctx.config).run()
@@ -201,6 +231,8 @@ class DetailedStage(Stage):
 @register_stage("refine")
 class RefineStage(Stage):
     """Legality-preserving post-optimization passes."""
+
+    legality = Legality.KEEPS
 
     def run(self, ctx: PlacementContext) -> None:
         if ctx.config.refine_passes > 0:

@@ -9,7 +9,7 @@ sink (the paper's MIT-LL 3D FD-SOI stack, Table 2).
 
 ``ChipGeometry`` owns all coordinate conversions:
 
-- continuous y <-> row index,
+- row index -> row (layer, origin y, extent),
 - continuous/discrete z (layer index) <-> physical height above the heat
   sink, used by the thermal models.
 """
@@ -108,11 +108,6 @@ class ChipGeometry:
         return self.width * self.height
 
     @property
-    def placement_area(self) -> float:
-        """Total placeable area across all layers, square metres."""
-        return self.footprint_area * self.num_layers
-
-    @property
     def layer_pitch(self) -> float:
         """Vertical distance between corresponding points of adjacent layers."""
         return self.layer_thickness + self.interlayer_thickness
@@ -141,17 +136,6 @@ class ChipGeometry:
         """
         return self.layer_base_height(layer) + 0.5 * self.layer_thickness
 
-    def distance_to_heat_sink(self, layer: int) -> float:
-        """Conduction path length from the mid-plane of ``layer`` down to
-        the heat-sink face (bottom of the substrate), metres."""
-        return self.layer_center_height(layer) + self.substrate_thickness
-
-    def row_of_y(self, y: float, layer: int = 0) -> Row:
-        """Row whose span contains (or is nearest to) the y coordinate."""
-        idx = int(math.floor(y / self.row_pitch))
-        idx = min(max(idx, 0), self.rows_per_layer - 1)
-        return self.row(layer, idx)
-
     def row(self, layer: int, index: int) -> Row:
         """Row ``index`` on ``layer``."""
         self._check_layer(layer)
@@ -159,18 +143,6 @@ class ChipGeometry:
             raise IndexError(f"row index {index} out of range "
                              f"[0, {self.rows_per_layer})")
         return self._rows[layer * self.rows_per_layer + index]
-
-    def rows_on_layer(self, layer: int) -> List[Row]:
-        """All rows on one layer, bottom to top."""
-        self._check_layer(layer)
-        start = layer * self.rows_per_layer
-        return self._rows[start:start + self.rows_per_layer]
-
-    def snap_y_to_row(self, y: float) -> float:
-        """y coordinate of the origin of the row nearest to ``y``."""
-        idx = int(round(y / self.row_pitch))
-        idx = min(max(idx, 0), self.rows_per_layer - 1)
-        return idx * self.row_pitch
 
     def clamp_layer(self, z: float) -> int:
         """Round a continuous layer coordinate to the nearest valid layer."""

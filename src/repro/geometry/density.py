@@ -104,39 +104,11 @@ class DensityMesh:
         k = min(max(int(z), 0), self.nz - 1)
         return (i, j, k)
 
-    def bin_bounds(self, index: BinIndex) -> Tuple[float, float, float, float]:
-        """Lateral bounds ``(xlo, xhi, ylo, yhi)`` of a bin, metres."""
-        i, j, _ = index
-        self._check_index(index)
-        return (i * self.bin_width, (i + 1) * self.bin_width,
-                j * self.bin_height, (j + 1) * self.bin_height)
-
     def bin_center(self, index: BinIndex) -> Tuple[float, float, int]:
         """Centre point ``(x, y, layer)`` of a bin."""
         i, j, k = index
         self._check_index(index)
         return ((i + 0.5) * self.bin_width, (j + 0.5) * self.bin_height, k)
-
-    def neighbors(self, index: BinIndex,
-                  include_vertical: bool = True) -> List[BinIndex]:
-        """Face-adjacent bins (up to 6)."""
-        i, j, k = index
-        self._check_index(index)
-        out: List[BinIndex] = []
-        if i > 0:
-            out.append((i - 1, j, k))
-        if i < self.nx - 1:
-            out.append((i + 1, j, k))
-        if j > 0:
-            out.append((i, j - 1, k))
-        if j < self.ny - 1:
-            out.append((i, j + 1, k))
-        if include_vertical:
-            if k > 0:
-                out.append((i, j, k - 1))
-            if k < self.nz - 1:
-                out.append((i, j, k + 1))
-        return out
 
     def bins_within(self, center: BinIndex, radius: int,
                     include_vertical: bool = True) -> List[BinIndex]:
@@ -253,11 +225,6 @@ class DensityMesh:
         full.
         """
         return self._area / self.bin_capacity
-
-    def density_of(self, index: BinIndex) -> float:
-        """Density of one bin."""
-        self._check_index(index)
-        return float(self._area[index]) / self.bin_capacity
 
     @property
     def max_density(self) -> float:

@@ -70,11 +70,6 @@ class Net:
         return [cid for cid, role in self.pins if role is PinRole.DRIVER]
 
     @property
-    def sink_ids(self) -> List[int]:
-        """Ids of cells with a SINK pin on this net (with multiplicity)."""
-        return [cid for cid, role in self.pins if role is PinRole.SINK]
-
-    @property
     def num_output_pins(self) -> int:
         """``n_i^output pins`` of Eqs. 6-8: driver pins on the net."""
         return sum(1 for _, role in self.pins if role is PinRole.DRIVER)

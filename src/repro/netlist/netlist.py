@@ -158,16 +158,6 @@ class Netlist:
         assert self._cell_nets is not None
         return self._cell_nets[cell_id]
 
-    def driven_nets_of_cell(self, cell_id: int) -> List[int]:
-        """Ids of nets the cell drives (has a DRIVER pin on)."""
-        out: List[int] = []
-        for nid in self.nets_of_cell(cell_id):
-            net = self.nets[nid]
-            if any(cid == cell_id and role is PinRole.DRIVER
-                   for cid, role in net.pins):
-                out.append(nid)
-        return out
-
     def _build_incidence(self) -> None:
         incidence: List[List[int]] = [[] for _ in range(len(self.cells))]
         for net in self.nets:

@@ -93,22 +93,6 @@ class Placement:
         self.y[cell_id] = y
         self.z[cell_id] = z
 
-    def clamp_to_chip(self) -> None:
-        """Clamp every movable cell centre inside the die, keeping the
-        cell's own extent inside the outline where possible."""
-        half_w = 0.5 * self.netlist.widths
-        half_h = 0.5 * self.netlist.heights
-        movable = np.array([c.movable for c in self.netlist.cells],
-                           dtype=bool)
-        lo_x = np.minimum(half_w, 0.5 * self.chip.width)
-        lo_y = np.minimum(half_h, 0.5 * self.chip.height)
-        self.x[movable] = np.clip(self.x[movable], lo_x[movable],
-                                  self.chip.width - lo_x[movable])
-        self.y[movable] = np.clip(self.y[movable], lo_y[movable],
-                                  self.chip.height - lo_y[movable])
-        self.z[movable] = np.clip(self.z[movable], 0,
-                                  self.chip.num_layers - 1)
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------

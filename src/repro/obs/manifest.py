@@ -93,11 +93,7 @@ EXECUTION_ONLY_KEYS = ("num_workers",)
 HASHED_CONFIG_KEYS = (
     "alpha_ilv", "alpha_temp", "num_layers",
     "use_thermal_net_weights", "use_trr_nets",
-    "min_region_cells", "partition_starts", "partition_passes",
-    "min_partition_tolerance",
-    "shift_max_density", "shift_max_iterations", "shift_upper_slope",
-    "shift_lower_slope", "shift_intercept",
-    "move_target_bins", "move_passes",
+    "partition_starts", "move_target_bins",
     "legalization_rounds", "refine_passes",
     "seed", "tech",
 )

@@ -26,6 +26,9 @@ import numpy as np
 from repro.partition.fm import FMRefiner, cut_cost
 from repro.partition.hypergraph import FREE, Hypergraph
 
+#: Coarsening stops below this many vertices.
+COARSEN_TO = 96
+
 
 @dataclass
 class BisectionConfig:
@@ -34,7 +37,6 @@ class BisectionConfig:
     Attributes:
         target: desired fraction of free weight in part 0.
         tolerance: allowed absolute deviation from ``target``.
-        coarsen_to: stop coarsening below this many vertices.
         num_starts: random initial partitions tried at the coarsest level.
         max_passes: FM passes per refinement level.
         seed: RNG seed.
@@ -42,7 +44,6 @@ class BisectionConfig:
 
     target: float = 0.5
     tolerance: float = 0.05
-    coarsen_to: int = 96
     num_starts: int = 4
     max_passes: int = 6
     seed: int = 0
@@ -73,8 +74,7 @@ def bisect(graph: Hypergraph, config: Optional[BisectionConfig] = None
     # ---- coarsening phase -------------------------------------------
     levels: List[Tuple[Hypergraph, np.ndarray]] = []  # (fine graph, map)
     current = graph
-    while (current.num_vertices > config.coarsen_to
-           and current.num_nets > 0):
+    while current.num_vertices > COARSEN_TO and current.num_nets > 0:
         match = _heavy_edge_matching(current, rng)
         coarse, vmap = current.contract(match)
         if coarse.num_vertices >= current.num_vertices * 0.95:

@@ -101,7 +101,6 @@ class JobRequest:
             ``<prefix>.trace.jsonl`` and ``<prefix>.manifest.json``.
         want_telemetry: ship the run's telemetry snapshot back to the
             dispatching side (for ``--trace`` style reports).
-        check: assert legality of the final placement.
     """
 
     config: Dict[str, Any]
@@ -112,7 +111,6 @@ class JobRequest:
     label: Optional[str] = None
     telemetry_prefix: Optional[str] = None
     want_telemetry: bool = False
-    check: bool = False
 
     def __post_init__(self) -> None:
         if (self.circuit is None) == (self.bookshelf is None):
@@ -137,14 +135,13 @@ class JobRequest:
             "label": self.label,
             "telemetry_prefix": self.telemetry_prefix,
             "want_telemetry": bool(self.want_telemetry),
-            "check": bool(self.check),
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "JobRequest":
         """Inverse of :meth:`to_dict`, rejecting unknown keys."""
         known = {"config", "circuit", "bookshelf", "scale", "spec",
-                 "label", "telemetry_prefix", "want_telemetry", "check"}
+                 "label", "telemetry_prefix", "want_telemetry"}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(f"unknown job-request keys: {unknown}")
@@ -160,8 +157,7 @@ class JobRequest:
                   if isinstance(data.get("spec"), Mapping) else None),
             label=data.get("label"),
             telemetry_prefix=data.get("telemetry_prefix"),
-            want_telemetry=bool(data.get("want_telemetry", False)),
-            check=bool(data.get("check", False)))
+            want_telemetry=bool(data.get("want_telemetry", False)))
 
 
 def load_job_schema() -> Dict[str, Any]:

@@ -1,10 +1,9 @@
 """Running a job: one body for every path.
 
 :func:`run_job` is the job body: it places the netlist with the
-request's config, spec and ``check`` flag, writes the result artifacts
-and returns the outcome the scheduler settles.  The engine's inline
-path (``repro place``) calls it with the caller's netlist and
-recorder.
+request's config and spec, writes the result artifacts and returns the
+outcome the scheduler settles.  The engine's inline path
+(``repro place``) calls it with the caller's netlist and recorder.
 
 :func:`execute_job` is the spooled path's loader around it: a
 module-level function of one picklable ``{"job_dir": ...}`` payload,
@@ -91,10 +90,11 @@ def run_job(document: Mapping[str, Any], result_dir: Path,
             ) -> Dict[str, Any]:
     """Run one job to its next boundary: done or preempted.
 
-    The config, pipeline spec and ``check`` flag come from the job
-    document's request; the netlist and recorder come from the caller,
-    and the recorder is closed on every exit path.  A finished run
-    leaves ``placement.npz`` and ``manifest.json`` in ``result_dir``.
+    The config and pipeline spec come from the job document's
+    request; the netlist and recorder come from the caller, and the
+    recorder is closed on every exit path.  A finished run has passed
+    the check its spec implies and leaves ``placement.npz`` and
+    ``manifest.json`` in ``result_dir``.
 
     Args:
         document: the job document (``job.json``).
@@ -125,8 +125,7 @@ def run_job(document: Mapping[str, Any], result_dir: Path,
                 if request.spec is not None
                 else default_pipeline_spec(config))
         result = Placer3D(netlist, config, recorder=recorder,
-                          spec=spec).run(check=request.check,
-                                         checkpoint_dir=checkpoint_dir,
+                          spec=spec).run(checkpoint_dir=checkpoint_dir,
                                          resume=resume, preempt=preempt)
     except PipelineHalted as stopped:
         return {"state": "preempted", "unit": stopped.unit}

@@ -22,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 from repro.geometry.chip import ChipGeometry
-from repro.netlist.placement import Placement
 from repro.technology import TechnologyConfig
 
 
@@ -40,10 +39,6 @@ class VerticalProfile:
 
     r0: float
     slope: float
-
-    def at_layer(self, chip: ChipGeometry, layer: int) -> float:
-        """Profile value at a layer's mid-plane."""
-        return self.r0 + self.slope * chip.layer_center_height(layer)
 
 
 class ResistanceModel:
@@ -94,18 +89,6 @@ class ResistanceModel:
                 dist = max(dist, 0.0)
                 conduct += 1.0 / (dist / (k * area) + 1.0 / (h2 * area))
         return 1.0 / conduct
-
-    def cell_resistances(self, placement: Placement) -> np.ndarray:
-        """Resistances of every cell at its current position, K/W."""
-        netlist = placement.netlist
-        areas = netlist.areas
-        out = np.zeros(netlist.num_cells)
-        for cell in netlist.cells:
-            cid = cell.id
-            out[cid] = self.cell_resistance(
-                float(placement.x[cid]), float(placement.y[cid]),
-                int(placement.z[cid]), max(float(areas[cid]), 1e-18))
-        return out
 
     # ------------------------------------------------------------------
     def layer_resistance(self, layer: int,

@@ -195,9 +195,6 @@ class ThermalSolver:
                   / self.tech.thermal_conductivity)
         return r
 
-    def _node(self, i: int, j: int, kz: int) -> int:
-        return (kz * self.ny + j) * self.nx + i
-
     def _assemble(self) -> csr_matrix:
         """Build the conductance matrix once; it depends only on geometry.
 
@@ -212,7 +209,7 @@ class ThermalSolver:
         dx = self.chip.width / nx
         dy = self.chip.height / ny
         n = nx * ny * nz
-        # node ids laid out as [kz, j, i] (matches _node's linearization)
+        # node ids laid out as [kz, j, i]: (kz * ny + j) * nx + i
         idx = np.arange(n, dtype=np.int64).reshape(nz, ny, nx)
         diag = np.zeros(n, dtype=np.float64)
 

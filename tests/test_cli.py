@@ -199,7 +199,7 @@ class TestPipelineFlags:
         import json
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"pipeline": [
-            {"stage": "quadratic", "options": {"iterations": 1}},
+            {"stage": "quadratic"},
             {"repeat": {"rounds": 1, "stages": [
                 {"stage": "moves"}, {"stage": "cellshift"},
                 {"stage": "detailed"}]}},
@@ -277,3 +277,87 @@ class TestPipelineFlags:
                      str(tmp_path / "empty"), "--resume"])
         assert code == 1
         assert "checkpoint error" in capsys.readouterr().err
+
+
+class TestFinalCheck:
+    """``place`` ends every run with the check its spec implies, and a
+    failed check fails the job instead of escaping as a traceback."""
+
+    @staticmethod
+    def _global_only(tmp_path):
+        import json
+        spec_path = tmp_path / "global_only.json"
+        spec_path.write_text(json.dumps({"pipeline": [{"stage": "global"}]}))
+        return str(spec_path)
+
+    @staticmethod
+    def _failed_job(jobs_dir):
+        from repro.service.jobstore import JobStore
+        (document,) = JobStore(jobs_dir).list_jobs()
+        assert document["state"] == "failed"
+        return document
+
+    def test_global_only_pipeline_passes_the_bounds_check(self, capsys,
+                                                          tmp_path):
+        from repro import PlacementConfig, Placer3D, load_benchmark
+        from repro.core.pipeline import PipelineSpec
+        from repro.netlist import bookshelf
+        spec_path = self._global_only(tmp_path)
+        out = str(tmp_path / "cli")
+        code = main(["place", "--circuit", "synthetic5k", "--scale", "0.1",
+                     "--pipeline", spec_path, "--out", out])
+        assert code == 0
+        netlist = load_benchmark("synthetic5k", scale=0.1, seed=0)
+        result = Placer3D(netlist, PlacementConfig(seed=0),
+                          spec=PipelineSpec.from_json_file(spec_path)).run()
+        direct = str(tmp_path / "direct")
+        bookshelf.write_bookshelf(direct, netlist, result.placement)
+        with open(out + ".pl", "rb") as fa, open(direct + ".pl", "rb") as fb:
+            assert fa.read() == fb.read()
+
+    @pytest.mark.parametrize("skipped, error", [
+        # refine needs a legal input and trips over the first overlap
+        (("detailed",), r"^overlap in layer \d+ row \d+$"),
+        # with refine out of the way, check_legal catches it
+        (("detailed", "refine"),
+         r"^\S+: (outside die in x|not centred on a row)"),
+    ], ids=["no-detailed", "no-detailed-no-refine"])
+    def test_unlegalized_default_run_fails_the_job(self, capsys, tmp_path,
+                                                    monkeypatch, skipped,
+                                                    error):
+        import re
+
+        from repro.core.stages import get_stage
+        for name in skipped:
+            monkeypatch.setattr(get_stage(name), "run",
+                                lambda self, ctx: None)
+        jobs = str(tmp_path / "jobs")
+        code = main(["place", "--circuit", "ibm01", "--scale", "0.01",
+                     "--layers", "2", "--jobs-dir", jobs])
+        assert code == 1
+        document = self._failed_job(jobs)
+        assert re.search(error, document["error"]), document["error"]
+        assert (f"job {document['id']} failed: {document['error']}"
+                in capsys.readouterr().err)
+
+    def test_out_of_die_global_only_run_fails_the_job(self, capsys,
+                                                      tmp_path,
+                                                      monkeypatch):
+        from repro.core.stages import get_stage
+        stage = get_stage("global")
+        place = stage.run
+
+        def escape(self, ctx):
+            place(self, ctx)
+            ctx.placement.y[ctx.netlist.movable_ids[0]] = -1.0
+
+        monkeypatch.setattr(stage, "run", escape)
+        jobs = str(tmp_path / "jobs")
+        code = main(["place", "--circuit", "ibm01", "--scale", "0.01",
+                     "--layers", "2", "--jobs-dir", jobs,
+                     "--pipeline", self._global_only(tmp_path)])
+        assert code == 1
+        document = self._failed_job(jobs)
+        assert document["error"].endswith(": centre outside the die")
+        assert (f"job {document['id']} failed: {document['error']}"
+                in capsys.readouterr().err)

@@ -28,7 +28,7 @@ class TestRoundTrip:
                                  num_layers=3, seed=42,
                                  legalization_rounds=4,
                                  refine_passes=0,
-                                 shift_max_density=1.3)
+                                 move_target_bins=81)
         text = json.dumps(config.to_dict())
         again = PlacementConfig.from_dict(json.loads(text))
         assert again == config

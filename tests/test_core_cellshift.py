@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.cellshift import BETA_CANDIDATES, CellShifter, shifted_widths
+from repro.core.cellshift import (BETA_CANDIDATES, MAX_DENSITY, CellShifter,
+                                  shifted_widths)
 from repro.core.objective import ObjectiveState
 from repro.netlist.placement import Placement
 from tests.conftest import make_chip
@@ -68,7 +69,7 @@ class TestCellShifter:
             pl.x[:] = 0.25 * chip.width + 0.1 * pl.x
             pl.y[:] = 0.25 * chip.height + 0.1 * pl.y
         obj = ObjectiveState(pl, config)
-        return CellShifter(obj, config)
+        return CellShifter(obj)
 
     def test_reduces_max_density(self, small_netlist, config):
         shifter = self.make(small_netlist, config)
@@ -81,10 +82,10 @@ class TestCellShifter:
     def test_removes_most_overflow(self, small_netlist, config):
         shifter = self.make(small_netlist, config)
         shifter._rebuild_mesh()
-        before = shifter.mesh.overflow(config.shift_max_density)
+        before = shifter.mesh.overflow(MAX_DENSITY)
         shifter.run()
         shifter._rebuild_mesh()
-        after = shifter.mesh.overflow(config.shift_max_density)
+        after = shifter.mesh.overflow(MAX_DENSITY)
         # most overflow gone; a residue is irreducible by shifting when
         # single cells are wider than a bin (centre-point binning)
         assert after < 0.35 * before
@@ -117,7 +118,7 @@ class TestCellShifter:
         pl = Placement.random(small_netlist, chip, seed=1)
         pl.z[:] = 0  # everything on the bottom layer
         obj = ObjectiveState(pl, config)
-        shifter = CellShifter(obj, config)
+        shifter = CellShifter(obj)
         shifter.run()
         populated = len(set(pl.z.tolist()))
         assert populated >= 2

@@ -161,8 +161,10 @@ class TestTrrWeights:
         assert w.shape == (pl.netlist.num_cells,)
         assert w.max() > 0
         # cells that drive nothing have zero attributed power -> zero
+        drivers = {cid for net in pl.netlist.nets
+                   for cid in net.driver_ids}
         nondrivers = [c.id for c in pl.netlist.cells
-                      if not pl.netlist.driven_nets_of_cell(c.id)]
+                      if c.id not in drivers]
         if nondrivers:
             assert np.all(w[nondrivers] == 0.0)
 

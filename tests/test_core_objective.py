@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import PlacementConfig
-from repro.core.objective import ObjectiveState, _median_interval_point
+from repro.core.objective import ObjectiveState
 from repro.metrics.wirelength import compute_net_metrics
 from repro.netlist.placement import Placement
 from tests.conftest import make_chip
@@ -172,10 +172,3 @@ class TestOptimalRegion:
         cid = tiny_netlist.cell("lonely").id
         ox, oy, oz = state.optimal_region_center(cid)
         assert ox == pytest.approx(pl.x[cid])
-
-    def test_median_interval_point(self):
-        assert _median_interval_point([0.0], [2.0]) == pytest.approx(1.0)
-        assert _median_interval_point([0, 4], [2, 6]) == pytest.approx(3.0)
-        # three intervals: the middle one wins
-        assert _median_interval_point([0, 10, 20], [1, 11, 21]) == \
-            pytest.approx(10.5)

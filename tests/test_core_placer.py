@@ -13,7 +13,7 @@ from repro.netlist.placement import Placement
 
 class TestPipeline:
     def test_produces_legal_placement(self, small_netlist, config):
-        result = Placer3D(small_netlist, config).run(check=True)
+        result = Placer3D(small_netlist, config).run()
         check_legal(result.placement)
 
     def test_result_metrics_match_placement(self, small_netlist, config):
@@ -45,7 +45,7 @@ class TestPipeline:
     def test_thermal_flow_runs_and_is_legal(self, small_netlist,
                                             thermal_config):
         nets_before = small_netlist.num_nets
-        result = Placer3D(small_netlist, thermal_config).run(check=True)
+        result = Placer3D(small_netlist, thermal_config).run()
         assert result.ilv >= 0
         # TRR nets live in the bisection tasks, not the netlist
         assert small_netlist.num_nets == nets_before
@@ -55,7 +55,7 @@ class TestPipeline:
             small_netlist.total_cell_area * 1.5, config.num_layers,
             small_netlist.average_cell_height,
             min_row_width=30 * small_netlist.average_cell_width)
-        result = Placer3D(small_netlist, config, chip=chip).run(check=True)
+        result = Placer3D(small_netlist, config, chip=chip).run()
         assert result.placement.chip is chip
 
     def test_chip_layer_mismatch_rejected(self, small_netlist, config):
@@ -67,13 +67,13 @@ class TestPipeline:
 
     def test_single_layer_2d_mode(self, small_netlist):
         config = PlacementConfig(alpha_ilv=1e-5, num_layers=1, seed=0)
-        result = Placer3D(small_netlist, config).run(check=True)
+        result = Placer3D(small_netlist, config).run()
         assert result.ilv == 0
         assert np.all(result.placement.z == 0)
 
     def test_two_layers(self, small_netlist):
         config = PlacementConfig(alpha_ilv=1e-5, num_layers=2, seed=0)
-        result = Placer3D(small_netlist, config).run(check=True)
+        result = Placer3D(small_netlist, config).run()
         assert set(result.placement.z.tolist()) <= {0, 1}
 
     def test_legalization_rounds_improve_or_hold(self, small_netlist):
@@ -83,7 +83,7 @@ class TestPipeline:
         two = Placer3D(small_netlist,
                        PlacementConfig(alpha_ilv=1e-5, seed=0,
                                        legalization_rounds=2)
-                       ).run(check=True)
+                       ).run()
         # round 1 of the 2-round run equals the 1-round run, and the
         # placer keeps the best round, so more rounds can only help
         assert two.objective <= one.objective + 1e-15

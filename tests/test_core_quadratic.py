@@ -1,13 +1,22 @@
-"""Tests for the quadratic (force-directed) baseline placer."""
+"""Tests for the quadratic (force-directed) baseline placer, run as
+the pipeline spec ``[quadratic, detailed]`` through ``Placer3D``."""
 
 import numpy as np
 import pytest
 
 from repro import PlacementConfig, Placer3D
 from repro.core.detailed import check_legal
-from repro.core.quadratic import QuadraticPlacer, _rank_spread
+from repro.core.pipeline import PipelineSpec, StageEntry
+from repro.core.quadratic import _rank_spread
 from repro.netlist.pads import add_peripheral_pads
 from tests.conftest import make_chip
+
+QUADRATIC = PipelineSpec(entries=(StageEntry("quadratic"),
+                                  StageEntry("detailed")))
+
+
+def quadratic(netlist, config, chip=None):
+    return Placer3D(netlist, config, chip=chip, spec=QUADRATIC).run()
 
 
 class TestRankSpread:
@@ -29,18 +38,18 @@ class TestRankSpread:
 
 class TestQuadraticPlacer:
     def test_legal_result(self, small_netlist, config):
-        result = QuadraticPlacer(small_netlist, config).run()
+        result = quadratic(small_netlist, config)
         check_legal(result.placement)
 
     def test_beats_random(self, small_netlist, config):
-        from repro.core.baseline import random_baseline
-        quad = QuadraticPlacer(small_netlist, config).run()
-        rand = random_baseline(small_netlist, config)
+        quad = quadratic(small_netlist, config)
+        rand = Placer3D(small_netlist, config, spec=PipelineSpec(entries=(
+            StageEntry("random"), StageEntry("detailed")))).run()
         assert quad.objective < rand.objective
 
     def test_deterministic(self, small_netlist, config):
-        a = QuadraticPlacer(small_netlist, config).run()
-        b = QuadraticPlacer(small_netlist, config).run()
+        a = quadratic(small_netlist, config)
+        b = quadratic(small_netlist, config)
         assert np.array_equal(a.placement.x, b.placement.x)
 
     def test_padded_design_supported(self, config):
@@ -52,7 +61,7 @@ class TestQuadraticPlacer:
             "fd", 150, 150 * 5e-12, seed=17))
         chip = make_chip(nl, num_layers=config.num_layers)
         add_peripheral_pads(nl, chip, count=16, seed=3)
-        result = QuadraticPlacer(nl, config, chip=chip).run()
+        result = quadratic(nl, config, chip=chip)
         check_legal(result.placement)
         for cell in nl.fixed_cells():
             assert result.placement.position(cell.id) == \
@@ -61,12 +70,12 @@ class TestQuadraticPlacer:
     def test_bisection_beats_quadratic_without_pads(self,
                                                     medium_netlist,
                                                     config):
-        quad = QuadraticPlacer(medium_netlist, config).run()
+        quad = quadratic(medium_netlist, config)
         main = Placer3D(medium_netlist, config).run()
         assert main.objective < quad.objective
 
     def test_single_layer(self, small_netlist):
         config = PlacementConfig(alpha_ilv=1e-5, num_layers=1, seed=0)
-        result = QuadraticPlacer(small_netlist, config).run()
+        result = quadratic(small_netlist, config)
         check_legal(result.placement)
         assert result.ilv == 0

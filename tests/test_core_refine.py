@@ -80,13 +80,13 @@ class TestLegalRefiner:
 class TestPlacerIntegration:
     def test_refine_stage_recorded(self, small_netlist, config):
         from repro.core.placer import Placer3D
-        result = Placer3D(small_netlist, config).run(check=True)
+        result = Placer3D(small_netlist, config).run()
         assert "refine" in result.stage_seconds
 
     def test_refine_disabled(self, small_netlist):
         from repro.core.placer import Placer3D
         config = PlacementConfig(alpha_ilv=1e-5, seed=0, refine_passes=0)
-        result = Placer3D(small_netlist, config).run(check=True)
+        result = Placer3D(small_netlist, config).run()
         assert "refine" not in result.stage_seconds
 
     def test_refine_does_not_hurt(self, small_netlist):
@@ -94,5 +94,5 @@ class TestPlacerIntegration:
         off = Placer3D(small_netlist, PlacementConfig(
             alpha_ilv=1e-5, seed=0, refine_passes=0)).run()
         on = Placer3D(small_netlist, PlacementConfig(
-            alpha_ilv=1e-5, seed=0, refine_passes=2)).run(check=True)
+            alpha_ilv=1e-5, seed=0, refine_passes=2)).run()
         assert on.objective <= off.objective + 1e-15

@@ -23,7 +23,7 @@ class TestTinyDesigns:
         nl.add_cell("b", 2e-6, 1e-6)
         nl.add_net("n", [(0, PinRole.DRIVER), (1, PinRole.SINK)])
         config = PlacementConfig(alpha_ilv=1e-5, num_layers=2, seed=0)
-        result = Placer3D(nl, config).run(check=True)
+        result = Placer3D(nl, config).run()
         assert result.wirelength >= 0
 
     def test_netlist_without_nets(self):
@@ -31,7 +31,7 @@ class TestTinyDesigns:
         for i in range(16):
             nl.add_cell(f"c{i}", 2e-6, 1e-6)
         config = PlacementConfig(alpha_ilv=1e-5, num_layers=2, seed=0)
-        result = Placer3D(nl, config).run(check=True)
+        result = Placer3D(nl, config).run()
         assert result.wirelength == 0.0
         assert result.ilv == 0
 
@@ -43,7 +43,7 @@ class TestTinyDesigns:
                                         for i in range(1, 24)]
         nl.add_net("bus", pins)
         config = PlacementConfig(alpha_ilv=1e-5, num_layers=2, seed=0)
-        result = Placer3D(nl, config).run(check=True)
+        result = Placer3D(nl, config).run()
         assert result.wirelength > 0
 
     def test_cells_with_identical_everything(self):
@@ -55,7 +55,7 @@ class TestTinyDesigns:
             nl.add_net(f"n{i}", [(i, PinRole.DRIVER),
                                  (i + 1, PinRole.SINK)], activity=0.2)
         config = PlacementConfig(alpha_ilv=1e-5, num_layers=4, seed=0)
-        Placer3D(nl, config).run(check=True)
+        Placer3D(nl, config).run()
 
 
 class TestOverfullDesign:
@@ -166,7 +166,6 @@ class TestConfigValidation:
         dict(alpha_ilv=-1e-5),
         dict(alpha_temp=-1.0),
         dict(num_layers=0),
-        dict(min_region_cells=0),
     ])
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -34,7 +34,6 @@ class TestConstruction:
     def test_areas(self):
         chip = simple_chip()
         assert chip.footprint_area == pytest.approx(5e-9)
-        assert chip.placement_area == pytest.approx(2e-8)
 
 
 class TestVerticalStack:
@@ -54,11 +53,6 @@ class TestVerticalStack:
         assert heights[0] == pytest.approx(0.5 * 5.7e-6)
         assert heights[1] - heights[0] == pytest.approx(chip.layer_pitch)
 
-    def test_distance_to_heat_sink_includes_substrate(self):
-        chip = simple_chip()
-        d0 = chip.distance_to_heat_sink(0)
-        assert d0 == pytest.approx(500e-6 + 0.5 * 5.7e-6)
-
     def test_layer_out_of_range(self):
         chip = simple_chip()
         with pytest.raises(IndexError):
@@ -68,32 +62,10 @@ class TestVerticalStack:
 
 
 class TestRows:
-    def test_row_lookup_by_y(self):
-        chip = simple_chip()
-        row = chip.row_of_y(6e-6)
-        assert row.index == 2
-        assert row.y == pytest.approx(5e-6)
-
-    def test_row_of_y_clamps(self):
-        chip = simple_chip()
-        assert chip.row_of_y(-5e-6).index == 0
-        assert chip.row_of_y(1.0).index == chip.rows_per_layer - 1
-
-    def test_rows_on_layer_count(self):
-        chip = simple_chip()
-        rows = chip.rows_on_layer(2)
-        assert len(rows) == chip.rows_per_layer
-        assert all(r.layer == 2 for r in rows)
-
     def test_row_index_out_of_range(self):
         chip = simple_chip()
         with pytest.raises(IndexError):
             chip.row(0, chip.rows_per_layer)
-
-    def test_snap_y_to_row(self):
-        chip = simple_chip()
-        assert chip.snap_y_to_row(6.1e-6) == pytest.approx(5e-6)
-        assert chip.snap_y_to_row(6.4e-6) == pytest.approx(7.5e-6)
 
     def test_clamp_layer(self):
         chip = simple_chip()

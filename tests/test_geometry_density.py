@@ -30,13 +30,6 @@ class TestGeometry:
     def test_bin_of_clamps_out_of_range(self, mesh):
         assert mesh.bin_of(-1e-6, 100e-6, 5) == (0, 3, 1)
 
-    def test_bin_bounds_roundtrip(self, mesh):
-        xlo, xhi, ylo, yhi = mesh.bin_bounds((2, 1, 0))
-        assert xlo == pytest.approx(20e-6)
-        assert xhi == pytest.approx(30e-6)
-        assert ylo == pytest.approx(10e-6)
-        assert yhi == pytest.approx(20e-6)
-
     def test_bin_center_maps_back(self, mesh):
         for index in [(0, 0, 0), (7, 3, 1), (4, 2, 0)]:
             x, y, z = mesh.bin_center(index)
@@ -44,7 +37,7 @@ class TestGeometry:
 
     def test_invalid_index_raises(self, mesh):
         with pytest.raises(IndexError):
-            mesh.bin_bounds((8, 0, 0))
+            mesh.bin_center((8, 0, 0))
 
     def test_invalid_mesh_size(self, chip):
         with pytest.raises(ValueError):
@@ -52,18 +45,6 @@ class TestGeometry:
 
 
 class TestNeighbors:
-    def test_interior_bin_has_six_neighbors(self, mesh):
-        assert len(mesh.neighbors((4, 2, 0))) == 5  # only 2 layers: 1 up
-        assert len(mesh.neighbors((4, 2, 1))) == 5
-
-    def test_corner_bin(self, mesh):
-        n = mesh.neighbors((0, 0, 0))
-        assert set(n) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-
-    def test_no_vertical(self, mesh):
-        n = mesh.neighbors((4, 2, 0), include_vertical=False)
-        assert all(k == 0 for _, _, k in n)
-
     def test_bins_within_radius_zero(self, mesh):
         assert mesh.bins_within((3, 2, 1), 0) == [(3, 2, 1)]
 
@@ -80,13 +61,13 @@ class TestNeighbors:
 class TestOccupancy:
     def test_add_and_density(self, mesh):
         mesh.add_cell(0, 5e-6, 5e-6, 0, 5e-11)
-        assert mesh.density_of((0, 0, 0)) == pytest.approx(0.5)
+        assert mesh.densities[0, 0, 0] == pytest.approx(0.5)
         assert mesh.max_density == pytest.approx(0.5)
 
     def test_remove_cell(self, mesh):
         idx = mesh.add_cell(1, 5e-6, 5e-6, 0, 5e-11)
         mesh.remove_cell(1, idx, 5e-11)
-        assert mesh.density_of(idx) == pytest.approx(0.0)
+        assert mesh.densities[idx] == pytest.approx(0.0)
         assert mesh.members(idx) == []
 
     def test_remove_missing_cell_raises(self, mesh):

@@ -205,7 +205,7 @@ def test_legalization_is_chunk_invariant(medium_netlist, monkeypatch):
         mover = MoveOptimizer(objective, config)
         mover.global_pass()
         mover.local_pass()
-        CellShifter(objective, config).run()
+        CellShifter(objective).run()
         DetailedLegalizer(objective, config).run()
         LegalRefiner(objective, config).run(config.refine_passes)
         return placement
@@ -274,7 +274,7 @@ def test_pipeline_stages_preserve_consistency(small_netlist, alpha_temp):
     mover.local_pass()
     objective.check_consistency(tol=1e-9)
 
-    CellShifter(objective, config).run()
+    CellShifter(objective).run()
     objective.check_consistency(tol=1e-9)
 
     DetailedLegalizer(objective, config).run()

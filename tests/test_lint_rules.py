@@ -377,7 +377,7 @@ class TestRPL010StageInstantiation:
             from repro.core.stages import create_stage
 
             def f() -> None:
-                create_stage("quadratic", {"iterations": 2})
+                create_stage("anneal", {"moves_per_cell": 2})
         """) == []
 
     def test_non_stage_suffix_names_allowed(self):

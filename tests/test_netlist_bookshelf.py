@@ -63,7 +63,7 @@ class TestReading:
         net = nl.net("n_first")
         assert net.degree == 3
         assert net.driver_ids == [nl.cell("a").id]
-        assert len(net.sink_ids) == 2
+        assert net.num_input_pins == 2
 
     def test_nets_without_directions_get_first_pin_driver(self, prefix):
         nl = bookshelf.read_bookshelf(prefix)

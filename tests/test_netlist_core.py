@@ -32,7 +32,6 @@ class TestNet:
                            (2, PinRole.SINK)])
         assert net.degree == 3
         assert net.driver_ids == [0]
-        assert net.sink_ids == [1, 2]
         assert net.num_output_pins == 1
         assert net.num_input_pins == 2
 
@@ -89,11 +88,6 @@ class TestNetlistQueries:
     def test_incidence(self, tiny_netlist):
         assert sorted(tiny_netlist.nets_of_cell(2)) == [0, 1, 4]
         assert sorted(tiny_netlist.nets_of_cell(5)) == [3]
-
-    def test_driven_nets(self, tiny_netlist):
-        assert tiny_netlist.driven_nets_of_cell(0) == [0]
-        assert tiny_netlist.driven_nets_of_cell(2) == [4]
-        assert tiny_netlist.driven_nets_of_cell(5) == []
 
     def test_degree_histogram(self, tiny_netlist):
         hist = tiny_netlist.degree_histogram()

@@ -119,7 +119,8 @@ class TestSuite:
         # average cell area preserved under scaling
         profile = SUITE_PROFILES["ibm03"]
         avg = nl.total_cell_area / nl.num_cells
-        assert avg == pytest.approx(profile.average_cell_area_m2, rel=1e-6)
+        assert avg == pytest.approx(profile.area_m2 / profile.cells,
+                                    rel=1e-6)
 
     def test_min_cells_floor(self):
         nl = load_benchmark("ibm01", scale=1e-9)

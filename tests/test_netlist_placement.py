@@ -57,16 +57,6 @@ class TestMutation:
         with pytest.raises(ValueError):
             pl.move(tiny_netlist.cell("pad").id, 1e-6, 1e-6, 0)
 
-    def test_clamp_to_chip(self, tiny_netlist, chip):
-        pl = Placement.at_center(tiny_netlist, chip)
-        pl.x[0] = -5e-6
-        pl.y[1] = 100e-6
-        pl.z[2] = 9
-        pl.clamp_to_chip()
-        assert pl.x[0] >= 0
-        assert pl.y[1] <= chip.height
-        assert pl.z[2] == 3
-
     def test_copy_is_independent(self, tiny_netlist, chip):
         pl = Placement.at_center(tiny_netlist, chip)
         cp = pl.copy()

@@ -3,8 +3,9 @@
 Covers the stage registry (lookup, options validation, duplicates),
 PipelineSpec JSON round-trips with unknown-key rejection, unit-label
 enumeration, the default spec's equivalence to the historical flow,
-drop-in alternate global stages, the preempt hook's stop boundaries,
-and that neither a context nor a run adds nets to its netlist.
+drop-in alternate global stages, the check each spec's finished run
+ends with, the preempt hook's stop boundaries, and that neither a
+context nor a run adds nets to its netlist.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core import placer as placer_module
 from repro.core.config import PlacementConfig
 from repro.core.context import PlacementContext
 from repro.core.detailed import check_legal
@@ -38,8 +40,8 @@ def _netlist(num_cells: int = 60, seed: int = 11):
 class TestStageRegistry:
     def test_all_core_stages_registered(self):
         names = available_stages()
-        for expected in ("global", "quadratic", "random", "moves",
-                         "cellshift", "detailed", "refine"):
+        for expected in ("global", "quadratic", "random", "anneal",
+                         "moves", "cellshift", "detailed", "refine"):
             assert expected in names
 
     def test_get_stage_unknown_name_lists_known(self):
@@ -51,14 +53,21 @@ class TestStageRegistry:
             create_stage("moves", {"bogus_option": 1})
 
     def test_create_stage_applies_options(self):
-        stage = create_stage("quadratic", {"iterations": 4})
-        assert getattr(stage, "iterations") == 4
+        stage = create_stage("anneal", {"moves_per_cell": 4})
+        assert getattr(stage, "moves_per_cell") == 4
+
+    @pytest.mark.parametrize("name, option", [
+        ("anneal", "cooling"), ("quadratic", "iterations")])
+    def test_retired_stage_options_rejected(self, name, option):
+        with pytest.raises(ValueError,
+                           match=f"bad options for stage '{name}'"):
+            create_stage(name, {option: 1})
 
     @pytest.mark.parametrize("name, option", [
         ("global", "workers"), ("moves", "passes"), ("refine", "passes")])
     def test_options_shadowing_config_fields_rejected(self, name, option):
-        # num_workers, move_passes and refine_passes are config fields;
-        # a spec cannot carry a second knob for the same setting
+        # workers and refine passes are config fields and moves runs
+        # one pass; a spec cannot carry a second knob for a setting
         with pytest.raises(ValueError, match="bad options for stage"):
             create_stage(name, {option: 2})
 
@@ -103,7 +112,8 @@ class TestPipelineSpec:
 
     def test_round_trip_through_json_file(self, tmp_path):
         spec = PipelineSpec(entries=(
-            StageEntry("quadratic", {"iterations": 2}),
+            StageEntry("quadratic"),
+            StageEntry("anneal", {"moves_per_cell": 2}),
             RepeatEntry(stages=(StageEntry("moves"),
                                 StageEntry("detailed")), rounds=2),
         ))
@@ -208,14 +218,58 @@ class TestAlternateGlobalStages:
         check_legal(result.placement)
         assert result.objective > 0
 
-    def test_quadratic_stage_options_flow_from_spec(self):
+    def test_anneal_stage_options_flow_from_spec(self):
         config = PlacementConfig(alpha_ilv=1e-5, num_layers=2, seed=0)
-        spec = PipelineSpec(entries=(
-            StageEntry("quadratic", {"iterations": 1}),
-            RepeatEntry(stages=(StageEntry("detailed"),)),
-        ))
-        result = Placer3D(_netlist(40), config, spec=spec).run()
-        check_legal(result.placement)
+
+        def spec(moves_per_cell):
+            return PipelineSpec(entries=(
+                StageEntry("random"),
+                StageEntry("anneal", {"moves_per_cell": moves_per_cell,
+                                      "stages": 2}),
+                RepeatEntry(stages=(StageEntry("detailed"),)),
+            ))
+
+        short = Placer3D(_netlist(40), config, spec=spec(1)).run()
+        longer = Placer3D(_netlist(40), config, spec=spec(8)).run()
+        check_legal(short.placement)
+        assert not np.array_equal(short.placement.x, longer.placement.x)
+
+
+def _spec(*entries):
+    """A spec from stage names, with lists as one-round repeat groups."""
+    return PipelineSpec(entries=tuple(
+        RepeatEntry(stages=tuple(StageEntry(n) for n in entry))
+        if isinstance(entry, list) else StageEntry(entry)
+        for entry in entries))
+
+
+class TestFinalCheck:
+    """Every finished run ends with the check its spec implies."""
+
+    @pytest.mark.parametrize("spec, expected", [
+        (_spec("global"), "bounds"),
+        (_spec("global", "moves"), "bounds"),
+        (_spec("global", ["moves", "cellshift", "detailed"]), "legal"),
+        (_spec("global", ["moves", "cellshift", "detailed", "refine"]),
+         "legal"),
+        (_spec("random", "detailed", "moves"), "bounds"),
+    ], ids=["global", "global-moves", "global-rounds",
+            "global-rounds-refine", "random-detailed-moves"])
+    def test_spec_gets_the_check_the_rule_gives(self, monkeypatch, spec,
+                                                 expected):
+        calls = []
+        monkeypatch.setattr(placer_module, "check_legal",
+                            lambda placement: calls.append("legal"))
+        monkeypatch.setattr(placer_module, "check_bounds",
+                            lambda placement: calls.append("bounds"))
+        config = PlacementConfig(alpha_ilv=1e-5, num_layers=2, seed=0)
+        Placer3D(_netlist(30), config, spec=spec).run()
+        assert calls == [expected]
+        assert spec.ends_legal() is (expected == "legal")
+
+    def test_refine_alone_does_not_legalize(self):
+        assert not _spec("refine").ends_legal()
+        assert not _spec(["detailed", "moves"], "refine").ends_legal()
 
 
 class TestHaltAfter:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.cellshift import shifted_widths
 from repro.core.config import PlacementConfig
-from repro.core.objective import ObjectiveState, _median_interval_point
+from repro.core.objective import ObjectiveState
 from repro.geometry.bbox import BBox3D
 from repro.geometry.chip import ChipGeometry
 from repro.geometry.density import DensityMesh
@@ -89,30 +89,6 @@ def test_shifted_widths_congested_never_shrink(d):
     for di, wi in zip(d, w):
         if di > 1.0:
             assert wi >= 1.0 - 1e-12
-
-
-# ----------------------------------------------------------------------
-# median interval (optimal region)
-# ----------------------------------------------------------------------
-intervals = st.lists(
-    st.tuples(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
-              st.floats(min_value=0.0, max_value=1.0, allow_nan=False)),
-    min_size=1, max_size=15)
-
-
-@given(intervals)
-def test_median_interval_minimizes_total_distance(raw):
-    los = [a for a, _ in raw]
-    his = [a + b for a, b in raw]
-    m = _median_interval_point(los, his)
-
-    def cost(x):
-        return sum(max(lo - x, 0.0, x - hi)
-                   for lo, hi in zip(los, his))
-
-    base = cost(m)
-    for probe in np.linspace(min(los) - 0.5, max(his) + 0.5, 21):
-        assert base <= cost(float(probe)) + 1e-9
 
 
 # ----------------------------------------------------------------------

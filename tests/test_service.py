@@ -70,14 +70,19 @@ class TestJobRequest:
     def test_round_trips_through_dict(self):
         request = JobRequest(config=_config().to_dict(),
                              circuit="ibm01", scale=0.02,
-                             label="point 3", want_telemetry=True,
-                             check=True)
+                             label="point 3", want_telemetry=True)
         assert JobRequest.from_dict(request.to_dict()) == request
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown job-request"):
             JobRequest.from_dict({"config": {}, "circuit": "ibm01",
                                   "surprise": 1})
+
+    def test_from_dict_rejects_retired_check_key(self):
+        # every run now ends with the check its spec implies
+        with pytest.raises(ValueError, match=r"keys: \['check'\]"):
+            JobRequest.from_dict({"config": {}, "circuit": "ibm01",
+                                  "check": True})
 
     def test_from_dict_needs_config_object(self):
         with pytest.raises(ValueError, match="'config' object"):

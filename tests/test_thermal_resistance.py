@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 
 from repro.geometry.chip import ChipGeometry
-from repro.netlist.placement import Placement
 from repro.thermal.resistance import ResistanceModel
 
 
@@ -71,23 +70,11 @@ class TestCellResistance:
         assert r > 0  # only the down path remains
 
 
-class TestCellResistances:
-    def test_array_matches_scalar(self, model, chip, tiny_netlist):
-        pl = Placement.random(tiny_netlist, chip, seed=0)
-        rs = model.cell_resistances(pl)
-        cid = 2
-        expected = model.cell_resistance(
-            float(pl.x[cid]), float(pl.y[cid]), int(pl.z[cid]),
-            tiny_netlist.areas[cid])
-        assert rs[cid] == pytest.approx(expected)
-        assert rs.shape == (tiny_netlist.num_cells,)
-
-
 class TestVerticalProfile:
     def test_fit_matches_layer_values(self, model, chip):
         prof = model.vertical_profile(area=AREA)
         for z in range(4):
-            fitted = prof.at_layer(chip, z)
+            fitted = prof.r0 + prof.slope * chip.layer_center_height(z)
             actual = model.layer_resistance(z, AREA)
             assert fitted == pytest.approx(actual, rel=0.05)
 

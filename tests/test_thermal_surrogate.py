@@ -144,7 +144,7 @@ class TestPlacerSolvesNoFields:
         config = PlacementConfig(alpha_ilv=1e-5, alpha_temp=4e-5,
                                  num_layers=3, seed=3,
                                  legalization_rounds=2)
-        result = Placer3D(netlist, config).run(check=True)
+        result = Placer3D(netlist, config).run()
         assert result.objective > 0
         assert len(result.round_seconds) == 2
 
