@@ -3,9 +3,9 @@
 A checkpoint is a directory holding two files:
 
 - ``checkpoint.json`` — metadata: the full config (plus its stable
-  hash), the serialized pipeline spec (plus hash), a netlist signature,
-  the ordered list of completed pipeline units and the objective
-  accumulators' scalar half.  The document is pinned
+  hash), the serialized pipeline spec (plus hash), the netlist's name
+  and content hash, the ordered list of completed pipeline units and
+  the objective accumulators' scalar half.  The document is pinned
   by ``checkpoint_schema.json`` and validated with the same
   dependency-free validator the run manifests use.
 - ``state.npz`` — the placement coordinate arrays, the per-cell power
@@ -14,13 +14,12 @@ A checkpoint is a directory holding two files:
   :meth:`~repro.core.objective.ObjectiveState.checkpoint_state`), and
   the best-round snapshot arrays when one exists.
 
-Resume validates the config hash, spec hash and netlist signature
-before touching any state, so a checkpoint can never be silently
-applied to a different circuit, different knobs or a different
-pipeline.  With all three equal, a resumed run replays the remaining
-units with the same per-stage seeded generators and the same
-accumulator bits, reproducing the uninterrupted run's final placement
-bit-identically.
+Resume validates the config hash, spec hash and netlist hash before
+touching any state, so a checkpoint can never be silently applied to
+a different circuit, different knobs or a different pipeline.  With
+all three equal, a resumed run replays the remaining units with the
+same per-stage seeded generators and the same accumulator bits,
+reproducing the uninterrupted run's final placement bit-identically.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ import numpy as np
 
 from repro.analysis import FloatArray, IntArray
 from repro.core.context import PlacementContext
+from repro.netlist.netlist import netlist_hash
 from repro.obs.clock import wall_time
 from repro.obs.manifest import (CHECKPOINT_KIND, config_hash, content_hash,
                                 validate_checkpoint_meta)
@@ -90,15 +90,8 @@ def has_checkpoint(directory: Union[str, Path]) -> bool:
     return meta_path.is_file() and npz_path.is_file()
 
 
-def _netlist_signature(ctx: PlacementContext) -> Dict[str, Any]:
-    netlist = ctx.netlist
-    return {
-        "name": netlist.name,
-        "num_cells": int(netlist.num_cells),
-        "num_nets": int(netlist.num_nets),
-        "num_movable": int(netlist.num_movable),
-        "num_pins": int(netlist.num_pins()),
-    }
+def _netlist_identity(ctx: PlacementContext) -> Dict[str, Any]:
+    return {"name": ctx.netlist.name, "hash": netlist_hash(ctx.netlist)}
 
 
 def save_checkpoint(directory: Union[str, Path], ctx: PlacementContext,
@@ -147,7 +140,7 @@ def save_checkpoint(directory: Union[str, Path], ctx: PlacementContext,
         "config_hash": config_hash(ctx.config),
         "spec": spec_dict,
         "spec_hash": content_hash(spec_dict),
-        "netlist": _netlist_signature(ctx),
+        "netlist": _netlist_identity(ctx),
         "completed": list(completed),
         "objective_built": ctx.objective_built,
         "objective_total": objective_total,
@@ -217,7 +210,7 @@ def verify_matches(data: CheckpointData, ctx: PlacementContext,
 
     Raises:
         CheckpointError: when the config hash, spec hash or netlist
-            signature of the checkpoint disagrees with the current run.
+            hash of the checkpoint disagrees with the current run.
     """
     want_config = config_hash(ctx.config)
     got_config = data.meta["config_hash"]
@@ -231,11 +224,11 @@ def verify_matches(data: CheckpointData, ctx: PlacementContext,
         raise CheckpointError(
             f"checkpoint pipeline spec hash {got_spec} != current "
             f"{want_spec}; resume requires the identical spec")
-    signature = _netlist_signature(ctx)
+    identity = _netlist_identity(ctx)
     stored = data.meta["netlist"]
-    if stored != signature:
+    if stored != identity:
         raise CheckpointError(
-            f"checkpoint netlist {stored} != current {signature}")
+            f"checkpoint netlist {stored} != current {identity}")
     n = ctx.netlist.num_cells
     for label, array in (("x", data.x), ("y", data.y), ("z", data.z)):
         if array.shape != (n,):

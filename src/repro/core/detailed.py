@@ -33,6 +33,7 @@ from repro.analysis import FloatArray
 from repro.core.config import PlacementConfig
 from repro.core.objective import ObjectiveState
 from repro.geometry.density import DensityMesh
+from repro.netlist.csr import signal_csr
 from repro.netlist.placement import Placement
 from repro.obs import get_recorder
 
@@ -307,17 +308,14 @@ class DetailedLegalizer:
     def _sensitivities(self) -> FloatArray:
         """Estimated objective sensitivity to moving each cell.
 
-        Connectivity (incident signal-net count) scaled by footprint:
+        Connectivity (incident net count) scaled by footprint:
         big, well-connected cells hurt most when displaced, so they are
         placed while the free space near their positions is still
         intact.
         """
         netlist = self.netlist
-        n = netlist.num_cells
-        degree = np.zeros(n, dtype=np.float64)
-        for net in netlist.nets:
-            for cid in net.unique_cell_ids:
-                degree[cid] += 1
+        degree = np.diff(signal_csr(netlist).cell_net_ptr).astype(
+            np.float64)
         areas = netlist.areas
         mean_area = max(float(areas.mean()), 1e-30)
         return degree + areas / mean_area

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import PlacementConfig
+from repro.netlist.csr import signal_csr
 from repro.netlist.placement import Placement
 from repro.thermal.power import PowerModel
 from repro.thermal.resistance import ResistanceModel
@@ -56,13 +57,13 @@ def compute_net_weights(placement: Placement, config: PlacementConfig,
     rm = resistance_model or ResistanceModel(placement.chip, config.tech)
     areas = np.maximum(netlist.areas, 1e-18)
     r_net = np.zeros(m)
-    for net in netlist.nets:
+    for nid, drivers in enumerate(signal_csr(netlist).drivers):
         total = 0.0
-        for d in net.driver_ids:
+        for d in drivers:
             total += rm.cell_resistance(
                 float(placement.x[d]), float(placement.y[d]),
                 int(placement.z[d]), float(areas[d]))
-        r_net[net.id] = total
+        r_net[nid] = total
     lateral = 1.0 + config.alpha_temp * r_net * power_model.s_wl
     vertical = (1.0 + config.alpha_temp * r_net * power_model.s_ilv
                 / config.alpha_ilv)

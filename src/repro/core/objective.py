@@ -3,23 +3,25 @@
     obj = sum_nets [ WL_i + a_ILV * ILV_i ]
         + a_TEMP * sum_cells R_j^cell * P_j^cell
 
-The first term is over signal nets only.  The thermal term uses the
-simple straight-path resistance model (position-dependent through the
-cell's layer) and the dynamic power attribution of Eq. 10 with *actual*
-net geometry — by coarse/detailed legalization time cells are spread
-out, so the PEKO floors of global placement are no longer needed.
+The first term is over every net of the netlist.  The thermal term
+uses the simple straight-path resistance model (position-dependent
+through the cell's layer) and the dynamic power attribution of Eq. 10
+with *actual* net geometry — by coarse/detailed legalization time
+cells are spread out, so the PEKO floors of global placement are no
+longer needed.
 
 TRR nets never appear here: they are the partitioning-side *mechanism*
 for the thermal term, which this class evaluates directly.
 
 Data layout (the "kernel layer", see DESIGN.md):
 
-- The static net/pin structure is a CSR-style pair of flat int arrays:
-  ``_net_ptr`` (length ``csr.num_nets + 1``) and ``_pin_cell`` (one
-  entry per unique net pin), so full recomputation (`rebuild`) is a
-  handful of ``np.minimum.reduceat``/``np.maximum.reduceat`` segment
-  reductions instead of a Python loop over per-net lists.  Drivers and
-  the cell->net incidence have CSR mirrors of their own.
+- The static net/pin structure is the netlist's shared CSR
+  (:mod:`repro.netlist.csr`): ``_net_ptr`` (length ``num_nets + 1``)
+  and ``_pin_cell`` (one entry per unique net pin), so full
+  recomputation (`rebuild`) is a handful of
+  ``np.minimum.reduceat``/``np.maximum.reduceat`` segment reductions
+  instead of a Python loop over per-net lists.  Drivers and the
+  cell->net incidence have CSR arrays of their own.
 - Candidate scoring has two paths: :meth:`eval_moves` handles an
   arbitrary joint move set with O(local pins) scalar work, while
   :meth:`eval_moves_batch` / :meth:`eval_swaps_batch` score many
@@ -106,51 +108,40 @@ class ObjectiveState:
         self.power_model = power_model or PowerModel(netlist, config.tech)
         n_cells = netlist.num_cells
 
-        # --- static per-net structure (signal nets only) ---------------
-        # The flat CSR arrays come from the netlist's cached SignalCSR
-        # (built once per content, possibly int32-minimized and shared
-        # across equal-content instances); the kernels here index much
-        # larger products, so everything is upcast to int64 once at
-        # construction.  List mirrors are kept for the scalar
-        # (joint-move) path, where tiny-net Python loops still beat
-        # per-array overhead.
+        # --- static per-net structure ------------------------------------
+        # Shared, read-only: the arrays and the per-net pin and driver
+        # lists are the netlist's cached CSR, the per-cell net lists its
+        # incidence lists.  The lists serve the scalar (joint-move) path,
+        # where tiny-net Python loops still beat per-array overhead.
         csr = signal_csr(netlist)
-        self._net_ids: List[int] = csr.net_ids.tolist()
-        self._pins: List[List[int]] = csr.pin_lists()
-        self._drivers: List[List[int]] = csr.driver_lists()
-        m = csr.num_nets
-        ids = csr.net_ids.astype(np.int64, copy=False)
-        self._s_wl: FloatArray = np.asarray(
-            self.power_model.s_wl, dtype=np.float64)[ids]
-        self._s_ilv: FloatArray = np.asarray(
-            self.power_model.s_ilv, dtype=np.float64)[ids]
-        self._pin_term: FloatArray = np.asarray(
-            self.power_model.s_input_pins, dtype=np.float64)[ids]
+        self._pins: List[List[int]] = csr.pins
+        self._drivers: List[List[int]] = csr.drivers
+        self._cell_nets: List[List[int]] = [
+            netlist.nets_of_cell(cid) for cid in range(n_cells)]
+        self._s_wl = np.asarray(self.power_model.s_wl, dtype=np.float64)
+        self._s_ilv = np.asarray(self.power_model.s_ilv, dtype=np.float64)
+        self._pin_term = np.asarray(self.power_model.s_input_pins,
+                                    dtype=np.float64)
 
         # net -> pin CSR
-        self._net_deg = csr.net_deg.astype(np.int64)
-        self._net_ptr = csr.net_ptr.astype(np.int64)
-        self._pin_cell = csr.pin_cell.astype(np.int64)
-        self._pin_net = csr.pin_net.astype(np.int64)
+        self._net_deg = csr.net_deg
+        self._net_ptr = csr.net_ptr
+        self._pin_cell = csr.pin_cell
         # globally sorted membership keys: pins sorted within each net,
         # encoded as net * num_cells + cell (for vectorized searchsorted)
         self._pin_key = csr.pin_key
 
         # net -> driver CSR (with multiplicity, as the power model uses)
-        self._drv_deg = np.diff(csr.drv_ptr).astype(np.int64)
-        self._drv_ptr = csr.drv_ptr.astype(np.int64)
-        self._drv_cell = csr.drv_cell.astype(np.int64)
-        self._drv_net = csr.drv_net.astype(np.int64)
+        self._drv_deg = np.diff(csr.drv_ptr)
+        self._drv_ptr = csr.drv_ptr
+        self._drv_cell = csr.drv_cell
+        self._drv_net = csr.drv_net
 
         # cell -> net CSR (+ the cell's driver-pin multiplicity per net)
-        self._cell_net_ptr = csr.cell_net_ptr.astype(np.int64)
+        self._cell_net_ptr = csr.cell_net_ptr
         self._cell_deg = np.diff(self._cell_net_ptr)
-        self._cell_net_idx = csr.cell_net_idx.astype(np.int64)
+        self._cell_net_idx = csr.cell_net_idx
         self._cell_net_drvmult: FloatArray = csr.cell_net_drvmult
-        self._cell_nets: List[List[int]] = [
-            e.tolist() for e in np.split(self._cell_net_idx,
-                                         self._cell_net_ptr[1:-1])] \
-            if n_cells else []
 
         # --- thermal resistance per (layer, cell) -----------------------
         # Lateral paths barely matter (the secondary film coefficient is
@@ -229,7 +220,7 @@ class ObjectiveState:
     def _refresh_extremes(self) -> None:
         """Per-net first/second extremes per axis, for exclusion queries.
 
-        For each signal net and axis this caches the extreme value, how
+        For each net and axis this caches the extreme value, how
         many pins attain it, and the runner-up value — enough to answer
         "what is the net's span if one given pin moves" without touching
         the other pins.  Invalidated by :meth:`apply_moves` and
@@ -282,14 +273,14 @@ class ObjectiveState:
             self._drv_rsum = rsum
         self._extremes_dirty = False
 
-    def _update_net_extremes(self, local: int) -> None:
+    def _update_net_extremes(self, nid: int) -> None:
         """Incrementally refresh one net's extreme cache (all axes).
 
         Nets are tiny (2-4 pins), so a scalar scan per net beats
         re-running the global segment reductions by orders of magnitude
         when only a handful of nets changed.
         """
-        pins = self._pins[local]
+        pins = self._pins[nid]
         ext = self._ext
         assert ext is not None, "extreme caches queried while dirty"
         for axis, coords in (("x", self._xs), ("y", self._ys),
@@ -311,12 +302,12 @@ class ObjectiveState:
                 elif v < lo2:
                     lo2 = v
             e = ext[axis]
-            e[0][local] = hi1
-            e[1][local] = cnt_hi
-            e[2][local] = hi2
-            e[3][local] = lo1
-            e[4][local] = cnt_lo
-            e[5][local] = lo2
+            e[0][nid] = hi1
+            e[1][nid] = cnt_hi
+            e[2][nid] = hi2
+            e[3][nid] = lo1
+            e[4][nid] = cnt_lo
+            e[5][nid] = lo2
 
     @hot_path
     def _update_nets_batch(self, nets: IntArray) -> None:
@@ -616,7 +607,7 @@ class ObjectiveState:
         return float(self._power[cell_id])
 
     def cell_nets(self, cell_id: int) -> List[int]:
-        """Internal indices of the nets incident to a cell.
+        """Ids of the nets incident to a cell.
 
         Batch consumers use these for staleness tracking: a cached
         candidate delta for a cell is exact as long as none of the
@@ -650,13 +641,13 @@ class ObjectiveState:
         alpha_temp = self.alpha_temp
         affected: Dict[int, None] = {}
         for cid in moved:
-            for local in self._cell_nets[cid]:
-                affected[local] = None
+            for nid in self._cell_nets[cid]:
+                affected[nid] = None
 
         delta = 0.0
         p_delta: Dict[int, float] = {}
-        for local in affected:
-            pins = self._pins[local]
+        for nid in affected:
+            pins = self._pins[nid]
             lo_x = hi_x = lo_y = hi_y = None
             lo_z = hi_z = None
             for c in pins:
@@ -684,18 +675,18 @@ class ObjectiveState:
                         hi_z = pz
             new_wl = (hi_x - lo_x) + (hi_y - lo_y)
             new_ilv = hi_z - lo_z
-            d_wl = new_wl - float(self._wl[local])
-            d_ilv = new_ilv - int(self._ilv[local])
+            d_wl = new_wl - float(self._wl[nid])
+            d_ilv = new_ilv - int(self._ilv[nid])
             # bit-exact on purpose: skip-if-unchanged must match the
             # incremental cache update in apply_moves exactly
             if exact_zero(d_wl) and d_ilv == 0:
                 continue
             delta += d_wl + self.alpha_ilv * d_ilv
             if alpha_temp > 0:
-                share = (float(self._s_wl[local]) * d_wl
-                         + float(self._s_ilv[local]) * d_ilv)
+                share = (float(self._s_wl[nid]) * d_wl
+                         + float(self._s_ilv[nid]) * d_ilv)
                 if exact_nonzero(share):
-                    for d in self._drivers[local]:
+                    for d in self._drivers[nid]:
                         p_delta[d] = p_delta.get(d, 0.0) + share
 
         if alpha_temp > 0:
@@ -726,8 +717,8 @@ class ObjectiveState:
         # update per-net caches and power attribution
         affected: Dict[int, None] = {}
         for cid in moved:
-            for local in self._cell_nets[cid]:
-                affected[local] = None
+            for nid in self._cell_nets[cid]:
+                affected[nid] = None
         old_z = {cid: self._zs[cid] for cid in moved}
         for cid, (x, y, z) in moved.items():
             self._xs[cid] = x
@@ -741,29 +732,29 @@ class ObjectiveState:
             self._update_nets_batch(np.fromiter(
                 affected.keys(), dtype=np.int64, count=len(affected)))
         else:
-            for local in affected:
-                pins = self._pins[local]
+            for nid in affected:
+                pins = self._pins[nid]
                 nx = [xs[c] for c in pins]
                 ny = [ys[c] for c in pins]
                 nz = [zs[c] for c in pins]
                 new_wl = (max(nx) - min(nx)) + (max(ny) - min(ny))
                 new_ilv = max(nz) - min(nz)
-                d_wl = new_wl - float(self._wl[local])
-                d_ilv = new_ilv - int(self._ilv[local])
+                d_wl = new_wl - float(self._wl[nid])
+                d_ilv = new_ilv - int(self._ilv[nid])
                 if not self._extremes_dirty:
                     # incremental maintenance: a pin moving inside the
                     # bbox can still shift runner-ups/counts, so every
                     # affected net is re-scanned, not just
                     # span-changing ones
-                    self._update_net_extremes(local)
+                    self._update_net_extremes(nid)
                 if exact_zero(d_wl) and d_ilv == 0:
                     continue
-                self._wl[local] = new_wl
-                self._ilv[local] = new_ilv
-                share = (float(self._s_wl[local]) * d_wl
-                         + float(self._s_ilv[local]) * d_ilv)
+                self._wl[nid] = new_wl
+                self._ilv[nid] = new_ilv
+                share = (float(self._s_wl[nid]) * d_wl
+                         + float(self._s_ilv[nid]) * d_ilv)
                 if exact_nonzero(share):
-                    for d in self._drivers[local]:
+                    for d in self._drivers[nid]:
                         self._power[d] += share
         self._total += delta
         if not self._extremes_dirty:

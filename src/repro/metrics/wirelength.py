@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geometry.bbox import BBox3D
+from repro.netlist.csr import signal_csr
 from repro.netlist.net import Net
 from repro.netlist.placement import Placement
 
@@ -60,27 +61,19 @@ def net_bbox(placement: Placement, net: Net) -> BBox3D:
 def compute_net_metrics(placement: Placement) -> NetMetrics:
     """Bounding-box extents and via counts for every net.
 
-    Uses plain-Python min/max over each net's pins — the nets are tiny
-    (2-4 pins typically) and this is several times faster than per-net
-    NumPy reductions.
+    One ``np.maximum.reduceat``/``np.minimum.reduceat`` pair per axis
+    over the netlist's CSR pin array.
     """
-    netlist = placement.netlist
-    m = netlist.num_nets
-    wl_x = np.zeros(m)
-    wl_y = np.zeros(m)
-    ilv = np.zeros(m, dtype=np.int64)
-    xs = placement.x.tolist()
-    ys = placement.y.tolist()
-    zs = placement.z.tolist()
-    for net in netlist.nets:
-        ids = net.unique_cell_ids
-        nx = [xs[c] for c in ids]
-        ny = [ys[c] for c in ids]
-        nz = [zs[c] for c in ids]
-        wl_x[net.id] = max(nx) - min(nx)
-        wl_y[net.id] = max(ny) - min(ny)
-        ilv[net.id] = max(nz) - min(nz)
-    return NetMetrics(wl_x=wl_x, wl_y=wl_y, ilv=ilv)
+    csr = signal_csr(placement.netlist)
+    starts = csr.net_ptr[:-1]
+
+    def span(coords: np.ndarray) -> np.ndarray:
+        v = coords[csr.pin_cell]
+        return np.maximum.reduceat(v, starts) - np.minimum.reduceat(
+            v, starts)
+
+    return NetMetrics(wl_x=span(placement.x), wl_y=span(placement.y),
+                      ilv=span(placement.z))
 
 
 def total_hpwl(placement: Placement) -> float:

@@ -25,7 +25,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.netlist.csr import index_dtype
 from repro.netlist.net import PinRole
 from repro.netlist.netlist import Netlist
 
@@ -175,15 +174,12 @@ def read_nets(path: str, netlist: Netlist,
     """Parse a ``.nets`` file into a netlist whose cells already exist.
 
     Pin records go straight into flat arrays sized from the
-    ``NumNets`` / ``NumPins`` headers, dtype-minimized through
-    :func:`repro.netlist.csr.index_dtype` (int32 until a circuit
-    exceeds 2^31 - 1 pins — the overflow guard the dtype choice
-    encodes).  A net listing no explicit pin directions, or directions
-    but no driver, gets its first pin as driver — the convention the
-    IBM-PLACE conversion scripts used.
+    ``NumNets`` / ``NumPins`` headers.  A net listing no explicit pin
+    directions, or directions but no driver, gets its first pin as
+    driver — the convention the IBM-PLACE conversion scripts used.
 
     Raises:
-        ValueError: missing headers, a malformed or negative
+        ValueError: missing headers, a malformed, negative or zero
             ``NetDegree``, an unknown cell name, more nets/pins than
             declared, or a truncated file (a net cut short, or fewer
             nets/pins than the headers declare).
@@ -222,8 +218,7 @@ def read_nets(path: str, netlist: Netlist,
             remaining -= 1
             if remaining == 0:
                 # close the block: apply the driver-defaulting rules
-                if pin_i > net_start and (not saw_direction
-                                          or not saw_driver):
+                if not saw_direction or not saw_driver:
                     pin_role[net_start] = _ROLE_DRIVER
                 net_i += 1
             continue
@@ -239,9 +234,8 @@ def read_nets(path: str, netlist: Netlist,
             raise ValueError(f"{path}: NetDegree before NumNets/"
                              f"NumPins headers: {line!r}")
         if net_ptr is None:
-            dtype = index_dtype(max(num_pins, netlist.num_cells))
             net_ptr = np.zeros(num_nets + 1, dtype=np.int64)
-            pin_cell = np.zeros(num_pins, dtype=dtype)
+            pin_cell = np.zeros(num_pins, dtype=np.int64)
             pin_role = np.zeros(num_pins, dtype=np.uint8)
         if net_i >= num_nets:
             raise ValueError(
@@ -254,14 +248,16 @@ def read_nets(path: str, netlist: Netlist,
         if degree < 0:
             raise ValueError(
                 f"{path}: malformed NetDegree line: {line!r}")
-        net_names.append(parts[2] if len(parts) > 2 else f"net{net_i}")
+        name = parts[2] if len(parts) > 2 else f"net{net_i}"
+        if degree == 0:
+            raise ValueError(
+                f"{path}: net {name!r} has no pins: {line!r}")
+        net_names.append(name)
         net_start = pin_i
         net_ptr[net_i] = net_start
         remaining = degree
         saw_direction = False
         saw_driver = False
-        if degree == 0:
-            net_i += 1
     if num_nets < 0 or num_pins < 0:
         raise ValueError(f"{path}: missing NumNets/NumPins headers")
     if remaining:

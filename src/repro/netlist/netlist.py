@@ -1,4 +1,5 @@
-"""The netlist container: cells, nets and incidence structure."""
+"""The netlist container: cells, nets and the structures derived from
+them."""
 
 from __future__ import annotations
 
@@ -6,12 +7,15 @@ from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
                     TypeVar, cast)
 
 import numpy as np
+from numpy.typing import NDArray
 
 from repro.analysis import FloatArray, IntArray
 from repro.netlist.cell import Cell
 from repro.netlist.net import Net, PinRole
+from repro.obs.manifest import content_hash
 
 _T = TypeVar("_T")
+_A = TypeVar("_A", bound=NDArray[np.generic])
 
 
 class Netlist:
@@ -31,15 +35,8 @@ class Netlist:
         self.nets: List[Net] = []
         self._cell_by_name: Dict[str, int] = {}
         self._net_by_name: Dict[str, int] = {}
-        # nets incident to each cell, built lazily
-        self._cell_nets: Optional[List[List[int]]] = None
-        self._arrays_dirty = True
-        self._widths: Optional[FloatArray] = None
-        self._heights: Optional[FloatArray] = None
-        self._areas: Optional[FloatArray] = None
-        self._movable_ids: Optional[IntArray] = None
-        # structures other modules derive from this netlist, keyed by
-        # their builder (see :meth:`derived`)
+        # everything derived from the cells and nets, keyed by its
+        # builder (see :meth:`derived`)
         self._derived: Dict[Callable[["Netlist"], object], object] = {}
 
     # ------------------------------------------------------------------
@@ -61,7 +58,7 @@ class Netlist:
                     fixed_position=fixed_position)
         self.cells.append(cell)
         self._cell_by_name[name] = cell.id
-        self._invalidate()
+        self._derived.clear()
         return cell
 
     def add_net(self, name: str,
@@ -88,21 +85,17 @@ class Netlist:
                   activity=activity)
         self.nets.append(net)
         self._net_by_name[name] = net.id
-        self._invalidate()
-        return net
-
-    def _invalidate(self) -> None:
-        self._cell_nets = None
-        self._arrays_dirty = True
-        self._movable_ids = None
         self._derived.clear()
+        return net
 
     def derived(self, build: Callable[["Netlist"], _T]) -> _T:
         """``build(self)``, computed once until a cell or net is added.
 
-        Lets other modules cache what they derive from the netlist (the
-        signal CSR, the content hash) on the instance itself.  The cache
-        is keyed by ``build``, so pass a module-level function.
+        The netlist's only cache: the size arrays, the incidence lists,
+        the signal CSR and the content hash all live here.  It is keyed
+        by ``build``, so pass a module-level function.  Every run of a
+        circuit shares one loaded instance (see
+        :mod:`repro.netlist.cache`), so arrays built here are read-only.
         """
         try:
             return cast(_T, self._derived[build])
@@ -138,67 +131,35 @@ class Netlist:
 
     @property
     def movable_ids(self) -> IntArray:
-        """Ids of movable cells as an int64 array, cached until the
-        netlist changes.  Treat as read-only."""
-        ids = self._movable_ids
-        if ids is None:
-            ids = np.fromiter((c.id for c in self.cells if c.movable),
-                              dtype=np.int64)
-            self._movable_ids = ids
-        return ids
+        """Ids of movable cells as a read-only int64 array."""
+        return self.derived(_movable_ids)
 
     def fixed_cells(self) -> List[Cell]:
         """All fixed cells (terminals / pads)."""
         return [c for c in self.cells if c.fixed]
 
     def nets_of_cell(self, cell_id: int) -> List[int]:
-        """Ids of nets incident to a cell."""
-        if self._cell_nets is None:
-            self._build_incidence()
-        assert self._cell_nets is not None
-        return self._cell_nets[cell_id]
-
-    def _build_incidence(self) -> None:
-        incidence: List[List[int]] = [[] for _ in range(len(self.cells))]
-        for net in self.nets:
-            for cid in net.unique_cell_ids:
-                incidence[cid].append(net.id)
-        self._cell_nets = incidence
+        """Ids of nets incident to a cell, ascending.  Treat as
+        read-only."""
+        return self.derived(_incidence)[cell_id]
 
     # ------------------------------------------------------------------
     # bulk attribute arrays
     # ------------------------------------------------------------------
-    def _refresh_arrays(self) -> None:
-        if not self._arrays_dirty:
-            return
-        self._widths = np.array([c.width for c in self.cells],
-                                dtype=np.float64)
-        self._heights = np.array([c.height for c in self.cells],
-                                 dtype=np.float64)
-        self._areas = self._widths * self._heights
-        self._arrays_dirty = False
-
     @property
     def widths(self) -> FloatArray:
-        """Cell widths (metres) indexed by cell id."""
-        self._refresh_arrays()
-        assert self._widths is not None
-        return self._widths
+        """Cell widths (metres) indexed by cell id, read-only."""
+        return self.derived(_widths)
 
     @property
     def heights(self) -> FloatArray:
-        """Cell heights (metres) indexed by cell id."""
-        self._refresh_arrays()
-        assert self._heights is not None
-        return self._heights
+        """Cell heights (metres) indexed by cell id, read-only."""
+        return self.derived(_heights)
 
     @property
     def areas(self) -> FloatArray:
-        """Cell areas (square metres) indexed by cell id, cached until
-        the netlist changes.  Treat as read-only."""
-        self._refresh_arrays()
-        assert self._areas is not None
-        return self._areas
+        """Cell areas (square metres) indexed by cell id, read-only."""
+        return self.derived(_areas)
 
     @property
     def total_cell_area(self) -> float:
@@ -260,3 +221,66 @@ class Netlist:
                 if not 0 <= cid < len(self.cells):
                     raise ValueError(
                         f"net {net.name!r} references unknown cell {cid}")
+
+
+# ----------------------------------------------------------------------
+# builders of :meth:`Netlist.derived` entries
+# ----------------------------------------------------------------------
+def _read_only(array: _A) -> _A:
+    array.setflags(write=False)
+    return array
+
+
+def _widths(netlist: Netlist) -> FloatArray:
+    return _read_only(np.array([c.width for c in netlist.cells],
+                               dtype=np.float64))
+
+
+def _heights(netlist: Netlist) -> FloatArray:
+    return _read_only(np.array([c.height for c in netlist.cells],
+                               dtype=np.float64))
+
+
+def _areas(netlist: Netlist) -> FloatArray:
+    return _read_only(netlist.widths * netlist.heights)
+
+
+def _movable_ids(netlist: Netlist) -> IntArray:
+    return _read_only(np.fromiter(
+        (c.id for c in netlist.cells if c.movable), dtype=np.int64))
+
+
+def _incidence(netlist: Netlist) -> List[List[int]]:
+    # straight from Net.pins, not from the signal CSR: global placement
+    # reads these lists before it forks its pool, and the CSR arrays
+    # would ride along into every worker
+    incidence: List[List[int]] = [[] for _ in range(netlist.num_cells)]
+    for net in netlist.nets:
+        for cid in net.unique_cell_ids:
+            incidence[cid].append(net.id)
+    return incidence
+
+
+def netlist_hash(netlist: Netlist) -> str:
+    """Stable content hash of a netlist's placement-relevant content.
+
+    Hashes cell geometry/fixity and the net hypergraph.  Two
+    structurally identical netlists hash identically regardless of
+    load path.  The digest is cached on the netlist until it changes.
+    """
+    return netlist.derived(_netlist_digest)
+
+
+def _netlist_digest(netlist: Netlist) -> str:
+    cells = [[cell.name, float(cell.width), float(cell.height),
+              bool(cell.fixed),
+              (None if cell.fixed_position is None
+               else [float(cell.fixed_position[0]),
+                     float(cell.fixed_position[1]),
+                     int(cell.fixed_position[2])])]
+             for cell in netlist.cells]
+    nets = [[net.name, float(net.activity),
+             [[int(cell_id), role.value] for cell_id, role in net.pins]]
+            for net in netlist.nets]
+    return content_hash({"name": netlist.name, "cells": cells,
+                         "nets": nets})

@@ -26,8 +26,8 @@ submit-and-evaluate service:
 ``socket`` / ``selectors`` (lint rule RPL014).
 """
 
-from repro.service.cache import (CacheEntry, ResultCache, cache_key,
-                                 netlist_hash)
+from repro.netlist.netlist import netlist_hash
+from repro.service.cache import CacheEntry, ResultCache, cache_key
 from repro.service.engine import PlacementEngine
 from repro.service.jobstore import (JOB_STATES, TERMINAL_STATES,
                                     JobError, JobRequest, JobStateError,

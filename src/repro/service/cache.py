@@ -23,39 +23,9 @@ import os
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
-from repro.obs.manifest import content_hash
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.netlist.netlist import Netlist
-
-__all__ = ["CacheEntry", "ResultCache", "cache_key", "netlist_hash"]
-
-
-def netlist_hash(netlist: "Netlist") -> str:
-    """Stable content hash of a netlist's placement-relevant content.
-
-    Hashes cell geometry/fixity and the net hypergraph.  Two
-    structurally identical netlists hash identically regardless of
-    load path.  The digest is cached on the netlist until it changes.
-    """
-    return netlist.derived(_netlist_digest)
-
-
-def _netlist_digest(netlist: "Netlist") -> str:
-    cells = [[cell.name, float(cell.width), float(cell.height),
-              bool(cell.fixed),
-              (None if cell.fixed_position is None
-               else [float(cell.fixed_position[0]),
-                     float(cell.fixed_position[1]),
-                     int(cell.fixed_position[2])])]
-             for cell in netlist.cells]
-    nets = [[net.name, float(net.activity),
-             [[int(cell_id), role.value] for cell_id, role in net.pins]]
-            for net in netlist.nets]
-    return content_hash({"name": netlist.name, "cells": cells,
-                         "nets": nets})
+__all__ = ["CacheEntry", "ResultCache", "cache_key"]
 
 
 def cache_key(config_hash: str, spec_hash: str,

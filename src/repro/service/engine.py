@@ -25,11 +25,10 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 from repro import obs
 from repro.core.config import PlacementConfig
 from repro.core.pipeline import default_pipeline_spec
-from repro.netlist.netlist import Netlist
+from repro.netlist.netlist import Netlist, netlist_hash
 from repro.obs.manifest import config_hash, content_hash
 from repro.parallel import create_backend
-from repro.service.cache import (CacheEntry, ResultCache, cache_key,
-                                 netlist_hash)
+from repro.service.cache import CacheEntry, ResultCache, cache_key
 from repro.service.jobstore import JobRequest, JobStateError, JobStore
 from repro.service.scheduler import Scheduler, fulfil_from_cache
 from repro.service.worker import load_job_netlist, run_job

@@ -23,8 +23,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.analysis import FloatArray, exact_nonzero
+from repro.analysis import FloatArray
 from repro.metrics.wirelength import NetMetrics, compute_net_metrics
+from repro.netlist.csr import signal_csr
 from repro.netlist.netlist import Netlist
 from repro.netlist.placement import Placement
 from repro.technology import TechnologyConfig
@@ -121,13 +122,9 @@ class PowerModel:
             wl = np.maximum(wl, floors.wl_x + floors.wl_y)
             ilv = np.maximum(ilv, floors.ilv)
         per_net_share = self.s_wl * wl + self.s_ilv * ilv + self.s_input_pins
+        csr = signal_csr(self.netlist)
         powers = self.leakage_powers().copy()
-        for net in self.netlist.nets:
-            share = float(per_net_share[net.id])
-            if not exact_nonzero(share):
-                continue
-            for driver in net.driver_ids:
-                powers[driver] += share
+        np.add.at(powers, csr.drv_cell, per_net_share[csr.drv_net])
         return powers
 
     # ------------------------------------------------------------------

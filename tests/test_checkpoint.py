@@ -23,6 +23,8 @@ from repro.core.context import PlacementContext
 from repro.core.pipeline import PipelineHalted, default_pipeline_spec
 from repro.core.placer import Placer3D
 from repro.netlist.generator import GeneratorSpec, generate_netlist
+from repro.netlist.net import PinRole
+from repro.netlist.netlist import Netlist
 from repro.obs.manifest import validate_checkpoint_meta
 
 
@@ -30,6 +32,25 @@ def _netlist(num_cells: int = 50, seed: int = 17):
     return generate_netlist(GeneratorSpec(
         name="ckpt", num_cells=num_cells,
         total_area=num_cells * 5e-12, seed=seed))
+
+
+def _rewired(netlist):
+    """A copy of ``netlist`` whose first net has one sink pin moved to
+    another cell."""
+    copy = Netlist(netlist.name)
+    for cell in netlist.cells:
+        copy.add_cell(cell.name, cell.width, cell.height, fixed=cell.fixed,
+                      fixed_position=cell.fixed_position)
+    first, *rest = netlist.nets
+    pins = list(first.pins)
+    sink = next(k for k, (_, role) in enumerate(pins)
+                if role is PinRole.SINK)
+    spare = min(set(range(netlist.num_cells)) - set(first.cell_ids))
+    pins[sink] = (spare, PinRole.SINK)
+    copy.add_net(first.name, pins, activity=first.activity)
+    for net in rest:
+        copy.add_net(net.name, net.pins, activity=net.activity)
+    return copy
 
 
 def _config(**overrides) -> PlacementConfig:
@@ -199,6 +220,22 @@ class TestResumeRefusals:
         ckpt_dir = self._checkpoint(tmp_path, config)
         with pytest.raises(CheckpointError, match="netlist"):
             Placer3D(_netlist(60), config).run(
+                checkpoint_dir=ckpt_dir, resume=True)
+
+    def test_rewired_netlist_refused(self, tmp_path):
+        config = _config(legalization_rounds=1)
+        ckpt_dir = self._checkpoint(tmp_path, config)
+        rewired = _rewired(_netlist(40))
+
+        def counts(n):
+            return (n.name, n.num_cells, n.num_nets, n.num_movable,
+                    n.num_pins())
+
+        # the same name and counts: only the content hash differs
+        assert counts(rewired) == counts(_netlist(40))
+        with pytest.raises(CheckpointError,
+                           match="checkpoint netlist .*'ckpt'"):
+            Placer3D(rewired, config).run(
                 checkpoint_dir=ckpt_dir, resume=True)
 
     def test_resume_without_directory_refused(self):

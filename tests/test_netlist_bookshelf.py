@@ -301,6 +301,14 @@ class TestStreamingErrorPaths:
                 f"{path}: malformed NetDegree line: 'NetDegree : -1'")):
             bookshelf.read_nets(path, self._netlist_ab())
 
+    def test_nets_zero_netdegree(self, tmp_path):
+        path = self._nets(
+            tmp_path, "UCLA nets 1.0\nNumNets : 2\nNumPins : 2\n"
+                      "NetDegree : 0 n1\nNetDegree : 2 n2\n  a\n  b\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: net 'n1' has no pins: 'NetDegree : 0 n1'")):
+            bookshelf.read_nets(path, self._netlist_ab())
+
     def test_nodes_non_numeric_size(self, tmp_path):
         path = self._nodes(
             tmp_path, "UCLA nodes 1.0\nNumNodes : 1\n  a 2.0 tall\n")

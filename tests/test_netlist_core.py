@@ -133,6 +133,13 @@ class TestNetlistArrays:
             refreshed, tiny_netlist.widths * tiny_netlist.heights)
         assert refreshed[-1] == 4e-6 * 3e-6
 
+    def test_arrays_are_read_only(self, tiny_netlist):
+        # every run of a circuit shares one loaded netlist
+        for array in (tiny_netlist.widths, tiny_netlist.heights,
+                      tiny_netlist.areas, tiny_netlist.movable_ids):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
     def test_average_of_empty_netlist_raises(self):
         nl = Netlist("empty")
         with pytest.raises(ValueError):
