@@ -21,7 +21,8 @@ from repro import (
     load_benchmark,
 )
 from repro.metrics.wirelength import compute_net_metrics
-from repro.thermal import PowerModel, analyze_placement
+from repro.thermal import PowerModel
+from repro.thermal.analysis import analyze_placement
 
 
 def layer_power_fractions(placement, tech):

@@ -26,22 +26,23 @@ from typing import List, Optional, Set, Tuple
 import numpy as np
 
 from repro.core.config import PlacementConfig
-from repro.core.objective import ObjectiveState
+from repro.core.objective import BATCH_CHUNK, ObjectiveState
 from repro.geometry.density import BinIndex, DensityMesh
 from repro.obs import get_recorder
 
 
 class _Candidates:
-    """One pass's phase-1 candidates in flat typed buffers.
+    """One scoring buffer of phase-1 candidates in flat typed buffers.
 
     A move is ``(cell, x, y, bin)`` and a swap ``(cell, partner, bin)``;
     bins are stored as ``(i, j, k)`` triples, and a move lands on its
     bin's layer ``k``.  ``entry`` lists every candidate in generation
     order (``k`` for move ``k``, ``~k`` for swap ``k``), and ``span``
     holds where each cell's run of entries starts, plus a final end:
-    cell ``i`` of the pass order owns ``entry[span[i]:span[i + 1]]``.
-    Scalar reads return plain ``int``/``float``, and phase 1 hands the
-    buffers to the batch scorers as zero-copy ``np.frombuffer`` views.
+    the buffer's ``i``-th cell owns ``entry[span[i]:span[i + 1]]``.
+    The buffers go to the batch scorers as zero-copy ``np.frombuffer``
+    views, and an ``array`` a view still holds cannot grow, so every
+    buffer is scored once and then replaced by a fresh one.
     """
 
     def __init__(self) -> None:
@@ -56,9 +57,22 @@ class _Candidates:
         self.span: array[int] = array("q", [0])
 
 
-def _bin_at(bins: array[int], n: int) -> BinIndex:
-    """The ``n``-th ``(i, j, k)`` triple of a flat bin buffer."""
-    return (bins[3 * n], bins[3 * n + 1], bins[3 * n + 2])
+class _Best:
+    """Each cell's best phase-1 candidate, one row per pass-order cell.
+
+    ``delta`` is the first minimum of the cell's candidate deltas in
+    generation order, or 0.0 when it has none (which no strictly
+    improving candidate matches).  ``partner`` is a swap's partner, or
+    -1 for a move; ``x``/``y`` are a move's landing point and ``bins``
+    the target bin ``(i, j, k)`` of either.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.delta = np.zeros(n, dtype=np.float64)
+        self.partner = np.full(n, -1, dtype=np.int64)
+        self.x = np.zeros(n, dtype=np.float64)
+        self.y = np.zeros(n, dtype=np.float64)
+        self.bins = np.zeros((n, 3), dtype=np.int64)
 
 
 class MoveOptimizer:
@@ -152,17 +166,22 @@ class MoveOptimizer:
         """One move/swap pass in two phases.
 
         Phase 1 generates every cell's candidates against a snapshot of
-        the entering state into flat buffers (:class:`_Candidates`) and
-        scores them in one batched move call and one batched swap call.
-        Phase 2 walks the cells in permutation order and greedily
-        applies each cell's best candidate, the first minimum of its
-        span in generation order: while the cell's (and a swap
-        partner's) incident nets are untouched the cached delta is
-        exact and is used as-is; once the neighbourhood has been
-        dirtied by earlier applies, the chosen candidate is re-checked
-        with a scalar evaluation before committing.  Cells displaced
-        mid-pass by a swap partner fall back to the sequential
-        :meth:`_best_action` scan from their new position.
+        the entering state into flat buffers (:class:`_Candidates`).
+        Whenever a buffer holds :data:`BATCH_CHUNK` candidates, at the
+        end of a cell, it is scored in one batched move call and one
+        batched swap call, and only each cell's best candidate, the
+        first minimum of its span in generation order, is kept
+        (:class:`_Best`); so phase 1 holds O(``BATCH_CHUNK``)
+        candidates plus one record per cell, at any size.  A delta
+        depends only on its own candidate, so where the buffers end
+        changes nothing.  Phase 2 walks the cells in permutation order
+        and greedily applies each cell's best candidate: while the
+        cell's (and a swap partner's) incident nets are untouched the
+        cached delta is exact and is used as-is; once the neighbourhood
+        has been dirtied by earlier applies, the chosen candidate is
+        re-checked with a scalar evaluation before committing.  Cells
+        displaced mid-pass by a swap partner fall back to the
+        sequential :meth:`_best_action` scan from their new position.
         """
         self._rebuild_mesh()
         placement = self.objective.placement
@@ -170,9 +189,12 @@ class MoveOptimizer:
         mesh = self.mesh
         order = [int(c) for c in self._rng.permutation(self._movable)]
 
-        # ---- phase 1: candidate generation + two batch scores --------
+        # ---- phase 1: candidate generation + chunked batch scores -----
         cur_bins: List[BinIndex] = []
+        best = _Best(len(order))
         cand = _Candidates()
+        first = 0  # pass-order index of the buffer's first cell
+        n_cand = 0
         orc = obj.optimal_region_centers(order) if not local_only \
             else None
         for i, cid in enumerate(order):
@@ -186,19 +208,11 @@ class MoveOptimizer:
                 else None)
             self._collect_candidates(cid, cur_bin, targets, cand)
             cand.span.append(len(cand.entry))
-        move_deltas = obj.eval_moves_batch(
-            np.frombuffer(cand.mv_cell, dtype=np.int64),
-            np.frombuffer(cand.mv_x, dtype=np.float64),
-            np.frombuffer(cand.mv_y, dtype=np.float64),
-            np.frombuffer(cand.mv_bin, dtype=np.int64)[2::3])
-        swap_deltas = obj.eval_swaps_batch(
-            np.frombuffer(cand.sw_a, dtype=np.int64),
-            np.frombuffer(cand.sw_b, dtype=np.int64))
-        # every candidate's delta in generation order: entry k >= 0 is
-        # move k, entry ~k is swap k
-        entry = np.frombuffer(cand.entry, dtype=np.int64)
-        deltas = np.concatenate((move_deltas, swap_deltas))[
-            np.where(entry >= 0, entry, len(move_deltas) + ~entry)]
+            if len(cand.entry) >= BATCH_CHUNK or i == len(order) - 1:
+                n_cand += len(cand.entry)
+                self._keep_best(cand, first, best)
+                cand = _Candidates()
+                first = i + 1
 
         # ---- phase 2: greedy apply with staleness tracking -----------
         executed = 0
@@ -207,7 +221,6 @@ class MoveOptimizer:
         areas = self._areas
         limit = self.density_limit * mesh.bin_capacity
         cell_nets = obj.cell_nets
-        span = cand.span
         for i, cid in enumerate(order):
             if cid in moved_since:
                 # displaced by an earlier swap: rescan from the new spot
@@ -226,30 +239,22 @@ class MoveOptimizer:
                         moved_since.add(partner)
                         dirty.update(cell_nets(partner))
                 continue
-            lo, hi = span[i], span[i + 1]
-            if lo == hi:
+            if not best.delta[i] < -1e-18:  # strictly improving only
                 continue
-            # deltas are finite, so the first minimum is what a strict
-            # "<" scan in generation order would keep
-            best = lo + int(np.argmin(deltas[lo:hi]))
-            if not deltas[best] < -1e-18:  # strictly improving only
-                continue
-            k = cand.entry[best]
             stale = not dirty.isdisjoint(cell_nets(cid))
             area = float(areas[cid])
-            if k >= 0:
-                t = _bin_at(cand.mv_bin, k)
+            bi, bj, bk = best.bins[i].tolist()
+            t = (bi, bj, bk)
+            other = int(best.partner[i])
+            if other < 0:
                 # the bin may have filled up since the snapshot
                 if mesh.area_in(t) + area > limit:
                     continue
-                mv = [(cid, cand.mv_x[k], cand.mv_y[k], t[2])]
+                mv = [(cid, float(best.x[i]), float(best.y[i]), bk)]
                 partner = None
             else:
-                k = ~k
-                other = cand.sw_b[k]
                 if other in moved_since:
                     continue
-                t = _bin_at(cand.sw_bin, k)
                 other_area = float(areas[other])
                 if mesh.area_in(t) - other_area + area > limit:
                     continue
@@ -276,7 +281,6 @@ class MoveOptimizer:
                 dirty.update(cell_nets(partner))
         rec = get_recorder()
         if rec.enabled:
-            n_cand = len(cand.entry)
             rec.count("moves/candidates", float(n_cand))
             rec.count("moves/executed", float(executed))
             rec.record("moves/pass",
@@ -286,6 +290,53 @@ class MoveOptimizer:
                        accept_rate=(float(executed) / n_cand
                                     if n_cand else 0.0))
         return executed
+
+    def _keep_best(self, cand: _Candidates, first: int,
+                   best: _Best) -> None:
+        """Score one buffer and record each of its cells' best candidate.
+
+        The buffer's cells are the pass-order cells ``first``,
+        ``first + 1``, ...  Each keeps the first minimum of its span:
+        the deltas are finite, so that is what a strict "<" scan in
+        generation order would keep.
+        """
+        mv_x = np.frombuffer(cand.mv_x, dtype=np.float64)
+        mv_y = np.frombuffer(cand.mv_y, dtype=np.float64)
+        mv_bin = np.frombuffer(cand.mv_bin, dtype=np.int64).reshape(-1, 3)
+        sw_b = np.frombuffer(cand.sw_b, dtype=np.int64)
+        sw_bin = np.frombuffer(cand.sw_bin, dtype=np.int64).reshape(-1, 3)
+        move_deltas = self.objective.eval_moves_batch(
+            np.frombuffer(cand.mv_cell, dtype=np.int64), mv_x, mv_y,
+            mv_bin[:, 2])
+        swap_deltas = self.objective.eval_swaps_batch(
+            np.frombuffer(cand.sw_a, dtype=np.int64), sw_b)
+        # every candidate's delta in generation order: entry k >= 0 is
+        # move k, entry ~k is swap k
+        entry = np.frombuffer(cand.entry, dtype=np.int64)
+        deltas = np.concatenate((move_deltas, swap_deltas))[
+            np.where(entry >= 0, entry, len(move_deltas) + ~entry)]
+
+        span = np.frombuffer(cand.span, dtype=np.int64)
+        sizes = np.diff(span)
+        owners = np.flatnonzero(sizes)  # buffer cells with candidates
+        if not len(owners):
+            return
+        starts = span[owners]
+        lowest = np.repeat(np.minimum.reduceat(deltas, starts),
+                           sizes[owners])
+        hits = np.flatnonzero(deltas == lowest)
+        pick = hits[np.searchsorted(hits, starts)]  # first hit per span
+        rows = first + owners
+        best.delta[rows] = deltas[pick]
+        k = entry[pick]
+        is_move = k >= 0
+        mv, mv_rows = k[is_move], rows[is_move]
+        best.x[mv_rows] = mv_x[mv]
+        best.y[mv_rows] = mv_y[mv]
+        best.bins[mv_rows] = mv_bin[mv]
+        sw, sw_rows = ~k[~is_move], rows[~is_move]
+        best.partner[sw_rows] = sw_b[sw]
+        best.bins[sw_rows] = sw_bin[sw]
 
     def _collect_candidates(self, cid: int, cur_bin: BinIndex,
                             targets: List[BinIndex],

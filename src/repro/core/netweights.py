@@ -56,14 +56,13 @@ def compute_net_weights(placement: Placement, config: PlacementConfig,
 
     rm = resistance_model or ResistanceModel(placement.chip, config.tech)
     areas = np.maximum(netlist.areas, 1e-18)
+    csr = signal_csr(netlist)
+    drv = csr.drv_cell
+    # each net's driver resistances summed in driver order, as a
+    # per-net running sum would add them
     r_net = np.zeros(m)
-    for nid, drivers in enumerate(signal_csr(netlist).drivers):
-        total = 0.0
-        for d in drivers:
-            total += rm.cell_resistance(
-                float(placement.x[d]), float(placement.y[d]),
-                int(placement.z[d]), float(areas[d]))
-        r_net[nid] = total
+    np.add.at(r_net, csr.drv_net, rm.cell_resistance(
+        placement.x[drv], placement.y[drv], placement.z[drv], areas[drv]))
     lateral = 1.0 + config.alpha_temp * r_net * power_model.s_wl
     vertical = (1.0 + config.alpha_temp * r_net * power_model.s_ilv
                 / config.alpha_ilv)

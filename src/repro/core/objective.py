@@ -154,7 +154,7 @@ class ObjectiveState:
         cx = 0.5 * placement.chip.width
         cy = 0.5 * placement.chip.height
         self._r_by_layer: FloatArray = np.array(
-            [[rm.cell_resistance(cx, cy, layer, float(a)) for a in areas]
+            [rm.cell_resistance(cx, cy, layer, areas)
              for layer in range(placement.chip.num_layers)],
             dtype=np.float64)
 

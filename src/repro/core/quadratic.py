@@ -24,8 +24,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import spsolve
 
 from repro.core.config import PlacementConfig
 from repro.geometry.chip import ChipGeometry
@@ -105,6 +103,11 @@ class QuadraticPlacer:
                     center: float, direction: str,
                     anchor: Optional[np.ndarray]) -> np.ndarray:
         """Solve one axis of the clique-spring system."""
+        # imported here: only this solve needs scipy.sparse, and the
+        # stage registry imports this module into every run
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.linalg import spsolve
+
         n = len(index)
         rows: List[int] = []
         cols: List[int] = []

@@ -18,8 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List
+from typing import Any, List, Union, overload
 
+import numpy as np
+
+from repro.analysis import FloatArray, IntArray
 from repro.geometry.bbox import BBox3D
 
 
@@ -121,15 +124,29 @@ class ChipGeometry:
     # ------------------------------------------------------------------
     # coordinate conversions
     # ------------------------------------------------------------------
-    def layer_base_height(self, layer: int) -> float:
+    @overload
+    def layer_base_height(self, layer: int) -> float: ...
+
+    @overload
+    def layer_base_height(self, layer: IntArray) -> FloatArray: ...
+
+    def layer_base_height(self, layer: Any) -> Any:
         """Physical height of the *bottom* of active layer ``layer`` above
-        the substrate top, metres."""
+        the substrate top, metres (an int array of layers gives an array
+        of heights)."""
         self._check_layer(layer)
         return layer * self.layer_pitch
 
-    def layer_center_height(self, layer: int) -> float:
+    @overload
+    def layer_center_height(self, layer: int) -> float: ...
+
+    @overload
+    def layer_center_height(self, layer: IntArray) -> FloatArray: ...
+
+    def layer_center_height(self, layer: Any) -> Any:
         """Physical height of the mid-plane of active layer ``layer`` above
-        the substrate top, metres.
+        the substrate top, metres (an int array of layers gives an array
+        of heights).
 
         This is the ``d_j^z`` of the paper's thermal-resistance profile
         ``R_j^cell ~ R0^z + Rslope^z * d_j^z``.
@@ -148,7 +165,12 @@ class ChipGeometry:
         """Round a continuous layer coordinate to the nearest valid layer."""
         return min(max(int(round(z)), 0), self.num_layers - 1)
 
-    def _check_layer(self, layer: int) -> None:
+    def _check_layer(self, layer: Union[int, IntArray]) -> None:
+        if isinstance(layer, np.ndarray):
+            bad = layer[(layer < 0) | (layer >= self.num_layers)]
+            if not bad.size:
+                return
+            layer = int(bad[0])
         if not 0 <= layer < self.num_layers:
             raise IndexError(
                 f"layer {layer} out of range [0, {self.num_layers})")

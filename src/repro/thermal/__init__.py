@@ -13,24 +13,19 @@
   calibrated closed-form image-source surrogate of the exact solver
   (a standalone model; the placer never calls it).
 - :mod:`~repro.thermal.analysis` — temperature summaries of placements.
+
+The package re-exports only the two models the placer prices heat
+with.  The solver, the surrogate and the analysis build on
+``scipy.sparse``; import them from their own modules, so that a
+placement that evaluates no temperature field never loads it.
 """
 
 from repro.thermal.power import PekoOptimal, PowerModel
 from repro.thermal.resistance import ResistanceModel, VerticalProfile
-from repro.thermal.solver import ThermalSolver, TemperatureField
-from repro.thermal.surrogate import (SurrogateCoefficients,
-                                     SurrogateThermalModel)
-from repro.thermal.analysis import ThermalSummary, analyze_placement
 
 __all__ = [
     "PowerModel",
     "PekoOptimal",
     "ResistanceModel",
     "VerticalProfile",
-    "ThermalSolver",
-    "TemperatureField",
-    "SurrogateCoefficients",
-    "SurrogateThermalModel",
-    "ThermalSummary",
-    "analyze_placement",
 ]

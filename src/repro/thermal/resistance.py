@@ -17,10 +17,11 @@ thermal-resistance-reduction nets (Section 3.2) rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional, Union, overload
 
 import numpy as np
 
+from repro.analysis import FloatArray, IntArray
 from repro.geometry.chip import ChipGeometry
 from repro.technology import TechnologyConfig
 
@@ -55,24 +56,41 @@ class ResistanceModel:
         self.tech = tech or TechnologyConfig()
 
     # ------------------------------------------------------------------
+    @overload
     def cell_resistance(self, x: float, y: float, layer: int,
-                        area: float) -> float:
+                        area: float) -> float: ...
+
+    @overload
+    def cell_resistance(self, x: Union[float, FloatArray],
+                        y: Union[float, FloatArray],
+                        layer: Union[int, IntArray],
+                        area: FloatArray) -> FloatArray: ...
+
+    def cell_resistance(self, x: Any, y: Any, layer: Any,
+                        area: Any) -> Any:
         """Thermal resistance from a cell to ambient, K/W.
 
         Six straight paths in parallel, each with cross-section equal to
         the cell area: down through the substrate to the heat sink, up to
         the top surface, and laterally to the four die edges.
+
+        Any argument may be a numpy array (``layer`` of ints); they
+        broadcast, and each element of the result has the bits of the
+        scalar call, whose operations it repeats in the same order.  An
+        out-of-range layer or a non-positive area anywhere raises, as in
+        the scalar call.
         """
-        if area <= 0:
+        if np.any(np.asarray(area) <= 0):
             raise ValueError("cell area must be positive")
         k = self.tech.thermal_conductivity
         chip = self.chip
+        height = chip.layer_center_height(layer)
         conduct = 0.0  # accumulate path conductances (parallel paths)
 
         # downward path: stack below the layer (effective k), the bulk
         # substrate (silicon k) when it is in the thermal path, and the
         # heat-sink film
-        r_down = (chip.layer_center_height(layer) / (k * area)
+        r_down = (height / (k * area)
                   + 1.0 / (self.tech.heat_sink_convection * area))
         if self.tech.substrate_in_thermal_path:
             r_down += (chip.substrate_thickness
@@ -82,11 +100,11 @@ class ResistanceModel:
         h2 = self.tech.secondary_convection
         if h2 > 0:
             # upward path to the top of the stack
-            up_len = chip.stack_height - chip.layer_center_height(layer)
+            up_len = chip.stack_height - height
             conduct += 1.0 / (up_len / (k * area) + 1.0 / (h2 * area))
             # four lateral paths to the die edges
             for dist in (x, chip.width - x, y, chip.height - y):
-                dist = max(dist, 0.0)
+                dist = np.maximum(dist, 0.0)
                 conduct += 1.0 / (dist / (k * area) + 1.0 / (h2 * area))
         return 1.0 / conduct
 

@@ -13,13 +13,15 @@ Example::
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
 from repro.geometry.density import DensityMesh
 from repro.netlist.placement import Placement
-from repro.thermal.solver import TemperatureField
+
+if TYPE_CHECKING:  # pragma: no cover - the solver loads scipy.sparse
+    from repro.thermal.solver import TemperatureField
 
 #: Shade ramp from empty to overfull/hot.
 _RAMP = " .:-=+*#%@"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.core.moves as moves_module
 from repro.core.moves import MoveOptimizer
 from repro.core.objective import ObjectiveState
 from repro.netlist.placement import Placement
@@ -100,3 +101,43 @@ class TestDensityRespect:
         # moves themselves must not push past limit + one cell
         assert opt.mesh.max_density <= max(
             1.2 + biggest / cap, opt.mesh.max_density)  # sanity bound
+
+
+class TestChunkInvariance:
+    """Where phase 1's scoring buffers end changes nothing.
+
+    ``BATCH_CHUNK = 1`` scores after every cell; ``10**9`` scores the
+    whole pass in one buffer, the schedule that kept every candidate.
+    Both must leave the same placement, objective bits, executed counts
+    and candidate counter.
+    """
+
+    @staticmethod
+    def _run(monkeypatch, chunk, alpha_temp):
+        from repro import PlacementConfig, load_benchmark
+        from repro.obs import Recorder, use_recorder
+
+        monkeypatch.setattr(moves_module, "BATCH_CHUNK", chunk)
+        netlist = load_benchmark("ibm01", scale=0.03)
+        config = PlacementConfig(alpha_temp=alpha_temp, seed=2)
+        pl = Placement.random(netlist, make_chip(netlist), seed=4)
+        obj = ObjectiveState(pl, config)
+        opt = MoveOptimizer(obj, config)
+        rec = Recorder()
+        with use_recorder(rec):
+            executed = (opt.global_pass(), opt.local_pass())
+        return pl, obj.total, executed, rec.counters["moves/candidates"]
+
+    @pytest.mark.parametrize("alpha_temp", [0.0, 1e-5])
+    def test_one_cell_and_one_buffer_agree(self, monkeypatch, alpha_temp):
+        pl_a, total_a, exec_a, cand_a = self._run(monkeypatch, 1,
+                                                  alpha_temp)
+        pl_b, total_b, exec_b, cand_b = self._run(monkeypatch, 10**9,
+                                                  alpha_temp)
+        assert min(exec_a) > 0
+        assert exec_a == exec_b
+        assert cand_a == cand_b
+        for a, b in ((pl_a.x, pl_b.x), (pl_a.y, pl_b.y), (pl_a.z, pl_b.z)):
+            assert np.array_equal(a, b)
+        assert np.float64(total_a).view(np.int64) \
+            == np.float64(total_b).view(np.int64)

@@ -2,9 +2,17 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+from repro import PlacementConfig, load_benchmark
+from repro.core.context import auto_chip
+from repro.core.netweights import compute_net_weights
+from repro.core.objective import ObjectiveState
 from repro.geometry.chip import ChipGeometry
+from repro.netlist.csr import signal_csr
+from repro.netlist.placement import Placement
+from repro.thermal.power import PowerModel
 from repro.thermal.resistance import ResistanceModel
 
 
@@ -96,3 +104,86 @@ class TestVerticalProfile:
                 - model.layer_resistance(0, AREA))
         assert prof.slope * chip.layer_pitch == pytest.approx(step,
                                                               rel=0.1)
+
+
+def _scalar_r_by_layer(rm, chip, areas):
+    """The per-(layer, cell) table as scalar calls (reference)."""
+    cx = 0.5 * chip.width
+    cy = 0.5 * chip.height
+    return np.array(
+        [[rm.cell_resistance(cx, cy, layer, float(a)) for a in areas]
+         for layer in range(chip.num_layers)],
+        dtype=np.float64)
+
+
+def _scalar_r_net(rm, placement, areas):
+    """Per-net driver resistance sums as scalar calls (reference)."""
+    r_net = np.zeros(placement.netlist.num_nets)
+    for nid, drivers in enumerate(signal_csr(placement.netlist).drivers):
+        total = 0.0
+        for d in drivers:
+            total += rm.cell_resistance(
+                float(placement.x[d]), float(placement.y[d]),
+                int(placement.z[d]), float(areas[d]))
+        r_net[nid] = total
+    return r_net
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64),
+                          np.asarray(b).view(np.int64))
+
+
+class TestVectorized:
+    """Array calls reproduce the scalar calls bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def netlist(self):
+        return load_benchmark("ibm01", scale=0.03)
+
+    @pytest.mark.parametrize("substrate", [False, True])
+    def test_tables_match_scalar_loops(self, netlist, substrate):
+        base = PlacementConfig(alpha_temp=1e-5)
+        config = dataclasses.replace(base, tech=dataclasses.replace(
+            base.tech, substrate_in_thermal_path=substrate))
+        chip = auto_chip(netlist, config)
+        rng = np.random.default_rng(5)
+        n = netlist.num_cells
+        # a few centres just outside the die exercise the edge clamp
+        placement = Placement(
+            netlist, chip, x=rng.uniform(-0.05, 1.0, n) * chip.width,
+            y=rng.uniform(0.0, 1.05, n) * chip.height,
+            z=rng.integers(0, chip.num_layers, n))
+        rm = ResistanceModel(chip, config.tech)
+        areas = np.maximum(netlist.areas, 1e-18)
+
+        obj = ObjectiveState(placement, config)
+        assert _same_bits(obj._r_by_layer,
+                          _scalar_r_by_layer(rm, chip, areas))
+
+        power_model = PowerModel(netlist, config.tech)
+        weights = compute_net_weights(placement, config, power_model)
+        r_net = _scalar_r_net(rm, placement, areas)
+        assert np.count_nonzero(r_net) > 0
+        assert _same_bits(weights.lateral, 1.0 + config.alpha_temp
+                          * r_net * power_model.s_wl)
+        assert _same_bits(weights.vertical, 1.0 + config.alpha_temp
+                          * r_net * power_model.s_ilv / config.alpha_ilv)
+
+    def test_array_of_one_equals_scalar(self, model):
+        r = model.cell_resistance(np.array([30e-6]), np.array([70e-6]),
+                                  np.array([2]), np.array([AREA]))
+        assert r.shape == (1,)
+        assert _same_bits(r[0], model.cell_resistance(30e-6, 70e-6, 2,
+                                                      AREA))
+
+    def test_nonpositive_area_in_array_rejected(self, model):
+        with pytest.raises(ValueError, match="area must be positive"):
+            model.cell_resistance(50e-6, 50e-6, 0,
+                                  np.array([AREA, 0.0, AREA]))
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_layer_out_of_range_in_array_rejected(self, model, bad):
+        with pytest.raises(IndexError, match=f"layer {bad} out of range"):
+            model.cell_resistance(50e-6, 50e-6, np.array([0, bad, 1]),
+                                  AREA)

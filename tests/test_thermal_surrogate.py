@@ -16,9 +16,14 @@ The contracts pinned here:
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.config import PlacementConfig
 from repro.core.placer import Placer3D
 from repro.geometry.chip import ChipGeometry
@@ -30,6 +35,31 @@ from repro.thermal.solver import ThermalSolver
 from repro.thermal.solver import _LU_CACHE  # noqa: the shared cache
 from repro.thermal.surrogate import (SurrogateThermalModel, power_map_of,
                                      relative_error, spreading_kernel)
+
+
+_NO_SPARSE_CHILD = """
+import sys
+
+import repro
+import repro.cli
+import repro.service
+from repro import PlacementConfig, Placer3D, evaluate_placement
+from repro import load_benchmark
+from repro.core.pipeline import PipelineSpec, StageEntry
+
+netlist = load_benchmark("ibm01", scale=0.01)
+for alpha_temp in (0.0, 1e-5):
+    result = Placer3D(netlist, PlacementConfig(alpha_temp=alpha_temp)).run()
+assert "scipy.sparse" not in sys.modules, "the placer loaded scipy.sparse"
+print("placed")
+spec = PipelineSpec(entries=(StageEntry("quadratic"), StageEntry("detailed")))
+Placer3D(netlist, PlacementConfig(), spec=spec).run()
+assert "scipy.sparse" in sys.modules
+print("quadratic")
+report = evaluate_placement(result.placement, thermal=True)
+assert report.max_temperature > report.average_temperature > 0
+print("evaluated")
+"""
 
 
 def _chip(netlist, tech, num_layers=4):
@@ -147,6 +177,22 @@ class TestPlacerSolvesNoFields:
         result = Placer3D(netlist, config).run()
         assert result.objective > 0
         assert len(result.round_seconds) == 2
+
+    def test_placer_never_loads_sparse_solver(self):
+        """Importing the package, the CLI and the service, and placing
+        with or without the thermal term, leave ``scipy.sparse``
+        unloaded; the quadratic stage and the thermal evaluation load
+        it when they run (a fresh interpreter, so no other test's
+        imports count)."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _NO_SPARSE_CHILD],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["placed", "quadratic", "evaluated"]
 
 
 class TestLUSharedCache:
