@@ -56,10 +56,13 @@ A_LOWER = 0.5
 #: Figure 2's ``b``: width ratio of a bin at density one.
 B = 1.0
 
+#: Bins never shrink below this fraction of their old width, so widths
+#: stay strictly positive and boundaries cannot cross over.
+MIN_WIDTH_FACTOR = 0.1
+
 
 def shifted_widths(densities: Sequence[float], width: float,
-                   a_lower: float, a_upper: float, b: float,
-                   min_width_factor: float = 0.1) -> FloatArray:
+                   a_lower: float, a_upper: float, b: float) -> FloatArray:
     """New widths of one row of bins (the core of Eq. 16).
 
     Expansion demanded by congested bins is matched exactly by
@@ -71,9 +74,6 @@ def shifted_widths(densities: Sequence[float], width: float,
         densities: current bin densities along the row.
         width: current (uniform) bin width.
         a_lower, a_upper, b: the Figure 2 response parameters.
-        min_width_factor: bins never shrink below this fraction of
-            their old width (guarantees strictly positive widths, hence
-            no boundary cross-over).
 
     Returns:
         Array of new bin widths summing to ``len(densities) * width``.
@@ -86,7 +86,7 @@ def shifted_widths(densities: Sequence[float], width: float,
     factor = np.where(congested,
                       a_upper * (1.0 - 1.0 / np.maximum(d, 1e-12)) + b,
                       a_lower * (d - 1.0) + b)
-    factor = np.clip(factor, min_width_factor, None)
+    factor = np.clip(factor, MIN_WIDTH_FACTOR, None)
     expansion = np.where(congested & (factor > 1.0),
                          (factor - 1.0) * width, 0.0)
     contraction = np.where(~congested & (factor < 1.0),
@@ -108,29 +108,27 @@ class CellShifter:
     Args:
         objective: the shared incremental objective; all cell movement
             flows through it so its caches stay valid.
-        mesh: coarse mesh; built internally if omitted.
     """
 
-    def __init__(self, objective: ObjectiveState,
-                 mesh: Optional[DensityMesh] = None) -> None:
+    def __init__(self, objective: ObjectiveState) -> None:
         self.objective = objective
         # movement-retention override; None = per-cell greedy candidates
         self._fixed_beta: Optional[float] = None
         placement = objective.placement
         netlist = placement.netlist
-        self.mesh = mesh or DensityMesh.coarse_for(
+        self.mesh = DensityMesh.coarse_for(
             placement.chip, netlist.average_cell_width,
             netlist.average_cell_height)
 
     # ------------------------------------------------------------------
-    def run(self, max_iterations: Optional[int] = None) -> int:
-        """Shift until the max bin density reaches the target.
+    def run(self) -> int:
+        """Shift until the max bin density reaches the target, for at
+        most :data:`MAX_ITERATIONS` iterations.
 
         Returns:
             The number of iterations executed.
         """
         rec = get_recorder()
-        limit = MAX_ITERATIONS if max_iterations is None else max_iterations
         iterations = 0
         self._fixed_beta = None
         placement = self.objective.placement
@@ -138,7 +136,7 @@ class CellShifter:
         best_state: Optional[Tuple[FloatArray, FloatArray,
                                    IntArray]] = None
         stalled = 0
-        for _ in range(limit):
+        for _ in range(MAX_ITERATIONS):
             self._rebuild_mesh()
             if rec.enabled:
                 rec.record("cellshift/iteration",

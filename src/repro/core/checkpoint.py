@@ -8,9 +8,10 @@ A checkpoint is a directory holding two files:
   the objective accumulators' scalar half.  The document is pinned
   by ``checkpoint_schema.json`` and validated with the same
   dependency-free validator the run manifests use.
-- ``state.npz`` — the placement coordinate arrays, the per-cell power
-  accumulator of the incremental objective (bit-exact resume needs its
-  *history-dependent* low bits, see
+- ``state.npz`` — the placement coordinate arrays, the incremental
+  objective's *history-dependent* arrays (per-cell power, per-net
+  spans and, when maintained, per-net driver resistance sums: their
+  low bits depend on the order moves were applied in, see
   :meth:`~repro.core.objective.ObjectiveState.checkpoint_state`), and
   the best-round snapshot arrays when one exists.
 
@@ -62,6 +63,9 @@ class CheckpointData:
         x, y, z: placement coordinate arrays at the boundary.
         power: per-cell power accumulator of the objective, or ``None``
             when the objective had not been built yet.
+        wl: per-net spans of the objective, or ``None`` likewise.
+        drv_rsum: per-net driver resistance sums of the objective, or
+            ``None`` when it did not maintain them at the boundary.
         best: best-round snapshot ``(objective, x, y, z)``, if any.
     """
 
@@ -70,6 +74,8 @@ class CheckpointData:
     y: FloatArray
     z: IntArray
     power: Optional[FloatArray] = None
+    wl: Optional[FloatArray] = None
+    drv_rsum: Optional[FloatArray] = None
     best: Optional[BestState] = None
 
     @property
@@ -122,8 +128,12 @@ def save_checkpoint(directory: Union[str, Path], ctx: PlacementContext,
     }
     objective_total: Optional[float] = None
     if ctx.objective_built:
-        power, objective_total = ctx.objective.checkpoint_state()
+        power, objective_total, wl, drv_rsum = \
+            ctx.objective.checkpoint_state()
         arrays["power"] = power
+        arrays["wl"] = wl
+        if drv_rsum is not None:
+            arrays["drv_rsum"] = drv_rsum
     best_objective: Optional[float] = None
     if best is not None:
         best_objective = float(best[0])
@@ -184,12 +194,18 @@ def load_checkpoint(directory: Union[str, Path]) -> CheckpointData:
         y = np.asarray(arrays["y"], dtype=np.float64)
         z = np.asarray(arrays["z"], dtype=np.int64)
         power: Optional[FloatArray] = None
+        wl: Optional[FloatArray] = None
+        drv_rsum: Optional[FloatArray] = None
         if meta["objective_built"]:
-            if "power" not in arrays:
-                raise CheckpointError(
-                    "checkpoint claims a built objective but has no "
-                    "power array")
+            for key in ("power", "wl"):
+                if key not in arrays:
+                    raise CheckpointError(
+                        "checkpoint claims a built objective but has no "
+                        f"{key} array")
             power = np.asarray(arrays["power"], dtype=np.float64)
+            wl = np.asarray(arrays["wl"], dtype=np.float64)
+            if "drv_rsum" in arrays:
+                drv_rsum = np.asarray(arrays["drv_rsum"], dtype=np.float64)
         best: Optional[BestState] = None
         if meta["best_objective"] is not None:
             for key in ("best_x", "best_y", "best_z"):
@@ -200,8 +216,8 @@ def load_checkpoint(directory: Union[str, Path]) -> CheckpointData:
                     np.asarray(arrays["best_x"], dtype=np.float64),
                     np.asarray(arrays["best_y"], dtype=np.float64),
                     np.asarray(arrays["best_z"], dtype=np.int64))
-    return CheckpointData(meta=meta, x=x, y=y, z=z, power=power,
-                          best=best)
+    return CheckpointData(meta=meta, x=x, y=y, z=z, power=power, wl=wl,
+                          drv_rsum=drv_rsum, best=best)
 
 
 def verify_matches(data: CheckpointData, ctx: PlacementContext,

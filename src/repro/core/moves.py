@@ -30,6 +30,17 @@ from repro.core.objective import BATCH_CHUNK, ObjectiveState
 from repro.geometry.density import BinIndex, DensityMesh
 from repro.obs import get_recorder
 
+#: Moves fill a bin to at most this multiple of its capacity (the
+#: cell-shifting step that follows spreads the excess).
+DENSITY_LIMIT = 1.5
+
+#: Swap partners sampled per target bin.
+MAX_SWAP_CANDIDATES = 4
+
+#: Offset of the optimizer's random stream (pass orders, landing-point
+#: jitter and swap-partner samples) from the config seed.
+SEED_OFFSET = 101
+
 
 class _Candidates:
     """One scoring buffer of phase-1 candidates in flat typed buffers.
@@ -81,30 +92,18 @@ class MoveOptimizer:
     Args:
         objective: shared incremental objective state.
         config: placement configuration.
-        mesh: coarse mesh; built internally if omitted.
-        density_limit: bins are not filled beyond this density by moves.
-        max_swap_candidates: swap partners examined per target bin.
-        rng: seeded generator for tie-breaking jitter; derived from
-            ``config.seed`` if omitted, so runs are reproducible either
-            way.
     """
 
-    def __init__(self, objective: ObjectiveState, config: PlacementConfig,
-                 mesh: Optional[DensityMesh] = None,
-                 density_limit: float = 1.5,
-                 max_swap_candidates: int = 4,
-                 rng: Optional[np.random.Generator] = None) -> None:
+    def __init__(self, objective: ObjectiveState,
+                 config: PlacementConfig) -> None:
         self.objective = objective
         self.config = config
         placement = objective.placement
         netlist = placement.netlist
-        self.mesh = mesh or DensityMesh.coarse_for(
+        self.mesh = DensityMesh.coarse_for(
             placement.chip, netlist.average_cell_width,
             netlist.average_cell_height)
-        self.density_limit = density_limit
-        self.max_swap_candidates = max_swap_candidates
-        self._rng = (rng if rng is not None
-                     else np.random.default_rng(config.seed + 101))
+        self._rng = np.random.default_rng(config.seed + SEED_OFFSET)
         self._areas = netlist.areas
         self._movable = [c.id for c in netlist.cells if c.movable]
 
@@ -137,16 +136,17 @@ class MoveOptimizer:
         """Target bins for one cell (optimal region or local shell).
 
         ``center`` lets callers supply a precomputed optimal-region
-        centre (from the batched
-        :meth:`ObjectiveState.optimal_region_centers`); when omitted the
-        scalar query runs here.
+        centre (from one batched
+        :meth:`ObjectiveState.optimal_region_centers` call for the
+        pass); when omitted, the cell's centre is queried here.
         """
         mesh = self.mesh
         placement = self.objective.placement
         if local_only:
             return mesh.bins_within(cur_bin, radius)
         if center is None:
-            center = self.objective.optimal_region_center(cid)
+            one = self.objective.optimal_region_centers([cid])
+            center = (one[0, 0], one[1, 0], one[2, 0])
         ox, oy, oz = center
         center = mesh.bin_of(ox, oy, placement.chip.clamp_layer(oz))
         targets = mesh.bins_within(center, radius)
@@ -219,7 +219,7 @@ class MoveOptimizer:
         dirty: Set[int] = set()
         moved_since: Set[int] = set()
         areas = self._areas
-        limit = self.density_limit * mesh.bin_capacity
+        limit = DENSITY_LIMIT * mesh.bin_capacity
         cell_nets = obj.cell_nets
         for i, cid in enumerate(order):
             if cid in moved_since:
@@ -346,13 +346,12 @@ class MoveOptimizer:
         mesh = self.mesh
         areas = self._areas
         area = float(areas[cid])
-        limit = self.density_limit * mesh.bin_capacity
+        limit = DENSITY_LIMIT * mesh.bin_capacity
         bin_area = mesh._area
         bin_members = mesh._members
         bw = mesh.bin_width
         bh = mesh.bin_height
         cur_area = float(bin_area[cur_bin])
-        max_swaps = self.max_swap_candidates
         jitter = self._rng.random(2 * len(targets)).tolist()
         for ti, t in enumerate(targets):
             if t == cur_bin:
@@ -367,9 +366,9 @@ class MoveOptimizer:
             members = bin_members.get(t)
             if not members:
                 continue
-            if len(members) > max_swaps:
+            if len(members) > MAX_SWAP_CANDIDATES:
                 members = list(self._rng.choice(
-                    members, size=max_swaps, replace=False))
+                    members, size=MAX_SWAP_CANDIDATES, replace=False))
             for other in members:
                 other = int(other)
                 if other == cid:
@@ -402,7 +401,7 @@ class MoveOptimizer:
         mesh = self.mesh
         placement = self.objective.placement
         area = float(self._areas[cid])
-        limit = self.density_limit * mesh.bin_capacity
+        limit = DENSITY_LIMIT * mesh.bin_capacity
         cur_area = mesh.area_in(cur_bin)
         half_w = 0.5 * mesh.bin_width
         half_h = 0.5 * mesh.bin_height
@@ -436,10 +435,9 @@ class MoveOptimizer:
                 seq += 1
             # swaps with cells in the target bin
             members = mesh.members(t)
-            if len(members) > self.max_swap_candidates:
+            if len(members) > MAX_SWAP_CANDIDATES:
                 members = list(self._rng.choice(
-                    members, size=self.max_swap_candidates,
-                    replace=False))
+                    members, size=MAX_SWAP_CANDIDATES, replace=False))
             for other in members:
                 other = int(other)
                 if other == cid:

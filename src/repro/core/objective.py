@@ -27,9 +27,9 @@ Data layout (the "kernel layer", see DESIGN.md):
   :meth:`eval_moves_batch` / :meth:`eval_swaps_batch` score many
   *independent* candidates in one vectorized call, using per-net
   first/second-extreme caches ("what is the net's bounding box without
-  this one pin").  The extreme caches are refreshed lazily: every
-  :meth:`apply_moves` / :meth:`rebuild` marks them dirty and the next
-  batched call rebuilds them with segment reductions.
+  this one pin").  The extreme caches are built lazily: :meth:`rebuild`
+  marks them dirty, the next batched call rebuilds them with segment
+  reductions, and :meth:`apply_moves` keeps them current from then on.
 """
 
 from __future__ import annotations
@@ -50,6 +50,10 @@ from repro.thermal.power import PowerModel
 from repro.thermal.resistance import ResistanceModel
 
 Move = Tuple[int, float, float, int]  # (cell_id, x, y, layer)
+
+#: One net whose span a move set changes:
+#: ``(net_id, new_wl, new_ilv, d_wl, d_ilv)``.
+NetChange = Tuple[int, float, int, float, int]
 
 #: Candidates per vectorized slice of :meth:`ObjectiveState.eval_moves_batch`
 #: and :meth:`~ObjectiveState.eval_swaps_batch`.  A candidate's delta
@@ -83,8 +87,9 @@ class ObjectiveTerms:
         """Sum of the three terms (equals ``ObjectiveState.total``)."""
         return self.wl_term + self.ilv_term + self.thermal_term
 
-#: Per-axis extreme cache: (hi1, cnt_hi, hi2, lo1, cnt_lo, lo2) — the
-#: count components are int64 rows, the rest float64.
+#: Extreme components (hi1, cnt_hi, hi2, lo1, cnt_lo, lo2), each a
+#: ``(3, k)`` stack with axis rows x, y, z — the counts int64, the rest
+#: float64.
 ExtComponents = Tuple[NDArray[Any], ...]
 
 
@@ -159,7 +164,6 @@ class ObjectiveState:
             dtype=np.float64)
 
         self._extremes_dirty = True
-        self._ext: Optional[Dict[str, ExtComponents]] = None
         self._ext_stack: Optional[ExtComponents] = None
         self._drv_rsum: Optional[FloatArray] = None
         self.rebuild()
@@ -202,20 +206,45 @@ class ObjectiveState:
             np.add.at(power, self._drv_cell, share[self._drv_net])
         self._power: FloatArray = power
         self._extremes_dirty = True
-        self._total = self._compute_total()
-
-    def _compute_total(self) -> float:
-        net_term = float(self._wl.sum()) \
-            + self.alpha_ilv * float(self._ilv.sum())
-        thermal = 0.0
-        if self.alpha_temp > 0:
-            r = self._r_by_layer[self.placement.z,
-                                 np.arange(len(self._power),
-                                           dtype=np.int64)]
-            thermal = float((r * self._power).sum())
-        return net_term + self.alpha_temp * thermal
+        self._total = self.terms().total
 
     # ------------------------------------------------------------------
+    @hot_path
+    def _extreme_components(self, pins: IntArray, starts: IntArray,
+                            deg: IntArray) -> ExtComponents:
+        """The six ``(3, k)`` extreme components of ``k`` pin segments.
+
+        ``pins`` lists the cell of every pin, segment after segment;
+        segment ``i`` starts at ``starts[i]`` and holds ``deg[i] >= 1``
+        pins.  Per segment and axis (rows x, y, z) the result holds the
+        extreme value, how many pins attain it and the runner-up value,
+        in :data:`ExtComponents` order.
+        """
+        k = len(starts)
+        hi1 = np.empty((3, k), dtype=np.float64)
+        cnt_hi = np.empty((3, k), dtype=np.int64)
+        hi2 = np.empty((3, k), dtype=np.float64)
+        lo1 = np.empty((3, k), dtype=np.float64)
+        cnt_lo = np.empty((3, k), dtype=np.int64)
+        lo2 = np.empty((3, k), dtype=np.float64)
+        if k:
+            pl = self.placement
+            # lint: ok[RPL005] constant three-axis unrolling, not per net
+            for ax, coords in enumerate((pl.x, pl.y,
+                                         pl.z.astype(np.float64))):
+                v = coords[pins]
+                hi1[ax] = np.maximum.reduceat(v, starts)
+                lo1[ax] = np.minimum.reduceat(v, starts)
+                at_hi = v == np.repeat(hi1[ax], deg)
+                at_lo = v == np.repeat(lo1[ax], deg)
+                cnt_hi[ax] = np.add.reduceat(at_hi.astype(np.int64), starts)
+                hi2[ax] = np.maximum.reduceat(np.where(at_hi, -np.inf, v),
+                                              starts)
+                cnt_lo[ax] = np.add.reduceat(at_lo.astype(np.int64), starts)
+                lo2[ax] = np.minimum.reduceat(np.where(at_lo, np.inf, v),
+                                              starts)
+        return hi1, cnt_hi, hi2, lo1, cnt_lo, lo2
+
     @hot_path
     def _refresh_extremes(self) -> None:
         """Per-net first/second extremes per axis, for exclusion queries.
@@ -223,48 +252,18 @@ class ObjectiveState:
         For each net and axis this caches the extreme value, how
         many pins attain it, and the runner-up value — enough to answer
         "what is the net's span if one given pin moves" without touching
-        the other pins.  Invalidated by :meth:`apply_moves` and
-        :meth:`rebuild`, rebuilt here with segment reductions.
+        the other pins.  Invalidated by :meth:`rebuild`, rebuilt here
+        for every net by :meth:`_extreme_components`, and kept current
+        by :meth:`apply_moves`.
         """
         if not self._extremes_dirty:
             return
         m = len(self._pins)
-        starts = self._net_ptr[:-1]
-        deg = self._net_deg
         pl = self.placement
-        # primary storage is stacked (3, m) per component — axis order
-        # x, y, z — so batch queries can fuse all three axes into one
-        # fancy-indexed gather; self._ext holds per-axis row *views* of
-        # the same memory, which the incremental updaters write through
-        stack = [np.empty((3, m), dtype=np.float64),
-                 np.empty((3, m), dtype=np.int64),
-                 np.empty((3, m), dtype=np.float64),
-                 np.empty((3, m), dtype=np.float64),
-                 np.empty((3, m), dtype=np.int64),
-                 np.empty((3, m), dtype=np.float64)]
-        # lint: ok[RPL005] constant three-axis unrolling, not a per-net loop
-        for ax, (axis, coords) in enumerate(
-                (("x", pl.x), ("y", pl.y),
-                 ("z", pl.z.astype(np.float64)))):
-            if m:
-                v = coords[self._pin_cell]
-                hi1 = np.maximum.reduceat(v, starts)
-                lo1 = np.minimum.reduceat(v, starts)
-                at_hi = v == np.repeat(hi1, deg)
-                at_lo = v == np.repeat(lo1, deg)
-                stack[0][ax] = hi1
-                stack[1][ax] = np.add.reduceat(at_hi.astype(np.int64),
-                                               starts)
-                stack[2][ax] = np.maximum.reduceat(
-                    np.where(at_hi, -np.inf, v), starts)
-                stack[3][ax] = lo1
-                stack[4][ax] = np.add.reduceat(at_lo.astype(np.int64),
-                                               starts)
-                stack[5][ax] = np.minimum.reduceat(
-                    np.where(at_lo, np.inf, v), starts)
-        self._ext_stack = tuple(stack)
-        self._ext = {axis: tuple(comp[ax] for comp in stack)
-                     for ax, axis in enumerate(("x", "y", "z"))}
+        # stacked (3, m) per component, axis order x, y, z, so batch
+        # queries fuse all three axes into one fancy-indexed gather
+        self._ext_stack = self._extreme_components(
+            self._pin_cell, self._net_ptr[:-1], self._net_deg)
         if self.alpha_temp > 0:
             rsum = np.zeros(m, dtype=np.float64)
             if m and len(self._drv_cell):
@@ -281,10 +280,10 @@ class ObjectiveState:
         when only a handful of nets changed.
         """
         pins = self._pins[nid]
-        ext = self._ext
-        assert ext is not None, "extreme caches queried while dirty"
-        for axis, coords in (("x", self._xs), ("y", self._ys),
-                             ("z", self._zs)):
+        stack = self._ext_stack
+        assert stack is not None, "extreme caches queried while dirty"
+        hi1s, cnt_his, hi2s, lo1s, cnt_los, lo2s = stack
+        for ax, coords in enumerate((self._xs, self._ys, self._zs)):
             vals = [coords[c] for c in pins]
             hi1 = max(vals)
             lo1 = min(vals)
@@ -301,13 +300,12 @@ class ObjectiveState:
                     cnt_lo += 1
                 elif v < lo2:
                     lo2 = v
-            e = ext[axis]
-            e[0][nid] = hi1
-            e[1][nid] = cnt_hi
-            e[2][nid] = hi2
-            e[3][nid] = lo1
-            e[4][nid] = cnt_lo
-            e[5][nid] = lo2
+            hi1s[ax, nid] = hi1
+            cnt_his[ax, nid] = cnt_hi
+            hi2s[ax, nid] = hi2
+            lo1s[ax, nid] = lo1
+            cnt_los[ax, nid] = cnt_lo
+            lo2s[ax, nid] = lo2
 
     @hot_path
     def _update_nets_batch(self, nets: IntArray) -> None:
@@ -317,6 +315,8 @@ class ObjectiveState:
         The vectorized counterpart of the per-net scalar bookkeeping in
         :meth:`apply_moves`; pays off once a joint move set touches a
         few dozen nets (whole-row cell shifting, snapshot restores).
+        The spans are ``hi_x - lo_x + hi_y - lo_y``, associated left to
+        right like :meth:`rebuild`'s.
         """
         deg = self._net_deg[nets]
         cum = np.cumsum(deg)
@@ -326,33 +326,15 @@ class ObjectiveState:
         within = np.arange(total, dtype=np.int64) - offs
         pins = self._pin_cell[np.repeat(self._net_ptr[nets], deg)
                               + within]
-        pl = self.placement
-        ext = None if self._extremes_dirty else self._ext
-        spans: Dict[str, Tuple[FloatArray, FloatArray]] = {}
-        # lint: ok[RPL005] constant three-axis unrolling, not a per-net loop
-        for axis, coords in (("x", pl.x), ("y", pl.y),
-                             ("z", pl.z.astype(np.float64))):
-            v = coords[pins]
-            hi1 = np.maximum.reduceat(v, starts)
-            lo1 = np.minimum.reduceat(v, starts)
-            spans[axis] = (hi1, lo1)
-            if ext is not None:
-                at_hi = v == np.repeat(hi1, deg)
-                at_lo = v == np.repeat(lo1, deg)
-                e = ext[axis]
-                e[0][nets] = hi1
-                e[1][nets] = np.add.reduceat(at_hi.astype(np.int64),
-                                             starts)
-                e[2][nets] = np.maximum.reduceat(
-                    np.where(at_hi, -np.inf, v), starts)
-                e[3][nets] = lo1
-                e[4][nets] = np.add.reduceat(at_lo.astype(np.int64),
-                                             starts)
-                e[5][nets] = np.minimum.reduceat(
-                    np.where(at_lo, np.inf, v), starts)
-        new_wl = (spans["x"][0] - spans["x"][1]
-                  + spans["y"][0] - spans["y"][1])
-        new_ilv = (spans["z"][0] - spans["z"][1]).astype(np.int64)
+        comps = self._extreme_components(pins, starts, deg)
+        if not self._extremes_dirty:
+            assert self._ext_stack is not None
+            # lint: ok[RPL005] six extreme components, not a per-net loop
+            for stored, comp in zip(self._ext_stack, comps):
+                stored[:, nets] = comp
+        hi, lo = comps[0], comps[3]
+        new_wl = hi[0] - lo[0] + hi[1] - lo[1]
+        new_ilv = (hi[2] - lo[2]).astype(np.int64)
         d_wl = new_wl - self._wl[nets]
         d_ilv = new_ilv - self._ilv[nets]
         self._wl[nets] = new_wl
@@ -368,17 +350,21 @@ class ObjectiveState:
             np.add.at(self._power, drv, np.repeat(share, ddeg))
 
     @hot_path
-    def _excl_span3(self, nets: IntArray, old: FloatArray,
-                    new: FloatArray) -> FloatArray:
-        """New spans of ``nets`` on all axes when one pin per entry
-        moves from ``old`` to ``new`` (all other pins unchanged).
+    def _other_bounds(self, nets: IntArray, cells: IntArray
+                      ) -> Tuple[FloatArray, FloatArray]:
+        """Bounding box of each net's pins other than one cell's.
 
-        ``old`` and ``new`` are ``(3, n)`` stacks (x, y, z rows); the
-        result has the same shape.  One fused query over the stacked
-        extreme caches replaces three per-axis calls.
+        Entry ``i`` leaves out the pin of ``cells[i]`` on ``nets[i]``:
+        where it alone attains an extreme, the runner-up applies.
+        Returns ``(upper, lower)``, two ``(3, n)`` stacks (x, y, z rows).
         """
         assert self._ext_stack is not None, \
             "extreme caches queried while dirty"
+        pl = self.placement
+        old = np.empty((3, len(nets)), dtype=np.float64)
+        old[0] = pl.x[cells]
+        old[1] = pl.y[cells]
+        old[2] = pl.z[cells]
         hi1, cnt_hi, hi2, lo1, cnt_lo, lo2 = self._ext_stack
         h1 = hi1[:, nets]
         l1 = lo1[:, nets]
@@ -386,7 +372,7 @@ class ObjectiveState:
                             hi2[:, nets], h1)
         other_lo = np.where((old == l1) & (cnt_lo[:, nets] == 1),
                             lo2[:, nets], l1)
-        return np.maximum(new, other_hi) - np.minimum(new, other_lo)
+        return other_hi, other_lo
 
     @hot_path
     def _pair_expansion(self, cells: IntArray
@@ -411,20 +397,44 @@ class ObjectiveState:
                      new_z: IntArray
                      ) -> Tuple[FloatArray, FloatArray]:
         """Per (candidate, net) pair: d_wl, d_ilv for one moved pin."""
-        pl = self.placement
-        n = len(nets)
-        old = np.empty((3, n), dtype=np.float64)
-        new = np.empty((3, n), dtype=np.float64)
-        old[0] = pl.x[cells_rep]
-        old[1] = pl.y[cells_rep]
-        old[2] = pl.z[cells_rep]
+        other_hi, other_lo = self._other_bounds(nets, cells_rep)
+        new = np.empty((3, len(nets)), dtype=np.float64)
         new[0] = new_x
         new[1] = new_y
         new[2] = new_z
-        spans = self._excl_span3(nets, old, new)
+        spans = np.maximum(new, other_hi) - np.minimum(new, other_lo)
         d_wl = spans[0] + spans[1] - self._wl[nets]
         d_ilv = spans[2] - self._ilv[nets]
         return d_wl, d_ilv
+
+    @hot_path
+    def _add_net_terms(self, out: FloatArray, p_delta: FloatArray,
+                       pair_cand: IntArray, nets: IntArray,
+                       drvmult: FloatArray, d_wl: FloatArray,
+                       d_ilv: FloatArray) -> None:
+        """Add (candidate, net) pair rows' net terms to ``out``.
+
+        A row adds ``d_wl + alpha_ilv * d_ilv`` and, with the thermal
+        term on, its drivers' cost of the net's changed power share;
+        the moved cell's own part of that share goes to ``p_delta``
+        for :meth:`_add_layer_terms`.
+        """
+        np.add.at(out, pair_cand, d_wl + self.alpha_ilv * d_ilv)
+        if self.alpha_temp > 0:
+            share = self._s_wl[nets] * d_wl + self._s_ilv[nets] * d_ilv
+            np.add.at(out, pair_cand,
+                      self.alpha_temp * share * self._drv_rsum[nets])
+            np.add.at(p_delta, pair_cand, share * drvmult)
+
+    @hot_path
+    def _add_layer_terms(self, out: FloatArray, cells: IntArray,
+                         new_z: IntArray, p_delta: FloatArray) -> None:
+        """Add the thermal term of each of ``cells`` moving to layer
+        ``new_z`` with its power changed by ``p_delta``."""
+        r_old = self._r_by_layer[self.placement.z[cells], cells]
+        r_new = self._r_by_layer[new_z, cells]
+        out += self.alpha_temp * (r_new - r_old) \
+            * (self._power[cells] + p_delta)
 
     # ------------------------------------------------------------------
     @contract(shapes={"cells": ("n",), "xs": ("n",), "ys": ("n",),
@@ -465,27 +475,17 @@ class ObjectiveState:
     def _score_moves(self, cells: IntArray, xs: FloatArray,
                      ys: FloatArray, zs: IntArray) -> FloatArray:
         """One slice of :meth:`eval_moves_batch` (extremes fresh)."""
-        alpha_temp = self.alpha_temp
         out = np.zeros(len(cells), dtype=np.float64)
-
+        p_delta = np.zeros(len(cells), dtype=np.float64)
         pair_cand, nets, drvmult, deg = self._pair_expansion(cells)
         if len(nets):
-            cells_rep = np.repeat(cells, deg)
             d_wl, d_ilv = self._pair_deltas(
-                nets, cells_rep, np.repeat(xs, deg), np.repeat(ys, deg),
-                np.repeat(zs, deg))
-            np.add.at(out, pair_cand, d_wl + self.alpha_ilv * d_ilv)
-        if alpha_temp > 0:
-            p_delta = np.zeros(len(cells), dtype=np.float64)
-            if len(nets):
-                share = self._s_wl[nets] * d_wl + self._s_ilv[nets] * d_ilv
-                np.add.at(out, pair_cand,
-                          alpha_temp * share * self._drv_rsum[nets])
-                np.add.at(p_delta, pair_cand, share * drvmult)
-            r_old = self._r_by_layer[self.placement.z[cells], cells]
-            r_new = self._r_by_layer[zs, cells]
-            out += alpha_temp * (r_new - r_old) \
-                * (self._power[cells] + p_delta)
+                nets, np.repeat(cells, deg), np.repeat(xs, deg),
+                np.repeat(ys, deg), np.repeat(zs, deg))
+            self._add_net_terms(out, p_delta, pair_cand, nets, drvmult,
+                                d_wl, d_ilv)
+        if self.alpha_temp > 0:
+            self._add_layer_terms(out, cells, zs, p_delta)
         return out
 
     @contract(shapes={"cells_a": ("n",), "cells_b": ("n",)},
@@ -522,7 +522,6 @@ class ObjectiveState:
     def _score_swaps(self, a: IntArray, b: IntArray) -> FloatArray:
         """One slice of :meth:`eval_swaps_batch` (extremes fresh)."""
         pl = self.placement
-        alpha_temp = self.alpha_temp
         out = np.zeros(len(a), dtype=np.float64)
         n_cells = max(len(self._power), 1)
         p_delta_a = np.zeros(len(a), dtype=np.float64)
@@ -552,21 +551,11 @@ class ObjectiveState:
             d_wl, d_ilv = self._pair_deltas(
                 nets, moved_rep, pl.x[other_rep], pl.y[other_rep],
                 pl.z[other_rep])
-            np.add.at(out, pair_cand, d_wl + self.alpha_ilv * d_ilv)
-            if alpha_temp > 0:
-                share = self._s_wl[nets] * d_wl + self._s_ilv[nets] * d_ilv
-                np.add.at(out, pair_cand,
-                          alpha_temp * share * self._drv_rsum[nets])
-                np.add.at(p_delta, pair_cand, share * drvmult)
-
-        if alpha_temp > 0:
-            # lint: ok[RPL005] constant two-sided unrolling, not a per-net loop
-            for moved, other, p_delta in ((a, b, p_delta_a),
-                                          (b, a, p_delta_b)):
-                r_old = self._r_by_layer[pl.z[moved], moved]
-                r_new = self._r_by_layer[pl.z[other], moved]
-                out += alpha_temp * (r_new - r_old) \
-                    * (self._power[moved] + p_delta)
+            self._add_net_terms(out, p_delta, pair_cand, nets, drvmult,
+                                d_wl, d_ilv)
+        if self.alpha_temp > 0:
+            self._add_layer_terms(out, a, pl.z[b], p_delta_a)
+            self._add_layer_terms(out, b, pl.z[a], p_delta_b)
         return out
 
     # ------------------------------------------------------------------
@@ -633,6 +622,19 @@ class ObjectiveState:
         Returns:
             ``new_objective - old_objective`` (negative = improvement).
         """
+        return self._evaluate(moves)[0]
+
+    def _evaluate(self, moves: Sequence[Move]
+                  ) -> Tuple[float, Dict[int, None], List[NetChange]]:
+        """Score a joint move set with O(local pins) scalar work.
+
+        Returns:
+            ``(delta, affected, changed)``: the objective delta, the
+            nets incident to a moved cell (in move and incidence
+            order), and a :data:`NetChange` for each of them whose
+            span the moves change, in the same order.  The spans are
+            ``(hi_x - lo_x) + (hi_y - lo_y)``.
+        """
         moved: Dict[int, Tuple[float, float, int]] = {
             cid: (x, y, z) for cid, x, y, z in moves}
         if len(moved) != len(moves):
@@ -645,6 +647,7 @@ class ObjectiveState:
                 affected[nid] = None
 
         delta = 0.0
+        changed: List[NetChange] = []
         p_delta: Dict[int, float] = {}
         for nid in affected:
             pins = self._pins[nid]
@@ -677,10 +680,11 @@ class ObjectiveState:
             new_ilv = hi_z - lo_z
             d_wl = new_wl - float(self._wl[nid])
             d_ilv = new_ilv - int(self._ilv[nid])
-            # bit-exact on purpose: skip-if-unchanged must match the
-            # incremental cache update in apply_moves exactly
+            # bit-exact on purpose: an unchanged net adds nothing and
+            # apply_moves leaves its cached span as it is
             if exact_zero(d_wl) and d_ilv == 0:
                 continue
+            changed.append((nid, new_wl, new_ilv, d_wl, d_ilv))
             delta += d_wl + self.alpha_ilv * d_ilv
             if alpha_temp > 0:
                 share = (float(self._s_wl[nid]) * d_wl
@@ -704,51 +708,38 @@ class ObjectiveState:
                 new_p = float(power[c]) + p_delta.get(c, 0.0)
                 delta += alpha_temp * (new_r * new_p
                                        - old_r * float(power[c]))
-        return delta
+        return delta, affected, changed
 
     def apply_moves(self, moves: Sequence[Move]) -> float:
         """Commit moves to the state *and* the placement arrays.
 
+        Below 32 affected nets the per-net spans and power shares are
+        the ones :meth:`_evaluate` computed for the delta; from 32 on,
+        :meth:`_update_nets_batch` recomputes every affected net.
+
         Returns:
             The objective delta that was applied.
         """
-        delta = self.eval_moves(moves)
-        moved = {cid: (x, y, z) for cid, x, y, z in moves}
-        # update per-net caches and power attribution
-        affected: Dict[int, None] = {}
-        for cid in moved:
-            for nid in self._cell_nets[cid]:
-                affected[nid] = None
-        old_z = {cid: self._zs[cid] for cid in moved}
-        for cid, (x, y, z) in moved.items():
+        delta, affected, changed = self._evaluate(moves)
+        old_z = {cid: self._zs[cid] for cid, _, _, _ in moves}
+        for cid, x, y, z in moves:
             self._xs[cid] = x
             self._ys[cid] = y
             self._zs[cid] = int(z)
             self.placement.x[cid] = x
             self.placement.y[cid] = y
             self.placement.z[cid] = int(z)
-        xs, ys, zs = self._xs, self._ys, self._zs
         if len(affected) >= 32:
             self._update_nets_batch(np.fromiter(
                 affected.keys(), dtype=np.int64, count=len(affected)))
         else:
-            for nid in affected:
-                pins = self._pins[nid]
-                nx = [xs[c] for c in pins]
-                ny = [ys[c] for c in pins]
-                nz = [zs[c] for c in pins]
-                new_wl = (max(nx) - min(nx)) + (max(ny) - min(ny))
-                new_ilv = max(nz) - min(nz)
-                d_wl = new_wl - float(self._wl[nid])
-                d_ilv = new_ilv - int(self._ilv[nid])
-                if not self._extremes_dirty:
-                    # incremental maintenance: a pin moving inside the
-                    # bbox can still shift runner-ups/counts, so every
-                    # affected net is re-scanned, not just
-                    # span-changing ones
+            if not self._extremes_dirty:
+                # a pin moving inside the bbox can still shift
+                # runner-ups and counts, so every affected net is
+                # re-scanned, not just the span-changing ones
+                for nid in affected:
                     self._update_net_extremes(nid)
-                if exact_zero(d_wl) and d_ilv == 0:
-                    continue
+            for nid, new_wl, new_ilv, d_wl, d_ilv in changed:
                 self._wl[nid] = new_wl
                 self._ilv[nid] = new_ilv
                 share = (float(self._s_wl[nid]) * d_wl
@@ -775,58 +766,23 @@ class ObjectiveState:
         return delta
 
     # ------------------------------------------------------------------
-    def optimal_region_center(self, cell_id: int
-                              ) -> Tuple[float, float, float]:
-        """Centre of the cell's optimal region [14], extended to 3D.
-
-        For each incident net, the cell's cost is minimized anywhere
-        inside the bounding box of the net's *other* pins; the classic
-        optimal region is the median interval of those boxes.  We return
-        the weighted median per axis (weights: 1 for x/y; the z medians
-        use the same unweighted rule — the alpha_ilv scaling affects the
-        *extent* of the target region, applied by the caller).
-
-        The other-pin boxes are exclusion queries against the cached
-        per-net extremes, and the median interval's midpoint of ``m``
-        intervals is the median of their ``2m`` endpoints.
-        """
-        self._refresh_extremes()
-        lo = self._cell_net_ptr[cell_id]
-        hi = self._cell_net_ptr[cell_id + 1]
-        nets = self._cell_net_idx[lo:hi]
-        here = (self._xs[cell_id], self._ys[cell_id],
-                float(self._zs[cell_id]))
-        if not len(nets):
-            return here
-        # nets where the cell is the only pin have no "other" box
-        nets = nets[self._net_deg[nets] > 1]
-        if not len(nets):
-            return here
-        ext = self._ext
-        assert ext is not None, "extreme caches queried while dirty"
-        out = []
-        for axis, coord in zip(("x", "y", "z"), here):
-            hi1, cnt_hi, hi2, lo1, cnt_lo, lo2 = ext[axis]
-            other_hi = np.where((coord == hi1[nets]) & (cnt_hi[nets] == 1),
-                                hi2[nets], hi1[nets])
-            other_lo = np.where((coord == lo1[nets]) & (cnt_lo[nets] == 1),
-                                lo2[nets], lo1[nets])
-            # median of the 2k interval endpoints, without np.median's
-            # dispatch overhead (this is called once per cell per pass)
-            ends = np.sort(np.concatenate((other_lo, other_hi)))
-            n = len(ends)
-            out.append(0.5 * (float(ends[(n - 1) // 2])
-                              + float(ends[n // 2])))
-        return (out[0], out[1], out[2])
-
     @contract(shapes={"cells": ("n",)}, dtypes={"cells": np.integer})
     @hot_path
     def optimal_region_centers(self, cells: Sequence[int]) -> FloatArray:
-        """Optimal-region centres of many cells in one batched call.
+        """Centres of the cells' optimal regions [14], extended to 3D.
+
+        For each incident net, a cell's cost is minimized anywhere
+        inside the bounding box of the net's *other* pins; the classic
+        optimal region is the median interval of those boxes.  Each
+        axis takes the unweighted median (the alpha_ilv scaling affects
+        the *extent* of the target region, applied by the caller).  The
+        other-pin boxes are exclusion queries against the cached
+        per-net extremes, and the median interval's midpoint of ``k``
+        intervals is the median of their ``2k`` endpoints.  A cell
+        with no net of two or more pins keeps its own position.
 
         Returns:
-            ``(3, n)`` array of per-axis centres (x, y, z rows), each
-            column equal to :meth:`optimal_region_center` of that cell.
+            ``(3, n)`` array of per-axis centres (x, y, z rows).
         """
         self._refresh_extremes()
         cells = np.asarray(cells, dtype=np.int64)
@@ -847,20 +803,7 @@ class ObjectiveState:
         nets = nets[keep]
         if not len(nets):
             return out
-        cells_rep = cells[pair_cand]
-        old = np.empty((3, len(nets)), dtype=np.float64)
-        old[0] = pl.x[cells_rep]
-        old[1] = pl.y[cells_rep]
-        old[2] = pl.z[cells_rep]
-        assert self._ext_stack is not None, \
-            "extreme caches queried while dirty"
-        hi1, cnt_hi, hi2, lo1, cnt_lo, lo2 = self._ext_stack
-        h1 = hi1[:, nets]
-        l1 = lo1[:, nets]
-        other_hi = np.where((old == h1) & (cnt_hi[:, nets] == 1),
-                            hi2[:, nets], h1)
-        other_lo = np.where((old == l1) & (cnt_lo[:, nets] == 1),
-                            lo2[:, nets], l1)
+        other_hi, other_lo = self._other_bounds(nets, cells[pair_cand])
         # per cell and axis: median of the 2k interval endpoints, via a
         # segmented sort of (owner, value) pairs
         owners = np.concatenate((pair_cand, pair_cand))
@@ -878,44 +821,64 @@ class ObjectiveState:
         return out
 
     # ------------------------------------------------------------------
-    def checkpoint_state(self) -> Tuple[FloatArray, float]:
-        """Snapshot the drift-accumulating state for checkpointing.
+    def checkpoint_state(self) -> Tuple[FloatArray, float, FloatArray,
+                                        Optional[FloatArray]]:
+        """Snapshot the history-dependent state for checkpointing.
 
-        Everything else this class caches (per-net spans, extreme
-        caches, scalar mirrors) is an exact, order-independent function
-        of the placement coordinates and rebuilds bit-identically from
-        them.  The two exceptions are ``_power`` and ``_total``, which
-        :meth:`apply_moves` maintains by accumulating deltas — their
-        low bits depend on the *history* of applied moves, not just the
-        final coordinates.  Checkpoint/resume must reproduce runs
-        bit-identically, so exactly these two are serialized.
+        The via spans, extreme caches and scalar mirrors are exact,
+        order-independent functions of the placement coordinates and
+        rebuild bit-identically from them.  Four values are not; their
+        low bits depend on the *history* of applied moves, and
+        checkpoint/resume must reproduce runs bit-identically:
+
+        - ``_power`` and ``_total`` accumulate deltas with ``+=``;
+        - ``_wl`` keeps the float association of the path that last
+          wrote each net's span: ``hi_x - lo_x + hi_y - lo_y`` from
+          :meth:`rebuild` and :meth:`_update_nets_batch`,
+          ``(hi_x - lo_x) + (hi_y - lo_y)`` from :meth:`_evaluate`;
+        - ``_drv_rsum`` accumulates with ``+=`` while the extreme
+          caches are current (thermal runs only).
 
         Returns:
-            ``(power, total)``: a copy of the per-cell power vector and
-            the cached objective total.
+            Copies of ``(power, total, wl, drv_rsum)``; ``drv_rsum`` is
+            ``None`` when it is not maintained.
         """
-        return self._power.copy(), float(self._total)
+        drv_rsum = None
+        if self.alpha_temp > 0 and not self._extremes_dirty:
+            assert self._drv_rsum is not None
+            drv_rsum = self._drv_rsum.copy()
+        return (self._power.copy(), float(self._total), self._wl.copy(),
+                drv_rsum)
 
-    def restore_checkpoint(self, power: FloatArray,
-                           total: float) -> None:
+    def restore_checkpoint(self, power: FloatArray, total: float,
+                           wl: FloatArray,
+                           drv_rsum: Optional[FloatArray] = None) -> None:
         """Restore a state saved by :meth:`checkpoint_state`.
 
         Rebuilds the exact caches from the (already restored) placement
-        coordinates, then overwrites the two history-dependent
-        accumulators so subsequent incremental updates continue from
-        the same bits as the uninterrupted run.
+        coordinates, then overwrites the history-dependent values so
+        subsequent incremental updates continue from the same bits as
+        the uninterrupted run.  A saved ``drv_rsum`` means the extreme
+        caches were current, so they are refreshed before it is
+        overlaid.
         """
         self.rebuild()
-        restored = np.asarray(power, dtype=np.float64).copy()
-        if restored.shape != self._power.shape:
-            raise ValueError(
-                f"checkpoint power vector has shape {restored.shape}, "
-                f"expected {self._power.shape}")
-        self._power = restored
+        self._power = _restored("power vector", power, self._power.shape)
         self._total = float(total)
+        self._wl = _restored("span vector", wl, self._wl.shape)
+        if drv_rsum is not None:
+            self._refresh_extremes()
+            self._drv_rsum = _restored("driver resistance sums", drv_rsum,
+                                       self._wl.shape)
 
     def check_consistency(self, tol: float = 1e-9) -> None:
-        """Verify caches against a from-scratch recomputation (tests)."""
+        """Verify the caches against a from-scratch state (tests, audits).
+
+        The reference is a new :class:`ObjectiveState` on a copy of the
+        placement, so the audited state, and every later decision of
+        the run it belongs to, is left untouched.  The extreme caches,
+        when current, must match the reference's exactly.
+        """
         n_nets = len(self._wl)
         n_cells = len(self._power)
         validate_arrays(
@@ -928,14 +891,33 @@ class ObjectiveState:
             _cell_net_idx=(self._cell_net_idx, np.int64, None),
             _cell_net_ptr=(self._cell_net_ptr, np.int64, (n_cells + 1,)),
         )
+        fresh = ObjectiveState(self.placement.copy(), self.config,
+                               self.power_model)
         cached = self._total
-        wl = self._wl.copy()
-        ilv = self._ilv.copy()
-        power = self._power.copy()
-        self.rebuild()
-        if abs(self._total - cached) > tol * max(1.0, abs(cached)):
+        if abs(fresh._total - cached) > tol * max(1.0, abs(cached)):
             raise AssertionError(
-                f"objective drifted: cached {cached}, true {self._total}")
-        for a, b in ((wl, self._wl), (ilv, self._ilv), (power, self._power)):
+                f"objective drifted: cached {cached}, true {fresh._total}")
+        pairs = [(self._wl, fresh._wl), (self._ilv, fresh._ilv),
+                 (self._power, fresh._power)]
+        if not self._extremes_dirty:
+            fresh._refresh_extremes()
+            assert self._ext_stack is not None
+            assert fresh._ext_stack is not None
+            for mine, true in zip(self._ext_stack, fresh._ext_stack):
+                if not np.array_equal(mine, true):
+                    raise AssertionError("extreme caches drifted")
+            if self.alpha_temp > 0:
+                pairs.append((self._drv_rsum, fresh._drv_rsum))
+        for a, b in pairs:
             if not np.allclose(a, b, rtol=1e-9, atol=1e-18):
                 raise AssertionError("per-item caches drifted")
+
+
+def _restored(what: str, saved: FloatArray,
+              shape: Tuple[int, ...]) -> FloatArray:
+    """A float64 copy of a checkpointed array of the expected shape."""
+    array = np.asarray(saved, dtype=np.float64).copy()
+    if array.shape != shape:
+        raise ValueError(f"checkpoint {what} has shape {array.shape}, "
+                         f"expected {shape}")
+    return array

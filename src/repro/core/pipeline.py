@@ -395,9 +395,10 @@ class PlacementPipeline:
         placement.y[:] = data.y
         placement.z[:] = data.z
         if data.meta["objective_built"]:
-            assert data.power is not None
+            assert data.power is not None and data.wl is not None
             self.ctx.ensure_objective().restore_checkpoint(
-                data.power, float(data.meta["objective_total"]))
+                data.power, float(data.meta["objective_total"]), data.wl,
+                data.drv_rsum)
         self._best = data.best
         self._completed = data.completed
         _log.info("resumed from %s: %d/%d units done",

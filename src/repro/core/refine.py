@@ -43,6 +43,12 @@ WIDTH_TOLERANCE = 1e-9
 #: from the config seed.
 SEED_OFFSET = 7919
 
+#: Nearest same-width peers each cell tries in an equal-width swap pass.
+SWAP_CANDIDATES = 6
+
+#: Rows above and below its own in which a gap move looks for a slot.
+GAP_ROW_RADIUS = 2
+
 
 class LegalRefiner:
     """Iterative improvement of a legal placement.
@@ -185,7 +191,7 @@ class LegalRefiner:
         return improved
 
     # ------------------------------------------------------------------
-    def _equal_width_swap_pass(self, candidates_per_cell: int = 6) -> int:
+    def _equal_width_swap_pass(self) -> int:
         """Swap same-width cells across the whole chip.
 
         Two-phase batching: every cell's nearest same-width peers are
@@ -224,7 +230,7 @@ class LegalRefiner:
             dist = (np.abs(placement.x[peers] - ox)
                     + np.abs(placement.y[peers] - oy))
             dist = np.where(peers == cid, np.inf, dist)
-            k = min(candidates_per_cell, len(peers) - 1)
+            k = min(SWAP_CANDIDATES, len(peers) - 1)
             near = peers[np.argsort(dist, kind="stable")[:k]]
             others = [int(p) for p in near
                       if abs(widths[p] - widths[cid]) <= quantum]
@@ -271,7 +277,7 @@ class LegalRefiner:
         return improved
 
     # ------------------------------------------------------------------
-    def _gap_move_pass(self, row_radius: int = 2) -> int:
+    def _gap_move_pass(self) -> int:
         """Move cells into nearby free row intervals when it helps.
 
         Two-phase batching like :meth:`_equal_width_swap_pass`: slot
@@ -302,9 +308,9 @@ class LegalRefiner:
             x0 = float(placement.x[cid])
             start = len(cand_slots)
             for layer in range(chip.num_layers):
-                for row in range(max(0, row0 - row_radius),
+                for row in range(max(0, row0 - GAP_ROW_RADIUS),
                                  min(chip.rows_per_layer,
-                                     row0 + row_radius + 1)):
+                                     row0 + GAP_ROW_RADIUS + 1)):
                     if (layer, row) == (layer0, row0):
                         continue
                     slot = segments.nearest_slot(layer, row, x0, w)

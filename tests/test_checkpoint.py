@@ -20,11 +20,13 @@ from repro.core.checkpoint import (CheckpointError, checkpoint_paths,
                                    save_checkpoint, verify_matches)
 from repro.core.config import PlacementConfig
 from repro.core.context import PlacementContext
+from repro.core.objective import ObjectiveState
 from repro.core.pipeline import PipelineHalted, default_pipeline_spec
 from repro.core.placer import Placer3D
 from repro.netlist.generator import GeneratorSpec, generate_netlist
 from repro.netlist.net import PinRole
 from repro.netlist.netlist import Netlist
+from repro.netlist.suite import load_benchmark
 from repro.obs.manifest import validate_checkpoint_meta
 
 
@@ -65,9 +67,23 @@ def _stop_after(unit):
     return lambda done: done == unit
 
 
-def _final_arrays(result):
-    pl = result.placement
-    return pl.x.copy(), pl.y.copy(), pl.z.copy()
+def _assert_resumes_bit_identically(tmp_path, make_netlist, config,
+                                    units):
+    """Halt a run after each of ``units``, resume it, and require the
+    uninterrupted run's final placement and objective, bit for bit."""
+    reference = Placer3D(make_netlist(), config).run()
+    for unit in units:
+        ckpt_dir = tmp_path / unit.replace("/", "_").replace(":", "-")
+        with pytest.raises(PipelineHalted):
+            Placer3D(make_netlist(), config).run(
+                checkpoint_dir=ckpt_dir, preempt=_stop_after(unit))
+        assert has_checkpoint(ckpt_dir)
+        resumed = Placer3D(make_netlist(), config).run(
+            checkpoint_dir=ckpt_dir, resume=True)
+        for axis in ("x", "y", "z"):
+            assert np.array_equal(getattr(resumed.placement, axis),
+                                  getattr(reference.placement, axis)), unit
+        assert resumed.objective == reference.objective, unit
 
 
 class TestResumeBitIdentical:
@@ -75,38 +91,35 @@ class TestResumeBitIdentical:
                                                             tmp_path):
         """Interrupt after EACH unit of the default spec and resume."""
         config = _config()
-        reference = Placer3D(_netlist(), config).run()
-        ref_x, ref_y, ref_z = _final_arrays(reference)
         units = default_pipeline_spec(config).units()
         assert len(units) == 12  # global + 2*(4 stages + end) + end
-        for unit in units:
-            ckpt_dir = tmp_path / unit.replace("/", "_").replace(":", "-")
-            with pytest.raises(PipelineHalted):
-                Placer3D(_netlist(), config).run(
-                    checkpoint_dir=ckpt_dir, preempt=_stop_after(unit))
-            assert has_checkpoint(ckpt_dir)
-            resumed = Placer3D(_netlist(), config).run(
-                checkpoint_dir=ckpt_dir, resume=True)
-            assert np.array_equal(resumed.placement.x, ref_x), unit
-            assert np.array_equal(resumed.placement.y, ref_y), unit
-            assert np.array_equal(resumed.placement.z, ref_z), unit
-            assert resumed.objective == reference.objective, unit
+        _assert_resumes_bit_identically(tmp_path, _netlist, config, units)
 
     def test_thermal_run_resumes_bit_identically(self, tmp_path):
         config = _config(alpha_temp=1e-5, legalization_rounds=1,
                          refine_passes=0)
-        reference = Placer3D(_netlist(40), config).run()
-        ref_x, ref_y, ref_z = _final_arrays(reference)
-        ckpt_dir = tmp_path / "thermal"
-        with pytest.raises(PipelineHalted):
-            Placer3D(_netlist(40), config).run(
-                checkpoint_dir=ckpt_dir,
-                preempt=_stop_after("1:round1/cellshift"))
-        resumed = Placer3D(_netlist(40), config).run(
-            checkpoint_dir=ckpt_dir, resume=True)
-        assert np.array_equal(resumed.placement.x, ref_x)
-        assert np.array_equal(resumed.placement.y, ref_y)
-        assert np.array_equal(resumed.placement.z, ref_z)
+        _assert_resumes_bit_identically(
+            tmp_path, lambda: _netlist(40), config, ["1:round1/cellshift"])
+
+    def test_ibm01_resumes_bit_identically_from_every_boundary(
+            self, tmp_path):
+        """A net's span as a small apply writes it and as a rebuild
+        writes it can differ in the last bit: after ``moves`` dozens of
+        ibm01@0.03 nets hold the former, and resume must keep them."""
+        netlist = load_benchmark("ibm01", scale=0.03)
+        config = PlacementConfig(seed=0)
+        _assert_resumes_bit_identically(
+            tmp_path, lambda: netlist, config,
+            default_pipeline_spec(config).units())
+
+    def test_thermal_ibm01_resumes_after_moves(self, tmp_path):
+        """The same for a thermal run halted after ``moves``, with the
+        driver resistance sums maintained at the boundary."""
+        netlist = load_benchmark("ibm01", scale=0.05)
+        config = PlacementConfig(alpha_temp=1e-3, seed=1,
+                                 legalization_rounds=2)
+        _assert_resumes_bit_identically(
+            tmp_path, lambda: netlist, config, ["1:round1/moves"])
 
     def test_resume_after_final_unit_returns_reference_result(self,
                                                               tmp_path):
@@ -122,6 +135,40 @@ class TestResumeBitIdentical:
         assert np.array_equal(resumed.placement.x,
                               reference.placement.x)
         assert resumed.objective == reference.objective
+
+
+class TestObjectiveCheckpointState:
+    def test_restore_brings_back_history_dependent_bits(self):
+        """After small applies, some nets' spans and driver resistance
+        sums differ from a rebuild's in the last bits; a restore must
+        bring back the saved bits."""
+        config = PlacementConfig(alpha_temp=1e-5, seed=0)
+        ctx = PlacementContext.create(load_benchmark("ibm01", scale=0.03),
+                                      config)
+        pl, chip = ctx.placement, ctx.placement.chip
+        rng = np.random.default_rng(0)
+        pl.x[:] = rng.random(len(pl.x)) * chip.width
+        pl.y[:] = rng.random(len(pl.y)) * chip.height
+        state = ctx.objective
+        state.optimal_region_centers([0])  # extreme caches current
+        movable = [c.id for c in ctx.netlist.cells if c.movable]
+        for cid in rng.choice(movable, size=300):
+            state.apply_moves([(int(cid), rng.random() * chip.width,
+                                rng.random() * chip.height,
+                                int(rng.integers(chip.num_layers)))])
+        power, total, wl, drv_rsum = state.checkpoint_state()
+        assert drv_rsum is not None
+        resumed = ObjectiveState(pl.copy(), config, state.power_model)
+        resumed._refresh_extremes()
+        assert not np.array_equal(resumed._wl, wl)
+        assert not np.array_equal(resumed._drv_rsum, drv_rsum)
+        resumed.restore_checkpoint(power, total, wl, drv_rsum)
+        assert resumed.total == state.total
+        for name in ("_power", "_wl", "_ilv", "_drv_rsum"):
+            assert np.array_equal(getattr(resumed, name),
+                                  getattr(state, name)), name
+        for mine, theirs in zip(resumed._ext_stack, state._ext_stack):
+            assert np.array_equal(mine, theirs)
 
 
 class TestCheckpointFormat:
@@ -162,6 +209,9 @@ class TestCheckpointFormat:
         spec_dict = default_pipeline_spec(config).to_dict()
         verify_matches(data, ctx, spec_dict)  # must not raise
         assert data.power is not None
+        assert data.wl is not None
+        assert data.wl.shape == (ctx.netlist.num_nets,)
+        assert data.drv_rsum is None  # not a thermal run
         assert data.x.shape == ctx.placement.x.shape
 
     def test_missing_arrays_detected_as_torn_write(self, tmp_path):
@@ -170,6 +220,27 @@ class TestCheckpointFormat:
         npz_path.unlink()
         assert not has_checkpoint(ckpt_dir)
         with pytest.raises(CheckpointError, match="torn write"):
+            load_checkpoint(ckpt_dir)
+
+    def test_thermal_checkpoint_carries_driver_sums(self, tmp_path):
+        config = _config(alpha_temp=1e-5, legalization_rounds=1,
+                         refine_passes=0)
+        ckpt_dir = tmp_path / "thermal-fmt"
+        with pytest.raises(PipelineHalted):
+            Placer3D(_netlist(40), config).run(
+                checkpoint_dir=ckpt_dir,
+                preempt=_stop_after("1:round1/moves"))
+        data = load_checkpoint(ckpt_dir)
+        assert data.drv_rsum is not None
+        assert data.drv_rsum.shape == data.wl.shape
+
+    def test_checkpoint_without_spans_refused(self, tmp_path):
+        ckpt_dir, _ = self._halted_checkpoint(tmp_path)
+        _, npz_path = checkpoint_paths(ckpt_dir)
+        with np.load(str(npz_path)) as arrays:
+            kept = {k: arrays[k] for k in arrays.files if k != "wl"}
+        np.savez(str(npz_path), **kept)
+        with pytest.raises(CheckpointError, match="no wl array"):
             load_checkpoint(ckpt_dir)
 
     def test_corrupt_metadata_rejected(self, tmp_path):
@@ -254,6 +325,7 @@ class TestSaveCheckpointValidation:
         data = load_checkpoint(tmp_path)
         assert data.meta["objective_built"] is False
         assert data.power is None
+        assert data.wl is None
         assert data.best is None
         verify_matches(data, ctx, spec_dict)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.core.cellshift as cellshift_module
 from repro.core.cellshift import (BETA_CANDIDATES, MAX_DENSITY, CellShifter,
                                   shifted_widths)
 from repro.core.objective import ObjectiveState
@@ -108,9 +109,10 @@ class TestCellShifter:
         assert np.all((pl.z >= 0) & (pl.z < chip.num_layers))
 
     def test_objective_state_stays_consistent(self, small_netlist,
-                                              config):
+                                              config, monkeypatch):
+        monkeypatch.setattr(cellshift_module, "MAX_ITERATIONS", 3)
         shifter = self.make(small_netlist, config)
-        shifter.run(max_iterations=3)
+        shifter.run()
         shifter.objective.check_consistency()
 
     def test_z_rebalances_layers(self, small_netlist, config):

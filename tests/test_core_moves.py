@@ -87,11 +87,12 @@ class TestRadius:
 
 class TestDensityRespect:
     def test_density_limit_not_exceeded_by_much(self, small_netlist,
-                                                config):
+                                                config, monkeypatch):
+        monkeypatch.setattr(moves_module, "DENSITY_LIMIT", 1.2)
         chip = make_chip(small_netlist)
         pl = Placement.random(small_netlist, chip, seed=4)
         obj = ObjectiveState(pl, config)
-        opt = MoveOptimizer(obj, config, density_limit=1.2)
+        opt = MoveOptimizer(obj, config)
         opt.global_pass()
         opt._rebuild_mesh()
         areas = pl.netlist.areas

@@ -161,7 +161,7 @@ class TestOptimalRegion:
         pl.z[:] = 0
         state = ObjectiveState(pl, config)
         # c5 connects only to c4 via n3: optimal spot is exactly at c4
-        ox, oy, oz = state.optimal_region_center(5)
+        ox, oy, oz = state.optimal_region_centers([5])[:, 0]
         assert ox == pytest.approx(40e-6)
         assert oz == 0
 
@@ -170,5 +170,5 @@ class TestOptimalRegion:
         pl = Placement.at_center(tiny_netlist, chip4)
         state = ObjectiveState(pl, config)
         cid = tiny_netlist.cell("lonely").id
-        ox, oy, oz = state.optimal_region_center(cid)
+        ox, oy, oz = state.optimal_region_centers([cid])[:, 0]
         assert ox == pytest.approx(pl.x[cid])

@@ -218,6 +218,34 @@ def test_legalization_is_chunk_invariant(medium_netlist, monkeypatch):
                                       getattr(default, axis))
 
 
+def _scalar_region_center(objective, cell_id):
+    """One cell's optimal-region centre, one axis at a time: the
+    scalar reference for ``optimal_region_centers``."""
+    objective._refresh_extremes()
+    lo = objective._cell_net_ptr[cell_id]
+    hi = objective._cell_net_ptr[cell_id + 1]
+    nets = objective._cell_net_idx[lo:hi]
+    here = (objective._xs[cell_id], objective._ys[cell_id],
+            float(objective._zs[cell_id]))
+    # nets where the cell is the only pin have no "other" box
+    nets = nets[objective._net_deg[nets] > 1]
+    if not len(nets):
+        return here
+    hi1, cnt_hi, hi2, lo1, cnt_lo, lo2 = objective._ext_stack
+    out = []
+    for ax, coord in enumerate(here):
+        other_hi = np.where(
+            (coord == hi1[ax, nets]) & (cnt_hi[ax, nets] == 1),
+            hi2[ax, nets], hi1[ax, nets])
+        other_lo = np.where(
+            (coord == lo1[ax, nets]) & (cnt_lo[ax, nets] == 1),
+            lo2[ax, nets], lo1[ax, nets])
+        ends = np.sort(np.concatenate((other_lo, other_hi)))
+        n = len(ends)
+        out.append(0.5 * (float(ends[(n - 1) // 2]) + float(ends[n // 2])))
+    return tuple(out)
+
+
 def test_batch_region_centers_match_scalar(small_netlist):
     """optimal_region_centers equals the scalar per-cell query."""
     config = PlacementConfig(alpha_ilv=1e-5, num_layers=4, seed=0)
@@ -226,10 +254,10 @@ def test_batch_region_centers_match_scalar(small_netlist):
     centers = objective.optimal_region_centers(movable)
     assert centers.shape == (3, len(movable))
     for i, cid in enumerate(movable):
-        expected = objective.optimal_region_center(cid)
-        for axis in range(3):
-            assert centers[axis, i] == pytest.approx(expected[axis],
-                                                     abs=1e-12)
+        expected = _scalar_region_center(objective, cid)
+        assert tuple(centers[:, i].tolist()) == expected
+        one = objective.optimal_region_centers([cid])
+        assert tuple(one[:, 0].tolist()) == expected
     assert objective.optimal_region_centers([]).shape == (3, 0)
 
 

@@ -386,3 +386,41 @@ class TestPipelineRunnerDirect:
         pipeline.run()
         assert pipeline._completed == spec.units()
         check_legal(ctx.placement)
+
+
+class TestStageBoundaryAudit:
+    """The incremental Eq. 3 state agrees with a from-scratch state at
+    every stage boundary of a real run, every ``detailed`` unit hands
+    ``refine`` a legal placement, and auditing changes nothing."""
+
+    @staticmethod
+    def _run(netlist, config, audit):
+        ctx = PlacementContext.create(netlist, config)
+        audited = []
+
+        def hook(unit):
+            if audit:
+                if ctx.objective_built:
+                    ctx.objective.check_consistency()
+                if unit.endswith("detailed"):
+                    check_legal(ctx.placement)
+                audited.append(unit)
+            return False
+
+        PlacementPipeline(default_pipeline_spec(config), ctx,
+                          preempt=hook).run()
+        return ctx.placement, audited
+
+    @pytest.mark.parametrize("alpha_temp", [0.0, 5.2e-3])
+    def test_audit_passes_at_every_boundary_and_changes_nothing(
+            self, alpha_temp):
+        netlist = load_benchmark("ibm01", scale=0.03)
+        config = PlacementConfig(alpha_temp=alpha_temp, seed=0,
+                                 legalization_rounds=2)
+        plain, _ = self._run(netlist, config, audit=False)
+        audited, units = self._run(netlist, config, audit=True)
+        assert units == default_pipeline_spec(config).units()
+        assert sum(u.endswith("detailed") for u in units) == 2
+        for axis in ("x", "y", "z"):
+            assert np.array_equal(getattr(audited, axis),
+                                  getattr(plain, axis)), axis
