@@ -25,7 +25,7 @@ row, inside the die, with no overlaps.
 from __future__ import annotations
 
 import bisect as _bisect
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +50,7 @@ class RowSegments:
 
     def __init__(self, placement: Placement) -> None:
         self.chip = placement.chip
+        self._cells = placement.netlist.cells  # names for error messages
         # per (layer, row): parallel sorted lists of starts and ends
         self._starts: Dict[RowKey, List[float]] = {}
         self._ends: Dict[RowKey, List[float]] = {}
@@ -90,7 +91,8 @@ class RowSegments:
         """Occupy ``[x_center - w/2, x_center + w/2]`` in a row.
 
         Raises:
-            ValueError: if the interval overlaps an existing one.
+            ValueError: if the interval overlaps an existing one; the
+                message names both cells.
         """
         starts, ends, cids = self._lists((layer, row))
         lo = x_center - 0.5 * width
@@ -98,13 +100,20 @@ class RowSegments:
         i = _bisect.bisect_left(starts, lo)
         eps = 1e-12
         if i > 0 and ends[i - 1] > lo + eps:
-            raise ValueError(f"overlap in layer {layer} row {row}")
+            self._overlap(layer, row, cid, cids[i - 1])
         if i < len(starts) and starts[i] < hi - eps:
-            raise ValueError(f"overlap in layer {layer} row {row}")
+            self._overlap(layer, row, cid, cids[i])
         starts.insert(i, lo)
         ends.insert(i, hi)
         cids.insert(i, cid)
         self._gap_cache.pop((layer, row), None)
+
+    def _overlap(self, layer: int, row: int, cid: int,
+                 other: int) -> NoReturn:
+        raise ValueError(
+            f"overlap in layer {layer} row {row}: cell "
+            f"{self._cells[cid].name} overlaps cell "
+            f"{self._cells[other].name}")
 
     def remove(self, layer: int, row: int, cid: int) -> None:
         """Vacate a cell's interval in a row."""

@@ -43,7 +43,7 @@ SEED_OFFSET = 101
 
 
 class _Candidates:
-    """One scoring buffer of phase-1 candidates in flat typed buffers.
+    """One scoring buffer of move/swap candidates in flat typed buffers.
 
     A move is ``(cell, x, y, bin)`` and a swap ``(cell, partner, bin)``;
     bins are stored as ``(i, j, k)`` triples, and a move lands on its
@@ -69,7 +69,8 @@ class _Candidates:
 
 
 class _Best:
-    """Each cell's best phase-1 candidate, one row per pass-order cell.
+    """Each cell's best candidate: in phase 1 one row per pass-order
+    cell, in a rescan one row.
 
     ``delta`` is the first minimum of the cell's candidate deltas in
     generation order, or 0.0 when it has none (which no strictly
@@ -175,13 +176,16 @@ class MoveOptimizer:
         candidates plus one record per cell, at any size.  A delta
         depends only on its own candidate, so where the buffers end
         changes nothing.  Phase 2 walks the cells in permutation order
-        and greedily applies each cell's best candidate: while the
-        cell's (and a swap partner's) incident nets are untouched the
-        cached delta is exact and is used as-is; once the neighbourhood
-        has been dirtied by earlier applies, the chosen candidate is
-        re-checked with a scalar evaluation before committing.  Cells
-        displaced mid-pass by a swap partner fall back to the
-        sequential :meth:`_best_action` scan from their new position.
+        and greedily applies each cell's best candidate.  A cached
+        candidate was scored against the snapshot, so it is checked
+        against the current state first: its target bin must still have
+        room, a swap partner must not have moved, and once earlier
+        applies have dirtied the cell's (or the partner's) incident nets
+        its delta is re-checked with a scalar evaluation.  A cell
+        displaced mid-pass by a swap partner is rescanned from its new
+        position through the same generator and selector
+        (:meth:`_rescan`); that candidate is scored against the current
+        state and needs none of these checks.
         """
         self._rebuild_mesh()
         placement = self.objective.placement
@@ -207,7 +211,6 @@ class MoveOptimizer:
                 (orc[0, i], orc[1, i], orc[2, i]) if orc is not None
                 else None)
             self._collect_candidates(cid, cur_bin, targets, cand)
-            cand.span.append(len(cand.entry))
             if len(cand.entry) >= BATCH_CHUNK or i == len(order) - 1:
                 n_cand += len(cand.entry)
                 self._keep_best(cand, first, best)
@@ -222,57 +225,53 @@ class MoveOptimizer:
         limit = DENSITY_LIMIT * mesh.bin_capacity
         cell_nets = obj.cell_nets
         for i, cid in enumerate(order):
-            if cid in moved_since:
+            cached = cid not in moved_since
+            if cached:
+                cur_bin, row, r = cur_bins[i], best, i
+            else:
                 # displaced by an earlier swap: rescan from the new spot
                 cur_bin = mesh.bin_of(float(placement.x[cid]),
                                       float(placement.y[cid]),
                                       int(placement.z[cid]))
-                targets = self._targets(cid, cur_bin, local_only, radius)
-                action = self._best_action(cid, cur_bin, targets)
-                if action is not None:
-                    moves, target_bin, partner = action
-                    obj.apply_moves(moves)
-                    self._update_mesh(cid, cur_bin, target_bin, partner)
-                    executed += 1
-                    dirty.update(cell_nets(cid))
-                    if partner is not None:
-                        moved_since.add(partner)
-                        dirty.update(cell_nets(partner))
+                row, r = self._rescan(
+                    cid, cur_bin,
+                    self._targets(cid, cur_bin, local_only, radius)), 0
+            if not row.delta[r] < -1e-18:  # strictly improving only
                 continue
-            if not best.delta[i] < -1e-18:  # strictly improving only
-                continue
-            stale = not dirty.isdisjoint(cell_nets(cid))
-            area = float(areas[cid])
-            bi, bj, bk = best.bins[i].tolist()
+            bi, bj, bk = row.bins[r].tolist()
             t = (bi, bj, bk)
-            other = int(best.partner[i])
-            if other < 0:
-                # the bin may have filled up since the snapshot
-                if mesh.area_in(t) + area > limit:
-                    continue
-                mv = [(cid, float(best.x[i]), float(best.y[i]), bk)]
-                partner = None
+            other = int(row.partner[r])
+            partner = other if other >= 0 else None
+            if partner is None:
+                mv = [(cid, float(row.x[r]), float(row.y[r]), bk)]
             else:
-                if other in moved_since:
-                    continue
-                other_area = float(areas[other])
-                if mesh.area_in(t) - other_area + area > limit:
-                    continue
-                if (mesh.area_in(cur_bins[i]) - area + other_area
-                        > limit):
-                    continue
-                stale = stale or not dirty.isdisjoint(cell_nets(other))
                 mv = [(cid, float(placement.x[other]),
                        float(placement.y[other]),
                        int(placement.z[other])),
                       (other, float(placement.x[cid]),
                        float(placement.y[cid]),
                        int(placement.z[cid]))]
-                partner = other
-            if stale and obj.eval_moves(mv) >= -1e-18:
-                continue
+            if cached:
+                # scored against the snapshot: re-check what the
+                # applies since may have changed
+                area = float(areas[cid])
+                stale = not dirty.isdisjoint(cell_nets(cid))
+                if partner is None:
+                    if mesh.area_in(t) + area > limit:
+                        continue
+                else:
+                    if other in moved_since:
+                        continue
+                    other_area = float(areas[other])
+                    if mesh.area_in(t) - other_area + area > limit:
+                        continue
+                    if mesh.area_in(cur_bin) - area + other_area > limit:
+                        continue
+                    stale = stale or not dirty.isdisjoint(cell_nets(other))
+                if stale and obj.eval_moves(mv) >= -1e-18:
+                    continue
             obj.apply_moves(mv)
-            self._update_mesh(cid, cur_bins[i], t, partner)
+            self._update_mesh(cid, cur_bin, t, partner)
             executed += 1
             moved_since.add(cid)
             dirty.update(cell_nets(cid))
@@ -295,10 +294,10 @@ class MoveOptimizer:
                    best: _Best) -> None:
         """Score one buffer and record each of its cells' best candidate.
 
-        The buffer's cells are the pass-order cells ``first``,
-        ``first + 1``, ...  Each keeps the first minimum of its span:
-        the deltas are finite, so that is what a strict "<" scan in
-        generation order would keep.
+        The buffer's cells go to rows ``first``, ``first + 1``, ... of
+        ``best``.  Each keeps the first minimum of its span: the deltas
+        are finite, so that is what a strict "<" scan in generation
+        order would keep.
         """
         mv_x = np.frombuffer(cand.mv_x, dtype=np.float64)
         mv_y = np.frombuffer(cand.mv_y, dtype=np.float64)
@@ -339,10 +338,20 @@ class MoveOptimizer:
         best.bins[sw_rows] = sw_bin[sw]
 
     def _collect_candidates(self, cid: int, cur_bin: BinIndex,
-                            targets: List[BinIndex],
-                            cand: _Candidates) -> None:
+                            targets: List[BinIndex], cand: _Candidates,
+                            *, centred: bool = False) -> None:
         """Append one cell's move/swap candidates to ``cand`` in
-        generation order."""
+        generation order, and close the cell's span.
+
+        The random stream is drawn in one order: two jitter values per
+        target, then a swap-partner sample per crowded target bin.  A
+        move to bin ``(i, j, k)`` with jitter ``(u, v)`` lands at
+        ``x = (i + u) * bin_width``, or, with ``centred`` (a rescanned
+        cell), at ``x = (i + 0.5) * bin_width + (u - 0.5) *
+        (0.5 * bin_width) * 2.0``; ``y`` alike.  The two can differ in
+        the last bit, and writing both the same way changes placements
+        (DESIGN.md, "Two WL associations").
+        """
         mesh = self.mesh
         areas = self._areas
         area = float(areas[cid])
@@ -352,16 +361,25 @@ class MoveOptimizer:
         bw = mesh.bin_width
         bh = mesh.bin_height
         cur_area = float(bin_area[cur_bin])
+        # jittered landing points keep successive movers to one bin
+        # from piling up on one spot
         jitter = self._rng.random(2 * len(targets)).tolist()
         for ti, t in enumerate(targets):
             if t == cur_bin:
                 continue
             area_t = float(bin_area[t])
             if area_t + area <= limit:
+                u, v = jitter[2 * ti], jitter[2 * ti + 1]
                 cand.entry.append(len(cand.mv_cell))
                 cand.mv_cell.append(cid)
-                cand.mv_x.append((t[0] + jitter[2 * ti]) * bw)
-                cand.mv_y.append((t[1] + jitter[2 * ti + 1]) * bh)
+                if centred:
+                    cand.mv_x.append((t[0] + 0.5) * bw
+                                     + (u - 0.5) * (0.5 * bw) * 2.0)
+                    cand.mv_y.append((t[1] + 0.5) * bh
+                                     + (v - 0.5) * (0.5 * bh) * 2.0)
+                else:
+                    cand.mv_x.append((t[0] + u) * bw)
+                    cand.mv_y.append((t[1] + v) * bh)
                 cand.mv_bin.extend(t)
             members = bin_members.get(t)
             if not members:
@@ -374,6 +392,7 @@ class MoveOptimizer:
                 if other == cid:
                     continue
                 other_area = float(areas[other])
+                # exchanged areas must keep both bins within the limit
                 if area_t - other_area + area > limit:
                     continue
                 if cur_area - area + other_area > limit:
@@ -382,109 +401,18 @@ class MoveOptimizer:
                 cand.sw_a.append(cid)
                 cand.sw_b.append(other)
                 cand.sw_bin.extend(t)
+        cand.span.append(len(cand.entry))
 
-    # ------------------------------------------------------------------
-    def _best_action(self, cid: int, cur_bin: BinIndex,
-                     targets: List[BinIndex]
-                     ) -> Optional[Tuple[
-                         List[Tuple[int, float, float, int]],
-                         BinIndex, Optional[int]]]:
-        """Best objective-reducing move or swap for one cell, or None.
-
-        All candidates for the cell — one jittered landing point per
-        roomy target bin plus the sampled swap partners — are generated
-        first and scored in two batched objective calls
-        (:meth:`ObjectiveState.eval_moves_batch` /
-        :meth:`~ObjectiveState.eval_swaps_batch`); ties resolve to the
-        earliest-generated candidate, matching the sequential scan.
+    def _rescan(self, cid: int, cur_bin: BinIndex,
+                targets: List[BinIndex]) -> _Best:
+        """A displaced cell's best candidate, scored against the current
+        state: phase 1's generator and selector on a one-cell buffer.
         """
-        mesh = self.mesh
-        placement = self.objective.placement
-        area = float(self._areas[cid])
-        limit = DENSITY_LIMIT * mesh.bin_capacity
-        cur_area = mesh.area_in(cur_bin)
-        half_w = 0.5 * mesh.bin_width
-        half_h = 0.5 * mesh.bin_height
-
-        move_xs: List[float] = []
-        move_ys: List[float] = []
-        move_zs: List[int] = []
-        move_bins: List[BinIndex] = []
-        move_seq: List[int] = []
-        swap_others: List[int] = []
-        swap_bins: List[BinIndex] = []
-        swap_seq: List[int] = []
-        seq = 0
-        # jitter landing points inside each bin so successive movers do
-        # not pile up on the exact bin centre (drawn in one batch)
-        jitter = self._rng.random(2 * len(targets))
-        for ti, t in enumerate(targets):
-            if t == cur_bin:
-                continue
-            tx, ty, tz = mesh.bin_center(t)
-            tx += (jitter[2 * ti] - 0.5) * half_w * 2.0
-            ty += (jitter[2 * ti + 1] - 0.5) * half_h * 2.0
-            area_t = mesh.area_in(t)
-            # plain move, if the bin has room
-            if area_t + area <= limit:
-                move_xs.append(tx)
-                move_ys.append(ty)
-                move_zs.append(tz)
-                move_bins.append(t)
-                move_seq.append(seq)
-                seq += 1
-            # swaps with cells in the target bin
-            members = mesh.members(t)
-            if len(members) > MAX_SWAP_CANDIDATES:
-                members = list(self._rng.choice(
-                    members, size=MAX_SWAP_CANDIDATES, replace=False))
-            for other in members:
-                other = int(other)
-                if other == cid:
-                    continue
-                other_area = float(self._areas[other])
-                # exchanged areas must keep both bins within the limit
-                if area_t - other_area + area > limit:
-                    continue
-                if cur_area - area + other_area > limit:
-                    continue
-                swap_others.append(other)
-                swap_bins.append(t)
-                swap_seq.append(seq)
-                seq += 1
-
-        move_deltas = self.objective.eval_moves_batch(
-            [cid] * len(move_xs), move_xs, move_ys, move_zs)
-        swap_deltas = self.objective.eval_swaps_batch(
-            [cid] * len(swap_others), swap_others)
-
-        best_delta = -1e-18  # strictly improving only
-        best: Optional[Tuple[List[Tuple[int, float, float, int]],
-                             BinIndex, Optional[int]]] = None
-        # scan candidates in generation order, strict improvement only
-        candidates = sorted(
-            [(s, float(d), ("move", k))
-             for k, (s, d) in enumerate(zip(move_seq, move_deltas))]
-            + [(s, float(d), ("swap", k))
-               for k, (s, d) in enumerate(zip(swap_seq, swap_deltas))])
-        for _, delta, (kind, k) in candidates:
-            if delta < best_delta:
-                best_delta = delta
-                if kind == "move":
-                    best = ([(cid, move_xs[k], move_ys[k],
-                              move_zs[k])], move_bins[k], None)
-                else:
-                    other = swap_others[k]
-                    moves = [
-                        (cid, float(placement.x[other]),
-                         float(placement.y[other]),
-                         int(placement.z[other])),
-                        (other, float(placement.x[cid]),
-                         float(placement.y[cid]),
-                         int(placement.z[cid])),
-                    ]
-                    best = (moves, swap_bins[k], other)
-        return best
+        cand = _Candidates()
+        self._collect_candidates(cid, cur_bin, targets, cand, centred=True)
+        row = _Best(1)
+        self._keep_best(cand, 0, row)
+        return row
 
     def _update_mesh(self, cid: int, cur_bin: BinIndex,
                      target_bin: BinIndex,

@@ -3,8 +3,6 @@
 This subpackage provides the spatial substrate every other part of the
 placer builds on:
 
-- :class:`~repro.geometry.bbox.BBox3D` — axis-aligned boxes with lateral
-  dimensions in metres and the vertical dimension in discrete layers.
 - :class:`~repro.geometry.chip.ChipGeometry` — the placement volume of a
   3D IC: die outline, active layers, standard-cell rows and vertical stack
   dimensions (layer / interlayer / substrate thicknesses).
@@ -13,8 +11,7 @@ placer builds on:
   and by the thermal solver.
 """
 
-from repro.geometry.bbox import BBox3D
 from repro.geometry.chip import ChipGeometry, Row
 from repro.geometry.density import DensityMesh
 
-__all__ = ["BBox3D", "ChipGeometry", "Row", "DensityMesh"]
+__all__ = ["ChipGeometry", "Row", "DensityMesh"]

@@ -23,7 +23,6 @@ from typing import Any, List, Union, overload
 import numpy as np
 
 from repro.analysis import FloatArray, IntArray
-from repro.geometry.bbox import BBox3D
 
 
 @dataclass(frozen=True)
@@ -98,12 +97,6 @@ class ChipGeometry:
     def rows_per_layer(self) -> int:
         """Number of complete rows that fit in the die height."""
         return max(1, int(math.floor(self.height / self.row_pitch + 1e-9)))
-
-    @property
-    def bounds(self) -> BBox3D:
-        """The full placement volume as a :class:`BBox3D`."""
-        return BBox3D(0.0, self.width, 0.0, self.height,
-                      0, self.num_layers - 1)
 
     @property
     def footprint_area(self) -> float:

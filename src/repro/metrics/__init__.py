@@ -4,7 +4,6 @@ from repro.metrics.wirelength import (
     NetMetrics,
     compute_net_metrics,
     ilv_density_per_interlayer,
-    net_bbox,
     total_hpwl,
     total_ilv,
 )
@@ -17,7 +16,6 @@ __all__ = [
     "NetMetrics",
     "compute_net_metrics",
     "ilv_density_per_interlayer",
-    "net_bbox",
     "total_hpwl",
     "total_ilv",
     "PlacementReport",

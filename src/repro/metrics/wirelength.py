@@ -12,9 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.geometry.bbox import BBox3D
 from repro.netlist.csr import signal_csr
-from repro.netlist.net import Net
 from repro.netlist.placement import Placement
 
 
@@ -45,17 +43,6 @@ class NetMetrics:
     def total_ilv(self) -> int:
         """Total interlayer-via count."""
         return int(self.ilv.sum())
-
-
-def net_bbox(placement: Placement, net: Net) -> BBox3D:
-    """Bounding box of a net's pins."""
-    ids = net.unique_cell_ids
-    xs = placement.x[ids]
-    ys = placement.y[ids]
-    zs = placement.z[ids]
-    return BBox3D(float(xs.min()), float(xs.max()),
-                  float(ys.min()), float(ys.max()),
-                  int(zs.min()), int(zs.max()))
 
 
 def compute_net_metrics(placement: Placement) -> NetMetrics:

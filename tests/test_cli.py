@@ -317,7 +317,8 @@ class TestFinalCheck:
 
     @pytest.mark.parametrize("skipped, error", [
         # refine needs a legal input and trips over the first overlap
-        (("detailed",), r"^overlap in layer \d+ row \d+$"),
+        (("detailed",),
+         r"^overlap in layer \d+ row \d+: cell c\d+ overlaps cell c\d+$"),
         # with refine out of the way, check_legal catches it
         (("detailed", "refine"),
          r"^\S+: (outside die in x|not centred on a row)"),

@@ -1,5 +1,7 @@
 """Unit tests for detailed legalization (Section 5)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -27,11 +29,20 @@ class TestRowSegments:
         segs.insert(0, 0, 9, 1e-6, 1e-6)
         assert segs.occupants(0, 0) == [9, 7]
 
-    def test_overlap_rejected(self, segments):
+    def test_overlap_rejected(self, segments, small_netlist):
         segs, chip = segments
-        segs.insert(0, 0, 1, 5e-6, 2e-6)
-        with pytest.raises(ValueError):
+        name = [re.escape(c.name) for c in small_netlist.cells]
+        segs.insert(0, 0, 1, 5e-6, 2e-6)  # occupies [4,6]um
+        # the new interval overlaps its predecessor ...
+        with pytest.raises(ValueError, match=(
+                rf"^overlap in layer 0 row 0: cell {name[2]} overlaps "
+                rf"cell {name[1]}$")):
             segs.insert(0, 0, 2, 5.5e-6, 2e-6)
+        # ... or its successor
+        with pytest.raises(ValueError, match=(
+                rf"^overlap in layer 0 row 0: cell {name[3]} overlaps "
+                rf"cell {name[1]}$")):
+            segs.insert(0, 0, 3, 4.5e-6, 2e-6)
 
     def test_touching_allowed(self, segments):
         segs, chip = segments

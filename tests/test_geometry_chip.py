@@ -17,12 +17,6 @@ class TestConstruction:
         chip = simple_chip()
         assert chip.rows_per_layer == 20  # 50um / 2.5um
 
-    def test_bounds(self):
-        chip = simple_chip()
-        b = chip.bounds
-        assert (b.xlo, b.xhi) == (0.0, 100e-6)
-        assert (b.zlo, b.zhi) == (0, 3)
-
     def test_invalid_dimensions(self):
         with pytest.raises(ValueError):
             simple_chip(width=-1.0)

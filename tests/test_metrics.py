@@ -7,7 +7,6 @@ from repro.metrics.report import PlacementReport, evaluate_placement
 from repro.metrics.wirelength import (
     compute_net_metrics,
     ilv_density_per_interlayer,
-    net_bbox,
     total_hpwl,
     total_ilv,
 )
@@ -23,15 +22,6 @@ def placed_tiny(tiny_netlist, chip4):
     pl.y[:] = [1e-6, 1e-6, 2e-6, 2e-6, 3e-6, 3e-6]
     pl.z[:] = [0, 0, 1, 1, 2, 3]
     return pl
-
-
-class TestNetBBox:
-    def test_bbox_of_net(self, placed_tiny, tiny_netlist):
-        box = net_bbox(placed_tiny, tiny_netlist.nets[0])  # c0,c1,c2
-        assert box.xlo == pytest.approx(1e-6)
-        assert box.xhi == pytest.approx(5e-6)
-        assert box.zlo == 0
-        assert box.zhi == 1
 
 
 class TestComputeNetMetrics:

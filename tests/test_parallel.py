@@ -437,6 +437,47 @@ class TestSharedMemoryDispatch:
             assert counters["parallel/dispatch_bytes"] * 10 \
                 <= counters["parallel/dense_task_bytes"]
 
+    def test_failed_segment_creation_falls_back_to_dense(self,
+                                                         monkeypatch):
+        """When no segment can be created, the probe says so and a
+        2-worker run pickles dense tasks, with the serial result."""
+        import errno
+        from types import SimpleNamespace
+
+        from repro.parallel import shared
+
+        def run(num_workers):
+            netlist = generate_netlist(GeneratorSpec(
+                name="shm-fail", num_cells=96, total_area=96 * 4e-12,
+                seed=11))
+            recorder = Recorder()
+            result = Placer3D(netlist, PlacementConfig(
+                num_workers=num_workers, num_layers=2),
+                recorder=recorder).run()
+            return result.placement, recorder.counters
+
+        serial, _ = run(1)
+        unpatched, _ = run(2)
+        real = shared.shared_memory.SharedMemory
+
+        def no_create(name=None, create=False, size=0):
+            if create:
+                raise OSError(errno.ENOSPC, "injected: no space for shm")
+            return real(name=name, create=create, size=size)
+
+        monkeypatch.setattr(shared, "shared_memory",
+                            SimpleNamespace(SharedMemory=no_create))
+        monkeypatch.setattr(shared, "_available", None)
+        dense, counters = run(2)
+        assert shared._available is False
+        assert counters["parallel/tasks"] > 0
+        assert counters["parallel/dispatch_bytes"] \
+            == counters["parallel/dense_task_bytes"] > 0
+        for other in (serial, unpatched):
+            for a, b in ((dense.x, other.x), (dense.y, other.y),
+                         (dense.z, other.z)):
+                assert np.array_equal(a, b)
+
     def test_serial_run_records_no_dispatch(self):
         spec = GeneratorSpec(name="shm-serial", num_cells=96,
                              total_area=96 * 4e-12, seed=11)

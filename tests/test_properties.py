@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.cellshift import shifted_widths
 from repro.core.config import PlacementConfig
 from repro.core.objective import ObjectiveState
-from repro.geometry.bbox import BBox3D
 from repro.geometry.chip import ChipGeometry
 from repro.geometry.density import DensityMesh
 from repro.netlist.generator import GeneratorSpec, generate_netlist
@@ -23,35 +22,6 @@ from repro.partition.multilevel import BisectionConfig, bisect
 coords = st.floats(min_value=-1e-3, max_value=1e-3, allow_nan=False,
                    allow_infinity=False)
 layers = st.integers(min_value=0, max_value=7)
-points = st.tuples(coords, coords, layers)
-
-
-@given(st.lists(points, min_size=1, max_size=20))
-def test_bbox_of_points_contains_all(pts):
-    box = BBox3D.of_points(pts)
-    for x, y, z in pts:
-        assert box.contains_point(x, y, z)
-
-
-@given(st.lists(points, min_size=1, max_size=12),
-       st.lists(points, min_size=1, max_size=12))
-def test_bbox_union_is_commutative_and_covering(pa, pb):
-    a = BBox3D.of_points(pa)
-    b = BBox3D.of_points(pb)
-    u1 = a.union(b)
-    u2 = b.union(a)
-    assert u1 == u2
-    assert u1.intersects(a) and u1.intersects(b)
-    assert u1.half_perimeter >= max(a.half_perimeter, b.half_perimeter)
-
-
-@given(points, st.lists(points, min_size=1, max_size=10))
-def test_bbox_clamp_point_is_inside(p, pts):
-    box = BBox3D.of_points(pts)
-    x, y, z = box.clamp_point(*p)
-    assert box.xlo <= x <= box.xhi
-    assert box.ylo <= y <= box.yhi
-    assert box.zlo <= z <= box.zhi
 
 
 # ----------------------------------------------------------------------
