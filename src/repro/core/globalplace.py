@@ -18,9 +18,10 @@ positions firm up.
 
 Execution is a frontier-parallel BFS over bisection levels: after the
 first cut, the regions of one level share nothing, so each level's
-pending regions are reduced to compact picklable
-:class:`~repro.partition.subproblem.BisectionTask` payloads and
-dispatched together on an execution backend (:mod:`repro.parallel`).
+pending regions are reduced, in one array pass of terminal propagation,
+to compact picklable :class:`~repro.partition.subproblem.BisectionTask`
+payloads and dispatched together on an execution backend
+(:mod:`repro.parallel`).
 Determinism is order-independent by construction: every region carries
 a *path id* (heap numbering of the bisection tree — root 1, children
 ``2p`` / ``2p + 1``), its partitioner seed derives from
@@ -33,19 +34,23 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis import FloatArray, IntArray
 from repro.core.config import PlacementConfig
 from repro.core.netweights import compute_net_weights
 from repro.core.trrnets import compute_trr_weights
 from repro.metrics.wirelength import compute_net_metrics
+from repro.netlist.csr import SignalCSR, signal_csr
 from repro.netlist.placement import Placement
 from repro.obs import Recorder, Telemetry, get_logger, get_recorder
 from repro.parallel import (ExecutionBackend, SharedArrayPool,
                             create_backend, shared_memory_available,
                             task_seed)
+from repro.partition.hypergraph import FREE
 from repro.partition.subproblem import (BisectionTask, solve,
                                         solve_packed_recorded,
                                         solve_recorded, task_payload)
@@ -166,6 +171,11 @@ class GlobalPlacer:
         pool: Optional[SharedArrayPool] = None
         if backend.num_workers > 1 and shared_memory_available():
             pool = SharedArrayPool()
+        # Workers read only their task payloads, so they fork before the
+        # level builds allocate (the netlist's signal CSR, the passes'
+        # temporaries); after the probe above, so that they share the
+        # resource tracker it started.
+        backend.start()
         try:
             frontier = [root]
             level = 0
@@ -181,25 +191,36 @@ class GlobalPlacer:
                         self._finalize(region)
                     else:
                         pending.append(region)
-                frontier = []
                 if not pending:
                     break
-                with rec.span(f"level{level}/bisect"):
-                    tasks = [self._build_task(region)
-                             for region in pending]
-                    results = self._dispatch(tasks, backend, pool, rec)
-                    for region, (parts, telemetry) in zip(pending,
-                                                          results):
-                        rec.merge(telemetry)
-                        rec.count("global/bisections")
-                        for child in self._apply_parts(region, parts):
-                            if child.cell_ids:
-                                self._set_positions(child)
-                                frontier.append(child)
+                frontier = self._bisect_level(level, pending, backend,
+                                              pool, rec)
                 level += 1
         finally:
             if pool is not None:
                 pool.close()
+
+    def _bisect_level(self, level: int, pending: List[Region],
+                      backend: ExecutionBackend,
+                      pool: Optional[SharedArrayPool],
+                      rec: Recorder) -> List[Region]:
+        """Bisect one level's pending regions; returns their children,
+        positions set to the region centres, in frontier order.  The
+        level's tasks and results die with the call, before the next
+        level's build."""
+        with rec.span(f"level{level}/terminals"):
+            tasks = self._build_tasks(pending)
+        children: List[Region] = []
+        with rec.span(f"level{level}/bisect"):
+            results = self._dispatch(tasks, backend, pool, rec)
+            for region, (parts, telemetry) in zip(pending, results):
+                rec.merge(telemetry)
+                rec.count("global/bisections")
+                for child in self._apply_parts(region, parts):
+                    if child.cell_ids:
+                        self._set_positions(child)
+                        children.append(child)
+        return children
 
     def _dispatch(self, tasks: List[BisectionTask],
                   backend: ExecutionBackend,
@@ -315,88 +336,73 @@ class GlobalPlacer:
         Equivalent to one build/solve/apply round trip on the serial
         backend — the unit the frontier dispatch batches.
         """
-        return self._apply_parts(region, solve(self._build_task(region)))
+        return self._apply_parts(region,
+                                 solve(self._build_tasks([region])[0]))
 
-    def _build_task(self, region: Region) -> BisectionTask:
-        """Reduce one region to a self-contained bisection task.
+    def _build_tasks(self, regions: Sequence[Region]
+                     ) -> List[BisectionTask]:
+        """Reduce one level's regions to self-contained bisection tasks.
 
-        Reads the netlist, current positions (terminal propagation) and
-        the level's weight arrays; everything the partitioner needs is
-        copied into the payload, so solving is a pure function that can
-        run in any process.  The task seed derives from the region's
-        path id, never from a shared stream.
+        Terminal propagation [11] for every region at once, in one array
+        pass over the netlist's signal CSR.  The regions' cell-net
+        incidences group into (region, net) pairs, and the pins of a
+        net outside a region are counted on each side of the region's
+        provisional cut (:func:`_pins_at_or_below`), never visited.
+        Per region, in the order of each net's first local pin (ties by
+        net id), a net keeps its local pins, ascending, plus the
+        terminal of its external side.  A net with external pins on
+        both sides is cut whatever the partition and is dropped, as is
+        one left with fewer than two pins.  Terminals are numbered by
+        first need; on thermal z cuts the TRR nets (Eq. 12) follow the
+        signal nets and claim the side-0 terminal last.
+
+        Reads the netlist, the current positions and the level's weight
+        arrays; everything the partitioner needs is copied into the
+        payloads, so solving is a pure function that can run in any
+        process.  Each task seed derives from its region's path id,
+        never from a shared stream.  Temporaries are bounded by the
+        netlist's pin count, whatever the number of regions.
         """
-        axis = self._choose_axis(region)
-        if axis == "z" and region.layers == 1:
-            raise AssertionError("z cut chosen on a single-layer region")
-        cells = region.cell_ids
-        local: Dict[int, int] = {cid: i for i, cid in enumerate(cells)}
-        k = len(cells)
-        areas = self.netlist.areas
+        if not regions:
+            return []
+        axes = [self._choose_axis(region) for region in regions]
+        for region, axis in zip(regions, axes):
+            if axis == "z" and region.layers == 1:
+                raise AssertionError(
+                    "z cut chosen on a single-layer region")
+        csr = signal_csr(self.netlist)
+        n_reg = len(regions)
+        axis_of = np.array([_AXES.index(a) for a in axes], dtype=np.int64)
+        # provisional cuts: the lateral midline, or child 0's last layer
+        cut_of = np.array(
+            [0.5 * (r.xlo + r.xhi) if a == "x"
+             else 0.5 * (r.ylo + r.yhi) if a == "y"
+             else float((r.zlo + r.zhi) // 2)
+             for r, a in zip(regions, axes)], dtype=np.float64)
+        size = np.fromiter((len(r.cell_ids) for r in regions),
+                           dtype=np.int64, count=n_reg)
+        start = np.zeros(n_reg + 1, dtype=np.int64)
+        np.cumsum(size, out=start[1:])
+        cells = np.fromiter(chain.from_iterable(r.cell_ids for r in regions),
+                            dtype=np.int64, count=int(start[-1]))
+        entry_reg = np.repeat(np.arange(n_reg, dtype=np.int64), size)
+        entry_loc = np.arange(len(cells), dtype=np.int64) - start[entry_reg]
 
-        # provisional cut coordinate for terminal propagation
-        z_mid = 0
-        cut = 0.0
-        if axis == "x":
-            cut = 0.5 * (region.xlo + region.xhi)
-        elif axis == "y":
-            cut = 0.5 * (region.ylo + region.yhi)
-        else:
-            z_mid = (region.zlo + region.zhi) // 2  # last layer of child 0
+        nets = _signal_nets(
+            csr, (self.placement.x, self.placement.y, self.placement.z),
+            cells, entry_reg, entry_loc, axis_of, cut_of)
 
-        nets: List[List[int]] = []
-        weights: List[float] = []
-        terminal_of_side = {0: -1, 1: -1}
-        vertex_weights = [float(areas[c]) for c in cells]
-        fixed = [-1] * k
-
-        def terminal(side: int) -> int:
-            if terminal_of_side[side] < 0:
-                terminal_of_side[side] = len(vertex_weights)
-                vertex_weights.append(0.0)
-                fixed.append(side)
-            return terminal_of_side[side]
-
-        px = self.placement.x
-        py = self.placement.y
-        pz = self.placement.z
-
-        def side_of_external(cid: int) -> int:
-            if axis == "x":
-                return 0 if px[cid] <= cut else 1
-            if axis == "y":
-                return 0 if py[cid] <= cut else 1
-            return 0 if pz[cid] <= z_mid else 1
-
-        weight_arr = (self._vertical_w if axis == "z"
-                      else self._lateral_w)
-        seen = set()
-        for cid in cells:
-            for nid in self.netlist.nets_of_cell(cid):
-                if nid in seen:
-                    continue
-                seen.add(nid)
-                net = self.netlist.nets[nid]
-                internal = []
-                ext_sides = set()
-                for pc in net.unique_cell_ids:
-                    li = local.get(pc)
-                    if li is not None:
-                        internal.append(li)
-                    else:
-                        ext_sides.add(side_of_external(pc))
-                if len(ext_sides) == 2:
-                    continue  # cut regardless of the partition: constant
-                pins = list(internal)
-                # sorted: terminal numbering follows iteration order,
-                # and set order is arbitrary (determinism pass RPA103)
-                for s in sorted(ext_sides):
-                    pins.append(terminal(s))
-                if len(pins) < 2:
-                    continue
-                weights.append(float(weight_arr[nid]))
-                nets.append(pins)
-
+        # Terminals by first need: the side of a region's first net
+        # with one, then the other side, then side 0 for TRR nets.
+        has_term = nets.side >= 0
+        term_reg = nets.reg[has_term]
+        term_side = nets.side[has_term]
+        need = np.zeros((2, n_reg), dtype=bool)
+        need[term_side, term_reg] = True
+        lead = np.ones(len(term_reg), dtype=bool)
+        np.not_equal(term_reg[1:], term_reg[:-1], out=lead[1:])
+        first_side = np.full(n_reg, -1, dtype=np.int64)
+        first_side[term_reg[lead]] = term_side[lead]
         # TRR pulls toward the heat sink: only z cuts feel them.  Cut
         # costs on both net kinds scale with the height difference
         # between the child-region centres, so it cancels out of the
@@ -404,34 +410,88 @@ class GlobalPlacer:
         # per crossed layer pitch, a cut TRR net costs nw_cell (Eq. 12,
         # per metre of height) times the pitch — hence the pitch /
         # alpha_ilv normalization here.
-        if axis == "z" and self.config.thermal_enabled \
-                and self.config.use_trr_nets:
-            scale = self.chip.layer_pitch / self.config.alpha_ilv
-            for cid in cells:
-                w = float(self._trr_w[cid])
-                if w > 0.0:
-                    nets.append([local[cid], terminal(0)])
-                    weights.append(w * scale)
+        trr_entry = np.zeros(0, dtype=np.int64)
+        if self.config.thermal_enabled and self.config.use_trr_nets:
+            trr_entry = np.flatnonzero((axis_of[entry_reg] == 2)
+                                       & (self._trr_w[cells] > 0.0))
+        need[0, entry_reg[trr_entry]] = True
+        term0 = np.where(first_side == 0, size,
+                         np.where(need[0], size + (first_side == 1), -1))
+        term1 = np.where(first_side == 1, size,
+                         np.where(need[1], size + 1, -1))
 
-        # balance target and whitespace-derived tolerance
-        if axis == "z":
-            lower_layers = z_mid - region.zlo + 1
-            target = lower_layers / region.layers
-        else:
-            target = 0.5
-        capacity = (region.width * region.height * region.layers
-                    / (1.0 + self.config.tech.inter_row_space))
-        used = float(sum(vertex_weights))
-        whitespace = max(0.0, 1.0 - used / capacity) if capacity > 0 else 0.0
-        tolerance = max(MIN_PARTITION_TOLERANCE, 0.5 * whitespace)
+        # The level's nets, each region's contiguous: its signal nets,
+        # then its TRR nets.  A TRR net's local pin follows the signal
+        # nets' in ``locals_``.
+        n_trr = len(trr_entry)
+        net_reg = np.concatenate((nets.reg, entry_reg[trr_entry]))
+        order = np.argsort(net_reg, kind="stable")
+        net_reg = net_reg[order]
+        src = np.concatenate((nets.first, len(nets.local)
+                              + np.arange(n_trr, dtype=np.int64)))[order]
+        n_src = np.concatenate((nets.n_local,
+                                np.ones(n_trr, dtype=np.int64)))[order]
+        side = np.concatenate((nets.side,
+                               np.zeros(n_trr, dtype=np.int64)))[order]
+        net_weights = np.concatenate((
+            np.where(axis_of[nets.reg] == 2, self._vertical_w[nets.net],
+                     self._lateral_w[nets.net]),
+            self._trr_w[cells[trr_entry]]
+            * (self.chip.layer_pitch / self.config.alpha_ilv)))[order]
+        locals_ = np.append(nets.local, entry_loc[trr_entry])
+        del nets
+        # a net's terminal follows its local pins, every one below it
+        has_term = side >= 0
+        pins = np.insert(locals_[_ranges(src, n_src)],
+                         np.cumsum(n_src)[has_term],
+                         np.where(side == 0, term0[net_reg],
+                                  term1[net_reg])[has_term])
+        ptr = np.zeros(len(net_reg) + 1, dtype=np.int64)
+        np.cumsum(n_src + has_term, out=ptr[1:])
+        net_start = np.searchsorted(net_reg, np.arange(n_reg + 1))
 
-        return BisectionTask.from_nets(
-            nets, weights, vertex_weights, fixed,
-            target=target, tolerance=tolerance,
-            num_starts=self.config.partition_starts,
-            max_passes=PARTITION_PASSES,
-            seed=task_seed(self.config.seed, region.path),
-            key=region.path)
+        # each region's vertices: its cells, then its terminals
+        n_vert = size + (term0 >= 0) + (term1 >= 0)
+        vert_start = np.zeros(n_reg + 1, dtype=np.int64)
+        np.cumsum(n_vert, out=vert_start[1:])
+        vertex_weights = np.zeros(int(vert_start[-1]))
+        vertex_weights[vert_start[entry_reg] + entry_loc] = \
+            self.netlist.areas[cells]
+        fixed = np.full(len(vertex_weights), FREE, dtype=np.int64)
+        for pinned_side, terminal in enumerate((term0, term1)):
+            fixed[(vert_start[:-1] + terminal)[terminal >= 0]] = pinned_side
+        # the builtin sum keeps the float result of an in-order sum,
+        # which the balance window depends on to the last bit
+        weight_list = vertex_weights.tolist()
+        bounds = vert_start.tolist()
+        used = [float(sum(weight_list[a:b]))
+                for a, b in zip(bounds[:-1], bounds[1:])]
+
+        tasks: List[BisectionTask] = []
+        for r, region in enumerate(regions):
+            # balance target and whitespace-derived tolerance
+            if axes[r] == "z":
+                z_mid = (region.zlo + region.zhi) // 2
+                target = (z_mid - region.zlo + 1) / region.layers
+            else:
+                target = 0.5
+            capacity = (region.width * region.height * region.layers
+                        / (1.0 + self.config.tech.inter_row_space))
+            whitespace = (max(0.0, 1.0 - used[r] / capacity)
+                          if capacity > 0 else 0.0)
+            a, b = net_start[r], net_start[r + 1]
+            v0, v1 = bounds[r], bounds[r + 1]
+            tasks.append(BisectionTask(
+                key=int(region.path), net_ptr=ptr[a:b + 1] - ptr[a],
+                pin_vertices=pins[ptr[a]:ptr[b]],
+                net_weights=net_weights[a:b],
+                vertex_weights=vertex_weights[v0:v1], fixed=fixed[v0:v1],
+                target=float(target),
+                tolerance=max(MIN_PARTITION_TOLERANCE, 0.5 * whitespace),
+                num_starts=int(self.config.partition_starts),
+                max_passes=PARTITION_PASSES,
+                seed=int(task_seed(self.config.seed, region.path))))
+        return tasks
 
     def _apply_parts(self, region: Region,
                      parts: np.ndarray) -> List[Region]:
@@ -480,3 +540,109 @@ class GlobalPlacer:
                             region.yhi, int(z_mid) + 1, region.zhi,
                             path=path1)
         return [child0, child1]
+
+
+# ----------------------------------------------------------------------
+class _SignalNets(NamedTuple):
+    """A level's kept signal nets, each region's in task order."""
+
+    #: local pins of every (region, net) pair, ascending within a pair
+    local: IntArray
+    #: per kept net: its run in ``local``, its region and net id, and
+    #: the side of its terminal (-1: none)
+    first: IntArray
+    n_local: IntArray
+    reg: IntArray
+    net: IntArray
+    side: IntArray
+
+
+def _signal_nets(csr: SignalCSR, coords: Sequence[np.ndarray],
+                 cells: IntArray, entry_reg: IntArray, entry_loc: IntArray,
+                 axis_of: IntArray, cut_of: FloatArray) -> _SignalNets:
+    """Terminal propagation's view of a level's signal nets.
+
+    ``cells`` lists every region's cells, region by region
+    (``entry_reg``, ``entry_loc``); region ``r`` cuts axis
+    ``axis_of[r]`` of ``coords`` at ``cut_of[r]``.  Each (region, net)
+    pair keeps the net's local pins and the side of its pins outside
+    the region; a pair with outside pins on both sides, or fewer than
+    two pins with its terminal, is dropped.  Kept nets come in each
+    region's task order: by first local pin, then net id.  Arrays the
+    size of the pin count are dropped as soon as they are dead: the
+    pass's peak memory is its live set.
+    """
+    stride = max(csr.num_nets, 1)
+    lo = csr.cell_net_ptr[cells]
+    deg = csr.cell_net_ptr[cells + 1] - lo
+    inc_entry = np.repeat(np.arange(len(cells), dtype=np.int64), deg)
+    # Incidences come in (region, local id, net) order; a stable sort
+    # on (region, net) groups each pair, its local pins ascending.
+    key = entry_reg[inc_entry] * stride
+    key += csr.cell_net_idx[_ranges(lo, deg)]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    inc_entry = inc_entry[order]
+    del order
+    head = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    first = np.flatnonzero(head)
+    n_local = np.diff(np.append(first, len(key)))
+    reg, net = np.divmod(key[first], stride)
+    del key
+
+    # pins at or below the cut, of the pair's local pins (a running
+    # count over the incidences) and of the whole net; the rest of the
+    # net lies outside the region
+    run = np.zeros(len(inc_entry) + 1, dtype=np.int64)
+    net_below = np.zeros(len(first), dtype=np.int64)
+    for a, coord in enumerate(coords):
+        on_axis = axis_of[entry_reg[inc_entry]] == a
+        if not on_axis.any():
+            continue
+        run[1:][on_axis] = (coord[cells[inc_entry[on_axis]]]
+                            <= cut_of[entry_reg[inc_entry[on_axis]]])
+        on_axis = axis_of[reg] == a
+        net_below[on_axis] = _pins_at_or_below(
+            csr, coord, net[on_axis], cut_of[reg[on_axis]])
+    local = entry_loc[inc_entry]
+    del inc_entry
+    np.cumsum(run, out=run)
+    local_below = run[first + n_local] - run[first]
+    del run
+    out0 = net_below > local_below
+    out1 = csr.net_deg[net] - net_below > n_local - local_below
+    keep = np.flatnonzero(~(out0 & out1) & (n_local + (out0 | out1) >= 2))
+    keep = keep[np.lexsort((net[keep], local[first[keep]], reg[keep]))]
+    side = np.where(out0, 0, np.where(out1, 1, -1))[keep]
+    return _SignalNets(local, first[keep], n_local[keep], reg[keep],
+                       net[keep], side)
+
+
+def _ranges(starts: IntArray, lengths: IntArray) -> IntArray:
+    """``arange(s, s + n)`` for every ``(s, n)`` pair, concatenated."""
+    index = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    index += np.arange(len(index), dtype=np.int64)
+    return index
+
+
+def _pins_at_or_below(csr: SignalCSR, coord: np.ndarray, nets: IntArray,
+                      cuts: FloatArray) -> IntArray:
+    """For each query ``i``, the pins of net ``nets[i]`` whose
+    coordinate is at most ``cuts[i]``.
+
+    A coordinate's rank is the number of coordinates below it, so one
+    sorted key per pin, ``net * stride + rank``, answers every query
+    with one binary search: memory stays linear in the pin count
+    however many regions ask.
+    """
+    values = np.sort(coord)
+    stride = np.int64(len(values) + 1)
+    keys = np.repeat(np.arange(csr.num_nets, dtype=np.int64) * stride,
+                     csr.net_deg)
+    keys += np.searchsorted(values, coord)[csr.pin_cell]
+    keys += 1
+    keys.sort()
+    ceiling = np.searchsorted(values, cuts, side="right")
+    return (np.searchsorted(keys, nets * stride + ceiling, side="right")
+            - csr.net_ptr[nets])

@@ -15,7 +15,7 @@ chip centre.  The paper floors them at PEKO-style *optimal* values
 
 TRR nets never enter the netlist.  This module computes their weights
 from the evolving placement (:func:`compute_trr_weights`), and
-:meth:`repro.core.globalplace.GlobalPlacer._build_task` adds one
+:meth:`repro.core.globalplace.GlobalPlacer._build_tasks` adds one
 two-pin net per weighted cell to each z-cut bisection task, tying the
 cell to the bottom part's terminal.  The bottom anchor tracks the cell
 laterally, so only z cuts ever feel it.

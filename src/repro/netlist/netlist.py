@@ -251,9 +251,8 @@ def _movable_ids(netlist: Netlist) -> IntArray:
 
 
 def _incidence(netlist: Netlist) -> List[List[int]]:
-    # straight from Net.pins, not from the signal CSR: global placement
-    # reads these lists before it forks its pool, and the CSR arrays
-    # would ride along into every worker
+    # Python lists for the objective's scalar (joint-move) paths;
+    # global placement reads the signal CSR's cell -> net arrays
     incidence: List[List[int]] = [[] for _ in range(netlist.num_cells)]
     for net in netlist.nets:
         for cid in net.unique_cell_ids:

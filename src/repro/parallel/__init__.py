@@ -253,6 +253,15 @@ class ExecutionBackend:
         """
         raise NotImplementedError
 
+    def start(self) -> None:
+        """Start the workers now instead of at the first dispatch.
+
+        Pool workers fork from the dispatching process as it is when
+        they start: a caller about to build state that its tasks never
+        read starts them first, and they do not inherit it.  A serial
+        backend has nothing to start.
+        """
+
     def _register(self, handle: TaskHandle) -> TaskHandle:
         self._handles[handle.task_id] = handle
         return handle
@@ -337,6 +346,11 @@ class ProcessPoolBackend(ExecutionBackend):
             "fork" if "fork" in methods else None)
         self._executor = ProcessPoolExecutor(
             max_workers=self.num_workers, mp_context=context)
+
+    def start(self) -> None:
+        # with fork the executor launches its whole pool at the first
+        # submission: one no-op round trip makes that happen now
+        self._executor.submit(int).result()
 
     def map(self, fn: Callable[[_T], _R],
             tasks: Iterable[_T]) -> List[_R]:

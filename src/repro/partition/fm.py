@@ -73,8 +73,7 @@ def cut_cost(graph: Hypergraph,
              parts: Union[Sequence[int], IntArray]) -> float:
     """Weighted cut of a bisection: sum of weights of nets with pins on
     both sides."""
-    total_pins = sum(len(p) for p in graph.nets)
-    if total_pins >= VECTOR_MIN_PINS:
+    if len(graph.net_csr()[1]) >= VECTOR_MIN_PINS:
         side_arr = np.asarray(parts, dtype=np.int64)
         c0, c1 = _side_counts(graph, side_arr)
         w = np.asarray(graph.net_weights, dtype=np.float64)

@@ -3,17 +3,68 @@
 Nets are stored as plain Python lists of distinct vertex ids: the
 placer's nets are tiny (2-4 pins on average), where list operations beat
 NumPy's per-array overhead by a wide margin, and the FM inner loop is the
-hottest code in the whole library.
+hottest code in the whole library.  Every constructor goes through one
+array canonicalization (:func:`canonical_csr`) that sorts each net's
+pins, drops duplicates and checks their range, and the graph keeps the
+resulting flat CSR arrays for the vectorized kernels.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis import IntArray
+
 #: Marker for vertices free to go to either side.
 FREE = -1
+
+#: A canonical net/pin structure: ``(net_ptr, pins, pin_net)``.
+CSR = Tuple[IntArray, IntArray, IntArray]
+
+
+def canonical_csr(num_vertices: int, net_ptr: IntArray,
+                  pins: IntArray) -> CSR:
+    """Sort each net's pins ascending and drop its duplicate pins.
+
+    Args:
+        num_vertices: vertex count; every pin must lie in
+            ``0..num_vertices-1``.
+        net_ptr: length ``m + 1``; net ``e``'s pins are
+            ``pins[net_ptr[e]:net_ptr[e + 1]]``.
+        pins: vertex ids, all nets concatenated, any order within a net.
+
+    Returns:
+        New int64 arrays ``(net_ptr, pins, pin_net)`` of the same ``m``
+        nets, each net's pins distinct and ascending; ``pin_net`` maps
+        each pin back to its net.
+
+    Raises:
+        ValueError: naming the first net that holds an out-of-range pin.
+    """
+    net_ptr = np.asarray(net_ptr, dtype=np.int64)
+    pins = np.asarray(pins, dtype=np.int64)
+    m = len(net_ptr) - 1
+    pin_net = np.repeat(np.arange(m, dtype=np.int64), np.diff(net_ptr))
+    bad = (pins < 0) | (pins >= num_vertices)
+    if bad.any():
+        e = int(pin_net[np.argmax(bad)])
+        net = sorted(set(pins[net_ptr[e]:net_ptr[e + 1]].tolist()))
+        raise ValueError(f"net pin out of range: {net}")
+    # one key per pin orders nets first, pins second; equal neighbours
+    # are duplicate pins of one net
+    stride = np.int64(max(num_vertices, 1))
+    key = pin_net * stride
+    key += pins
+    key.sort()
+    distinct = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=distinct[1:])
+    pin_net, pins = np.divmod(key[distinct], stride)
+    ptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pin_net, minlength=m), out=ptr[1:])
+    return ptr, pins, pin_net
 
 
 class Hypergraph:
@@ -36,14 +87,39 @@ class Hypergraph:
                  net_weights: Optional[Sequence[float]] = None,
                  vertex_weights: Optional[Sequence[float]] = None,
                  fixed: Optional[Sequence[int]] = None) -> None:
+        m = len(nets)
+        net_ptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.fromiter((len(p) for p in nets), dtype=np.int64,
+                              count=m), out=net_ptr[1:])
+        pins = np.fromiter(chain.from_iterable(nets), dtype=np.int64,
+                           count=int(net_ptr[-1]))
+        self._setup(num_vertices, net_ptr, pins, net_weights,
+                    vertex_weights, fixed)
+
+    @classmethod
+    def from_csr(cls, num_vertices: int, net_ptr: IntArray,
+                 pins: IntArray,
+                 net_weights: Optional[Sequence[float]] = None,
+                 vertex_weights: Optional[Sequence[float]] = None,
+                 fixed: Optional[Sequence[int]] = None) -> "Hypergraph":
+        """Build from flat CSR pin arrays (see :func:`canonical_csr`);
+        the arguments are read, never written."""
+        graph = cls.__new__(cls)
+        graph._setup(num_vertices, net_ptr, pins, net_weights,
+                     vertex_weights, fixed)
+        return graph
+
+    def _setup(self, num_vertices: int, net_ptr: IntArray,
+               pins: IntArray,
+               net_weights: Optional[Sequence[float]],
+               vertex_weights: Optional[Sequence[float]],
+               fixed: Optional[Sequence[int]]) -> None:
         self.num_vertices = int(num_vertices)
-        self.nets: List[List[int]] = []
-        for pins in nets:
-            distinct = sorted(set(int(p) for p in pins))
-            if distinct and (distinct[0] < 0
-                             or distinct[-1] >= num_vertices):
-                raise ValueError(f"net pin out of range: {distinct}")
-            self.nets.append(distinct)
+        self._csr: CSR = canonical_csr(self.num_vertices, net_ptr, pins)
+        flat = self._csr[1].tolist()
+        bounds = self._csr[0].tolist()
+        self.nets: List[List[int]] = [
+            flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
         m = len(self.nets)
         if net_weights is None:
             self.net_weights = [1.0] * m
@@ -67,8 +143,6 @@ class Hypergraph:
         if self.fixed.shape != (self.num_vertices,):
             raise ValueError("fixed length mismatch")
         self._vertex_nets: Optional[List[List[int]]] = None
-        self._csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = \
-            None
 
     # ------------------------------------------------------------------
     @property
@@ -76,28 +150,17 @@ class Hypergraph:
         """Number of nets."""
         return len(self.nets)
 
-    def net_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat CSR view of the net/pin structure, cached.
+    def net_csr(self) -> CSR:
+        """Flat CSR view of the net/pin structure.
 
         Returns:
             ``(net_ptr, pin_vertex, pin_net)`` int64 arrays:
             ``pin_vertex[net_ptr[e]:net_ptr[e+1]]`` are net ``e``'s pins
-            and ``pin_net`` maps each flat pin back to its net.  Nets
-            are immutable after construction, so the view never goes
-            stale.  This is the structure the vectorized FM gain and
-            cut-cost kernels reduce over.
+            (the lists of :attr:`nets`) and ``pin_net`` maps each flat
+            pin back to its net.  Nets are immutable after construction,
+            so the view never goes stale.  This is the structure the
+            vectorized FM gain and cut-cost kernels reduce over.
         """
-        if self._csr is None:
-            m = len(self.nets)
-            deg = np.fromiter((len(p) for p in self.nets),
-                              dtype=np.int64, count=m)
-            ptr = np.zeros(m + 1, dtype=np.int64)
-            np.cumsum(deg, out=ptr[1:])
-            pins = (np.concatenate(
-                [np.asarray(p, dtype=np.int64) for p in self.nets])
-                if m and deg.sum() else np.zeros(0, dtype=np.int64))
-            net_of = np.repeat(np.arange(m, dtype=np.int64), deg)
-            self._csr = (ptr, pins, net_of)
         return self._csr
 
     @property
@@ -173,14 +236,18 @@ class Hypergraph:
                         "cannot merge vertices fixed to different sides")
                 fixed[c] = self.fixed[v]
 
+        ptr, pins, _ = self._csr
+        coarse_ptr, coarse_pins, _ = canonical_csr(n_coarse, ptr,
+                                                   vertex_map[pins])
+        flat = coarse_pins.tolist()
+        bounds = coarse_ptr.tolist()
         merged: Dict[Tuple[int, ...], float] = {}
-        for e, pins in enumerate(self.nets):
-            coarse_pins = tuple(sorted(set(int(vertex_map[p])
-                                           for p in pins)))
-            if len(coarse_pins) < 2:
+        for e, w in enumerate(self.net_weights):
+            a, b = bounds[e], bounds[e + 1]
+            if b - a < 2:
                 continue
-            merged[coarse_pins] = (merged.get(coarse_pins, 0.0)
-                                   + self.net_weights[e])
+            net = tuple(flat[a:b])
+            merged[net] = merged.get(net, 0.0) + w
         coarse = Hypergraph(n_coarse, list(merged.keys()),
                             list(merged.values()), weights, fixed)
         return coarse, vertex_map

@@ -40,7 +40,9 @@ class BisectionTask:
         net_ptr: int64 array of length ``m + 1``; net ``e``'s pins are
             ``pin_vertices[net_ptr[e]:net_ptr[e + 1]]``.
         pin_vertices: int64 array of local vertex ids, all nets
-            concatenated.
+            concatenated.  The global placer writes each net's pins
+            ascending and distinct, the canonical form
+            :meth:`hypergraph` establishes for any task.
         net_weights: float64 cut cost per net.
         vertex_weights: float64 balance weight per vertex.
         fixed: int64 per-vertex side pin (-1 = free), for terminal
@@ -77,14 +79,10 @@ class BisectionTask:
 
     def hypergraph(self) -> Hypergraph:
         """Materialize the task's :class:`Hypergraph`."""
-        # np.split on an empty index list would yield one spurious
-        # empty net, so the net-free case short-circuits
-        nets: List[List[int]] = [] if self.num_nets == 0 else [
-            pins.tolist()
-            for pins in np.split(self.pin_vertices, self.net_ptr[1:-1])]
-        return Hypergraph(self.num_vertices, nets,
-                          self.net_weights.tolist(),
-                          self.vertex_weights, self.fixed)
+        return Hypergraph.from_csr(self.num_vertices, self.net_ptr,
+                                   self.pin_vertices,
+                                   self.net_weights.tolist(),
+                                   self.vertex_weights, self.fixed)
 
     @classmethod
     def from_nets(cls, nets: List[List[int]], net_weights: List[float],
@@ -145,8 +143,8 @@ def task_from_payload(payload: dict) -> BisectionTask:
     """Rebuild a task from a packed payload dict.
 
     The arrays may be read-only shared-memory views; every consumer
-    downstream (:meth:`BisectionTask.hypergraph`) either copies to
-    Python lists or treats them as immutable, so no copy is made here.
+    downstream (:meth:`BisectionTask.hypergraph`) either copies them or
+    treats them as immutable, so no copy is made here.
     """
     return BisectionTask(**payload)
 

@@ -384,8 +384,8 @@ class TestShippedTree:
         findings = analyze([str(REPO_ROOT / "src" / "repro")],
                            ["determinism"])
         gating = [f for f in findings if f.gating]
-        # sorted(thermal_cells) in ObjectiveState.eval_moves and
-        # sorted(ext_sides) in GlobalPlacer._build_task keep this empty
+        # sorted(thermal_cells) in ObjectiveState.eval_moves keeps
+        # this empty
         assert gating == []
 
     def test_full_run_matches_committed_baseline(self):

@@ -92,7 +92,8 @@ def _z_task(netlist, config):
     placer._refresh_weights()
     region = Region(netlist.movable_ids.tolist(), 0.0, 1e-12, 0.0, 1e-12,
                     0, config.num_layers - 1)
-    return placer._build_task(region), placer._trr_w
+    [task] = placer._build_tasks([region])
+    return task, placer._trr_w
 
 
 def _task_trr_nets(netlist, config):

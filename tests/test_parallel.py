@@ -87,6 +87,16 @@ class TestBackends:
         finally:
             pool.close()
 
+    def test_start_forks_the_pool_now(self):
+        import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("only forked workers inherit the dispatcher")
+        SerialBackend().start()  # nothing to start
+        with create_backend(2) as backend:
+            before = len(multiprocessing.active_children())
+            backend.start()
+            assert len(multiprocessing.active_children()) == before + 2
+
     def test_pool_requires_two_workers(self):
         with pytest.raises(ValueError):
             ProcessPoolBackend(1)
@@ -272,10 +282,9 @@ class TestRegionPaths:
         width, height = placer.chip.width, placer.chip.height
         layers = placer.chip.num_layers - 1
         cells = list(range(40))
-        a = placer._build_task(Region(cells, 0.0, width, 0.0, height,
-                                      0, layers, path=5))
-        b = placer._build_task(Region(cells, 0.0, width, 0.0, height,
-                                      0, layers, path=6))
+        a, b = placer._build_tasks(
+            [Region(cells, 0.0, width, 0.0, height, 0, layers, path=5),
+             Region(cells, 0.0, width, 0.0, height, 0, layers, path=6)])
         assert a.seed == task_seed(placer.config.seed, 5)
         assert b.seed == task_seed(placer.config.seed, 6)
         assert a.seed != b.seed
@@ -312,6 +321,39 @@ class TestSerialParallelBitIdentity:
             for key in ("global/bisections", "fm/passes"):
                 assert tele.counters.get(key) == \
                     serial_tele.counters.get(key), key
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_level_spans(self, monkeypatch, tmp_path, workers):
+        """Each level records the dispatcher's task build as
+        ``level{N}/terminals`` and the solve it dispatches as
+        ``level{N}/bisect``; solver telemetry merges under the latter."""
+        from repro.obs import get_recorder
+        from repro.partition import subproblem
+
+        solve_task = subproblem.solve
+
+        def traced_solve(task):
+            with get_recorder().span("solve"):
+                return solve_task(task)
+
+        # patched before the pool forks, so workers solve through it
+        monkeypatch.setattr(subproblem, "solve", traced_solve)
+        _, _, telemetry = _run_pipeline(tmp_path, workers, "spans")
+        spans = {s["name"]: s for s in telemetry.spans["children"]}
+        stage = {s["name"]: s for s in spans["place"]["children"]}
+        levels = [s for s in stage["global"]["children"]
+                  if s["name"].startswith("level")]
+        assert len(levels) >= 5
+        solved = 0
+        for level in levels:
+            parts = {s["name"]: s for s in level["children"]}
+            assert list(parts) == ["terminals", "bisect"]
+            assert parts["terminals"]["calls"] == 1
+            assert not parts["terminals"].get("children")
+            [solve_span] = parts["bisect"]["children"]
+            assert solve_span["name"] == "solve"
+            solved += solve_span["calls"]
+        assert solved == telemetry.counters["global/bisections"]
 
     def test_num_workers_excluded_from_config_hash(self):
         one = PlacementConfig(seed=4, num_workers=1)
