@@ -24,16 +24,18 @@ and b so that expansions are balanced with contractions".
 Cells are remapped with Eq. 17, blended by a per-cell movement-retention
 factor ``beta`` picked per cell from a small candidate set to minimize
 objective degradation (never zero, so spreading always progresses).
+Each axis is shifted in one array pass over all of its rows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from repro.analysis import FloatArray, IntArray
-from repro.core.objective import ObjectiveState
+from repro.analysis import FloatArray, IntArray, hot_path
+from repro.core.objective import ObjectiveState, first_minima
 from repro.geometry.density import DensityMesh
 from repro.obs import get_recorder
 
@@ -61,28 +63,31 @@ B = 1.0
 MIN_WIDTH_FACTOR = 0.1
 
 
-def shifted_widths(densities: Sequence[float], width: float,
+def shifted_widths(densities: ArrayLike, width: float,
                    a_lower: float, a_upper: float, b: float) -> FloatArray:
-    """New widths of one row of bins (the core of Eq. 16).
+    """New widths of rows of bins (the core of Eq. 16).
 
     Expansion demanded by congested bins is matched exactly by
     contraction of sparse bins in the same row (whichever side offers
-    less scales the other down), so the row's total width is conserved
+    less scales the other down), so each row's total width is conserved
     and rows without congestion do not move at all.
 
+    The rows are summed from a C-contiguous copy: numpy reduces a
+    strided row (say one read through a transposed view) in another
+    order, which can change a row's sums in the last bit.
+
     Args:
-        densities: current bin densities along the row.
+        densities: current bin densities, one row (1-D) or a
+            ``(rows, bins)`` array of rows balanced independently.
         width: current (uniform) bin width.
         a_lower, a_upper, b: the Figure 2 response parameters.
 
     Returns:
-        Array of new bin widths summing to ``len(densities) * width``.
+        New bin widths in the shape of ``densities``; each row sums to
+        its bin count times ``width``.
     """
-    d = np.asarray(densities, dtype=np.float64)
-    n = len(d)
+    d = np.ascontiguousarray(densities, dtype=np.float64)
     congested = d > 1.0
-    if not congested.any():
-        return np.full(n, width, dtype=np.float64)
     factor = np.where(congested,
                       a_upper * (1.0 - 1.0 / np.maximum(d, 1e-12)) + b,
                       a_lower * (d - 1.0) + b)
@@ -91,14 +96,14 @@ def shifted_widths(densities: Sequence[float], width: float,
                          (factor - 1.0) * width, 0.0)
     contraction = np.where(~congested & (factor < 1.0),
                            (1.0 - factor) * width, 0.0)
-    need = float(expansion.sum())
-    available = float(contraction.sum())
-    if need <= 0.0 or available <= 0.0:
-        return np.full(n, width, dtype=np.float64)
-    matched = min(need, available)
-    new = np.full(n, width, dtype=np.float64)
-    new += expansion * (matched / need)
-    new -= contraction * (matched / available)
+    need = expansion.sum(axis=-1, keepdims=True)
+    available = contraction.sum(axis=-1, keepdims=True)
+    # a row with nothing to expand or nothing to give matches 0, so
+    # its widths stay exactly ``width``
+    matched = np.minimum(need, available)
+    new = width + expansion * (matched / np.where(need > 0.0, need, 1.0))
+    new -= contraction * (matched / np.where(available > 0.0, available,
+                                             1.0))
     return new
 
 
@@ -198,13 +203,14 @@ class CellShifter:
         keeping the objective caches in sync."""
         xs, ys, zs = state
         placement = self.objective.placement
-        moves: List[Tuple[int, float, float, int]] = []
-        for cid, x, y, z in placement.iter_movable():
-            if (x != xs[cid] or y != ys[cid] or z != zs[cid]):
-                moves.append((cid, float(xs[cid]), float(ys[cid]),
-                              int(zs[cid])))
-        if moves:
-            self.objective.apply_moves(moves)
+        cells = placement.netlist.movable_ids
+        moved = cells[(placement.x[cells] != xs[cells])
+                      | (placement.y[cells] != ys[cells])
+                      | (placement.z[cells] != zs[cells])]
+        if len(moved):
+            self.objective.apply_moves(list(zip(
+                moved.tolist(), xs[moved].tolist(), ys[moved].tolist(),
+                zs[moved].tolist())))
 
     def _rebuild_mesh(self) -> None:
         placement = self.objective.placement
@@ -212,174 +218,110 @@ class CellShifter:
                                        placement.netlist.areas)
 
     # ------------------------------------------------------------------
+    @hot_path
     def _shift_axis(self, axis: str) -> None:
-        """Shift every row along one axis.
+        """Shift every row of bins along one axis (Eqs. 16-17).
 
-        All rows' beta candidates are scored against the axis-entry
-        state in one batched objective call and the chosen moves are
-        committed as one joint apply — each cell belongs to exactly one
-        row, so the candidates are disjoint and the per-apply
-        bookkeeping runs once per axis instead of once per row.
+        One :func:`shifted_widths` call sizes the bins of every row,
+        and each cell of a row that shifts is remapped linearly into
+        its bin's new extent.  All cells' beta candidates are scored
+        against the axis-entry state in one batched objective call, and
+        each cell's first best is committed in one joint apply: a cell
+        belongs to exactly one row, so the candidates are disjoint.
+
+        Candidates come row by row, then by bin along the axis, cell
+        id and beta.  Rows go by (layer, y) for x, (layer, x) for y and
+        (y, x) for z: ``transpose`` puts the mesh's bins in that order,
+        the shifting axis last.  The joint apply's move order is the
+        order in which the objective accumulates its caches, so it is
+        part of the result.
         """
         mesh = self.mesh
-        if axis == "x":
-            rows = [(j, k) for k in range(mesh.nz)
-                    for j in range(mesh.ny)]
-        elif axis == "y":
-            rows = [(i, k) for k in range(mesh.nz)
-                    for i in range(mesh.nx)]
-        else:
-            if mesh.nz < 2:
-                return
-            rows = [(i, j) for j in range(mesh.ny)
-                    for i in range(mesh.nx)]
-        lift_cost = self._lift_costs() if axis == "z" else None
-        spans: List[Tuple[int, int]] = []
-        moves: List[Tuple[int, float, float, int]] = []
-        for a, b in rows:
-            self._shift_row(axis, a, b, spans, moves, lift_cost)
-        if not moves:
-            return
-        deltas = self.objective.eval_moves_batch(
-            [m[0] for m in moves], [m[1] for m in moves],
-            [m[2] for m in moves], [m[3] for m in moves])
-        chosen = [moves[lo + int(np.argmin(deltas[lo:hi]))]
-                  for lo, hi in spans]
-        self.objective.apply_moves(chosen)
-
-    def _lift_costs(self) -> Dict[int, float]:
-        """Objective delta of lifting each movable cell one layer up,
-        for the z-axis virtual ordering — one batched call per pass."""
         placement = self.objective.placement
         chip = placement.chip
-        cells: List[int] = []
-        xs: List[float] = []
-        ys: List[float] = []
-        zs: List[int] = []
-        for cid, x, y, z in placement.iter_movable():
-            if int(z) + 1 < chip.num_layers:
-                cells.append(cid)
-                xs.append(float(x))
-                ys.append(float(y))
-                zs.append(int(z) + 1)
-        deltas = self.objective.eval_moves_batch(cells, xs, ys, zs)
-        return {cid: float(d) for cid, d in zip(cells, deltas)}
-
-    def _row_geometry(self, axis: str) -> Tuple[int, float]:
-        mesh = self.mesh
-        if axis == "x":
-            return mesh.nx, mesh.bin_width
-        if axis == "y":
-            return mesh.ny, mesh.bin_height
-        return mesh.nz, 1.0  # z rows are measured in layer units
-
-    def _shift_row(self, axis: str, a: int, b: int,
-                   spans: List[Tuple[int, int]],
-                   moves: List[Tuple[int, float, float, int]],
-                   lift_cost: Optional[Dict[int, float]]) -> None:
-        """Collect one row's shifted-remap candidates (Eqs. 16-17).
-
-        Appends each cell's beta-candidate moves to the axis-wide batch
-        lists; :meth:`_shift_axis` scores and applies them jointly.
-        """
-        mesh = self.mesh
-        n_bins, width = self._row_geometry(axis)
+        transpose = {"x": (2, 1, 0), "y": (2, 0, 1), "z": (1, 0, 2)}[axis]
+        shape = (mesh.nx, mesh.ny, mesh.nz)
+        n_bins = shape[transpose[2]]
         if n_bins < 2:
             return
-        densities = mesh.row_densities(axis, a, b)
-        new_widths = shifted_widths(densities, width, A_LOWER, A_UPPER, B)
-        if np.allclose(new_widths, width):
+        bins = mesh.bins_of(placement)
+        cells = placement.netlist.movable_ids
+        row = bins[transpose[0]] * shape[transpose[1]] + bins[transpose[1]]
+        at = bins[transpose[2]]  # bin along the axis
+        key = row * n_bins + at  # each cell's bin, in pass order
+        if axis == "z":
+            coords = self._virtual_layers(key, at)
+            width = 1.0  # z rows are measured in layer units
+        elif axis == "x":
+            coords, width = placement.x[cells], mesh.bin_width
+        else:
+            coords, width = placement.y[cells], mesh.bin_height
+        new_widths = shifted_widths(
+            mesh.densities.transpose(transpose).reshape(-1, n_bins),
+            width, A_LOWER, A_UPPER, B)
+        shifts = ~np.isclose(new_widths, width).all(axis=1)
+        sel = np.flatnonzero(shifts[row])  # cells of the shifting rows
+        sel = sel[np.argsort(key[sel], kind="stable")]
+        row, at, old = row[sel], at[sel], coords[sel]
+        # each bin's new lower bound, an in-order sum along its row
+        new_bounds = np.zeros((len(new_widths), n_bins), dtype=np.float64)
+        np.cumsum(new_widths[:, :-1], axis=1, out=new_bounds[:, 1:])
+        target = (new_widths[row, at] / width * (old - at * width)
+                  + new_bounds[row, at])
+        betas = np.asarray(BETA_CANDIDATES if self._fixed_beta is None
+                           else (self._fixed_beta,), dtype=np.float64)
+        # Eq. 17: every cell's candidates in beta order
+        shifted = (betas * target[:, None]
+                   + (1.0 - betas) * old[:, None]).ravel()
+        ids = np.repeat(cells[sel], len(betas))
+        xs, ys, zs = placement.x[ids], placement.y[ids], placement.z[ids]
+        if axis == "x":
+            xs = np.clip(shifted, 0.0, chip.width)
+        elif axis == "y":
+            ys = np.clip(shifted, 0.0, chip.height)
+        else:
+            layers = np.clip(np.rint(shifted - 0.5), 0,
+                             chip.num_layers - 1).astype(np.int64)
+            moved = layers != zs
+            ids, xs, ys, zs = ids[moved], xs[moved], ys[moved], layers[moved]
+        if not len(ids):
             return
-        old_bounds = np.arange(n_bins + 1, dtype=np.float64) * width
-        new_bounds = np.concatenate(([0.0], np.cumsum(new_widths)))
+        deltas = self.objective.eval_moves_batch(ids, xs, ys, zs)
+        head = np.ones(len(ids), dtype=bool)
+        np.not_equal(ids[1:], ids[:-1], out=head[1:])
+        pick = first_minima(deltas, np.flatnonzero(head))
+        self.objective.apply_moves(list(zip(
+            ids[pick].tolist(), xs[pick].tolist(), ys[pick].tolist(),
+            zs[pick].tolist())))
 
-        for i in range(n_bins):
-            index = self._bin_index(axis, i, a, b)
-            members = mesh.members(index)
-            if not members:
-                continue
-            coords = self._member_coords(axis, i, members, lift_cost)
-            for cid, coord in zip(members, coords):
-                mapped = (new_widths[i] / width * (coord - old_bounds[i])
-                          + new_bounds[i])
-                cand = self._candidate_moves(axis, cid, coord, mapped)
-                if cand:
-                    spans.append((len(moves), len(moves) + len(cand)))
-                    moves.extend(cand)
+    @hot_path
+    def _virtual_layers(self, bin_of: IntArray, layer: IntArray
+                        ) -> FloatArray:
+        """Continuous z coordinates of the movable cells, in layer units.
 
-    def _member_coords(self, axis: str, bin_i: int,
-                       members: Sequence[int],
-                       lift_cost: Optional[Dict[int, float]]
-                       ) -> List[float]:
-        """Coordinates of a bin's cells along the shifting axis.
-
-        For x and y these are the cells' true coordinates.  The z
-        coordinate is discrete — every cell of a layer sits at exactly
-        the same z, so Eq. 17's linear remap could never split a layer.
-        Cells therefore get *virtual* coordinates spread across the
-        layer's unit interval, ordered so that the cells cheapest to
-        move upward (by the objective, i.e. low-power cells under
-        thermal placement) occupy the top of the interval and are the
-        first to spill into the next layer when the bin expands.
-        Top-layer cells cannot move up and sort as infinitely costly.
-        """
-        if axis != "z":
-            return [self._cell_coord(axis, cid) for cid in members]
-        assert lift_cost is not None, "z shifting requires lift costs"
-        costs = lift_cost
-        inf = float("inf")
-        order = sorted(members, key=lambda cid: costs.get(cid, inf),
-                       reverse=True)
-        n = len(order)
-        rank_of = {cid: r for r, cid in enumerate(order)}
-        return [bin_i + (rank_of[cid] + 0.5) / n for cid in members]
-
-    @staticmethod
-    def _bin_index(axis: str, i: int, a: int, b: int
-                   ) -> Tuple[int, int, int]:
-        if axis == "x":
-            return (i, a, b)
-        if axis == "y":
-            return (a, i, b)
-        return (a, b, i)
-
-    def _cell_coord(self, axis: str, cid: int) -> float:
-        placement = self.objective.placement
-        if axis == "x":
-            return float(placement.x[cid])
-        if axis == "y":
-            return float(placement.y[cid])
-        return float(placement.z[cid]) + 0.5  # layer centre in layer units
-
-    # ------------------------------------------------------------------
-    def _candidate_moves(self, axis: str, cid: int, old: float,
-                         target: float
-                         ) -> List[Tuple[int, float, float, int]]:
-        """Eq. 17's beta candidates for one cell, as move tuples.
-
-        The caller batches these across a whole row of bins; ties go to
-        the earliest (largest) beta via first-occurrence ``argmin``.
+        The z coordinate is discrete: every cell of a layer sits at the
+        same z, so Eq. 17's linear remap could never split a layer.
+        The ``n`` cells of a bin (``bin_of``) on layer ``k`` are spread
+        over the layer's unit interval instead, rank ``r`` at
+        ``k + (r + 0.5) / n``.  Cells rank by the objective delta of a
+        one-layer lift, most costly lowest, ties by cell id, so the
+        cells cheapest to move upward (low-power cells under thermal
+        placement) occupy the top of the interval and are the first to
+        spill into the next layer when the bin expands.  Top-layer
+        cells cannot move up and count as infinitely costly.  The lift
+        costs are one batched call, made on every z pass.
         """
         placement = self.objective.placement
-        chip = placement.chip
-        fixed = self._fixed_beta
-        candidates = BETA_CANDIDATES if fixed is None else (fixed,)
-        moves: List[Tuple[int, float, float, int]] = []
-        for beta in candidates:
-            coord = beta * target + (1.0 - beta) * old
-            if axis == "x":
-                x = min(max(coord, 0.0), chip.width)
-                move = (cid, x, float(placement.y[cid]),
-                        int(placement.z[cid]))
-            elif axis == "y":
-                y = min(max(coord, 0.0), chip.height)
-                move = (cid, float(placement.x[cid]), y,
-                        int(placement.z[cid]))
-            else:
-                layer = chip.clamp_layer(coord - 0.5)
-                if layer == int(placement.z[cid]):
-                    continue
-                move = (cid, float(placement.x[cid]),
-                        float(placement.y[cid]), layer)
-            moves.append(move)
-        return moves
+        cells = placement.netlist.movable_ids
+        z = placement.z[cells]
+        liftable = z + 1 < placement.chip.num_layers
+        lift = cells[liftable]
+        cost = np.full(len(cells), np.inf, dtype=np.float64)
+        cost[liftable] = self.objective.eval_moves_batch(
+            lift, placement.x[lift], placement.y[lift], z[liftable] + 1)
+        order = np.lexsort((-cost, bin_of))
+        count = np.bincount(bin_of)
+        rank = np.empty(len(cells), dtype=np.int64)
+        rank[order] = (np.arange(len(cells), dtype=np.int64)
+                       - (np.cumsum(count) - count)[bin_of[order]])
+        return layer + (rank + 0.5) / count[bin_of]

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,7 +80,8 @@ class Region:
     """A recursive-bisection region: cells plus a physical sub-volume.
 
     Attributes:
-        cell_ids: movable cells assigned to the region.
+        cell_ids: movable cells assigned to the region, a read-only
+            int64 array.
         xlo, xhi, ylo, yhi: lateral bounds, metres.
         zlo, zhi: inclusive layer range.
         path: deterministic bisection-tree path id (heap numbering:
@@ -89,7 +89,7 @@ class Region:
             and tie-breaks derive from it, never from visit order.
     """
 
-    cell_ids: List[int]
+    cell_ids: IntArray
     xlo: float
     xhi: float
     ylo: float
@@ -148,9 +148,8 @@ class GlobalPlacer:
     # ------------------------------------------------------------------
     def run(self) -> None:
         """Place all movable cells at their final region centres."""
-        movable = [c.id for c in self.netlist.cells if c.movable]
-        root = Region(cell_ids=movable, xlo=0.0, xhi=self.chip.width,
-                      ylo=0.0, yhi=self.chip.height,
+        root = Region(cell_ids=self.netlist.movable_ids, xlo=0.0,
+                      xhi=self.chip.width, ylo=0.0, yhi=self.chip.height,
                       zlo=0, zhi=self.chip.num_layers - 1, path=1)
         with create_backend(self.config.num_workers) as backend:
             self._run_levels(root, backend)
@@ -159,13 +158,13 @@ class GlobalPlacer:
                     backend: ExecutionBackend) -> None:
         """Frontier-parallel BFS over bisection levels.
 
-        Each iteration handles one level: terminal regions are
-        finalized in frontier order, the remaining regions become
-        backend tasks dispatched as one batch, and the resulting
-        children (positions set to their region centres) form the next
-        frontier.  All placement reads and writes happen here on the
-        dispatching side, in frontier order, so the backend never sees
-        shared state.
+        Each iteration handles one level: the weights are refreshed if
+        any region is left to bisect, terminal regions are finalized in
+        frontier order, the remaining regions become backend tasks
+        dispatched as one batch, and the resulting children (positions
+        set to their region centres) form the next frontier.  All
+        placement reads and writes happen here on the dispatching side,
+        in frontier order, so the backend never sees shared state.
         """
         rec = get_recorder()
         pool: Optional[SharedArrayPool] = None
@@ -182,15 +181,19 @@ class GlobalPlacer:
             while frontier:
                 _log.debug("bisection level %d: %d regions pending",
                            level, len(frontier))
-                with rec.span("weights"):
-                    self._refresh_weights()
+                terminal: List[Region] = []
                 pending: List[Region] = []
                 for region in frontier:
                     if self._is_terminal(region) or level >= _MAX_LEVELS:
-                        rec.count("global/terminal_regions")
-                        self._finalize(region)
+                        terminal.append(region)
                     else:
                         pending.append(region)
+                if pending:  # the weights feed this level's bisections
+                    with rec.span("weights"):
+                        self._refresh_weights()
+                for region in terminal:
+                    rec.count("global/terminal_regions")
+                    self._finalize(region)
                 if not pending:
                     break
                 frontier = self._bisect_level(level, pending, backend,
@@ -217,7 +220,7 @@ class GlobalPlacer:
                 rec.merge(telemetry)
                 rec.count("global/bisections")
                 for child in self._apply_parts(region, parts):
-                    if child.cell_ids:
+                    if len(child.cell_ids):
                         self._set_positions(child)
                         children.append(child)
         return children
@@ -288,13 +291,11 @@ class GlobalPlacer:
         left, cells are distributed over the layers largest-first onto
         the least-filled layer, keeping per-layer area even.
         """
-        cx = 0.5 * (region.xlo + region.xhi)
-        cy = 0.5 * (region.ylo + region.yhi)
+        cells = region.cell_ids
+        self.placement.x[cells] = 0.5 * (region.xlo + region.xhi)
+        self.placement.y[cells] = 0.5 * (region.ylo + region.yhi)
         if region.zlo == region.zhi:
-            for cid in region.cell_ids:
-                self.placement.x[cid] = cx
-                self.placement.y[cid] = cy
-                self.placement.z[cid] = region.zlo
+            self.placement.z[cells] = region.zlo
             return
         areas = self.netlist.areas
         layers = list(range(region.zlo, region.zhi + 1))
@@ -305,20 +306,16 @@ class GlobalPlacer:
         rot = region.path % len(layers)
         layers = layers[rot:] + layers[:rot]
         fill = {z: 0.0 for z in layers}
-        for cid in sorted(region.cell_ids,
-                          key=lambda c: -float(areas[c])):
+        for cid in cells[np.argsort(-areas[cells], kind="stable")].tolist():
             z = min(layers, key=lambda L: fill[L])
             fill[z] += float(areas[cid])
-            self.placement.x[cid] = cx
-            self.placement.y[cid] = cy
             self.placement.z[cid] = z
 
     def _set_positions(self, region: Region) -> None:
         cx, cy, cz = region.center
-        for cid in region.cell_ids:
-            self.placement.x[cid] = cx
-            self.placement.y[cid] = cy
-            self.placement.z[cid] = cz
+        self.placement.x[region.cell_ids] = cx
+        self.placement.y[region.cell_ids] = cy
+        self.placement.z[region.cell_ids] = cz
 
     # ------------------------------------------------------------------
     def _choose_axis(self, region: Region) -> str:
@@ -383,8 +380,7 @@ class GlobalPlacer:
                            dtype=np.int64, count=n_reg)
         start = np.zeros(n_reg + 1, dtype=np.int64)
         np.cumsum(size, out=start[1:])
-        cells = np.fromiter(chain.from_iterable(r.cell_ids for r in regions),
-                            dtype=np.int64, count=int(start[-1]))
+        cells = np.concatenate([r.cell_ids for r in regions])
         entry_reg = np.repeat(np.arange(n_reg, dtype=np.int64), size)
         entry_loc = np.arange(len(cells), dtype=np.int64) - start[entry_reg]
 
@@ -499,19 +495,21 @@ class GlobalPlacer:
         axis = self._choose_axis(region)
         z_mid = ((region.zlo + region.zhi) // 2 if axis == "z" else 0)
         cells = region.cell_ids
-        cells0 = [cid for i, cid in enumerate(cells) if parts[i] == 0]
-        cells1 = [cid for i, cid in enumerate(cells) if parts[i] == 1]
+        side = parts[:len(cells)]  # the rest are terminals
+        cells0, cells1 = cells[side == 0], cells[side == 1]
+        cells0.flags.writeable = cells1.flags.writeable = False
         return self._child_regions(region, axis, cells0, cells1, z_mid)
 
     # ------------------------------------------------------------------
     def _child_regions(self, region: Region, axis: str,
-                       cells0: List[int], cells1: List[int],
+                       cells0: IntArray, cells1: IntArray,
                        z_mid: int) -> List[Region]:
         """Build the two children, repositioning the lateral cut line so
-        cell area is evenly distributed (Section 3)."""
+        cell area is evenly distributed (Section 3).  The cut depends on
+        the float result of each side's in-order area sum."""
         areas = self.netlist.areas
-        a0 = float(sum(areas[c] for c in cells0))
-        a1 = float(sum(areas[c] for c in cells1))
+        a0 = float(sum(areas[cells0].tolist()))
+        a1 = float(sum(areas[cells1].tolist()))
         total = a0 + a1
         frac = a0 / total if total > 0 else 0.5
         frac = min(max(frac, 0.05), 0.95)

@@ -26,7 +26,7 @@ from typing import List, Optional, Set, Tuple
 import numpy as np
 
 from repro.core.config import PlacementConfig
-from repro.core.objective import BATCH_CHUNK, ObjectiveState
+from repro.core.objective import BATCH_CHUNK, ObjectiveState, first_minima
 from repro.geometry.density import BinIndex, DensityMesh
 from repro.obs import get_recorder
 
@@ -295,9 +295,8 @@ class MoveOptimizer:
         """Score one buffer and record each of its cells' best candidate.
 
         The buffer's cells go to rows ``first``, ``first + 1``, ... of
-        ``best``.  Each keeps the first minimum of its span: the deltas
-        are finite, so that is what a strict "<" scan in generation
-        order would keep.
+        ``best``.  Each keeps the first minimum of its span
+        (:func:`~repro.core.objective.first_minima`).
         """
         mv_x = np.frombuffer(cand.mv_x, dtype=np.float64)
         mv_y = np.frombuffer(cand.mv_y, dtype=np.float64)
@@ -316,15 +315,10 @@ class MoveOptimizer:
             np.where(entry >= 0, entry, len(move_deltas) + ~entry)]
 
         span = np.frombuffer(cand.span, dtype=np.int64)
-        sizes = np.diff(span)
-        owners = np.flatnonzero(sizes)  # buffer cells with candidates
+        owners = np.flatnonzero(np.diff(span))  # cells with candidates
         if not len(owners):
             return
-        starts = span[owners]
-        lowest = np.repeat(np.minimum.reduceat(deltas, starts),
-                           sizes[owners])
-        hits = np.flatnonzero(deltas == lowest)
-        pick = hits[np.searchsorted(hits, starts)]  # first hit per span
+        pick = first_minima(deltas, span[owners])
         rows = first + owners
         best.delta[rows] = deltas[pick]
         k = entry[pick]

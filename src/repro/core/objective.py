@@ -913,6 +913,26 @@ class ObjectiveState:
                 raise AssertionError("per-item caches drifted")
 
 
+@contract(shapes={"values": ("n",), "starts": ("s",)},
+          dtypes={"values": np.floating, "starts": np.integer})
+@hot_path
+def first_minima(values: FloatArray, starts: IntArray) -> IntArray:
+    """Index of the first minimum of each span of ``values``.
+
+    Span ``s`` runs from ``starts[s]`` up to the next start, the last
+    one to the end of ``values``; the first starts at 0 and none is
+    empty.  This is the candidate selection rule of every legalization
+    stage: each cell keeps the first of its lowest deltas, what a
+    strict "<" scan in generation order keeps.  The values are finite,
+    so the first hit of a span's ``np.minimum.reduceat`` minimum is
+    ``starts[s] + np.argmin(values[span])``.
+    """
+    sizes = np.diff(np.append(starts, len(values)))
+    lowest = np.repeat(np.minimum.reduceat(values, starts), sizes)
+    hits = np.flatnonzero(values == lowest)
+    return hits[np.searchsorted(hits, starts)]
+
+
 def _restored(what: str, saved: FloatArray,
               shape: Tuple[int, ...]) -> FloatArray:
     """A float64 copy of a checkpointed array of the expected shape."""

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.config import PlacementConfig
 from repro.core.detailed import RowSegments
-from repro.core.objective import ObjectiveState
+from repro.core.objective import ObjectiveState, first_minima
 from repro.obs import get_recorder
 
 RowKey = Tuple[int, int]
@@ -220,7 +220,9 @@ class LegalRefiner:
         centers = self.objective.optimal_region_centers(order)
         cand_a: List[int] = []
         cand_b: List[int] = []
-        spans: Dict[int, Tuple[int, int]] = {}
+        # each cell with candidates, and where its run of them starts
+        owners: List[int] = []
+        starts: List[int] = []
         for idx, cid in enumerate(order):
             b = bucket_of(float(widths[cid]))
             peers = peer_arrays[b]
@@ -236,7 +238,8 @@ class LegalRefiner:
                       if abs(widths[p] - widths[cid]) <= quantum]
             if not others:
                 continue
-            spans[cid] = (len(cand_a), len(cand_a) + len(others))
+            owners.append(cid)
+            starts.append(len(cand_a))
             cand_a.extend([cid] * len(others))
             cand_b.extend(others)
         if not cand_a:
@@ -245,12 +248,8 @@ class LegalRefiner:
         dirty: Set[int] = set()
         moved: Set[int] = set()
         cell_nets = self.objective.cell_nets
-        for cid in order:
-            span = spans.get(cid)
-            if span is None:
-                continue
-            lo, hi = span
-            k = lo + int(np.argmin(deltas[lo:hi]))
+        best = first_minima(deltas, np.asarray(starts, dtype=np.int64))
+        for cid, k in zip(owners, best.tolist()):
             if deltas[k] >= -1e-18:
                 continue
             other = cand_b[k]
@@ -301,7 +300,8 @@ class LegalRefiner:
         order = [int(c) for c in self._rng.permutation(movable)]
         cand_cells: List[int] = []
         cand_slots: List[Tuple[float, float, int, int]] = []
-        spans: Dict[int, Tuple[int, int]] = {}
+        owners: List[int] = []
+        starts: List[int] = []
         for cid in order:
             w = float(widths[cid])
             layer0, row0 = locations[cid]
@@ -320,7 +320,8 @@ class LegalRefiner:
                                        row))
                     cand_cells.append(cid)
             if len(cand_slots) > start:
-                spans[cid] = (start, len(cand_slots))
+                owners.append(cid)
+                starts.append(start)
         if not cand_slots:
             return 0
         deltas = self.objective.eval_moves_batch(
@@ -330,12 +331,8 @@ class LegalRefiner:
         dirty: Set[int] = set()
         rows_touched: Set[Tuple[int, int]] = set()
         cell_nets = self.objective.cell_nets
-        for cid in order:
-            span = spans.get(cid)
-            if span is None:
-                continue
-            lo, hi = span
-            k = lo + int(np.argmin(deltas[lo:hi]))
+        best = first_minima(deltas, np.asarray(starts, dtype=np.int64))
+        for cid, k in zip(owners, best.tolist()):
             if deltas[k] >= -1e-18:
                 continue
             slot, y, layer, row = cand_slots[k]

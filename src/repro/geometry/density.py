@@ -179,9 +179,7 @@ class DensityMesh:
         ids = placement.netlist.movable_ids
         if not len(ids):
             return
-        i = axis_bins(placement.x[ids], self.bin_width, self.nx)
-        j = axis_bins(placement.y[ids], self.bin_height, self.ny)
-        k = np.clip(placement.z[ids].astype(np.int64), 0, self.nz - 1)
+        i, j, k = self.bins_of(placement)
         np.add.at(self._area, (i, j, k), areas[ids])
         flat = (i * self.ny + j) * self.nz + k
         order = np.argsort(flat, kind="stable")
@@ -195,6 +193,17 @@ class DensityMesh:
             index = (f // (self.ny * self.nz),
                      (f // self.nz) % self.ny, f % self.nz)
             self._members[index] = ids_sorted[s:e].tolist()
+
+    def bins_of(self, placement: "Placement"
+                ) -> Tuple[IntArray, IntArray, IntArray]:
+        """Bin indices ``(i, j, k)`` of a placement's movable cells, in
+        ``movable_ids`` order: the bins :meth:`build_from_placement`
+        records them in."""
+        ids = placement.netlist.movable_ids
+        return (axis_bins(placement.x[ids], self.bin_width, self.nx),
+                axis_bins(placement.y[ids], self.bin_height, self.ny),
+                np.clip(placement.z[ids].astype(np.int64), 0,
+                        self.nz - 1))
 
     def members(self, index: BinIndex) -> List[int]:
         """Ids of cells currently assigned to a bin."""
@@ -236,21 +245,3 @@ class DensityMesh:
         """Total cell area above ``limit`` x capacity, summed over bins."""
         excess = self._area - limit * self.bin_capacity
         return float(np.clip(excess, 0.0, None).sum())
-
-    def row_densities(self, axis: str, j: int, k: int) -> FloatArray:
-        """Densities of one row of bins along ``axis`` ('x', 'y' or 'z').
-
-        For axis 'x' the row is all bins with y-index ``j`` on layer ``k``;
-        for 'y' it is all bins with x-index ``j`` on layer ``k``; for 'z'
-        it is the vertical stack at lateral index ``(j, k)`` interpreted as
-        ``(i, j)``.
-        """
-        if axis == "x":
-            row = self._area[:, j, k]
-        elif axis == "y":
-            row = self._area[j, :, k]
-        elif axis == "z":
-            row = self._area[j, k, :]
-        else:
-            raise ValueError(f"unknown axis {axis!r}")
-        return row / self.bin_capacity

@@ -90,7 +90,7 @@ def _z_task(netlist, config):
     chip = make_chip(netlist, num_layers=config.num_layers)
     placer = GlobalPlacer(Placement.at_center(netlist, chip), config)
     placer._refresh_weights()
-    region = Region(netlist.movable_ids.tolist(), 0.0, 1e-12, 0.0, 1e-12,
+    region = Region(netlist.movable_ids, 0.0, 1e-12, 0.0, 1e-12,
                     0, config.num_layers - 1)
     [task] = placer._build_tasks([region])
     return task, placer._trr_w

@@ -96,29 +96,6 @@ class TestOccupancy:
 
 
 class TestRowDensities:
-    def test_row_x(self, mesh):
-        mesh.add_cell(0, 25e-6, 15e-6, 1, 1e-10)
-        row = mesh.row_densities("x", 1, 1)
-        assert row.shape == (8,)
-        assert row[2] == pytest.approx(1.0)
-        assert row.sum() == pytest.approx(1.0)
-
-    def test_row_y(self, mesh):
-        mesh.add_cell(0, 25e-6, 15e-6, 0, 1e-10)
-        row = mesh.row_densities("y", 2, 0)
-        assert row.shape == (4,)
-        assert row[1] == pytest.approx(1.0)
-
-    def test_row_z(self, mesh):
-        mesh.add_cell(0, 25e-6, 15e-6, 1, 1e-10)
-        row = mesh.row_densities("z", 2, 1)
-        assert row.shape == (2,)
-        assert row[1] == pytest.approx(1.0)
-
-    def test_unknown_axis(self, mesh):
-        with pytest.raises(ValueError):
-            mesh.row_densities("w", 0, 0)
-
     def test_rows_and_max_equal_the_density_array_exactly(self, mesh,
                                                           chip):
         rng = np.random.default_rng(4)
@@ -129,17 +106,6 @@ class TestRowDensities:
                           float(rng.uniform(1e-12, 3e-10)))
         dens = mesh.densities
         assert mesh.max_density == float(dens.max())
-        for k in range(mesh.nz):
-            for j in range(mesh.ny):
-                np.testing.assert_array_equal(
-                    mesh.row_densities("x", j, k), dens[:, j, k])
-            for i in range(mesh.nx):
-                np.testing.assert_array_equal(
-                    mesh.row_densities("y", i, k), dens[i, :, k])
-        for i in range(mesh.nx):
-            for j in range(mesh.ny):
-                np.testing.assert_array_equal(
-                    mesh.row_densities("z", i, j), dens[i, j, :])
 
 
 class TestFactories:

@@ -45,17 +45,20 @@ class TestWeightRefresh:
 
 class TestSplitMechanics:
     def test_split_partitions_all_cells(self, placer):
-        movable = [c.id for c in placer.netlist.cells if c.movable]
+        movable = placer.netlist.movable_ids
         chip = placer.chip
         region = Region(movable, 0.0, chip.width, 0.0, chip.height,
                         0, chip.num_layers - 1)
         children = placer._split(region)
         assert len(children) == 2
-        union = sorted(children[0].cell_ids + children[1].cell_ids)
-        assert union == sorted(movable)
+        union = np.concatenate([c.cell_ids for c in children])
+        np.testing.assert_array_equal(np.sort(union), movable)
+        for child in children:
+            assert child.cell_ids.dtype == np.int64
+            assert not child.cell_ids.flags.writeable
 
     def test_lateral_children_tile_region(self, placer):
-        movable = [c.id for c in placer.netlist.cells if c.movable]
+        movable = placer.netlist.movable_ids
         chip = placer.chip
         # force a lateral cut: single layer
         region = Region(movable, 0.0, chip.width, 0.0, chip.height,
@@ -66,7 +69,7 @@ class TestSplitMechanics:
         assert a.zlo == a.zhi == 0
 
     def test_z_children_split_layers(self, placer):
-        movable = [c.id for c in placer.netlist.cells if c.movable]
+        movable = placer.netlist.movable_ids
         chip = placer.chip
         # force a z cut with a deep, narrow region
         region = Region(movable, 0.0, 1e-9, 0.0, 1e-9,
@@ -79,7 +82,7 @@ class TestSplitMechanics:
     def test_area_balanced_cutline(self, placer):
         """The cut line must land near the area split, not the middle,
         when the partition is uneven."""
-        movable = [c.id for c in placer.netlist.cells if c.movable]
+        movable = placer.netlist.movable_ids
         chip = placer.chip
         region = Region(movable, 0.0, chip.width, 0.0, chip.height,
                         0, 0)
@@ -97,14 +100,15 @@ class TestSplitMechanics:
 
 class TestFinalize:
     def test_single_layer_terminal(self, placer):
-        region = Region([0, 1], 0.0, 1e-5, 0.0, 1e-5, 2, 2)
+        region = Region(np.array([0, 1], dtype=np.int64), 0.0, 1e-5,
+                        0.0, 1e-5, 2, 2)
         placer._finalize(region)
         pl = placer.placement
         assert pl.z[0] == 2 and pl.z[1] == 2
         assert pl.x[0] == pytest.approx(0.5e-5)
 
     def test_multi_layer_terminal_balances_area(self, placer):
-        ids = list(range(8))
+        ids = np.arange(8, dtype=np.int64)
         region = Region(ids, 0.0, 1e-5, 0.0, 1e-5, 0, 3)
         placer._finalize(region)
         pl = placer.placement
@@ -308,11 +312,12 @@ class TestHandBuiltLevel:
         placer._trr_w = np.zeros(netlist.num_cells)
         placer._trr_w[7] = 0.25
         regions = [
-            Region([0, 1, 2, 3], 0.0, chip.width, 0.0, 0.1 * chip.width,
-                   0, 0, path=2),
-            Region([6, 7], 0.0, 1e-9, 0.0, 1e-9, 0, 1, path=3),
-            Region([8, 9], 0.0, chip.width, 0.0, chip.height, 0, 0,
-                   path=4),
+            Region(np.arange(4, dtype=np.int64), 0.0, chip.width, 0.0,
+                   0.1 * chip.width, 0, 0, path=2),
+            Region(np.array([6, 7], dtype=np.int64), 0.0, 1e-9, 0.0,
+                   1e-9, 0, 1, path=3),
+            Region(np.array([8, 9], dtype=np.int64), 0.0, chip.width,
+                   0.0, chip.height, 0, 0, path=4),
         ]
         return placer, regions, placer._build_tasks(regions)
 

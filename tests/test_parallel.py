@@ -266,14 +266,15 @@ class TestRegionPaths:
         return GlobalPlacer(placement, config)
 
     def test_root_defaults_to_one(self):
-        region = Region([0], 0.0, 1.0, 0.0, 1.0, 0, 0)
+        region = Region(np.zeros(1, dtype=np.int64), 0.0, 1.0, 0.0, 1.0,
+                        0, 0)
         assert region.path == 1
 
     def test_children_get_heap_numbering(self):
         placer = self._placer()
-        root = Region(list(range(40)), 0.0, placer.chip.width, 0.0,
-                      placer.chip.height, 0, placer.chip.num_layers - 1,
-                      path=3)
+        root = Region(np.arange(40, dtype=np.int64), 0.0,
+                      placer.chip.width, 0.0, placer.chip.height, 0,
+                      placer.chip.num_layers - 1, path=3)
         children = placer._split(root)
         assert [c.path for c in children] == [6, 7]
 
@@ -281,7 +282,7 @@ class TestRegionPaths:
         placer = self._placer()
         width, height = placer.chip.width, placer.chip.height
         layers = placer.chip.num_layers - 1
-        cells = list(range(40))
+        cells = np.arange(40, dtype=np.int64)
         a, b = placer._build_tasks(
             [Region(cells, 0.0, width, 0.0, height, 0, layers, path=5),
              Region(cells, 0.0, width, 0.0, height, 0, layers, path=6)])
@@ -519,6 +520,45 @@ class TestSharedMemoryDispatch:
             for a, b in ((dense.x, other.x), (dense.y, other.y),
                          (dense.z, other.z)):
                 assert np.array_equal(a, b)
+
+    def test_segment_failing_mid_run_fails_and_leaks_nothing(
+            self, monkeypatch):
+        """A segment creation that fails after the probe passed, here
+        the run's third (probe, level 0, level 1), fails the run with
+        its ``OSError``, and no segment the run created stays behind
+        in ``/dev/shm``."""
+        import errno
+        import os
+        from types import SimpleNamespace
+
+        from repro.parallel import shared
+
+        if not os.path.isdir("/dev/shm") or not shared.available():
+            pytest.skip("no /dev/shm to inspect")
+        real = shared.shared_memory.SharedMemory
+        created = []
+
+        def third_fails(name=None, create=False, size=0):
+            if create and len(created) == 2:
+                raise OSError(errno.ENOSPC, "injected: no space for shm")
+            segment = real(name=name, create=create, size=size)
+            if create:
+                created.append(segment.name)
+            return segment
+
+        monkeypatch.setattr(shared, "shared_memory",
+                            SimpleNamespace(SharedMemory=third_fails))
+        monkeypatch.setattr(shared, "_available", None)
+        netlist = generate_netlist(GeneratorSpec(
+            name="shm-mid-run", num_cells=400, total_area=400 * 4e-12,
+            seed=11))
+        with pytest.raises(OSError) as failure:
+            Placer3D(netlist, PlacementConfig(num_workers=2,
+                                              num_layers=2)).run()
+        assert failure.value.errno == errno.ENOSPC
+        assert len(created) == 2
+        assert [name for name in created
+                if os.path.exists(os.path.join("/dev/shm", name))] == []
 
     def test_serial_run_records_no_dispatch(self):
         spec = GeneratorSpec(name="shm-serial", num_cells=96,

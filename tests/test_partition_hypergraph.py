@@ -206,7 +206,7 @@ class TestContractReference:
         config = PlacementConfig()
         chip = make_chip(netlist, num_layers=config.num_layers)
         placer = GlobalPlacer(Placement.at_center(netlist, chip), config)
-        root = Region(netlist.movable_ids.tolist(), 0.0, chip.width, 0.0,
+        root = Region(netlist.movable_ids, 0.0, chip.width, 0.0,
                       chip.height, 0, chip.num_layers - 1)
         [task] = placer._build_tasks([root])
         children = placer._apply_parts(root, solve(task))
