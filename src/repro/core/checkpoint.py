@@ -8,12 +8,22 @@ A checkpoint is a directory holding two files:
   the objective accumulators' scalar half.  The document is pinned
   by ``checkpoint_schema.json`` and validated with the same
   dependency-free validator the run manifests use.
-- ``state.npz`` — the placement coordinate arrays, the incremental
+- an arrays file, the one ``checkpoint.json`` names in ``arrays_file``
+  (``state-0.npz`` or ``state-1.npz``; ``state.npz`` in older
+  checkpoints) — the placement coordinate arrays, the incremental
   objective's *history-dependent* arrays (per-cell power, per-net
   spans and, when maintained, per-net driver resistance sums: their
   low bits depend on the order moves were applied in, see
   :meth:`~repro.core.objective.ObjectiveState.checkpoint_state`), and
   the best-round snapshot arrays when one exists.
+
+A save never writes over the files of the current checkpoint.  Each
+file is written under a temporary name and renamed into place: the
+arrays first, under the name the current metadata does not use, then
+the metadata; the superseded arrays file is removed only after that.
+So a save that fails at any point leaves the previous checkpoint whole
+(and removes what it wrote), and metadata is never paired with arrays
+from another boundary.
 
 Resume validates the config hash, spec hash and netlist hash before
 touching any state, so a checkpoint can never be silently applied to
@@ -27,9 +37,10 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import IO, Any, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -85,15 +96,61 @@ class CheckpointData:
 
 
 def checkpoint_paths(directory: Union[str, Path]) -> Tuple[Path, Path]:
-    """The ``(checkpoint.json, state.npz)`` paths of a directory."""
-    base = Path(directory)
-    return base / "checkpoint.json", base / "state.npz"
+    """The ``(checkpoint.json, arrays file)`` paths of a directory: the
+    arrays file its metadata names, or ``state.npz`` while there is no
+    readable metadata."""
+    meta_path = Path(directory) / "checkpoint.json"
+    try:
+        name = _read_meta(meta_path)["arrays_file"]
+    except (OSError, CheckpointError):
+        name = "state.npz"
+    return meta_path, meta_path.with_name(name)
 
 
 def has_checkpoint(directory: Union[str, Path]) -> bool:
     """Whether a complete checkpoint exists in ``directory``."""
     meta_path, npz_path = checkpoint_paths(directory)
     return meta_path.is_file() and npz_path.is_file()
+
+
+def _read_meta(meta_path: Path) -> Dict[str, Any]:
+    """Parse and schema-validate a ``checkpoint.json``; raises
+    :class:`CheckpointError` if it is not valid JSON, fails the schema
+    or names an arrays file outside its directory."""
+    try:
+        with open(meta_path, "r", encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except ValueError as exc:  # JSON or UTF-8 decoding
+        raise CheckpointError(f"{meta_path} is not valid JSON: {exc}"
+                              ) from None
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{meta_path} is not a JSON object")
+    errors = validate_checkpoint_meta(meta)
+    if errors:
+        raise CheckpointError(
+            f"{meta_path} failed schema validation: " + "; ".join(errors))
+    name = meta["arrays_file"]
+    if os.path.basename(name) != name or name in ("", ".", ".."):
+        raise CheckpointError(
+            f"{meta_path} names arrays file {name!r}, not a file name "
+            "in its directory")
+    return meta
+
+
+@contextmanager
+def _replacing(path: Path, mode: str,
+               encoding: Optional[str] = None) -> Iterator[IO[Any]]:
+    """Open a temporary file beside ``path`` and rename it over
+    ``path`` when the block completes; on an error remove it instead,
+    so ``path`` keeps its old content whole."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, encoding=encoding) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _netlist_identity(ctx: PlacementContext) -> Dict[str, Any]:
@@ -103,11 +160,9 @@ def _netlist_identity(ctx: PlacementContext) -> Dict[str, Any]:
 def save_checkpoint(directory: Union[str, Path], ctx: PlacementContext,
                     spec_dict: Dict[str, Any], completed: List[str],
                     best: Optional[BestState] = None) -> str:
-    """Serialize the run state after a completed stage boundary.
-
-    The arrays file is written first and the metadata document last,
-    so a metadata file whose arrays are missing (a torn write) is
-    detected as an incomplete checkpoint rather than loaded.
+    """Serialize the run state after a completed stage boundary; a
+    save that fails at any point leaves the previous checkpoint whole
+    (see the module docstring).
 
     Args:
         directory: checkpoint directory (created if needed).
@@ -119,8 +174,10 @@ def save_checkpoint(directory: Union[str, Path], ctx: PlacementContext,
     Returns:
         The path of the written ``checkpoint.json``.
     """
-    meta_path, npz_path = checkpoint_paths(directory)
     os.makedirs(str(Path(directory)), exist_ok=True)
+    meta_path, previous = checkpoint_paths(directory)
+    npz_path = previous.with_name(
+        "state-1.npz" if previous.name == "state-0.npz" else "state-0.npz")
     arrays: Dict[str, Any] = {
         "x": ctx.placement.x,
         "y": ctx.placement.y,
@@ -140,7 +197,6 @@ def save_checkpoint(directory: Union[str, Path], ctx: PlacementContext,
         arrays["best_x"] = best[1]
         arrays["best_y"] = best[2]
         arrays["best_z"] = best[3]
-    np.savez(str(npz_path), **arrays)
     meta: Dict[str, Any] = {
         "kind": CHECKPOINT_KIND,
         "schema_version": CHECKPOINT_VERSION,
@@ -162,9 +218,16 @@ def save_checkpoint(directory: Union[str, Path], ctx: PlacementContext,
         raise CheckpointError(
             "refusing to write an invalid checkpoint: "
             + "; ".join(errors))
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _replacing(npz_path, "wb") as fh:
+        np.savez(fh, **arrays)
+    try:
+        with _replacing(meta_path, "w", encoding="utf-8") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except BaseException:
+        npz_path.unlink(missing_ok=True)  # no metadata names it
+        raise
+    previous.unlink(missing_ok=True)
     return str(meta_path)
 
 
@@ -172,23 +235,17 @@ def load_checkpoint(directory: Union[str, Path]) -> CheckpointData:
     """Load and schema-validate a checkpoint directory.
 
     Raises:
-        CheckpointError: missing files, schema violations, or arrays
-            inconsistent with the metadata.
+        CheckpointError: missing files, unparseable or schema-violating
+            metadata, or arrays inconsistent with the metadata.
     """
-    meta_path, npz_path = checkpoint_paths(directory)
+    meta_path = Path(directory) / "checkpoint.json"
     if not meta_path.is_file():
         raise CheckpointError(f"no checkpoint at {meta_path}")
+    meta = _read_meta(meta_path)
+    npz_path = meta_path.with_name(meta["arrays_file"])
     if not npz_path.is_file():
         raise CheckpointError(
             f"checkpoint arrays missing: {npz_path} (torn write?)")
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if not isinstance(meta, dict):
-        raise CheckpointError(f"{meta_path} is not a JSON object")
-    errors = validate_checkpoint_meta(meta)
-    if errors:
-        raise CheckpointError(
-            f"{meta_path} failed schema validation: " + "; ".join(errors))
     with np.load(str(npz_path)) as arrays:
         x = np.asarray(arrays["x"], dtype=np.float64)
         y = np.asarray(arrays["y"], dtype=np.float64)

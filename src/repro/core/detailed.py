@@ -29,7 +29,7 @@ from typing import Any, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis import FloatArray
+from repro.analysis import FloatArray, hot_path
 from repro.core.config import PlacementConfig
 from repro.core.objective import ObjectiveState
 from repro.geometry.density import DensityMesh
@@ -265,54 +265,46 @@ class DetailedLegalizer:
                       float(len(order) - pushes))
 
     # ------------------------------------------------------------------
+    @hot_path
     def _processing_order(self) -> List[int]:
-        """DAG-derived bin order, refined by per-cell sensitivity."""
+        """DAG-derived bin order, refined by per-cell sensitivity.
+
+        The occupied bins of a fine mesh are ranked in one lexsort:
+        exporters (more cell area than capacity) first, most overfull
+        first, then acceptors, least full first, ties by bin index
+        ``(i, j, k)``.  Cells follow their bin's rank, the most
+        sensitive first within a bin, ties by cell id.
+        """
         placement = self.placement
         netlist = self.netlist
         mesh = DensityMesh.fine_for(self.chip,
                                     netlist.average_cell_width,
                                     netlist.average_cell_height)
-        areas = netlist.areas
-        mesh.build_from_placement(placement, areas)
-        # exporters (overfull) first, most overfull first; acceptors after
-        bin_rank: Dict[Tuple[int, int, int], float] = {}
-        capacity = mesh.bin_capacity
-        overfull: List[Tuple[float, Tuple[int, int, int]]] = []
-        underfull: List[Tuple[float, Tuple[int, int, int]]] = []
-        for index, members in mesh.iter_members():
-            if not members:
-                continue
-            excess = mesh.area_in(index) - capacity
-            if excess > 0:
-                overfull.append((-excess, index))
-            else:
-                underfull.append((excess, index))
-        overfull.sort()
-        underfull.sort()
-        for rank, (_, index) in enumerate(overfull + underfull):
-            bin_rank[index] = rank
-
-        sensitivity = self._sensitivities()
-        cells = [c.id for c in netlist.cells if c.movable]
+        mesh.build_from_placement(placement, netlist.areas)
+        i, j, k = mesh.bins_of(placement)
+        # a bin's flat index orders bins as their (i, j, k) tuples do
+        occupied, cell_bin = np.unique((i * mesh.ny + j) * mesh.nz + k,
+                                       return_inverse=True)
+        excess = mesh._area.ravel()[occupied] - mesh.bin_capacity
+        exporter = excess > 0
+        bin_order = np.lexsort((np.where(exporter, -excess, excess),
+                                ~exporter))
+        bin_rank = np.empty(len(occupied), dtype=np.int64)
+        bin_rank[bin_order] = np.arange(len(occupied), dtype=np.int64)
 
         # Wide cells go first regardless of bin rank: at ~95% row
         # utilization only early rows have contiguous gaps their size,
         # so deferring them can make legalization infeasible (the same
         # reason real flows legalize macros before standard cells).
-        widths = netlist.widths
-        wide_cutoff = 3.0 * netlist.average_cell_width
-        wide = sorted((c for c in cells if widths[c] > wide_cutoff),
-                      key=lambda c: -float(widths[c]))
-        rest = [c for c in cells if widths[c] <= wide_cutoff]
-
-        def key(cid: int) -> Tuple[int, float]:
-            index = mesh.bin_of(float(placement.x[cid]),
-                                float(placement.y[cid]),
-                                int(placement.z[cid]))
-            return (bin_rank.get(index, len(bin_rank)),
-                    -sensitivity[cid])
-
-        return wide + sorted(rest, key=key)
+        cells = netlist.movable_ids
+        widths = netlist.widths[cells]
+        wide = widths > 3.0 * netlist.average_cell_width
+        by_width = np.argsort(-widths[wide], kind="stable")
+        rest = ~wide
+        by_bin = np.lexsort((-self._sensitivities()[cells[rest]],
+                             bin_rank[cell_bin[rest]]))
+        return np.concatenate((cells[wide][by_width],
+                               cells[rest][by_bin])).tolist()
 
     def _sensitivities(self) -> FloatArray:
         """Estimated objective sensitivity to moving each cell.
@@ -339,8 +331,7 @@ class DetailedLegalizer:
         x0 = float(placement.x[cid])
         y0 = float(placement.y[cid])
         z0 = int(placement.z[cid])
-        row0 = int(round((y0 - 0.5 * chip.row_height) / chip.row_pitch))
-        row0 = min(max(row0, 0), chip.rows_per_layer - 1)
+        row0 = min(max(chip.row_of(y0), 0), chip.rows_per_layer - 1)
 
         best = self._search(cid, width, x0, z0, row0, segments)
         if best is None:
@@ -401,7 +392,7 @@ class DetailedLegalizer:
                 for row in rows:
                     slot = segments.nearest_slot(layer, row, x0, width)
                     if slot is not None:
-                        y = row * chip.row_pitch + 0.5 * chip.row_height
+                        y = chip.row_y(row)
                         gap_idx.append(len(shell))
                         shell.append([None, slot, y, layer, row, None])
                     else:
@@ -438,7 +429,7 @@ class DetailedLegalizer:
         single-cell gap candidates are batched by :meth:`_search`.
         """
         chip = self.chip
-        y = row * chip.row_pitch + 0.5 * chip.row_height
+        y = chip.row_y(row)
         plan = segments.push_plan(layer, row, x0, width)
         if plan is None:
             return None

@@ -21,10 +21,11 @@ bounds); swaps must keep both bins within the limit.
 from __future__ import annotations
 
 from array import array
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.analysis import IntArray
 from repro.core.config import PlacementConfig
 from repro.core.objective import BATCH_CHUNK, ObjectiveState, first_minima
 from repro.geometry.density import BinIndex, DensityMesh
@@ -87,8 +88,17 @@ class _Best:
         self.bins = np.zeros((n, 3), dtype=np.int64)
 
 
+def _bin_list(bins: Tuple[IntArray, IntArray, IntArray]
+              ) -> List[BinIndex]:
+    """Per-point ``(i, j, k)`` tuples of an array triple of bins."""
+    return list(zip(*(axis.tolist() for axis in bins)))
+
+
 class MoveOptimizer:
     """Greedy move/swap passes over a coarse density mesh.
+
+    The optimizer keeps the mesh's area grid current and, as the only
+    reader of it, which cells sit in each bin (:attr:`members`).
 
     Args:
         objective: shared incremental objective state.
@@ -107,6 +117,9 @@ class MoveOptimizer:
         self._rng = np.random.default_rng(config.seed + SEED_OFFSET)
         self._areas = netlist.areas
         self._movable = [c.id for c in netlist.cells if c.movable]
+        #: ids of the cells in each bin: ascending after a rebuild, then
+        #: removed and appended as moves and swaps commit
+        self.members: Dict[BinIndex, List[int]] = {}
 
     # ------------------------------------------------------------------
     def global_pass(self) -> int:
@@ -127,36 +140,51 @@ class MoveOptimizer:
         return radius
 
     def _rebuild_mesh(self) -> None:
+        """Rebuild the area grid and the bin membership from the
+        placement; each bin lists its cells by ascending id."""
         placement = self.objective.placement
-        self.mesh.build_from_placement(placement, self._areas)
-
-    def _targets(self, cid: int, cur_bin: BinIndex, local_only: bool,
-                 radius: int,
-                 center: Optional[Tuple[float, float, float]] = None
-                 ) -> List[BinIndex]:
-        """Target bins for one cell (optimal region or local shell).
-
-        ``center`` lets callers supply a precomputed optimal-region
-        centre (from one batched
-        :meth:`ObjectiveState.optimal_region_centers` call for the
-        pass); when omitted, the cell's centre is queried here.
-        """
         mesh = self.mesh
+        mesh.build_from_placement(placement, self._areas)
+        i, j, k = mesh.bins_of(placement)
+        flat = (i * mesh.ny + j) * mesh.nz + k
+        order = np.argsort(flat, kind="stable")
+        ids = placement.netlist.movable_ids[order].tolist()
+        starts = np.flatnonzero(np.diff(flat[order], prepend=-1))
+        heads = order[starts]
+        bounds = starts.tolist() + [len(ids)]
+        self.members = {
+            index: ids[lo:hi] for index, lo, hi in zip(
+                _bin_list((i[heads], j[heads], k[heads])), bounds,
+                bounds[1:])}
+
+    def _bins(self, cells: List[int], local_only: bool
+              ) -> Tuple[List[BinIndex], List[BinIndex]]:
+        """Each cell's current bin, and the bin its target region
+        centres on: the current bin in a local pass, else the bin of
+        the cell's optimal-region centre, on the nearest layer."""
         placement = self.objective.placement
+        mesh = self.mesh
+        current = _bin_list(mesh.bins_at(placement.x[cells],
+                                         placement.y[cells],
+                                         placement.z[cells]))
         if local_only:
-            return mesh.bins_within(cur_bin, radius)
-        if center is None:
-            one = self.objective.optimal_region_centers([cid])
-            center = (one[0, 0], one[1, 0], one[2, 0])
-        ox, oy, oz = center
-        center = mesh.bin_of(ox, oy, placement.chip.clamp_layer(oz))
-        targets = mesh.bins_within(center, radius)
+            return current, current
+        centre = self.objective.optimal_region_centers(cells)
+        return current, _bin_list(mesh.bins_at(centre[0], centre[1],
+                                               np.rint(centre[2])))
+
+    def _targets(self, centre: BinIndex, local_only: bool,
+                 radius: int) -> List[BinIndex]:
+        """Target bins of one cell: the bins within ``radius`` of its
+        region's centre bin (:meth:`_bins`)."""
+        mesh = self.mesh
+        targets = mesh.bins_within(centre, radius)
         # The optimal-region z is the nets' median layer; with
         # thermal placement on, the objective minimum may sit on
         # a cooler layer instead, so the full vertical stack at
         # the optimal lateral position joins the target region.
-        if self.config.alpha_temp > 0:
-            ci, cj, _ = center
+        if not local_only and self.config.alpha_temp > 0:
+            ci, cj, _ = centre
             for k in range(mesh.nz):
                 index = (ci, cj, k)
                 if index not in targets:
@@ -191,26 +219,18 @@ class MoveOptimizer:
         placement = self.objective.placement
         obj = self.objective
         mesh = self.mesh
-        order = [int(c) for c in self._rng.permutation(self._movable)]
+        order: List[int] = self._rng.permutation(self._movable).tolist()
 
         # ---- phase 1: candidate generation + chunked batch scores -----
-        cur_bins: List[BinIndex] = []
+        cur_bins, centres = self._bins(order, local_only)
         best = _Best(len(order))
         cand = _Candidates()
         first = 0  # pass-order index of the buffer's first cell
         n_cand = 0
-        orc = obj.optimal_region_centers(order) if not local_only \
-            else None
         for i, cid in enumerate(order):
-            cur_bin = mesh.bin_of(float(placement.x[cid]),
-                                  float(placement.y[cid]),
-                                  int(placement.z[cid]))
-            cur_bins.append(cur_bin)
-            targets = self._targets(
-                cid, cur_bin, local_only, radius,
-                (orc[0, i], orc[1, i], orc[2, i]) if orc is not None
-                else None)
-            self._collect_candidates(cid, cur_bin, targets, cand)
+            self._collect_candidates(
+                cid, cur_bins[i],
+                self._targets(centres[i], local_only, radius), cand)
             if len(cand.entry) >= BATCH_CHUNK or i == len(order) - 1:
                 n_cand += len(cand.entry)
                 self._keep_best(cand, first, best)
@@ -230,12 +250,10 @@ class MoveOptimizer:
                 cur_bin, row, r = cur_bins[i], best, i
             else:
                 # displaced by an earlier swap: rescan from the new spot
-                cur_bin = mesh.bin_of(float(placement.x[cid]),
-                                      float(placement.y[cid]),
-                                      int(placement.z[cid]))
+                (cur_bin,), (centre,) = self._bins([cid], local_only)
                 row, r = self._rescan(
                     cid, cur_bin,
-                    self._targets(cid, cur_bin, local_only, radius)), 0
+                    self._targets(centre, local_only, radius)), 0
             if not row.delta[r] < -1e-18:  # strictly improving only
                 continue
             bi, bj, bk = row.bins[r].tolist()
@@ -271,7 +289,7 @@ class MoveOptimizer:
                 if stale and obj.eval_moves(mv) >= -1e-18:
                     continue
             obj.apply_moves(mv)
-            self._update_mesh(cid, cur_bin, t, partner)
+            self._update_bins(cid, cur_bin, t, partner)
             executed += 1
             moved_since.add(cid)
             dirty.update(cell_nets(cid))
@@ -351,7 +369,7 @@ class MoveOptimizer:
         area = float(areas[cid])
         limit = DENSITY_LIMIT * mesh.bin_capacity
         bin_area = mesh._area
-        bin_members = mesh._members
+        bin_members = self.members
         bw = mesh.bin_width
         bh = mesh.bin_height
         cur_area = float(bin_area[cur_bin])
@@ -408,27 +426,31 @@ class MoveOptimizer:
         self._keep_best(cand, 0, row)
         return row
 
-    def _update_mesh(self, cid: int, cur_bin: BinIndex,
+    def _update_bins(self, cid: int, cur_bin: BinIndex,
                      target_bin: BinIndex,
                      swap_partner: Optional[int]) -> None:
+        """Move a committed action's cells between bins, in area and in
+        membership: a moved cell joins its target bin, a swapped pair
+        the bins of their new coordinates."""
+        mesh = self.mesh
+        members = self.members
         area = float(self._areas[cid])
-        self.mesh.remove_cell(cid, cur_bin, area)
+        members[cur_bin].remove(cid)
+        mesh.remove_area(cur_bin, area)
         if swap_partner is None:
-            self.mesh.add_cell(cid, *self.mesh.bin_center(target_bin),
-                               area)
-        else:
-            partner_area = float(self._areas[swap_partner])
-            # partner takes the cell's old slot; the cell takes the
-            # partner's exact old position (inside target_bin)
-            self.mesh.remove_cell(int(swap_partner), target_bin,
-                                  partner_area)
-            placement = self.objective.placement
-            self.mesh.add_cell(cid, float(placement.x[cid]),
-                               float(placement.y[cid]),
-                               int(placement.z[cid]), area)
-            self.mesh.add_cell(int(swap_partner),
-                               float(placement.x[swap_partner]),
-                               float(placement.y[swap_partner]),
-                               int(placement.z[swap_partner]),
-                               partner_area)
-        return None
+            members.setdefault(target_bin, []).append(cid)
+            mesh.add_area(target_bin, area)
+            return
+        partner_area = float(self._areas[swap_partner])
+        members[target_bin].remove(swap_partner)
+        mesh.remove_area(target_bin, partner_area)
+        # the partner takes the cell's old slot; the cell takes the
+        # partner's exact old position (inside target_bin)
+        pair = [cid, swap_partner]
+        placement = self.objective.placement
+        new_bins = _bin_list(mesh.bins_at(placement.x[pair],
+                                          placement.y[pair],
+                                          placement.z[pair]))
+        for c, a, index in zip(pair, (area, partner_area), new_bins):
+            members.setdefault(index, []).append(c)
+            mesh.add_area(index, a)

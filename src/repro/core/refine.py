@@ -96,14 +96,10 @@ class LegalRefiner:
         rows: Dict[RowKey, List[Tuple[float, int]]] = defaultdict(list)
         chip = self.chip
         for cid, x, y, z in self.placement.iter_movable():
-            row = int(round((y - 0.5 * chip.row_height) / chip.row_pitch))
-            rows[(z, row)].append((x, cid))
+            rows[(z, chip.row_of(y))].append((x, cid))
         for members in rows.values():
             members.sort()
         return rows
-
-    def _row_y(self, row: int) -> float:
-        return row * self.chip.row_pitch + 0.5 * self.chip.row_height
 
     # ------------------------------------------------------------------
     def _adjacent_swap_pass(self) -> int:
@@ -129,7 +125,7 @@ class LegalRefiner:
         mv_zs: List[int] = []
         exact: List[bool] = []  # pair's cells share no net
         for (layer, row), members in rows.items():
-            y = self._row_y(row)
+            y = self.chip.row_y(row)
             for i in range(len(members) - 1):
                 (xa, a), (xb, b) = members[i], members[i + 1]
                 wa = float(widths[a])
@@ -155,7 +151,7 @@ class LegalRefiner:
         moved: Set[int] = set()
         p = 0
         for (layer, row), members in rows.items():
-            y = self._row_y(row)
+            y = self.chip.row_y(row)
             i = 0
             while i + 1 < len(members):
                 k = 2 * p
@@ -316,7 +312,7 @@ class LegalRefiner:
                     slot = segments.nearest_slot(layer, row, x0, w)
                     if slot is None:
                         continue
-                    cand_slots.append((slot, self._row_y(row), layer,
+                    cand_slots.append((slot, self.chip.row_y(row), layer,
                                        row))
                     cand_cells.append(cid)
             if len(cand_slots) > start:

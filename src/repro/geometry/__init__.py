@@ -6,12 +6,13 @@ placer builds on:
 - :class:`~repro.geometry.chip.ChipGeometry` — the placement volume of a
   3D IC: die outline, active layers, standard-cell rows and vertical stack
   dimensions (layer / interlayer / substrate thicknesses).
-- :class:`~repro.geometry.density.DensityMesh` — a 3D mesh of density bins
-  used by coarse legalization (cell shifting, move/swap target regions)
-  and by the thermal solver.
+- :class:`~repro.geometry.density.DensityMesh` — a 3D grid of the cell
+  area per bin, with one binning rule, used by coarse legalization (cell
+  shifting, move/swap target regions), detailed legalization's bin
+  ranking and the density maps.
 """
 
-from repro.geometry.chip import ChipGeometry, Row
+from repro.geometry.chip import ChipGeometry
 from repro.geometry.density import DensityMesh
 
-__all__ = ["ChipGeometry", "Row", "DensityMesh"]
+__all__ = ["ChipGeometry", "DensityMesh"]

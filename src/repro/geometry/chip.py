@@ -9,7 +9,7 @@ sink (the paper's MIT-LL 3D FD-SOI stack, Table 2).
 
 ``ChipGeometry`` owns all coordinate conversions:
 
-- row index -> row (layer, origin y, extent),
+- a cell's y centre <-> the index of the row it sits on,
 - continuous/discrete z (layer index) <-> physical height above the heat
   sink, used by the thermal models.
 """
@@ -17,37 +17,12 @@ sink (the paper's MIT-LL 3D FD-SOI stack, Table 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, List, Union, overload
+from dataclasses import dataclass
+from typing import Any, Union, overload
 
 import numpy as np
 
 from repro.analysis import FloatArray, IntArray
-
-
-@dataclass(frozen=True)
-class Row:
-    """One standard-cell row on one layer.
-
-    Attributes:
-        layer: active-layer index (0 = closest to the heat sink).
-        index: row index within the layer, from y = 0 upward.
-        y: y coordinate of the row's lower edge, metres.
-        height: cell/row height, metres.
-        xlo, xhi: usable x extent of the row, metres.
-    """
-
-    layer: int
-    index: int
-    y: float
-    height: float
-    xlo: float
-    xhi: float
-
-    @property
-    def width(self) -> float:
-        """Usable row width in metres."""
-        return self.xhi - self.xlo
 
 
 @dataclass
@@ -74,7 +49,6 @@ class ChipGeometry:
     layer_thickness: float = 5.7e-6
     interlayer_thickness: float = 0.7e-6
     substrate_thickness: float = 500e-6
-    _rows: List[Row] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
@@ -83,12 +57,6 @@ class ChipGeometry:
             raise ValueError("need at least one active layer")
         if self.row_pitch < self.row_height:
             raise ValueError("row pitch cannot be smaller than row height")
-        self._rows = [
-            Row(layer=layer, index=i, y=i * self.row_pitch,
-                height=self.row_height, xlo=0.0, xhi=self.width)
-            for layer in range(self.num_layers)
-            for i in range(self.rows_per_layer)
-        ]
 
     # ------------------------------------------------------------------
     # derived dimensions
@@ -146,13 +114,14 @@ class ChipGeometry:
         """
         return self.layer_base_height(layer) + 0.5 * self.layer_thickness
 
-    def row(self, layer: int, index: int) -> Row:
-        """Row ``index`` on ``layer``."""
-        self._check_layer(layer)
-        if not 0 <= index < self.rows_per_layer:
-            raise IndexError(f"row index {index} out of range "
-                             f"[0, {self.rows_per_layer})")
-        return self._rows[layer * self.rows_per_layer + index]
+    def row_of(self, y: float) -> int:
+        """Index of the row whose centre line is nearest a y centre
+        (not clamped to the rows of the die)."""
+        return int(round((y - 0.5 * self.row_height) / self.row_pitch))
+
+    def row_y(self, row: int) -> float:
+        """y centre of a cell sitting on row ``row``, metres."""
+        return row * self.row_pitch + 0.5 * self.row_height
 
     def clamp_layer(self, z: float) -> int:
         """Round a continuous layer coordinate to the nearest valid layer."""

@@ -5,20 +5,22 @@ cell widths by two average cell heights by one layer (Section 4 of the
 paper); detailed legalization uses a finer mesh with bins about the size
 of one cell (Section 5).  Both are instances of :class:`DensityMesh`.
 
-Densities are the ratio of cell area assigned to a bin to the bin's
-capacity.  Cells are assigned to bins by their centre point — the same
-convention the paper's cell-shifting procedure uses when it maps cells to
-shifted bin boundaries.
+A mesh is an area grid: the cell area assigned to each bin.  Densities
+are that area divided by the bin's capacity.  Cells are assigned to bins
+by their centre point through one array rule, :func:`axis_bins` — the
+same convention the paper's cell-shifting procedure uses when it maps
+cells to shifted bin boundaries.  Which cells sit in a bin is kept by
+the one stage that asks, the move/swap pass
+(:class:`~repro.core.moves.MoveOptimizer`).
 """
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Tuple
+from typing import TYPE_CHECKING, List, Tuple, Union
 
 import numpy as np
 
-from repro.analysis import FloatArray, IntArray, contract
+from repro.analysis import FloatArray, IntArray, contract, hot_path
 from repro.geometry.chip import ChipGeometry
 
 if TYPE_CHECKING:
@@ -27,18 +29,13 @@ if TYPE_CHECKING:
 BinIndex = Tuple[int, int, int]
 
 
-def axis_bin(coord: float, size: float, count: int) -> int:
-    """Floor-based bin index of a coordinate, clamped to the axis.
-
-    Shared by the scalar and vectorized binning paths so both use the
-    same convention (``floor``, not int() truncation — the two differ
-    for coordinates that stray below zero before clamping).
-    """
-    return min(max(int(math.floor(coord / size)), 0), count - 1)
-
-
+@hot_path
 def axis_bins(coords: FloatArray, size: float, count: int) -> IntArray:
-    """Vectorized :func:`axis_bin` over an array of coordinates."""
+    """Bin indices of coordinates along one axis, clamped to the axis.
+
+    The mesh's one binning rule: ``floor``, not int() truncation (the
+    two differ for coordinates that stray below zero before clamping).
+    """
     raw = np.floor(coords / size).astype(np.int64)
     return np.clip(raw, 0, count - 1)
 
@@ -65,8 +62,6 @@ class DensityMesh:
         # cell area accumulated per bin
         self._area: FloatArray = np.zeros((nx, ny, self.nz),
                                           dtype=np.float64)
-        # ids of cells whose centre lies in each bin
-        self._members: Dict[BinIndex, List[int]] = {}
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -97,18 +92,24 @@ class DensityMesh:
         """Placeable area of one bin, square metres."""
         return self.bin_width * self.bin_height
 
-    def bin_of(self, x: float, y: float, z: int) -> BinIndex:
-        """Bin index containing the point (clamped to the mesh)."""
-        i = axis_bin(x, self.bin_width, self.nx)
-        j = axis_bin(y, self.bin_height, self.ny)
-        k = min(max(int(z), 0), self.nz - 1)
-        return (i, j, k)
+    @hot_path
+    def bins_at(self, x: FloatArray, y: FloatArray,
+                z: Union[FloatArray, IntArray]
+                ) -> Tuple[IntArray, IntArray, IntArray]:
+        """Bin indices ``(i, j, k)`` of points, each axis clamped to the
+        mesh; a layer coordinate is truncated to an integer first."""
+        return (axis_bins(x, self.bin_width, self.nx),
+                axis_bins(y, self.bin_height, self.ny),
+                np.clip(z.astype(np.int64), 0, self.nz - 1))
 
-    def bin_center(self, index: BinIndex) -> Tuple[float, float, int]:
-        """Centre point ``(x, y, layer)`` of a bin."""
-        i, j, k = index
-        self._check_index(index)
-        return ((i + 0.5) * self.bin_width, (j + 0.5) * self.bin_height, k)
+    def bins_of(self, placement: "Placement"
+                ) -> Tuple[IntArray, IntArray, IntArray]:
+        """Bin indices ``(i, j, k)`` of a placement's movable cells, in
+        ``movable_ids`` order: the bins :meth:`build_from_placement`
+        records them in."""
+        ids = placement.netlist.movable_ids
+        return self.bins_at(placement.x[ids], placement.y[ids],
+                            placement.z[ids])
 
     def bins_within(self, center: BinIndex, radius: int,
                     include_vertical: bool = True) -> List[BinIndex]:
@@ -133,90 +134,30 @@ class DensityMesh:
                              f"({self.nx} x {self.ny} x {self.nz})")
 
     # ------------------------------------------------------------------
-    # occupancy bookkeeping
+    # area bookkeeping
     # ------------------------------------------------------------------
-    def clear(self) -> None:
-        """Remove all recorded cell area."""
-        self._area.fill(0.0)
-        self._members.clear()
-
-    def add_cell(self, cell_id: int, x: float, y: float, z: int,
-                 area: float) -> BinIndex:
-        """Record a cell's area in the bin containing its centre."""
-        index = self.bin_of(x, y, z)
-        self._area[index] += area
-        self._members.setdefault(index, []).append(cell_id)
-        return index
-
-    def remove_cell(self, cell_id: int, index: BinIndex, area: float) -> None:
-        """Remove a previously added cell from a bin."""
-        members = self._members.get(index)
-        if not members or cell_id not in members:
-            raise KeyError(f"cell {cell_id} is not in bin {index}")
-        members.remove(cell_id)
-        self._area[index] -= area
-        if self._area[index] < 0 and self._area[index] > -1e-24:
-            self._area[index] = 0.0
-
-    def build(self, positions: Iterable[Tuple[int, float, float, int, float]]
-              ) -> None:
-        """Populate the mesh from ``(cell_id, x, y, layer, area)`` tuples."""
-        self.clear()
-        for cell_id, x, y, z, area in positions:
-            self.add_cell(cell_id, x, y, z, area)
-
+    @hot_path
     @contract(dtypes={"areas": np.floating})
     def build_from_placement(self, placement: "Placement",
                              areas: FloatArray) -> None:
-        """Vectorized :meth:`build` over a placement's movable cells.
-
-        Bin indices for every movable cell come from three clipped
-        array ops and the per-bin area from one ``np.add.at``; member
-        lists are grouped with a stable argsort, so they keep the same
-        (netlist) order the scalar build produced.
-        """
-        self.clear()
+        """Record the area of every movable cell of a placement in the
+        bin its centre lies in (:meth:`bins_of`), replacing what the
+        mesh held.  One ``np.add.at`` accumulates each bin's area in
+        ``movable_ids`` order."""
+        self._area.fill(0.0)
         ids = placement.netlist.movable_ids
-        if not len(ids):
-            return
-        i, j, k = self.bins_of(placement)
-        np.add.at(self._area, (i, j, k), areas[ids])
-        flat = (i * self.ny + j) * self.nz + k
-        order = np.argsort(flat, kind="stable")
-        flat_sorted = flat[order]
-        ids_sorted = ids[order]
-        bounds = np.flatnonzero(np.diff(flat_sorted)) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [len(flat_sorted)]))
-        for s, e in zip(starts, ends):
-            f = int(flat_sorted[s])
-            index = (f // (self.ny * self.nz),
-                     (f // self.nz) % self.ny, f % self.nz)
-            self._members[index] = ids_sorted[s:e].tolist()
+        np.add.at(self._area, self.bins_of(placement), areas[ids])
 
-    def bins_of(self, placement: "Placement"
-                ) -> Tuple[IntArray, IntArray, IntArray]:
-        """Bin indices ``(i, j, k)`` of a placement's movable cells, in
-        ``movable_ids`` order: the bins :meth:`build_from_placement`
-        records them in."""
-        ids = placement.netlist.movable_ids
-        return (axis_bins(placement.x[ids], self.bin_width, self.nx),
-                axis_bins(placement.y[ids], self.bin_height, self.ny),
-                np.clip(placement.z[ids].astype(np.int64), 0,
-                        self.nz - 1))
+    def add_area(self, index: BinIndex, area: float) -> None:
+        """Add a cell's area to a bin."""
+        self._area[index] += area
 
-    def members(self, index: BinIndex) -> List[int]:
-        """Ids of cells currently assigned to a bin."""
-        self._check_index(index)
-        return list(self._members.get(index, ()))
-
-    def iter_members(self) -> Iterator[Tuple[BinIndex, List[int]]]:
-        """(index, member ids) pairs for every recorded bin.
-
-        The lists are the live internals — callers must not mutate
-        them.
-        """
-        return iter(self._members.items())
+    def remove_area(self, index: BinIndex, area: float) -> None:
+        """Take a cell's area out of a bin; a rounding residue just
+        below zero is cleared to ``0.0``."""
+        self._area[index] -= area
+        if self._area[index] < 0 and self._area[index] > -1e-24:
+            self._area[index] = 0.0
 
     def area_in(self, index: BinIndex) -> float:
         """Cell area currently assigned to a bin, square metres."""

@@ -64,10 +64,7 @@ def density_map(placement: Placement, layer: int,
     if ny is None:
         ny = max(4, int(round(nx * chip.height / chip.width * 0.5)))
     mesh = DensityMesh(chip, nx, ny)
-    areas = placement.netlist.areas
-    for cid, x, y, z, in placement.iter_movable():
-        if z == layer:
-            mesh.add_cell(cid, x, y, z, float(areas[cid]))
+    mesh.build_from_placement(placement, placement.netlist.areas)
     grid = mesh.densities[:, :, layer]
     return _render_grid(grid, 0.0, max(float(grid.max()), 1.0),
                         f"cell density, layer {layer} "

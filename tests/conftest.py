@@ -7,10 +7,14 @@ exercise realistic sizes.
 
 from __future__ import annotations
 
+import math
+from typing import Dict, List, Tuple
+
 import pytest
 
 from repro.core.config import PlacementConfig
 from repro.geometry.chip import ChipGeometry
+from repro.geometry.density import DensityMesh
 from repro.netlist.generator import GeneratorSpec, generate_netlist
 from repro.netlist.net import PinRole
 from repro.netlist.netlist import Netlist
@@ -70,6 +74,23 @@ def chip4(tiny_netlist) -> ChipGeometry:
     return ChipGeometry.for_cell_area(
         tiny_netlist.total_cell_area, num_layers=4,
         row_height=tiny_netlist.average_cell_height)
+
+
+def group_by_bin(placement: Placement, mesh: DensityMesh
+                 ) -> Dict[Tuple[int, int, int], List[int]]:
+    """Each bin's movable cell ids, ascending, from the scalar
+    floor-and-clamp rule applied to every cell on its own: the
+    reference for the mesh's array rule and the optimizer's bin
+    membership."""
+    groups: Dict[Tuple[int, int, int], List[int]] = {}
+    for cid, x, y, z in placement.iter_movable():
+        index = (min(max(int(math.floor(x / mesh.bin_width)), 0),
+                     mesh.nx - 1),
+                 min(max(int(math.floor(y / mesh.bin_height)), 0),
+                     mesh.ny - 1),
+                 min(max(z, 0), mesh.nz - 1))
+        groups.setdefault(index, []).append(cid)
+    return groups
 
 
 def make_chip(netlist: Netlist, num_layers: int = 4,

@@ -10,7 +10,10 @@ validation, torn-write detection and resume-against-wrong-run refusal.
 
 from __future__ import annotations
 
+import builtins
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,6 +258,167 @@ class TestCheckpointFormat:
     def test_missing_checkpoint_dir_raises(self, tmp_path):
         with pytest.raises(CheckpointError, match="no checkpoint"):
             load_checkpoint(tmp_path / "nothing")
+
+
+@pytest.fixture(scope="module")
+def ibm01_runs(tmp_path_factory):
+    """ibm01 at scale 0.03: the straight run's result, and the
+    checkpoint a run halted after ``1:round1/moves`` leaves."""
+    netlist = load_benchmark("ibm01", scale=0.03)
+    config = PlacementConfig(seed=0)
+    straight = Placer3D(netlist, config).run()
+    halted = tmp_path_factory.mktemp("halted")
+    with pytest.raises(PipelineHalted):
+        Placer3D(netlist, config).run(
+            checkpoint_dir=halted, preempt=_stop_after("1:round1/moves"))
+    return netlist, config, straight, load_checkpoint(halted)
+
+
+class TestFailedSaves:
+    """A save that fails leaves the previous checkpoint whole.
+
+    The run's third save (after ``1:round1/cellshift``) fails inside
+    the arrays write, between the arrays and the metadata writes, or
+    inside the metadata write.  The checkpoint must still be the one of
+    the second boundary, arrays and all, and resuming from it must end
+    on the straight run's placement.
+    """
+
+    @staticmethod
+    def _fail_third_save(monkeypatch, where):
+        import repro.core.checkpoint as ckpt_mod
+
+        saving = []
+        save = ckpt_mod.save_checkpoint
+
+        def counted_save(*args, **kwargs):
+            saving.append(True)
+            try:
+                return save(*args, **kwargs)
+            finally:
+                saving[-1] = False
+
+        def failing(real, partial):
+            def call(*args, **kwargs):
+                if len(saving) != 3 or not saving[-1]:
+                    return real(*args, **kwargs)
+                if partial is not None:
+                    partial(*args, **kwargs)
+                raise OSError(28, f"injected failure {where}")
+            return call
+
+        def half_arrays(file, **arrays):
+            buffer = io.BytesIO()
+            real_savez(buffer, **arrays)
+            data = buffer.getvalue()[:len(buffer.getvalue()) // 2]
+            if hasattr(file, "write"):
+                file.write(data)
+            else:
+                with open(file, "wb") as fh:
+                    fh.write(data)
+
+        def half_document(obj, fh, **kwargs):
+            text = json.dumps(obj, **kwargs)
+            fh.write(text[:len(text) // 2])
+
+        real_open = builtins.open
+
+        def metadata_open(file, mode="r", *args, **kwargs):
+            # the metadata file cannot be created: nothing of it is
+            # written, the arrays are
+            if "w" in mode and Path(file).name.startswith(
+                    "checkpoint.json"):
+                return failing(real_open, None)(file, mode, *args,
+                                                **kwargs)
+            return real_open(file, mode, *args, **kwargs)
+
+        real_savez = np.savez
+        monkeypatch.setattr(ckpt_mod, "save_checkpoint", counted_save)
+        if where == "in the arrays write":
+            monkeypatch.setattr(np, "savez", failing(np.savez,
+                                                     half_arrays))
+        elif where == "between the writes":
+            monkeypatch.setattr(builtins, "open", metadata_open)
+        else:
+            monkeypatch.setattr(json, "dump", failing(json.dump,
+                                                      half_document))
+
+    @pytest.mark.parametrize("where", ["in the arrays write",
+                                       "between the writes",
+                                       "in the metadata write"])
+    def test_previous_checkpoint_survives(self, tmp_path, monkeypatch,
+                                          ibm01_runs, where):
+        netlist, config, straight, at_moves = ibm01_runs
+        self._fail_third_save(monkeypatch, where)
+        with pytest.raises(OSError, match=where):
+            Placer3D(netlist, config).run(checkpoint_dir=tmp_path)
+        monkeypatch.undo()
+
+        data = load_checkpoint(tmp_path)
+        assert data.completed == ["0:global", "1:round1/moves"]
+        for name in ("x", "y", "z", "power", "wl"):
+            assert np.array_equal(getattr(data, name),
+                                  getattr(at_moves, name)), name
+        # and the failed save removed what it wrote
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == ["checkpoint.json", data.meta["arrays_file"]]
+        resumed = Placer3D(netlist, config).run(checkpoint_dir=tmp_path,
+                                                resume=True)
+        for axis in ("x", "y", "z"):
+            assert np.array_equal(getattr(resumed.placement, axis),
+                                  getattr(straight.placement, axis))
+        assert resumed.objective == straight.objective
+
+
+class TestArraysFile:
+    def _checkpoint(self, tmp_path):
+        config = _config(legalization_rounds=1, refine_passes=0)
+        ckpt_dir = tmp_path / "arrays"
+        with pytest.raises(PipelineHalted):
+            Placer3D(_netlist(40), config).run(
+                checkpoint_dir=ckpt_dir,
+                preempt=_stop_after("1:round1/cellshift"))
+        return ckpt_dir
+
+    def test_truncated_metadata_raises_checkpoint_error(self, tmp_path):
+        ckpt_dir = self._checkpoint(tmp_path)
+        meta_path, _ = checkpoint_paths(ckpt_dir)
+        text = meta_path.read_text()
+        meta_path.write_text(text[:len(text) // 2])
+        with pytest.raises(CheckpointError, match="not valid JSON"):
+            load_checkpoint(ckpt_dir)
+
+    def test_saves_alternate_and_leave_one_arrays_file(self, tmp_path):
+        ckpt_dir = self._checkpoint(tmp_path)
+        files = sorted(p.name for p in ckpt_dir.iterdir())
+        # three saves: state-0, state-1, state-0
+        assert files == ["checkpoint.json", "state-0.npz"]
+        assert checkpoint_paths(ckpt_dir)[1].name == "state-0.npz"
+
+    def test_legacy_state_npz_loads(self, tmp_path):
+        ckpt_dir = self._checkpoint(tmp_path)
+        before = load_checkpoint(ckpt_dir)
+        meta_path, npz_path = checkpoint_paths(ckpt_dir)
+        npz_path.rename(ckpt_dir / "state.npz")
+        meta = json.loads(meta_path.read_text())
+        meta["arrays_file"] = "state.npz"
+        meta_path.write_text(json.dumps(meta))
+        assert has_checkpoint(ckpt_dir)
+        after = load_checkpoint(ckpt_dir)
+        assert after.completed == before.completed
+        assert np.array_equal(after.x, before.x)
+
+    @pytest.mark.parametrize("name", ["../state-0.npz", "sub/state-0.npz",
+                                      "/tmp/state-0.npz", "", ".."])
+    def test_arrays_file_outside_directory_refused(self, tmp_path, name):
+        ckpt_dir = self._checkpoint(tmp_path)
+        meta_path, _ = checkpoint_paths(ckpt_dir)
+        meta = json.loads(meta_path.read_text())
+        meta["arrays_file"] = name
+        meta_path.write_text(json.dumps(meta))
+        assert not has_checkpoint(ckpt_dir)
+        with pytest.raises(CheckpointError, match="arrays file"):
+            load_checkpoint(ckpt_dir)
 
 
 class TestResumeRefusals:

@@ -9,7 +9,7 @@ from repro.core.cellshift import (BETA_CANDIDATES, MAX_DENSITY, CellShifter,
 from repro.core.objective import ObjectiveState, first_minima
 from repro.geometry.density import DensityMesh
 from repro.netlist.placement import Placement
-from tests.conftest import make_chip
+from tests.conftest import group_by_bin, make_chip
 
 PARAMS = dict(a_lower=0.5, a_upper=1.0, b=1.0)
 
@@ -178,6 +178,7 @@ class ReferenceCellShifter(CellShifter):
 
     def _shift_axis(self, axis):
         mesh = self.mesh
+        self._members = group_by_bin(self.objective.placement, mesh)
         if axis == "x":
             rows = [(j, k) for k in range(mesh.nz)
                     for j in range(mesh.ny)]
@@ -238,7 +239,7 @@ class ReferenceCellShifter(CellShifter):
         new_bounds = np.concatenate(([0.0], np.cumsum(new_widths)))
         for i in range(n_bins):
             index = {"x": (i, a, b), "y": (a, i, b), "z": (a, b, i)}[axis]
-            members = mesh.members(index)
+            members = self._members.get(index, [])
             if not members:
                 continue
             coords = self._member_coords(axis, i, members, lift_cost)

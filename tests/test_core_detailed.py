@@ -11,8 +11,12 @@ from repro.core.detailed import (
     check_legal,
 )
 from repro.core.objective import ObjectiveState
+from repro.geometry.chip import ChipGeometry
+from repro.geometry.density import DensityMesh
+from repro.netlist.net import PinRole
+from repro.netlist.netlist import Netlist
 from repro.netlist.placement import Placement
-from tests.conftest import make_chip
+from tests.conftest import group_by_bin, make_chip
 
 
 @pytest.fixture
@@ -169,6 +173,115 @@ class TestLegalizer:
         if wide:
             k = len(wide)
             assert order[:k] == wide
+
+
+def _reference_order(legalizer):
+    """The former processing order, kept as the reference: a loop over
+    the occupied bins of the fine mesh (grouped test-locally) and one
+    sort key per cell."""
+    placement = legalizer.placement
+    netlist = legalizer.netlist
+    mesh = DensityMesh.fine_for(legalizer.chip, netlist.average_cell_width,
+                                netlist.average_cell_height)
+    mesh.build_from_placement(placement, netlist.areas)
+    groups = group_by_bin(placement, mesh)
+    capacity = mesh.bin_capacity
+    overfull, underfull = [], []
+    for index in groups:
+        excess = mesh.area_in(index) - capacity
+        if excess > 0:
+            overfull.append((-excess, index))
+        else:
+            underfull.append((excess, index))
+    overfull.sort()
+    underfull.sort()
+    bin_rank = {index: rank for rank, (_, index)
+                in enumerate(overfull + underfull)}
+    cell_bin = {cid: index for index, ids in groups.items()
+                for cid in ids}
+    sensitivity = legalizer._sensitivities()
+    cells = [c.id for c in netlist.cells if c.movable]
+    widths = netlist.widths
+    cutoff = 3.0 * netlist.average_cell_width
+    wide = sorted((c for c in cells if widths[c] > cutoff),
+                  key=lambda c: -float(widths[c]))
+    rest = [c for c in cells if widths[c] <= cutoff]
+    return wide + sorted(rest, key=lambda c: (bin_rank[cell_bin[c]],
+                                              -sensitivity[c]))
+
+
+@pytest.fixture(scope="module")
+def coarse_legalized():
+    """``state(layers, alpha_temp)``: ibm01 at scale 0.03 after global
+    placement, a global and a local move/swap pass and cell shifting."""
+    from repro import PlacementConfig, load_benchmark
+    from repro.core.cellshift import CellShifter
+    from repro.core.globalplace import GlobalPlacer
+    from repro.core.moves import MoveOptimizer
+    netlist = load_benchmark("ibm01", scale=0.03)
+
+    def state(layers, alpha_temp):
+        config = PlacementConfig(num_layers=layers, alpha_temp=alpha_temp)
+        pl = Placement.at_center(netlist,
+                                 make_chip(netlist, num_layers=layers))
+        GlobalPlacer(pl, config).run()
+        obj = ObjectiveState(pl, config)
+        moves = MoveOptimizer(obj, config)
+        moves.global_pass()
+        moves.local_pass()
+        CellShifter(obj).run()
+        return obj, config
+
+    return state
+
+
+class TestProcessingOrder:
+    """The one-lexsort ranking orders cells as the former per-bin loop
+    and per-cell sort key did."""
+
+    @pytest.mark.parametrize("layers", [1, 2, 4])
+    @pytest.mark.parametrize("alpha_temp", [0.0, 5.2e-3])
+    def test_matches_reference(self, coarse_legalized, layers,
+                               alpha_temp):
+        legalizer = DetailedLegalizer(*coarse_legalized(layers,
+                                                        alpha_temp))
+        order = legalizer._processing_order()
+        assert order == _reference_order(legalizer)
+        assert all(type(c) is int for c in order)
+
+    def test_hand_built_ties(self, config):
+        # Fine bins are one average cell (23/7 um) wide and 1 um tall.
+        # The wide cell w fills its own bin; c+d and a+b fill two bins
+        # with exactly equal excess, so the lower bin index (2, 3, 0)
+        # goes first; b has more nets than a; c and d have equal
+        # sensitivity, so id order decides; e's bin is emptier than
+        # f's, so e goes first although f's bin index is lower.
+        um = 1e-6
+        cells = {"w": (12, 7), "a": (2, 5), "b": (2, 5), "c": (2, 2),
+                 "d": (2, 2), "f": (2, 1), "e": (1, 9)}
+        rows = {"w": 0, "a": 1, "b": 1, "c": 3, "d": 3, "f": 0, "e": 0}
+        netlist = Netlist("ties")
+        for name, (width, _) in cells.items():
+            netlist.add_cell(name, width * um, um)
+        ids = {c.name: c.id for c in netlist.cells}
+        for k, (u, v) in enumerate([("a", "b"), ("b", "c"), ("b", "d")]):
+            netlist.add_net(f"n{k}", [(ids[u], PinRole.DRIVER),
+                                      (ids[v], PinRole.SINK)])
+        chip = ChipGeometry(width=10 * (23 / 7) * um, height=4 * um,
+                            num_layers=1, row_height=um, row_pitch=um)
+        mesh = DensityMesh.fine_for(chip, netlist.average_cell_width,
+                                    netlist.average_cell_height)
+        assert (mesh.nx, mesh.ny) == (10, 4)
+        bin_w = mesh.bin_width
+        pl = Placement(
+            netlist, chip,
+            x=[(cells[c.name][1] + 0.5) * bin_w for c in netlist.cells],
+            y=[(rows[c.name] + 0.5) * um for c in netlist.cells],
+            z=[0] * netlist.num_cells)
+        legalizer = DetailedLegalizer(ObjectiveState(pl, config), config)
+        want = [ids[name] for name in "wcdbaef"]
+        assert legalizer._processing_order() == want
+        assert _reference_order(legalizer) == want
 
 
 class TestCheckLegal:

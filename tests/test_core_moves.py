@@ -6,8 +6,9 @@ import pytest
 import repro.core.moves as moves_module
 from repro.core.moves import MoveOptimizer
 from repro.core.objective import ObjectiveState
+from repro.geometry.density import DensityMesh
 from repro.netlist.placement import Placement
-from tests.conftest import make_chip
+from tests.conftest import group_by_bin, make_chip
 
 
 @pytest.fixture
@@ -104,6 +105,38 @@ class TestDensityRespect:
             1.2 + biggest / cap, opt.mesh.max_density)  # sanity bound
 
 
+class TestBinModel:
+    """After every pass the optimizer's bin membership and its
+    incrementally updated area grid equal a fresh build from the
+    placement."""
+
+    @pytest.mark.parametrize("alpha_temp", [0.0, 5.2e-3])
+    def test_membership_and_areas_match_a_fresh_build(self, alpha_temp):
+        from repro import PlacementConfig, load_benchmark
+
+        netlist = load_benchmark("ibm01", scale=0.03)
+        config = PlacementConfig(alpha_temp=alpha_temp, seed=2)
+        pl = Placement.random(netlist, make_chip(netlist), seed=4)
+        opt = MoveOptimizer(ObjectiveState(pl, config), config)
+        fresh = DensityMesh(pl.chip, opt.mesh.nx, opt.mesh.ny)
+        for run_pass in (opt.global_pass, opt.local_pass,
+                         opt.global_pass, opt.local_pass):
+            assert run_pass() > 0
+            members = {index: sorted(ids)
+                       for index, ids in opt.members.items() if ids}
+            assert members == group_by_bin(pl, opt.mesh)
+            fresh.build_from_placement(pl, netlist.areas)
+            want = fresh.densities * fresh.bin_capacity
+            got = opt.mesh.densities * opt.mesh.bin_capacity
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * want.max())
+
+    def test_rebuild_lists_each_bin_by_ascending_id(self, optimizer):
+        optimizer._rebuild_mesh()
+        pl = optimizer.objective.placement
+        assert optimizer.members == group_by_bin(pl, optimizer.mesh)
+
+
 class TestChunkInvariance:
     """Where phase 1's scoring buffers end changes nothing.
 
@@ -166,7 +199,9 @@ def _reference_best_action(opt, cid, cur_bin, targets):
     for ti, t in enumerate(targets):
         if t == cur_bin:
             continue
-        tx, ty, tz = mesh.bin_center(t)
+        # the bin's centre point
+        tx, ty, tz = ((t[0] + 0.5) * mesh.bin_width,
+                      (t[1] + 0.5) * mesh.bin_height, t[2])
         tx += (jitter[2 * ti] - 0.5) * half_w * 2.0
         ty += (jitter[2 * ti + 1] - 0.5) * half_h * 2.0
         area_t = mesh.area_in(t)
@@ -177,7 +212,7 @@ def _reference_best_action(opt, cid, cur_bin, targets):
             move_bins.append(t)
             move_seq.append(seq)
             seq += 1
-        members = mesh.members(t)
+        members = list(opt.members.get(t, ()))
         if len(members) > moves_module.MAX_SWAP_CANDIDATES:
             members = list(opt._rng.choice(
                 members, size=moves_module.MAX_SWAP_CANDIDATES,

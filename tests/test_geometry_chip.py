@@ -56,10 +56,15 @@ class TestVerticalStack:
 
 
 class TestRows:
-    def test_row_index_out_of_range(self):
+    def test_row_of_and_row_y_convert_centres(self):
         chip = simple_chip()
-        with pytest.raises(IndexError):
-            chip.row(0, chip.rows_per_layer)
+        for row in range(chip.rows_per_layer):
+            y = chip.row_y(row)
+            assert y == row * 2.5e-6 + 1e-6
+            assert chip.row_of(y) == row
+            # a centre off its row's line rounds to the nearest row
+            assert chip.row_of(y + 1.2e-6) == row
+            assert chip.row_of(y + 1.3e-6) == row + 1
 
     def test_clamp_layer(self):
         chip = simple_chip()

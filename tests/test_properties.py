@@ -11,6 +11,7 @@ from repro.core.objective import ObjectiveState
 from repro.geometry.chip import ChipGeometry
 from repro.geometry.density import DensityMesh
 from repro.netlist.generator import GeneratorSpec, generate_netlist
+from repro.netlist.netlist import Netlist
 from repro.netlist.placement import Placement
 from repro.partition.fm import FMRefiner, cut_cost
 from repro.partition.hypergraph import Hypergraph
@@ -165,7 +166,11 @@ def test_density_mesh_area_conserved(cells):
                         row_height=2e-6, row_pitch=2.5e-6)
     mesh = DensityMesh(chip, nx=5, ny=5)
     area = 3e-12
-    for i, (x, y, z) in enumerate(cells):
-        mesh.add_cell(i, abs(x), abs(y), z, area)
+    netlist = Netlist("mesh")
+    for i in range(len(cells)):
+        netlist.add_cell(f"c{i}", 3e-6, 1e-6)
+    x, y, z = zip(*cells)
+    placement = Placement(netlist, chip, x=np.abs(x), y=np.abs(y), z=z)
+    mesh.build_from_placement(placement, np.full(len(cells), area))
     total = mesh.densities.sum() * mesh.bin_capacity
     assert total == pytest.approx(len(cells) * area)
