@@ -7,9 +7,22 @@ maintained incrementally with the standard FM critical-net update rules,
 so each move costs O(pins on critical nets), not O(neighbourhood size).
 
 Each pass moves vertices one at a time (always the best *legal* move),
-locks them, and finally rolls back to the best prefix seen — exactly the
-FM schedule, with a balance window ``[target - tol, target + tol]`` on
+locks them, and finally rolls back to the best prefix seen — the FM
+schedule, with a balance window ``[target - tol, target + tol]`` on
 part 0's share of the free vertex weight.
+
+A pass ends as soon as no later prefix can be kept (the *exact stop*).
+A pin that can no longer leave its side — a fixed vertex, or one moved
+and locked in this pass — stays there to the end of the pass, so a net
+with such pins on both sides stays cut, and the total weight of those
+nets, the *dead cut*, bounds every later prefix's cut from below (net
+weights are non-negative).  Once the best prefix is inside the window
+and its cut is at or below the dead cut less a margin
+(:data:`STOP_MARGIN`), no later prefix can pass the best-prefix test,
+and the pass rolls back to the same prefix the full pass would keep.
+The margin covers the float error of the incrementally updated gains.
+The pass draws its tie-breaking noise when it starts, stopped or not,
+so the generator's stream does not depend on where a pass ends.
 
 Whether the window allows a move depends only on the vertex's side, its
 weight and part 0's current weight ``weight0``, so entries it blocks
@@ -43,7 +56,7 @@ keep the scalar path, where per-array overhead would dominate.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,6 +67,13 @@ from repro.partition.hypergraph import FREE, Hypergraph
 #: Below this many total pins the scalar setup path is used: NumPy's
 #: per-call overhead beats the loop only once there is real data.
 VECTOR_MIN_PINS = 256
+
+#: Float-error cushion of the exact pass stop, as a share of the graph's
+#: total net weight (plus an absolute 1e-12).  Each float addition of a
+#: pass is off by at most 2^-53 of the total weight, so even 10^7 of
+#: them stay near 1e-9 of it; cuts move by whole net weights, far above
+#: the cushion.
+STOP_MARGIN = 1e-6
 
 #: A move candidate: ``(-gain, noise, vertex, stamp)``.
 _Entry = Tuple[float, float, int, int]
@@ -132,6 +152,20 @@ class FMRefiner:
         self._class_w: List[float] = sorted(set(self._vw))
         index = {w: c for c, w in enumerate(self._class_w)}
         self._class: List[int] = [index[w] for w in self._vw]
+        # the net weights as an array, for the pass setup; and the
+        # exact stop's starting state: per side, whether each net holds
+        # a pin fixed there, and the weight of the nets fixed on both
+        # sides, which every cut includes
+        _, pins, pin_net = graph.net_csr()
+        pin_fixed = graph.fixed[pins]
+        self._net_w = np.asarray(graph.net_weights, dtype=np.float64)
+        on = [np.zeros(graph.num_nets, dtype=bool) for _ in range(2)]
+        for s in (0, 1):
+            on[s][pin_net[pin_fixed == s]] = True
+        self._fixed_on: Tuple[List[bool], List[bool]] = (
+            on[0].tolist(), on[1].tolist())
+        self._fixed_cut = float(self._net_w[on[0] & on[1]].sum())
+        self._stop_margin = STOP_MARGIN * float(self._net_w.sum()) + 1e-12
 
     # ------------------------------------------------------------------
     @contract(shapes={"parts": ("v",)}, dtypes={"parts": np.integer})
@@ -147,13 +181,14 @@ class FMRefiner:
             The final weighted cut cost.
         """
         g = self.graph
-        for v in range(g.num_vertices):
-            if g.fixed[v] != FREE and parts[v] != g.fixed[v]:
-                raise ValueError(
-                    f"vertex {v} is fixed to side {g.fixed[v]} "
-                    f"but assigned to {parts[v]}")
+        wrong = (g.fixed != FREE) & (parts != g.fixed)
+        if wrong.any():
+            v = int(np.argmax(wrong))
+            raise ValueError(
+                f"vertex {v} is fixed to side {g.fixed[v]} "
+                f"but assigned to {parts[v]}")
         cost = cut_cost(g, parts)
-        side = [int(p) for p in parts]
+        side = parts.tolist()
         rec = get_recorder()
         for _ in range(max_passes):
             improvement, kept_moves, rolled_back = self._pass(side)
@@ -179,7 +214,7 @@ class FMRefiner:
             ``(improvement, kept_moves, rolled_back)`` — the cut
             improvement of the kept prefix (may be negative if the
             prefix was kept to repair an out-of-window balance), its
-            length, and the number of tentative moves undone.
+            length, and the number of moves made and undone.
         """
         g = self.graph
         n = g.num_vertices
@@ -187,18 +222,27 @@ class FMRefiner:
         net_w = g.net_weights
         vnets = g.vertex_nets_all()
         vw = self._vw
-        free = self._free
 
-        counts, gains, weight0 = self._pass_setup(side, free, vw)
+        counts, gains, weight0, init_cut = self._pass_setup(side)
 
-        locked = [False] * n
+        # ``live[v]``: free and not yet moved in this pass
+        live = self._free[:]
         stamp = [0] * n
         noise = self.rng.random(n).tolist()
         heap: List[_Entry] = [
-            (-gains[v], noise[v], v, 0) for v in range(n) if free[v]]
+            (-gains[v], noise[v], v, 0) for v in range(n) if live[v]]
         heapq.heapify(heap)
         heappop = heapq.heappop
         heappush = heapq.heappush
+        # a move's gain deltas: ``acc[u]`` sums u's, ``touched`` lists
+        # the vertices it touched (a vertex may repeat)
+        acc = [0.0] * n
+        touched: List[int] = []
+        # exact stop: ``dead[s][e]`` once net e holds a pin that can no
+        # longer leave side s; ``dead_cut`` weighs the nets dead on both
+        dead = (self._fixed_on[0][:], self._fixed_on[1][:])
+        dead_cut = self._fixed_cut
+        margin = self._stop_margin
 
         # Held groups (module docstring): group 2*c + s holds the
         # blocked entries of side-s vertices of weight class c, with
@@ -221,7 +265,7 @@ class FMRefiner:
             while h:
                 it = heappop(h)
                 u = it[2]
-                if not locked[u] and it[3] == stamp[u]:
+                if live[u] and it[3] == stamp[u]:
                     rep[gid] = it
                     heappush(heap, it)
                     return
@@ -243,7 +287,7 @@ class FMRefiner:
             item = heappop(heap)
             neg_gain, _, v, st = item
             gid = grp[v]
-            if locked[v] or st != stamp[v]:
+            if not live[v] or st != stamp[v]:
                 if item is rep[gid]:
                     rep[gid] = None
                     if admitted[gid]:
@@ -283,8 +327,9 @@ class FMRefiner:
             # ---- apply the move with FM critical-net gain updates ----
             frm = side[v]
             to = 1 - frm
-            delta: Dict[int, float] = {}
-            dget = delta.get
+            live[v] = False
+            dead_to = dead[to]
+            dead_frm = dead[frm]
             for e in vnets[v]:
                 pins = nets[e]
                 we = net_w[e]
@@ -292,30 +337,38 @@ class FMRefiner:
                 t_before = c[to]
                 if t_before == 0:
                     for u in pins:
-                        if u != v and free[u] and not locked[u]:
-                            delta[u] = dget(u, 0.0) + we
+                        if live[u]:
+                            acc[u] += we
+                            touched.append(u)
                 elif t_before == 1:
                     for u in pins:
                         if side[u] == to:
-                            if free[u] and not locked[u]:
-                                delta[u] = dget(u, 0.0) - we
+                            if live[u]:
+                                acc[u] -= we
+                                touched.append(u)
                             break
                 c[frm] -= 1
                 c[to] += 1
                 f_after = c[frm]
                 if f_after == 0:
                     for u in pins:
-                        if u != v and free[u] and not locked[u]:
-                            delta[u] = dget(u, 0.0) - we
+                        if live[u]:
+                            acc[u] -= we
+                            touched.append(u)
                 elif f_after == 1:
+                    # v still reads as side ``frm`` until the walk ends
                     for u in pins:
                         if u != v and side[u] == frm:
-                            if free[u] and not locked[u]:
-                                delta[u] = dget(u, 0.0) + we
+                            if live[u]:
+                                acc[u] += we
+                                touched.append(u)
                             break
+                if not dead_to[e]:
+                    dead_to[e] = True
+                    if dead_frm[e]:
+                        dead_cut += we
             side[v] = to
             weight0 = new_w0
-            locked[v] = True
             moves.append(v)
             cum_gain += -neg_gain
             viol = lo - weight0 if weight0 < lo else (
@@ -326,14 +379,22 @@ class FMRefiner:
                 best_key = (viol, -cum_gain)
                 best_gain = cum_gain
                 best_prefix = len(moves)
+            # Exact stop: every later prefix cuts at least ``dead_cut``,
+            # so none can beat an in-window best prefix cutting less.
+            if (best_key[0] <= 1e-15
+                    and init_cut - best_gain <= dead_cut - margin):
+                break
 
-            for u, d in delta.items():
+            for u in touched:
+                d = acc[u]
+                acc[u] = 0.0
                 if d:
                     gains[u] += d
                     stamp[u] += 1
                     gu = grp[u]
                     heappush(heap if admitted[gu] else held[gu],
                              (-gains[u], noise[u], u, stamp[u]))
+            touched.clear()
 
             # Admit the waiting groups the new balance allows.  Inside
             # the window a move is legal exactly when it stays inside,
@@ -357,10 +418,9 @@ class FMRefiner:
         return best_gain, best_prefix, len(moves) - best_prefix
 
     # ------------------------------------------------------------------
-    def _pass_setup(self, side: List[int], free: List[bool],
-                    vw: List[float]
-                    ) -> Tuple[List[List[int]], List[float], float]:
-        """Per-net side counts, initial FM gains, and part-0 weight.
+    def _pass_setup(self, side: List[int]
+                    ) -> Tuple[List[List[int]], List[float], float, float]:
+        """Per-net side counts, initial FM gains, part-0 weight and cut.
 
         One touch per pin; vectorized over the CSR pin structure on
         graphs large enough for the array path to pay for itself.  The
@@ -372,11 +432,13 @@ class FMRefiner:
         n = g.num_vertices
         nets = g.nets
         net_w = g.net_weights
+        free = self._free
+        vw = self._vw
         ptr, pins_arr, pin_net = g.net_csr()
         if len(pins_arr) >= VECTOR_MIN_PINS:
             side_arr = np.asarray(side, dtype=np.int64)
             c0, c1 = _side_counts(g, side_arr)
-            w = np.asarray(net_w, dtype=np.float64)
+            w = self._net_w
             uncut = (c0 == 0) | (c1 == 0)
             gains_arr = np.zeros(n, dtype=np.float64)
             pin_w = w[pin_net]
@@ -393,7 +455,7 @@ class FMRefiner:
             free_arr = g.fixed == FREE
             weight0 = float(g.vertex_weights[
                 free_arr & (side_arr == 0)].sum())
-            return counts, gains, weight0
+            return counts, gains, weight0, float(w[crit].sum())
 
         counts_l: List[List[int]] = []
         for pins in nets:
@@ -402,6 +464,7 @@ class FMRefiner:
                 on1 += side[p]
             counts_l.append([len(pins) - on1, on1])
         gains_l = [0.0] * n
+        cut = 0.0
         for e, pins in enumerate(nets):
             we = net_w[e]
             n0, n1 = counts_l[e]
@@ -409,6 +472,7 @@ class FMRefiner:
                 for p in pins:
                     gains_l[p] -= we
             else:
+                cut += we
                 if n0 == 1:
                     for p in pins:
                         if side[p] == 0:
@@ -423,4 +487,4 @@ class FMRefiner:
         for v in range(n):
             if free[v] and side[v] == 0:
                 weight0 += vw[v]
-        return counts_l, gains_l, weight0
+        return counts_l, gains_l, weight0, cut

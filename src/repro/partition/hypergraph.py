@@ -6,7 +6,8 @@ NumPy's per-array overhead by a wide margin, and the FM inner loop is the
 hottest code in the whole library.  Every constructor goes through one
 array canonicalization (:func:`canonical_csr`) that sorts each net's
 pins, drops duplicates and checks their range, and the graph keeps the
-resulting flat CSR arrays for the vectorized kernels.
+resulting flat CSR arrays for the vectorized kernels; a contraction
+canonicalizes its mapped pins once and keeps a subset of those nets.
 """
 
 from __future__ import annotations
@@ -93,8 +94,9 @@ class Hypergraph:
                               count=m), out=net_ptr[1:])
         pins = np.fromiter(chain.from_iterable(nets), dtype=np.int64,
                            count=int(net_ptr[-1]))
-        self._setup(num_vertices, net_ptr, pins, net_weights,
-                    vertex_weights, fixed)
+        self._setup(num_vertices,
+                    canonical_csr(int(num_vertices), net_ptr, pins),
+                    net_weights, vertex_weights, fixed)
 
     @classmethod
     def from_csr(cls, num_vertices: int, net_ptr: IntArray,
@@ -105,28 +107,33 @@ class Hypergraph:
         """Build from flat CSR pin arrays (see :func:`canonical_csr`);
         the arguments are read, never written."""
         graph = cls.__new__(cls)
-        graph._setup(num_vertices, net_ptr, pins, net_weights,
-                     vertex_weights, fixed)
+        graph._setup(num_vertices,
+                     canonical_csr(int(num_vertices), net_ptr, pins),
+                     net_weights, vertex_weights, fixed)
         return graph
 
-    def _setup(self, num_vertices: int, net_ptr: IntArray,
-               pins: IntArray,
+    def _setup(self, num_vertices: int, csr: CSR,
                net_weights: Optional[Sequence[float]],
                vertex_weights: Optional[Sequence[float]],
                fixed: Optional[Sequence[int]]) -> None:
+        """Adopt a canonical CSR (:func:`canonical_csr`'s output, kept
+        as is) and check the weights and fixed sides against it."""
         self.num_vertices = int(num_vertices)
-        self._csr: CSR = canonical_csr(self.num_vertices, net_ptr, pins)
-        flat = self._csr[1].tolist()
-        bounds = self._csr[0].tolist()
+        self._csr: CSR = csr
+        flat = csr[1].tolist()
+        bounds = csr[0].tolist()
         self.nets: List[List[int]] = [
             flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
         m = len(self.nets)
-        if net_weights is None:
-            self.net_weights = [1.0] * m
-        else:
-            self.net_weights = [float(w) for w in net_weights]
-        if len(self.net_weights) != m:
+        net_w = (np.ones(m) if net_weights is None
+                 else np.asarray(net_weights, dtype=float))
+        if net_w.shape != (m,):
             raise ValueError("net_weights length mismatch")
+        # FM's exact pass stop relies on finite, non-negative weights
+        if not (np.isfinite(net_w).all() and (net_w >= 0).all()):
+            raise ValueError("net weights must be finite and "
+                             "non-negative")
+        self.net_weights: List[float] = net_w.tolist()
         self.vertex_weights = (np.ones(self.num_vertices)
                                if vertex_weights is None
                                else np.asarray(vertex_weights, dtype=float))
@@ -216,38 +223,49 @@ class Hypergraph:
             Fixed sides propagate (merging differently-fixed vertices is
             an error).
         """
-        reps: Dict[int, int] = {}
-        vertex_map = np.empty(self.num_vertices, dtype=np.int64)
-        for v in range(self.num_vertices):
-            r = int(match[v])
-            if r not in reps:
-                reps[r] = len(reps)
-            vertex_map[v] = reps[r]
-        n_coarse = len(reps)
+        # coarse ids number the representatives in first-appearance order
+        _, first, rep_of = np.unique(np.asarray(match, dtype=np.int64),
+                                     return_index=True, return_inverse=True)
+        n_coarse = len(first)
+        rank = np.empty(n_coarse, dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(n_coarse, dtype=np.int64)
+        vertex_map = rank[rep_of]
 
+        # np.add.at adds in vertex order, as a loop over vertices would
         weights = np.zeros(n_coarse)
+        np.add.at(weights, vertex_map, self.vertex_weights)
+        pinned = self.fixed != FREE
+        groups = vertex_map[pinned]
         fixed = np.full(n_coarse, FREE, dtype=np.int64)
-        for v in range(self.num_vertices):
-            c = vertex_map[v]
-            weights[c] += self.vertex_weights[v]
-            if self.fixed[v] != FREE:
-                if fixed[c] != FREE and fixed[c] != self.fixed[v]:
-                    raise ValueError(
-                        "cannot merge vertices fixed to different sides")
-                fixed[c] = self.fixed[v]
+        fixed[groups] = self.fixed[pinned]
+        if (fixed[groups] != self.fixed[pinned]).any():
+            raise ValueError(
+                "cannot merge vertices fixed to different sides")
 
         ptr, pins, _ = self._csr
-        coarse_ptr, coarse_pins, _ = canonical_csr(n_coarse, ptr,
-                                                   vertex_map[pins])
+        coarse_ptr, coarse_pins, coarse_pin_net = canonical_csr(
+            n_coarse, ptr, vertex_map[pins])
         flat = coarse_pins.tolist()
         bounds = coarse_ptr.tolist()
+        # parallel nets merge into the first, weights summed in net order
         merged: Dict[Tuple[int, ...], float] = {}
+        kept: List[int] = []
         for e, w in enumerate(self.net_weights):
             a, b = bounds[e], bounds[e + 1]
             if b - a < 2:
                 continue
             net = tuple(flat[a:b])
+            if net not in merged:
+                kept.append(e)
             merged[net] = merged.get(net, 0.0) + w
-        coarse = Hypergraph(n_coarse, list(merged.keys()),
-                            list(merged.values()), weights, fixed)
+        # the kept nets' pins, already canonical, in net order
+        keep = np.zeros(self.num_nets, dtype=bool)
+        keep[kept] = True
+        sizes = np.diff(coarse_ptr)[keep]
+        net_ptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=net_ptr[1:])
+        csr = (net_ptr, coarse_pins[keep[coarse_pin_net]],
+               np.repeat(np.arange(len(sizes), dtype=np.int64), sizes))
+        coarse = Hypergraph.__new__(Hypergraph)
+        coarse._setup(n_coarse, csr, list(merged.values()), weights, fixed)
         return coarse, vertex_map

@@ -83,10 +83,10 @@ def bisect(graph: Hypergraph, config: Optional[BisectionConfig] = None
         current = coarse
 
     # ---- initial partitioning at the coarsest level ------------------
-    parts = _initial_portfolio(current, config, rng)
+    refiner = FMRefiner(current, config.target, config.tolerance, rng)
+    parts = _initial_portfolio(refiner, config, rng)
 
     # ---- uncoarsening + refinement ------------------------------------
-    refiner = FMRefiner(current, config.target, config.tolerance, rng)
     refiner.refine(parts, config.max_passes)
     for fine, vmap in reversed(levels):
         fine_parts = parts[vmap]
@@ -133,35 +133,35 @@ def _heavy_edge_matching(graph: Hypergraph, rng: np.random.Generator
     they survive to the coarsest level individually.
     """
     n = graph.num_vertices
-    match = np.arange(n, dtype=np.int64)
-    matched = np.zeros(n, dtype=bool)
-    order = rng.permutation(n)
-    for v in order:
-        if matched[v] or graph.fixed[v] != FREE:
+    match = list(range(n))
+    # matched or fixed: neither may join a new pair
+    busy = (graph.fixed != FREE).tolist()
+    for v in rng.permutation(n).tolist():
+        if busy[v]:
             continue
         best_u = -1
         best_score = 0.0
-        for u, score in graph.neighbors_scored(int(v)).items():
-            if matched[u] or graph.fixed[u] != FREE:
+        for u, score in graph.neighbors_scored(v).items():
+            if busy[u]:
                 continue
             if score > best_score:
                 best_score = score
                 best_u = u
         if best_u >= 0:
             match[best_u] = v
-            matched[v] = True
-            matched[best_u] = True
-    return match
+            busy[v] = True
+            busy[best_u] = True
+    return np.array(match, dtype=np.int64)
 
 
-def _initial_portfolio(graph: Hypergraph, config: BisectionConfig,
+def _initial_portfolio(refiner: FMRefiner, config: BisectionConfig,
                        rng: np.random.Generator) -> np.ndarray:
-    """Best of ``num_starts`` random balanced partitions after FM polish."""
+    """Best of ``num_starts`` random balanced partitions of the
+    refiner's graph after FM polish."""
     best_parts = None
     best_cut = np.inf
     for _ in range(max(1, config.num_starts)):
-        parts = _random_balanced(graph, config.target, rng)
-        refiner = FMRefiner(graph, config.target, config.tolerance, rng)
+        parts = _random_balanced(refiner.graph, config.target, rng)
         cut = refiner.refine(parts, config.max_passes)
         if cut < best_cut:
             best_cut = cut
@@ -177,15 +177,14 @@ def _random_balanced(graph: Hypergraph, target: float,
     weight reaches ``target`` of the free total; the rest go to part 1.
     Fixed vertices keep their side.
     """
-    parts = np.ones(graph.num_vertices, dtype=np.int64)
-    free_ids = np.flatnonzero(graph.fixed == FREE)
+    free = graph.fixed == FREE
+    parts = np.where(free, 1, graph.fixed)
+    order = rng.permutation(np.flatnonzero(free))
     goal = target * graph.free_weight
-    acc = 0.0
-    for v in rng.permutation(free_ids):
-        if acc >= goal:
-            break
-        parts[v] = 0
-        acc += graph.vertex_weights[v]
-    fixed_ids = np.flatnonzero(graph.fixed != FREE)
-    parts[fixed_ids] = graph.fixed[fixed_ids]
+    # part 0's weight before each vertex joins, summed in order; weights
+    # are non-negative, so the vertices it leaves short of the goal are
+    # a prefix, the ones the greedy assignment takes
+    before = np.zeros(len(order), dtype=np.float64)
+    np.cumsum(graph.vertex_weights[order[:-1]], out=before[1:])
+    parts[order[before < goal]] = 0
     return parts

@@ -6,14 +6,84 @@ from typing import Dict, List, Tuple
 import numpy as np
 import pytest
 
-from repro.partition.fm import FMRefiner, cut_cost
+from repro.partition.fm import VECTOR_MIN_PINS, FMRefiner, _side_counts, \
+    cut_cost
 from repro.partition.hypergraph import FREE, Hypergraph
+
+
+def reference_setup(refiner: FMRefiner, side: List[int]
+                    ) -> Tuple[List[List[int]], List[float], float]:
+    """The former ``FMRefiner._pass_setup``, the setup of
+    :class:`ReferenceFM`: per-net side counts, initial FM gains and
+    part-0 weight, on the array path and on the scalar path."""
+    g = refiner.graph
+    n = g.num_vertices
+    nets = g.nets
+    net_w = g.net_weights
+    free = refiner._free
+    vw = refiner._vw
+    ptr, pins_arr, pin_net = g.net_csr()
+    if len(pins_arr) >= VECTOR_MIN_PINS:
+        side_arr = np.asarray(side, dtype=np.int64)
+        c0, c1 = _side_counts(g, side_arr)
+        w = np.asarray(net_w, dtype=np.float64)
+        uncut = (c0 == 0) | (c1 == 0)
+        gains_arr = np.zeros(n, dtype=np.float64)
+        pin_w = w[pin_net]
+        pin_side = side_arr[pins_arr]
+        m_uncut = uncut[pin_net]
+        np.add.at(gains_arr, pins_arr[m_uncut], -pin_w[m_uncut])
+        crit = ~uncut
+        m_c0 = (crit & (c0 == 1))[pin_net] & (pin_side == 0)
+        m_c1 = (crit & (c1 == 1))[pin_net] & (pin_side == 1)
+        np.add.at(gains_arr, pins_arr[m_c0], pin_w[m_c0])
+        np.add.at(gains_arr, pins_arr[m_c1], pin_w[m_c1])
+        counts = np.stack((c0, c1), axis=1).tolist()
+        gains = gains_arr.tolist()
+        free_arr = g.fixed == FREE
+        weight0 = float(g.vertex_weights[
+            free_arr & (side_arr == 0)].sum())
+        return counts, gains, weight0
+
+    counts_l: List[List[int]] = []
+    for pins in nets:
+        on1 = 0
+        for p in pins:
+            on1 += side[p]
+        counts_l.append([len(pins) - on1, on1])
+    gains_l = [0.0] * n
+    for e, pins in enumerate(nets):
+        we = net_w[e]
+        n0, n1 = counts_l[e]
+        if n0 == 0 or n1 == 0:
+            for p in pins:
+                gains_l[p] -= we
+        else:
+            if n0 == 1:
+                for p in pins:
+                    if side[p] == 0:
+                        gains_l[p] += we
+                        break
+            if n1 == 1:
+                for p in pins:
+                    if side[p] == 1:
+                        gains_l[p] += we
+                        break
+    weight0 = 0.0
+    for v in range(n):
+        if free[v] and side[v] == 0:
+            weight0 += vw[v]
+    return counts_l, gains_l, weight0
 
 
 class ReferenceFM(FMRefiner):
     """FM with the plain deferred-list pass: every entry the balance
-    window blocks is set aside and pushed back after the next move.
-    The reference the held-group pass must match move for move."""
+    window blocks is set aside and pushed back after the next move, and
+    every pass moves until the heap runs dry.  The reference the
+    held-group pass with its exact stop must match move for move.
+
+    ``trail`` lists, for each move of the last pass, the vertex moved
+    and the best prefix's violation and gain after it."""
 
     def _pass(self, side: List[int]) -> Tuple[float, int, int]:
         """One FM pass over ``side`` (mutated in place).
@@ -24,6 +94,7 @@ class ReferenceFM(FMRefiner):
             prefix was kept to repair an out-of-window balance), its
             length, and the number of tentative moves undone.
         """
+        self.trail: List[Tuple[int, float, float]] = []
         g = self.graph
         n = g.num_vertices
         nets = g.nets
@@ -32,7 +103,7 @@ class ReferenceFM(FMRefiner):
         vw = self._vw
         free = self._free
 
-        counts, gains, weight0 = self._pass_setup(side, free, vw)
+        counts, gains, weight0 = reference_setup(self, side)
 
         locked = [False] * n
         stamp = [0] * n
@@ -131,6 +202,7 @@ class ReferenceFM(FMRefiner):
                 best_key = (viol, -cum_gain)
                 best_gain = cum_gain
                 best_prefix = len(moves)
+            self.trail.append((v, best_key[0], best_gain))
 
             for u, d in delta.items():
                 if d:
@@ -144,6 +216,39 @@ class ReferenceFM(FMRefiner):
         return best_gain, best_prefix, len(moves) - best_prefix
 
 
+
+
+def stop_point(refiner: FMRefiner, start: List[int],
+               trail: List[Tuple[int, float, float]]) -> int:
+    """How many moves the exact stop lets a pass make: the length of the
+    shortest prefix of the full pass's ``trail`` after which the best
+    prefix is inside the window and cuts no more than the dead cut less
+    the margin, or every move if there is none.  The dead cut is
+    recounted from the pins' sides, not from per-side flags."""
+    g = refiner.graph
+    nets = g.nets
+    vnets = g.vertex_nets_all()
+    init_cut = cut_cost(g, start)
+    # the side a pin can no longer leave, or FREE while it can
+    stuck = g.fixed.tolist()
+    side = list(start)
+    dead = set()
+    dead_cut = 0.0
+    for e, pins in enumerate(nets):
+        if {0, 1} <= {stuck[p] for p in pins}:
+            dead.add(e)
+            dead_cut += g.net_weights[e]
+    for k, (v, best_viol, best_gain) in enumerate(trail, 1):
+        side[v] = 1 - side[v]
+        stuck[v] = side[v]
+        for e in vnets[v]:
+            if e not in dead and {0, 1} <= {stuck[p] for p in nets[e]}:
+                dead.add(e)
+                dead_cut += g.net_weights[e]
+        if (best_viol <= 1e-15 and init_cut - best_gain
+                <= dead_cut - refiner._stop_margin):
+            return k
+    return len(trail)
 
 
 def two_cliques() -> Hypergraph:
@@ -251,16 +356,17 @@ class TestRefine:
             FMRefiner(g, tolerance=-0.1)
 
 
-def random_instance(classes: int, n: int, start: float, seed: int
-                    ) -> Tuple[Hypergraph, np.ndarray]:
+def random_instance(classes: int, n: int, start: float, seed: int,
+                    terminals: int = 4) -> Tuple[Hypergraph, np.ndarray]:
     """A seeded random hypergraph and start for the pass comparison.
 
     ``n`` free vertices draw their weights from ``classes`` distinct
     values; with two or more classes, one of them is 0 (zero-weight
     free vertices).  Odd seeds use small integer weights, so moves can
     land exactly on a window edge; even seeds draw them at random.
-    Four zero-weight terminals are fixed, two to each side.  A share
-    ``start`` of the free vertices starts on side 1.
+    ``terminals`` zero-weight vertices are fixed, alternately to side 0
+    and side 1, like the terminals of a terminal-propagated task.  A
+    share ``start`` of the free vertices starts on side 1.
     """
     rng = np.random.default_rng(seed)
     if seed % 2:
@@ -270,9 +376,10 @@ def random_instance(classes: int, n: int, start: float, seed: int
     if classes > 1:
         pool[0] = 0.0
     weights = np.concatenate([pool[np.arange(n) % classes],
-                              np.zeros(4)])
-    total = n + 4
-    fixed = [FREE] * n + [0, 1, 0, 1]
+                              np.zeros(terminals)])
+    total = n + terminals
+    sides = [t % 2 for t in range(terminals)]
+    fixed = [FREE] * n + sides
     nets = [rng.choice(total, size=int(rng.integers(2, 6)),
                        replace=False).tolist()
             for _ in range(2 * n)]
@@ -282,36 +389,72 @@ def random_instance(classes: int, n: int, start: float, seed: int
         net_w = rng.uniform(0.1, 2.0, len(nets))
     graph = Hypergraph(total, nets, net_w, weights, fixed)
     parts = (rng.random(total) < start).astype(np.int64)
-    parts[n:] = [0, 1, 0, 1]
+    parts[n:] = sides
     return graph, parts
 
 
-# (weight classes, free vertices, tolerance, target, share on side 1)
+# (weight classes, free vertices, tolerance, target, share on side 1,
+# terminals): four terminals, or as many as free vertices, as in a
+# terminal-propagated task
 PASS_CASES = [
-    (classes, n, tol, target, start)
+    (classes, n, tol, target, start, terminals)
     for classes, n in ((1, 40), (2, 120), (3, 500), (6, 200), (40, 300))
     for start in (0.05, 0.5, 0.9)
     for tol, target in ((0.0, 0.5), (0.02 + 0.015 * (classes % 3), 0.3))
+    for terminals in (4, n)
 ]
 
 
-class TestHeldGroupsMatchReference:
-    """The held-group pass makes exactly the moves of the deferred-list
-    pass it replaced: same gains, prefixes and sides, pass by pass."""
+def case_id(case: Tuple[int, int, float, float, float, int]) -> str:
+    """A case's test id; only a terminal-heavy case names its count."""
+    *head, terminals = case
+    tag = "-".join(str(x) for x in head)
+    return tag if terminals == 4 else f"{tag}-{terminals}terminals"
 
-    @pytest.mark.parametrize("classes,n,tol,target,start", PASS_CASES)
+
+def case_seed(classes: int, n: int, tol: float, start: float) -> int:
+    """The instance seed of a pass case."""
+    return classes + n + int(100 * start) + int(1000 * tol)
+
+
+def undone_moves(refiner_cls: type,
+                 case: Tuple[int, int, float, float, float, int]) -> int:
+    """Moves undone over six passes of ``refiner_cls`` on a case."""
+    classes, n, tol, target, start, terminals = case
+    seed = case_seed(classes, n, tol, start)
+    graph, parts = random_instance(classes, n, start, seed, terminals)
+    refiner = refiner_cls(graph, target, tol, np.random.default_rng(seed))
+    side = parts.tolist()
+    return sum(refiner._pass(side)[2] for _ in range(6))
+
+
+class TestHeldGroupsMatchReference:
+    """The held-group pass with its exact stop keeps exactly the moves
+    of the deferred-list pass it replaced, which moves until its heap
+    runs dry: same gains, prefixes and sides, pass by pass.  Stopping
+    early only undoes fewer moves."""
+
+    @pytest.mark.parametrize("classes,n,tol,target,start,terminals",
+                             PASS_CASES,
+                             ids=[case_id(c) for c in PASS_CASES])
     def test_passes_and_refine_match(self, classes, n, tol, target,
-                                     start):
-        seed = classes + n + int(100 * start) + int(1000 * tol)
-        graph, parts = random_instance(classes, n, start, seed)
+                                     start, terminals):
+        seed = case_seed(classes, n, tol, start)
+        graph, parts = random_instance(classes, n, start, seed, terminals)
         new = FMRefiner(graph, target, tol, np.random.default_rng(seed))
         ref = ReferenceFM(graph, target, tol,
                           np.random.default_rng(seed))
         side_new = parts.tolist()
         side_ref = parts.tolist()
         for _ in range(6):
-            assert new._pass(side_new) == ref._pass(side_ref)
+            start_side = list(side_ref)
+            improvement, kept, undone = new._pass(side_new)
+            want = ref._pass(side_ref)
+            assert (improvement, kept) == want[:2]
+            assert undone <= want[2]
             assert side_new == side_ref
+            assert kept + undone == stop_point(new, start_side,
+                                               ref.trail)
 
         parts_new = parts.copy()
         parts_ref = parts.copy()
@@ -323,3 +466,10 @@ class TestHeldGroupsMatchReference:
                                ).refine(parts_ref)
         assert cost_new == cost_ref
         assert parts_new.tolist() == parts_ref.tolist()
+
+    def test_stop_fires_on_terminal_heavy_cases(self):
+        """With as many terminals as free vertices, the stop undoes
+        strictly fewer moves than the full pass."""
+        heavy = [case for case in PASS_CASES if case[-1] == case[1]]
+        assert sum(undone_moves(FMRefiner, case) for case in heavy) \
+            < sum(undone_moves(ReferenceFM, case) for case in heavy)

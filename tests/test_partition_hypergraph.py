@@ -84,9 +84,11 @@ class TestConstruction:
             Hypergraph(2, [[0, 1]], vertex_weights=[1.0])
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
-    def test_vertex_weight_must_be_finite_and_non_negative(self, bad):
+    @pytest.mark.parametrize("weights", ["vertex_weights", "net_weights"])
+    def test_vertex_weight_must_be_finite_and_non_negative(self, bad,
+                                                           weights):
         with pytest.raises(ValueError, match="finite and non-negative"):
-            Hypergraph(2, [[0, 1]], vertex_weights=[1.0, bad])
+            Hypergraph(2, [[0, 1], [1, 0]], **{weights: [1.0, bad]})
 
     def test_free_weight_excludes_fixed(self):
         g = Hypergraph(3, [[0, 1]], vertex_weights=[1.0, 2.0, 4.0],

@@ -5,7 +5,8 @@ import pytest
 
 from repro.partition.fm import cut_cost
 from repro.partition.hypergraph import FREE, Hypergraph
-from repro.partition.multilevel import BisectionConfig, bisect
+from repro.partition.multilevel import BisectionConfig, \
+    _heavy_edge_matching, _random_balanced, bisect
 
 
 def ring(n: int) -> Hypergraph:
@@ -110,3 +111,82 @@ class TestBisect:
                                              seed=0))
         frac = (parts == 0).sum() / 40
         assert 0.15 <= frac <= 0.35
+
+
+def reference_matching(graph, rng):
+    """The former :func:`_heavy_edge_matching`, over NumPy arrays."""
+    n = graph.num_vertices
+    match = np.arange(n, dtype=np.int64)
+    matched = np.zeros(n, dtype=bool)
+    for v in rng.permutation(n):
+        if matched[v] or graph.fixed[v] != FREE:
+            continue
+        best_u = -1
+        best_score = 0.0
+        for u, score in graph.neighbors_scored(int(v)).items():
+            if matched[u] or graph.fixed[u] != FREE:
+                continue
+            if score > best_score:
+                best_score = score
+                best_u = u
+        if best_u >= 0:
+            match[best_u] = v
+            matched[v] = True
+            matched[best_u] = True
+    return match
+
+
+def reference_random_balanced(graph, target, rng):
+    """The former :func:`_random_balanced`: one weight at a time."""
+    parts = np.ones(graph.num_vertices, dtype=np.int64)
+    goal = target * graph.free_weight
+    acc = 0.0
+    for v in rng.permutation(np.flatnonzero(graph.fixed == FREE)):
+        if acc >= goal:
+            break
+        parts[v] = 0
+        acc += graph.vertex_weights[v]
+    fixed_ids = np.flatnonzero(graph.fixed != FREE)
+    parts[fixed_ids] = graph.fixed[fixed_ids]
+    return parts
+
+
+def weighted_instance(seed: int) -> Hypergraph:
+    """Clusters with real-valued weights, some zero-weight vertices and
+    a few terminals fixed to each side."""
+    g = clustered(4, 24, seed)
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.2, 3.0, g.num_vertices)
+    weights[rng.random(g.num_vertices) < 0.1] = 0.0
+    fixed = np.full(g.num_vertices, FREE)
+    fixed[rng.choice(g.num_vertices, 8, replace=False)] = [0, 1] * 4
+    return Hypergraph(g.num_vertices, g.nets,
+                      rng.uniform(0.1, 2.0, g.num_nets), weights, fixed)
+
+
+class TestArrayPassesMatchReference:
+    """Matching and random starts read lists and one cumulative sum, and
+    decide exactly as the former per-vertex NumPy-scalar loops did,
+    drawing the same permutations."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_heavy_edge_matching(self, seed):
+        graph = weighted_instance(seed)
+        got = _heavy_edge_matching(graph, np.random.default_rng(seed))
+        want = reference_matching(graph, np.random.default_rng(seed))
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("target", [0.0, 0.3, 0.5, 1.0])
+    def test_random_balanced(self, target):
+        # unit weights land exactly on the goal
+        graphs = [weighted_instance(seed) for seed in range(6)] \
+            + [clustered(3, 10, seed) for seed in range(3)]
+        for seed, graph in enumerate(graphs):
+            rng_got = np.random.default_rng(seed)
+            rng_want = np.random.default_rng(seed)
+            for _ in range(3):
+                got = _random_balanced(graph, target, rng_got)
+                want = reference_random_balanced(graph, target, rng_want)
+                assert np.array_equal(got, want)
+            assert rng_got.random() == rng_want.random()
