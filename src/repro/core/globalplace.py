@@ -52,7 +52,7 @@ from repro.parallel import (ExecutionBackend, SharedArrayPool,
 from repro.partition.hypergraph import FREE
 from repro.partition.subproblem import (BisectionTask, solve,
                                         solve_packed_recorded,
-                                        solve_recorded, task_payload)
+                                        solve_recorded)
 from repro.thermal.power import PowerModel
 from repro.thermal.resistance import ResistanceModel
 
@@ -251,7 +251,7 @@ class GlobalPlacer:
                 rec.count("parallel/dispatch_bytes", dense)
                 rec.count("parallel/dense_task_bytes", dense)
             return results
-        batch = pool.pack([task_payload(t) for t in tasks])
+        batch = pool.pack([vars(t) for t in tasks])
         try:
             results = backend.map(solve_packed_recorded, batch.refs)
         finally:

@@ -27,14 +27,8 @@ from repro.netlist.suite import (
     benchmark_names,
     load_benchmark,
 )
-from repro.netlist.pads import add_peripheral_pads
-from repro.netlist.stats import NetlistSummary, rent_exponent, summarize
 
 __all__ = [
-    "add_peripheral_pads",
-    "NetlistSummary",
-    "rent_exponent",
-    "summarize",
     "Cell",
     "Net",
     "PinRole",

@@ -10,8 +10,10 @@ place that owns *how* such independent tasks execute:
 - :class:`ProcessPoolBackend` fans them out over worker processes.
 
 Both present the same order-preserving :meth:`ExecutionBackend.map`
-protocol, so call sites are backend-agnostic, and the worker count is
-resolved in one place (:func:`resolve_workers`) from the explicit
+protocol, and a :meth:`ExecutionBackend.submit` that returns a standard
+:class:`~concurrent.futures.Future` (re-exported here as ``Future``),
+so call sites are backend-agnostic, and the worker count is resolved
+in one place (:func:`resolve_workers`) from the explicit
 request, the ``REPRO_WORKERS`` environment variable, or the serial
 default.
 
@@ -42,8 +44,8 @@ import multiprocessing
 import os
 from concurrent.futures import Future, ProcessPoolExecutor
 from types import TracebackType
-from typing import (Any, Callable, Dict, Iterable, List, Optional,
-                    Sequence, Type, TypeVar)
+from typing import (Callable, Iterable, List, Optional, Sequence, Type,
+                    TypeVar)
 
 import numpy as np
 
@@ -52,9 +54,9 @@ from repro.parallel.shared import (PackedBatch, SegmentRef,
 from repro.parallel.shared import available as shared_memory_available
 from repro.parallel.shared import resolve as resolve_packed
 
-__all__ = ["ExecutionBackend", "PackedBatch", "ProcessPoolBackend",
-           "SegmentRef", "SerialBackend", "SharedArrayPool",
-           "TaskHandle", "WORKERS_ENV", "create_backend",
+__all__ = ["ExecutionBackend", "Future", "PackedBatch",
+           "ProcessPoolBackend", "SegmentRef", "SerialBackend",
+           "SharedArrayPool", "WORKERS_ENV", "create_backend",
            "resolve_packed", "resolve_workers",
            "shared_memory_available", "task_seed", "task_seed_sequence"]
 
@@ -137,87 +139,6 @@ def task_seed(base_seed: int, key: int) -> int:
     return int(state[0]) & 0x7FFFFFFF
 
 
-class TaskHandle:
-    """Handle on one asynchronously submitted task.
-
-    The scheduler in :mod:`repro.service` polls these to learn
-    per-task liveness without blocking; ``state()`` is one of
-    ``"running"``, ``"done"`` or ``"failed"``.
-
-    Attributes:
-        task_id: the deterministic id the task was submitted under.
-    """
-
-    def __init__(self, task_id: str) -> None:
-        self.task_id = task_id
-
-    def done(self) -> bool:
-        """Whether the task has finished (successfully or not)."""
-        raise NotImplementedError
-
-    def running(self) -> bool:
-        """Whether the task is still executing."""
-        return not self.done()
-
-    def state(self) -> str:
-        """Liveness label: ``running`` / ``done`` / ``failed``."""
-        if not self.done():
-            return "running"
-        return "failed" if self.exception() is not None else "done"
-
-    def result(self) -> Any:
-        """The task's return value (blocks; re-raises its exception)."""
-        raise NotImplementedError
-
-    def exception(self) -> Optional[BaseException]:
-        """The task's exception, or ``None`` (blocks until finished)."""
-        raise NotImplementedError
-
-
-class _CompletedHandle(TaskHandle):
-    """An eagerly executed task's handle (the serial backend)."""
-
-    def __init__(self, task_id: str, value: Any = None,
-                 error: Optional[BaseException] = None) -> None:
-        super().__init__(task_id)
-        self._value = value
-        self._error = error
-
-    def done(self) -> bool:
-        """Always ``True``: serial submission runs inline."""
-        return True
-
-    def result(self) -> Any:
-        """The captured return value (re-raises a captured error)."""
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-    def exception(self) -> Optional[BaseException]:
-        """The captured exception, if the task raised."""
-        return self._error
-
-
-class _FutureHandle(TaskHandle):
-    """A pool task's handle, wrapping its ``Future``."""
-
-    def __init__(self, task_id: str, future: "Future[Any]") -> None:
-        super().__init__(task_id)
-        self._future = future
-
-    def done(self) -> bool:
-        """Whether the underlying future has resolved."""
-        return self._future.done()
-
-    def result(self) -> Any:
-        """Block on the future; re-raises the worker's exception."""
-        return self._future.result()
-
-    def exception(self) -> Optional[BaseException]:
-        """Block on the future; the worker's exception, if any."""
-        return self._future.exception()
-
-
 class ExecutionBackend:
     """Protocol for running independent picklable tasks.
 
@@ -226,10 +147,6 @@ class ExecutionBackend:
     """
 
     num_workers: int = 1
-
-    def __init__(self) -> None:
-        self._handles: Dict[str, TaskHandle] = {}
-        self._task_counter = 0
 
     def map(self, fn: Callable[[_T], _R],
             tasks: Iterable[_T]) -> List[_R]:
@@ -241,15 +158,13 @@ class ExecutionBackend:
         """
         raise NotImplementedError
 
-    def submit(self, fn: Callable[[_T], _R], task: _T,
-               task_id: Optional[str] = None) -> TaskHandle:
-        """Dispatch one task asynchronously; returns its handle.
+    def submit(self, fn: Callable[[_T], _R], task: _T) -> Future[_R]:
+        """Dispatch one task asynchronously; returns its future.
 
         The same picklability rules as :meth:`map` apply.  On the
-        serial backend the task runs inline (the returned handle is
-        already done); pool backends return a live handle the caller
-        polls.  Handles are retained for :meth:`liveness` until
-        :meth:`forget` or :meth:`close`.
+        serial backend the task runs inline and the returned future is
+        already done, holding the result or the raised exception; pool
+        backends return the pool's own future.
         """
         raise NotImplementedError
 
@@ -262,33 +177,8 @@ class ExecutionBackend:
         backend has nothing to start.
         """
 
-    def _register(self, handle: TaskHandle) -> TaskHandle:
-        self._handles[handle.task_id] = handle
-        return handle
-
-    def _next_task_id(self, task_id: Optional[str]) -> str:
-        if task_id is not None:
-            return task_id
-        self._task_counter += 1
-        return f"task-{self._task_counter}"
-
-    def liveness(self) -> Dict[str, str]:
-        """Per-task liveness of every submitted, unforgotten task.
-
-        Returns:
-            ``{task_id: "running" | "done" | "failed"}`` — what the
-            service scheduler reports for jobs in flight.
-        """
-        return {task_id: handle.state()
-                for task_id, handle in self._handles.items()}
-
-    def forget(self, task_id: str) -> None:
-        """Drop a harvested task's handle from liveness tracking."""
-        self._handles.pop(task_id, None)
-
     def close(self) -> None:
         """Release backend resources (idempotent)."""
-        self._handles.clear()
 
     def __enter__(self) -> "ExecutionBackend":
         return self
@@ -308,16 +198,16 @@ class SerialBackend(ExecutionBackend):
             tasks: Iterable[_T]) -> List[_R]:
         return [fn(task) for task in tasks]
 
-    def submit(self, fn: Callable[[_T], _R], task: _T,
-               task_id: Optional[str] = None) -> TaskHandle:
-        """Run the task inline; the returned handle is already done."""
-        name = self._next_task_id(task_id)
+    def submit(self, fn: Callable[[_T], _R], task: _T) -> Future[_R]:
+        """Run the task inline; the returned future is already done."""
+        future: Future[_R] = Future()
         try:
-            return self._register(_CompletedHandle(name, fn(task)))
+            future.set_result(fn(task))
         except Exception as exc:
-            # captured, not raised: submit() mirrors Future semantics,
-            # so the error surfaces at handle.result() like a pool's
-            return self._register(_CompletedHandle(name, error=exc))
+            # captured, not raised: the error surfaces at
+            # future.result(), as a pool's does
+            future.set_exception(exc)
+        return future
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -335,7 +225,6 @@ class ProcessPoolBackend(ExecutionBackend):
     """
 
     def __init__(self, num_workers: int) -> None:
-        super().__init__()
         if num_workers < 2:
             raise ValueError("ProcessPoolBackend needs >= 2 workers; "
                              "use SerialBackend (or create_backend) "
@@ -362,16 +251,12 @@ class ProcessPoolBackend(ExecutionBackend):
         chunksize = max(1, len(items) // (self.num_workers * 4))
         return list(self._executor.map(fn, items, chunksize=chunksize))
 
-    def submit(self, fn: Callable[[_T], _R], task: _T,
-               task_id: Optional[str] = None) -> TaskHandle:
-        """Dispatch the task to a pool worker; returns a live handle."""
-        name = self._next_task_id(task_id)
-        return self._register(
-            _FutureHandle(name, self._executor.submit(fn, task)))
+    def submit(self, fn: Callable[[_T], _R], task: _T) -> Future[_R]:
+        """Dispatch the task to a pool worker; returns its future."""
+        return self._executor.submit(fn, task)
 
     def close(self) -> None:
         self._executor.shutdown(wait=True)
-        super().close()
 
 
 def create_backend(num_workers: Optional[int] = None) -> ExecutionBackend:

@@ -187,11 +187,18 @@ class FMRefiner:
             raise ValueError(
                 f"vertex {v} is fixed to side {g.fixed[v]} "
                 f"but assigned to {parts[v]}")
-        cost = cut_cost(g, parts)
+        if max_passes < 1:
+            return cut_cost(g, parts)
         side = parts.tolist()
         rec = get_recorder()
-        for _ in range(max_passes):
-            improvement, kept_moves, rolled_back = self._pass(side)
+        cost = 0.0
+        for p in range(max_passes):
+            improvement, kept_moves, rolled_back, start_cut = \
+                self._pass(side)
+            if p == 0:
+                # the pass setup's cut is bit-equal to cut_cost's
+                # (same mask and order on either path)
+                cost = start_cut
             cost -= improvement
             if rec.enabled:
                 rec.count("fm/passes")
@@ -207,14 +214,15 @@ class FMRefiner:
         return cost
 
     # ------------------------------------------------------------------
-    def _pass(self, side: List[int]) -> Tuple[float, int, int]:
+    def _pass(self, side: List[int]) -> Tuple[float, int, int, float]:
         """One FM pass over ``side`` (mutated in place).
 
         Returns:
-            ``(improvement, kept_moves, rolled_back)`` — the cut
-            improvement of the kept prefix (may be negative if the
+            ``(improvement, kept_moves, rolled_back, start_cut)`` — the
+            cut improvement of the kept prefix (may be negative if the
             prefix was kept to repair an out-of-window balance), its
-            length, and the number of moves made and undone.
+            length, the number of moves made and undone, and the cut
+            ``side`` had when the pass started.
         """
         g = self.graph
         n = g.num_vertices
@@ -415,7 +423,7 @@ class FMRefiner:
         # roll back to the best prefix
         for v in moves[best_prefix:]:
             side[v] = 1 - side[v]
-        return best_gain, best_prefix, len(moves) - best_prefix
+        return best_gain, best_prefix, len(moves) - best_prefix, init_cut
 
     # ------------------------------------------------------------------
     def _pass_setup(self, side: List[int]

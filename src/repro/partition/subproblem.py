@@ -27,7 +27,7 @@ from repro.partition.hypergraph import Hypergraph
 from repro.partition.multilevel import BisectionConfig, bisect
 
 __all__ = ["BisectionTask", "solve", "solve_packed_recorded",
-           "solve_recorded", "task_from_payload", "task_payload"]
+           "solve_recorded"]
 
 
 @dataclass(frozen=True)
@@ -122,33 +122,6 @@ def solve(task: BisectionTask) -> np.ndarray:
     return parts
 
 
-#: BisectionTask fields that are numpy arrays — the ones the shared
-#: arena maps zero-copy; everything else rides in the segment header.
-_ARRAY_FIELDS = ("net_ptr", "pin_vertices", "net_weights",
-                 "vertex_weights", "fixed")
-
-_SCALAR_FIELDS = ("key", "target", "tolerance", "num_starts",
-                  "max_passes", "seed")
-
-
-def task_payload(task: BisectionTask) -> dict:
-    """Flatten a task into the dict form the shared arena packs."""
-    payload = {name: getattr(task, name) for name in _SCALAR_FIELDS}
-    for name in _ARRAY_FIELDS:
-        payload[name] = getattr(task, name)
-    return payload
-
-
-def task_from_payload(payload: dict) -> BisectionTask:
-    """Rebuild a task from a packed payload dict.
-
-    The arrays may be read-only shared-memory views; every consumer
-    downstream (:meth:`BisectionTask.hypergraph`) either copies them or
-    treats them as immutable, so no copy is made here.
-    """
-    return BisectionTask(**payload)
-
-
 def solve_recorded(task: BisectionTask) -> Tuple[np.ndarray, Telemetry]:
     """Solve one task under a child recorder; ship its telemetry back.
 
@@ -175,8 +148,11 @@ def solve_packed_recorded(ref: SegmentRef
 
     The zero-copy twin of :func:`solve_recorded`: the pool pickles only
     the ~100-byte ``ref``; the CSR arrays are mapped read-only from the
-    batch segment.  Results are bit-identical to the dense path because
-    :func:`task_from_payload` reconstructs the exact task the
-    dispatcher packed.
+    batch segment.  A task packs as its own fields (``vars(task)``), so
+    the task rebuilt from them is the exact task the dispatcher packed
+    and results are bit-identical to the dense path.  Its arrays stay
+    read-only shared-memory views: every consumer downstream
+    (:meth:`BisectionTask.hypergraph`) copies them or treats them as
+    immutable.
     """
-    return solve_recorded(task_from_payload(resolve_packed(ref)))
+    return solve_recorded(BisectionTask(**resolve_packed(ref)))

@@ -14,7 +14,7 @@ Methods:
     ``resume``    params: ``{"job_id"}``; result: the job document
     ``result``    params: ``{"job_id"}``; result: summary + artifact
                   paths of a ``done`` job
-    ``stats``     result: service counters + per-task liveness
+    ``stats``     result: service counters + per-job liveness
     ``shutdown``  result: ``{"ok": true}``; the server then exits
 
 The server is a single-threaded ``selectors`` loop — job execution
@@ -324,7 +324,7 @@ class ServiceClient:
         return result
 
     def stats(self) -> Dict[str, Any]:
-        """Service counters and per-task liveness."""
+        """Service counters and per-job liveness."""
         result = self.call("stats")
         assert isinstance(result, dict)
         return result

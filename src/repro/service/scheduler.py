@@ -1,10 +1,12 @@
 """Shards queued jobs across the execution backend.
 
 The scheduler is a pump: each :meth:`Scheduler.pump` harvests finished
-task handles (publishing results to the cache, parking failures and
+futures (publishing results to the cache, parking failures and
 preemptions) and then dispatches queued jobs up to the backend's
 worker count.  It can be pumped inline (the engine's ``wait`` path)
 or from a daemon thread (:meth:`Scheduler.start`, the ``serve`` path).
+Its in-flight table is the one record of a job in flight, and
+:meth:`Scheduler.liveness` reads it.
 
 Scheduling policy, all observable through the job store:
 
@@ -32,7 +34,7 @@ import threading
 from typing import Any, Dict, Optional, Tuple
 
 from repro.obs import Recorder, get_logger
-from repro.parallel import ExecutionBackend, TaskHandle
+from repro.parallel import ExecutionBackend, Future
 from repro.service.cache import CacheEntry, ResultCache
 from repro.service.jobstore import JobStore
 from repro.service.worker import execute_job
@@ -79,6 +81,13 @@ def fulfil_from_cache(store: JobStore, document: Dict[str, Any],
                             manifest_path=str(manifest_path))
 
 
+def _state(future: Future[Dict[str, Any]]) -> str:
+    """A job future's liveness label."""
+    if not future.done():
+        return "running"
+    return "failed" if future.exception() is not None else "done"
+
+
 class Scheduler:
     """Pumps queued jobs through an execution backend.
 
@@ -102,7 +111,7 @@ class Scheduler:
         self.recorder = recorder
         self.poll_seconds = float(poll_seconds)
         self._lock = threading.RLock()
-        self._inflight: Dict[str, Tuple[str, TaskHandle]] = {}
+        self._inflight: Dict[str, Tuple[str, Future[Dict[str, Any]]]] = {}
         self._outcomes: Dict[str, Dict[str, Any]] = {}
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
@@ -120,14 +129,13 @@ class Scheduler:
             return self._dispatch()
 
     def _harvest(self) -> None:
-        for job_id, (key, handle) in list(self._inflight.items()):
-            if not handle.done():
+        for job_id, (key, future) in list(self._inflight.items()):
+            if not future.done():
                 continue
             del self._inflight[job_id]
-            self.backend.forget(job_id)
-            error = handle.exception()
+            error = future.exception()
             self.settle(job_id, key,
-                        handle.result() if error is None
+                        future.result() if error is None
                         else {"state": "failed", "error": str(error)})
 
     def settle(self, job_id: str, key: str,
@@ -202,11 +210,9 @@ class Scheduler:
                 continue
             self.store.transition(job_id, "running", expect=("queued",))
             self._count("cache/miss")
-            handle = self.backend.submit(
-                execute_job,
-                {"job_dir": str(self.store.job_dir(job_id))},
-                task_id=job_id)
-            self._inflight[job_id] = (key, handle)
+            future = self.backend.submit(
+                execute_job, {"job_dir": str(self.store.job_dir(job_id))})
+            self._inflight[job_id] = (key, future)
             inflight_keys.add(key)
             capacity -= 1
             active += 1
@@ -243,8 +249,19 @@ class Scheduler:
         return self._thread is not None
 
     def liveness(self) -> Dict[str, str]:
-        """Per-task liveness as reported by the execution backend."""
-        return self.backend.liveness()
+        """Per-job liveness of the jobs in flight.
+
+        Read from a snapshot of the in-flight table, not under the
+        lock: an inline serial job holds the lock for its whole run,
+        and ``stats`` must not wait behind it.  ``list()`` copies the
+        table's items in C without releasing the GIL, so the read
+        cannot see the table change size.
+
+        Returns:
+            ``{job_id: "running" | "done" | "failed"}``.
+        """
+        return {job_id: _state(future)
+                for job_id, (_, future) in list(self._inflight.items())}
 
     def outcome(self, job_id: str) -> Optional[Dict[str, Any]]:
         """The in-memory outcome of a job completed this session

@@ -76,6 +76,22 @@ def chip4(tiny_netlist) -> ChipGeometry:
         row_height=tiny_netlist.average_cell_height)
 
 
+def add_pads(netlist: Netlist, chip: ChipGeometry, count: int) -> None:
+    """Wire ``count`` fixed IO pads, alternately on the bottom and top
+    die edge of layer 0, each driving three of the netlist's (all
+    movable) cells."""
+    cells = netlist.num_cells
+    per_edge = (count + 1) // 2
+    for i in range(count):
+        x = (i // 2 + 0.5) / per_edge * chip.width
+        y = 0.0 if i % 2 == 0 else chip.height
+        pad = netlist.add_cell(f"pad{i}", 1e-6, 1e-6, fixed=True,
+                               fixed_position=(x, y, 0))
+        sinks = [(7 * i + k) % cells for k in range(3)]
+        netlist.add_net(f"padnet{i}", [(pad.id, PinRole.DRIVER)]
+                        + [(c, PinRole.SINK) for c in sinks])
+
+
 def group_by_bin(placement: Placement, mesh: DensityMesh
                  ) -> Dict[Tuple[int, int, int], List[int]]:
     """Each bin's movable cell ids, ascending, from the scalar

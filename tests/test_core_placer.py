@@ -9,6 +9,7 @@ from repro.core.placer import Placer3D
 from repro.geometry.chip import ChipGeometry
 from repro.metrics.wirelength import compute_net_metrics
 from repro.netlist.placement import Placement
+from tests.conftest import add_pads, make_chip
 
 
 class TestPipeline:
@@ -87,6 +88,16 @@ class TestPipeline:
         # round 1 of the 2-round run equals the 1-round run, and the
         # placer keeps the best round, so more rounds can only help
         assert two.objective <= one.objective + 1e-15
+
+
+    def test_padded_design_places_legally(self, small_netlist, config):
+        chip = make_chip(small_netlist, num_layers=config.num_layers)
+        add_pads(small_netlist, chip, count=8)
+        result = Placer3D(small_netlist, config, chip=chip).run()
+        check_legal(result.placement)
+        for cell in small_netlist.fixed_cells():
+            assert result.placement.position(cell.id) == \
+                cell.fixed_position
 
 
 class TestTradeoffs:

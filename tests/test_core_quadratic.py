@@ -8,8 +8,7 @@ from repro import PlacementConfig, Placer3D
 from repro.core.detailed import check_legal
 from repro.core.pipeline import PipelineSpec, StageEntry
 from repro.core.quadratic import _rank_spread
-from repro.netlist.pads import add_peripheral_pads
-from tests.conftest import make_chip
+from tests.conftest import add_pads, make_chip
 
 QUADRATIC = PipelineSpec(entries=(StageEntry("quadratic"),
                                   StageEntry("detailed")))
@@ -60,7 +59,7 @@ class TestQuadraticPlacer:
         nl = generate_netlist(GeneratorSpec(
             "fd", 150, 150 * 5e-12, seed=17))
         chip = make_chip(nl, num_layers=config.num_layers)
-        add_peripheral_pads(nl, chip, count=16, seed=3)
+        add_pads(nl, chip, count=16)
         result = quadratic(nl, config, chip=chip)
         check_legal(result.placement)
         for cell in nl.fixed_cells():

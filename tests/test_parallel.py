@@ -18,6 +18,9 @@ region path-id propagation in the global placer.
 
 from __future__ import annotations
 
+import dataclasses
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,10 @@ from tests.conftest import make_chip
 
 def _square(x: int) -> int:
     return x * x
+
+
+def _fail(x: int) -> int:
+    raise ValueError(f"task {x} failed")
 
 
 class TestResolveWorkers:
@@ -111,6 +118,26 @@ class TestBackends:
             assert backend.map(_square, list(range(20))) == \
                 [i * i for i in range(20)]
             assert backend.map(_square, []) == []
+
+    def test_serial_submit_returns_done_future(self):
+        backend = SerialBackend()
+        future = backend.submit(_square, 7)
+        assert isinstance(future, Future)
+        assert future.done()
+        assert future.result() == 49
+        failed = backend.submit(_fail, 3)
+        assert failed.done()
+        assert isinstance(failed.exception(), ValueError)
+        with pytest.raises(ValueError, match="task 3 failed"):
+            failed.result()
+
+    def test_pool_submit_resolves_to_worker_value(self):
+        with create_backend(2) as backend:
+            future = backend.submit(_square, 12)
+            assert isinstance(future, Future)
+            assert future.result(timeout=60) == 144
+            failed = backend.submit(_fail, 5)
+            assert isinstance(failed.exception(timeout=60), ValueError)
 
     def test_config_rejects_negative_workers(self):
         with pytest.raises(ValueError):
@@ -378,17 +405,15 @@ class TestSharedMemoryDispatch:
 
     def test_pack_resolve_round_trip(self):
         from repro.parallel import SharedArrayPool, resolve_packed
-        from repro.partition.subproblem import (task_from_payload,
-                                                task_payload)
         if not pytest.importorskip("repro.parallel.shared").available():
             pytest.skip("shared memory unavailable")
         pool = SharedArrayPool()
         try:
             tasks = [self._task(seed) for seed in (1, 2, 3)]
-            batch = pool.pack([task_payload(t) for t in tasks])
+            batch = pool.pack([vars(t) for t in tasks])
             try:
                 for ref, task in zip(batch.refs, tasks):
-                    back = task_from_payload(resolve_packed(ref))
+                    back = BisectionTask(**resolve_packed(ref))
                     assert back.key == task.key
                     assert back.seed == task.seed
                     np.testing.assert_array_equal(back.net_ptr,
@@ -404,12 +429,11 @@ class TestSharedMemoryDispatch:
 
     def test_resolved_views_are_read_only(self):
         from repro.parallel import SharedArrayPool, resolve_packed
-        from repro.partition.subproblem import task_payload
         if not pytest.importorskip("repro.parallel.shared").available():
             pytest.skip("shared memory unavailable")
         pool = SharedArrayPool()
         try:
-            batch = pool.pack([task_payload(self._task())])
+            batch = pool.pack([vars(self._task())])
             try:
                 payload = resolve_packed(batch.refs[0])
                 with pytest.raises(ValueError):
@@ -419,17 +443,68 @@ class TestSharedMemoryDispatch:
         finally:
             pool.close()
 
+    def test_packed_task_keeps_every_field(self):
+        """A task packed as its own fields comes back field for field:
+        scalars with their types, arrays with their dtypes."""
+        from repro.parallel import SharedArrayPool, resolve_packed
+        if not pytest.importorskip("repro.parallel.shared").available():
+            pytest.skip("shared memory unavailable")
+        task = self._task()
+        pool = SharedArrayPool()
+        try:
+            batch = pool.pack([vars(task)])
+            try:
+                back = BisectionTask(**resolve_packed(batch.refs[0]))
+                for field in dataclasses.fields(BisectionTask):
+                    want = getattr(task, field.name)
+                    got = getattr(back, field.name)
+                    if isinstance(want, np.ndarray):
+                        assert got.dtype == want.dtype
+                        np.testing.assert_array_equal(got, want)
+                    else:
+                        assert type(got) is type(want)
+                        assert got == want
+            finally:
+                batch.close()
+        finally:
+            pool.close()
+
+    def test_arrays_lie_in_declared_field_order(self):
+        """The segment's array region holds a task's arrays in the
+        order the dataclass declares them, net_ptr first and fixed
+        last."""
+        from repro.parallel import SharedArrayPool, resolve_packed
+        if not pytest.importorskip("repro.parallel.shared").available():
+            pytest.skip("shared memory unavailable")
+        task = self._task()
+        arrays = [name for name, value in vars(task).items()
+                  if isinstance(value, np.ndarray)]
+        assert arrays == ["net_ptr", "pin_vertices", "net_weights",
+                          "vertex_weights", "fixed"]
+        pool = SharedArrayPool()
+        try:
+            batch = pool.pack([vars(task)])
+            try:
+                payload = resolve_packed(batch.refs[0])
+                addresses = [payload[name].__array_interface__["data"][0]
+                             for name in arrays]
+                assert addresses == sorted(addresses)
+                assert len(set(addresses)) == len(addresses)
+            finally:
+                batch.close()
+        finally:
+            pool.close()
+
     def test_refs_are_tiny_vs_pickled_tasks(self):
         import pickle
 
         from repro.parallel import SharedArrayPool
-        from repro.partition.subproblem import task_payload
         if not pytest.importorskip("repro.parallel.shared").available():
             pytest.skip("shared memory unavailable")
         pool = SharedArrayPool()
         try:
             tasks = [self._task(seed) for seed in range(8)]
-            batch = pool.pack([task_payload(t) for t in tasks])
+            batch = pool.pack([vars(t) for t in tasks])
             try:
                 # A ref is ~94 B regardless of task size; the toy
                 # tasks here are small, so gate on the absolute
@@ -447,15 +522,14 @@ class TestSharedMemoryDispatch:
 
     def test_solve_packed_matches_solve(self):
         from repro.parallel import SharedArrayPool
-        from repro.partition.subproblem import (solve_packed_recorded,
-                                                task_payload)
+        from repro.partition.subproblem import solve_packed_recorded
         if not pytest.importorskip("repro.parallel.shared").available():
             pytest.skip("shared memory unavailable")
         task = self._task()
         expected = solve(self._task())
         pool = SharedArrayPool()
         try:
-            batch = pool.pack([task_payload(task)])
+            batch = pool.pack([vars(task)])
             try:
                 parts, _telemetry = solve_packed_recorded(batch.refs[0])
             finally:

@@ -85,14 +85,15 @@ class ReferenceFM(FMRefiner):
     ``trail`` lists, for each move of the last pass, the vertex moved
     and the best prefix's violation and gain after it."""
 
-    def _pass(self, side: List[int]) -> Tuple[float, int, int]:
+    def _pass(self, side: List[int]) -> Tuple[float, int, int, float]:
         """One FM pass over ``side`` (mutated in place).
 
         Returns:
-            ``(improvement, kept_moves, rolled_back)`` — the cut
-            improvement of the kept prefix (may be negative if the
+            ``(improvement, kept_moves, rolled_back, start_cut)`` — the
+            cut improvement of the kept prefix (may be negative if the
             prefix was kept to repair an out-of-window balance), its
-            length, and the number of tentative moves undone.
+            length, the number of tentative moves undone, and
+            ``cut_cost`` of ``side`` as the pass started.
         """
         self.trail: List[Tuple[int, float, float]] = []
         g = self.graph
@@ -103,6 +104,7 @@ class ReferenceFM(FMRefiner):
         vw = self._vw
         free = self._free
 
+        start_cut = cut_cost(g, side)
         counts, gains, weight0 = reference_setup(self, side)
 
         locked = [False] * n
@@ -213,9 +215,7 @@ class ReferenceFM(FMRefiner):
         # roll back to the best prefix
         for v in moves[best_prefix:]:
             side[v] = 1 - side[v]
-        return best_gain, best_prefix, len(moves) - best_prefix
-
-
+        return best_gain, best_prefix, len(moves) - best_prefix, start_cut
 
 
 def stop_point(refiner: FMRefiner, start: List[int],
@@ -299,6 +299,17 @@ class TestRefine:
         parts = np.array([1, 0, 1, 0, 1, 0])
         cut = FMRefiner(g, rng=np.random.default_rng(1)).refine(parts)
         assert cut == pytest.approx(cut_cost(g, parts))
+
+    def test_no_passes_returns_cut_cost(self):
+        """With no pass to take the starting cut from, ``refine``
+        reports ``cut_cost`` of the partition and leaves it as it
+        was."""
+        g = two_cliques()
+        parts = np.array([0, 1, 0, 1, 0, 1])
+        cut = FMRefiner(g, rng=np.random.default_rng(0)).refine(
+            parts, max_passes=0)
+        assert parts.tolist() == [0, 1, 0, 1, 0, 1]
+        assert cut == cut_cost(g, parts) == 5.0
 
     def test_respects_balance_window(self):
         g = Hypergraph(8, [[i, (i + 1) % 8] for i in range(8)])
@@ -448,10 +459,11 @@ class TestHeldGroupsMatchReference:
         side_ref = parts.tolist()
         for _ in range(6):
             start_side = list(side_ref)
-            improvement, kept, undone = new._pass(side_new)
+            improvement, kept, undone, start_cut = new._pass(side_new)
             want = ref._pass(side_ref)
             assert (improvement, kept) == want[:2]
             assert undone <= want[2]
+            assert start_cut == want[3] == cut_cost(graph, start_side)
             assert side_new == side_ref
             assert kept + undone == stop_point(new, start_side,
                                                ref.trail)
@@ -466,6 +478,26 @@ class TestHeldGroupsMatchReference:
                                ).refine(parts_ref)
         assert cost_new == cost_ref
         assert parts_new.tolist() == parts_ref.tolist()
+
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_start_cut_is_cut_cost_on_both_paths(self, n):
+        """Each pass's starting cut, which ``refine`` starts from, is
+        bit-equal to ``cut_cost`` below and above ``VECTOR_MIN_PINS``,
+        with non-integer net weights."""
+        graph, parts = random_instance(3, n, 0.5, 3 * n)
+        pins = len(graph.net_csr()[1])
+        assert (pins < VECTOR_MIN_PINS) == (n == 10)
+        refiner = FMRefiner(graph, 0.5, 0.05, np.random.default_rng(n))
+        side = parts.tolist()
+        for _ in range(6):
+            start = list(side)
+            assert refiner._pass(side)[3] == cut_cost(graph, start)
+        cost_new = FMRefiner(graph, 0.5, 0.05, np.random.default_rng(n)
+                             ).refine(parts.copy())
+        cost_ref = ReferenceFM(graph, 0.5, 0.05,
+                               np.random.default_rng(n)
+                               ).refine(parts.copy())
+        assert cost_new == cost_ref
 
     def test_stop_fires_on_terminal_heavy_cases(self):
         """With as many terminals as free vertices, the stop undoes

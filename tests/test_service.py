@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -423,6 +425,121 @@ class TestPlacementEngine:
             assert engine.counters()["jobs/failed"] == 1
 
 
+class TestSchedulerLiveness:
+    """The scheduler's in-flight table is the one record of a job in
+    flight: ``liveness()`` labels each job there until a pump harvests
+    it."""
+
+    @staticmethod
+    def _failing(engine: PlacementEngine, tmp_path) -> str:
+        # the digest spares submit() loading the missing netlist
+        return engine.submit(
+            JobRequest(config=_config().to_dict(),
+                       bookshelf=str(tmp_path / "missing")),
+            netlist_digest="sha256:doesnotmatter")
+
+    def test_pump_runs_then_next_pump_harvests(self, tmp_path):
+        prefix = _bookshelf(tmp_path)
+        with PlacementEngine(tmp_path / "jobs", workers=1) as engine:
+            scheduler = engine.scheduler
+            good = engine.submit(_request(prefix))
+            bad = self._failing(engine, tmp_path)
+            assert scheduler.liveness() == {}
+            # the serial backend runs one job inline per pump, after
+            # harvesting the one before it
+            scheduler.pump()
+            assert scheduler.liveness() == {good: "done"}
+            scheduler.pump()
+            assert scheduler.liveness() == {bad: "failed"}
+            scheduler.pump()
+            assert scheduler.liveness() == {}
+            assert engine.status(good)["state"] == "done"
+            assert engine.status(bad)["state"] == "failed"
+
+    def test_unresolved_future_stays_in_flight(self, tmp_path,
+                                               monkeypatch):
+        """A job whose future has not resolved, as on a pool backend,
+        reads ``running`` and stays in flight across pumps; once it
+        resolves, the next pump harvests it."""
+        with PlacementEngine(tmp_path / "jobs", workers=1) as engine:
+            scheduler = engine.scheduler
+            pending: Future = Future()
+            monkeypatch.setattr(engine.backend, "submit",
+                                lambda fn, task: pending)
+            job_id = self._failing(engine, tmp_path)
+            assert scheduler.pump() == 1
+            assert scheduler.liveness() == {job_id: "running"}
+            assert scheduler.pump() == 1
+            assert scheduler.liveness() == {job_id: "running"}
+            pending.set_exception(RuntimeError("worker lost"))
+            assert scheduler.liveness() == {job_id: "failed"}
+            assert scheduler.pump() == 0
+            assert scheduler.liveness() == {}
+            document = engine.status(job_id)
+            assert document["state"] == "failed"
+            assert "worker lost" in document["error"]
+
+    def test_liveness_does_not_wait_for_the_lock(self, tmp_path):
+        with PlacementEngine(tmp_path / "jobs", workers=1) as engine:
+            scheduler = engine.scheduler
+            bad = self._failing(engine, tmp_path)
+            scheduler.pump()
+            held = threading.Event()
+            release = threading.Event()
+
+            def hold_lock():
+                with scheduler._lock:
+                    held.set()
+                    release.wait(60)
+
+            holder = threading.Thread(target=hold_lock)
+            holder.start()
+            try:
+                assert held.wait(60)
+                seen = {}
+                reader = threading.Thread(
+                    target=lambda: seen.update(scheduler.liveness()))
+                reader.start()
+                reader.join(10)
+                assert not reader.is_alive()
+                assert seen == {bad: "failed"}
+            finally:
+                release.set()
+                holder.join()
+
+    def test_liveness_survives_a_racing_dispatch(self, tmp_path):
+        """Reads racing a thread that dispatches into and harvests from
+        the in-flight table, with the switch interval shortened so the
+        threads interleave often, never see the table change size."""
+        with PlacementEngine(tmp_path / "jobs", workers=1) as engine:
+            scheduler = engine.scheduler
+            finished = engine.backend.submit(int, 1)
+            stop = threading.Event()
+
+            def churn():
+                i = 0
+                while not stop.is_set():
+                    i += 1
+                    scheduler._inflight[f"job-{i}"] = ("key", finished)
+                    scheduler._inflight.pop(f"job-{i - 4}", None)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            writer = threading.Thread(target=churn)
+            writer.start()
+            try:
+                deadline = time.monotonic() + 3.0
+                reads = 0
+                while reads < 50_000 and time.monotonic() < deadline:
+                    assert set(scheduler.liveness().values()) <= {"done"}
+                    reads += 1
+            finally:
+                stop.set()
+                writer.join(10)
+                sys.setswitchinterval(interval)
+            assert not writer.is_alive()
+
+
 class TestRunJob:
     def test_failed_run_closes_its_recorder(self, tmp_path):
         """A run that raises still flushes and closes its trace."""
@@ -491,7 +608,18 @@ class TestRpcDispatch:
             server = RpcServer(engine, tmp_path / "s.sock")
             stats = server.handle("stats", {})
             assert "counters" in stats
-            assert "liveness" in stats
+            assert stats["liveness"] == {}
+
+    def test_stats_reports_a_job_until_harvested(self, tmp_path):
+        prefix = _bookshelf(tmp_path)
+        with self._engine(tmp_path) as engine:
+            server = RpcServer(engine, tmp_path / "s.sock")
+            job_id = engine.submit(_request(prefix))
+            engine.scheduler.pump()
+            stats = server.handle("stats", {})
+            assert stats["liveness"] == {job_id: "done"}
+            engine.scheduler.pump()
+            assert server.handle("stats", {})["liveness"] == {}
 
 
 class TestRpcSocket:
