@@ -37,9 +37,8 @@ dense pickled tasks would; a failed gate exits 1.
 ``--check-overhead`` and ``--check-profile-overhead`` add the
 overhead budgets.
 
-The JSON document holds every row and one flat ``metrics`` map under
-the names the perf ledger tracks, so ``repro obs history --append``
-takes it as is.
+The JSON document holds every row, the per-scale overheads and the
+gates.
 
 Usage::
 
@@ -230,30 +229,18 @@ def measure(row: Row) -> Row:
 def bench_rows(scales: List[float], workers: bool = False,
                large: bool = False,
                bookshelf_prefix: Optional[str] = None) -> List[Row]:
-    """Every row of one bench run, in run order.
-
-    A row's ``ledger`` maps perf-ledger metric names to the measured
-    field that feeds them; where several rows feed one metric (the
-    ladder repeats) the ledger keeps the minimum.
-    """
+    """Every row of one bench run, in run order."""
     rows: List[Row] = []
     for scale in scales:
-        ledger = {f"wall_seconds/{scale}": "wall_seconds",
-                  f"peak_rss_bytes/{scale}": "peak_rss_bytes"}
         for n in range(REPEATS):
             for leg in LEGS:
                 rows.append({"name": f"ladder/{scale}/{leg}/{n}",
                              "kind": "place", "circuit": CIRCUIT,
-                             "scale": scale, "leg": leg,
-                             "ledger": ledger if leg == "plain" else {}})
+                             "scale": scale, "leg": leg})
     rows += [
-        {"name": "rebuild", "kind": "rebuild", "scale": 0.05,
-         "ledger": {"rebuild_seconds": "wall_seconds"}},
-        {"name": "solve_powers", "kind": "solve_powers",
-         "ledger": {"solve_powers_repeat_seconds": "wall_seconds"}},
-        {"name": "service_cache", "kind": "service_cache", "scale": 0.05,
-         "ledger": {"service_cache/cold_seconds": "wall_seconds",
-                    "service_cache/hit_seconds": "hit_seconds"}},
+        {"name": "rebuild", "kind": "rebuild", "scale": 0.05},
+        {"name": "solve_powers", "kind": "solve_powers"},
+        {"name": "service_cache", "kind": "service_cache", "scale": 0.05},
     ]
     if workers:
         rows += [{"name": f"workers/{count}", "kind": "place",
@@ -266,33 +253,11 @@ def bench_rows(scales: List[float], workers: bool = False,
             rows.append({
                 "name": f"large/{label}", "kind": "place",
                 "circuit": circuit, "scale": scale,
-                "global_only": global_only, "config": {"num_workers": 2},
-                "ledger": {f"large/wall_seconds/{label}": "wall_seconds",
-                           f"large/peak_rss_bytes/{label}":
-                               "peak_rss_bytes",
-                           f"large/dispatch_bytes/{label}":
-                               "parallel/dispatch_bytes"}})
+                "global_only": global_only, "config": {"num_workers": 2}})
         rows.append({
             "name": "large/bookshelf_parse", "kind": "parse",
-            "circuit": CIRCUIT, "scale": 1.0, "prefix": bookshelf_prefix,
-            "ledger": {"large/bookshelf_parse_seconds": "wall_seconds",
-                       "large/bookshelf_peak_rss_bytes":
-                           "peak_rss_bytes"}})
+            "circuit": CIRCUIT, "scale": 1.0, "prefix": bookshelf_prefix})
     return rows
-
-
-def ledger_metrics(rows: Dict[str, Row]) -> Dict[str, float]:
-    """The flat ``{metric: value}`` map ``repro obs history`` appends.
-
-    A ledger field names a measured value or, failing that, a counter.
-    """
-    metrics: Dict[str, float] = {}
-    for row in rows.values():
-        for metric, field in row.get("ledger", {}).items():
-            value = float(row[field] if field in row
-                          else row["counters"].get(field, 0.0))
-            metrics[metric] = min(value, metrics.get(metric, value))
-    return metrics
 
 
 def overheads(rows: Dict[str, Row]) -> Dict[str, Row]:
@@ -385,7 +350,6 @@ def run_bench(scales: Optional[List[float]] = None,
         "rows": rows,
         "overhead": overheads(rows),
         "gates": gates(rows),
-        "metrics": ledger_metrics(rows),
     }
     writer = SeriesWriter("bench_scaling")
     writer.row(f"{'row':<26} {'cells':>6} {'wall (s)':>10} "

@@ -5,7 +5,7 @@ Commands:
     sweep        sweep the via coefficient and print the tradeoff curve
     suite        list the built-in benchmark profiles (Table 1)
     config-dump  print the effective placement config as JSON
-    obs          observability tools: report / diff / history
+    obs          observability tools: report / diff
     serve        run the placement job engine on a unix socket
     job          client for a running server: submit / status / list /
                  cancel / resume / result
@@ -22,14 +22,13 @@ Placement as a service::
 content-addressed result cache across runs, so an already-placed
 ``(config, spec, netlist)`` triple short-circuits to a cache hit.
 
-Profiling and perf watch::
+Profiling and perf watch (``obs diff`` exits 1 when wall time or peak
+RSS grew by more than 10%, or quality by more than 1%)::
 
     python -m repro place --circuit ibm01 --scale 0.025 --profile \
         --telemetry-out /tmp/run
     python -m repro obs report /tmp/run.manifest.json
     python -m repro obs diff baseline.manifest.json run.manifest.json
-    python -m repro obs history --append BENCH_scaling.json \
-        --label nightly && python -m repro obs history --check
 
 Examples::
 
@@ -163,10 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "with --telemetry-out, writes "
                             "PREFIX.collapsed.txt (flamegraph-ready) "
                             "plus manifest resources/profile sections")
-    place.add_argument("--profile-interval", type=float, default=None,
-                       metavar="SECONDS",
-                       help="profiler sample interval (default "
-                            "REPRO_PROFILE_INTERVAL or 0.01)")
     place.add_argument("--profile-alloc", action="store_true",
                        help="with --profile: also trace allocation "
                             "sites via tracemalloc (also via "
@@ -279,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="also write the JSON to FILE")
 
     obs_parser = sub.add_parser(
-        "obs", help="observability tools: report, diff, history")
+        "obs", help="observability tools: report, diff")
     obs_sub = obs_parser.add_subparsers(dest="obs_command",
                                         required=True)
 
@@ -292,49 +287,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     diff_p = obs_sub.add_parser(
         "diff", help="compare two manifests/telemetry files; exit "
-                     "nonzero when any metric regressed beyond its "
-                     "budget")
+                     "nonzero when wall time or peak RSS grew by "
+                     "more than 10%%, or quality by more than 1%%")
     diff_p.add_argument("before", help="baseline document (A)")
     diff_p.add_argument("after", help="candidate document (B)")
-    diff_p.add_argument("--wall-pct", type=float, default=10.0,
-                        help="allowed wall-time increase "
-                             "(default 10%%)")
-    diff_p.add_argument("--rss-pct", type=float, default=10.0,
-                        help="allowed peak-RSS increase "
-                             "(default 10%%)")
-    diff_p.add_argument("--quality-pct", type=float, default=1.0,
-                        help="allowed objective/WL/ILV/temperature "
-                             "increase (default 1%%)")
-
-    hist_p = obs_sub.add_parser(
-        "history", help="append bench results to the committed perf "
-                        "ledger and watch for regressions against a "
-                        "rolling baseline")
-    hist_p.add_argument("--ledger",
-                        default="benchmarks/results/ledger.jsonl",
-                        help="JSONL ledger path (default "
-                             "benchmarks/results/ledger.jsonl)")
-    hist_p.add_argument("--append", metavar="MEASUREMENT.json",
-                        help="append the flat 'metrics' map of a bench "
-                             "document as one ledger entry")
-    hist_p.add_argument("--label",
-                        help="label for the appended entry "
-                             "(required with --append)")
-    hist_p.add_argument("--commit",
-                        help="commit hash recorded on the appended "
-                             "entry")
-    hist_p.add_argument("--check", action="store_true",
-                        help="compare the newest entry against the "
-                             "rolling-median baseline; exit nonzero "
-                             "on regression")
-    hist_p.add_argument("--window", type=int, default=5,
-                        help="baseline window, entries (default 5)")
-    hist_p.add_argument("--threshold", type=float, default=20.0,
-                        help="allowed increase over the rolling "
-                             "median (default 20%%)")
-    hist_p.add_argument("--metric",
-                        help="show this metric's trajectory instead "
-                             "of the entry table")
 
     sub.add_parser("suite", help="list benchmark profiles (Table 1)")
     return parser
@@ -401,8 +357,7 @@ def _place_job(args, netlist, config, engine, job_id) -> int:
             if args.telemetry_out else None))
     profiler: Optional[obs.SamplingProfiler] = None
     if args.profile and recorder is not None:
-        profiler = obs.SamplingProfiler(
-            tracer=recorder.tracer, interval=args.profile_interval)
+        profiler = obs.SamplingProfiler(tracer=recorder.tracer)
     halt: Optional[Callable[[str], bool]] = (
         None if args.halt_after is None
         else lambda unit: args.halt_after in (unit, unit.partition(":")[2]))
@@ -704,66 +659,16 @@ def _cmd_obs_report(args) -> int:
 
 
 def _cmd_obs_diff(args) -> int:
-    from repro.obs.diffing import (DiffThresholds, diff_documents,
-                                   has_regressions, render_diff)
+    from repro.obs.diffing import (diff_documents, has_regressions,
+                                   render_diff)
     before = _load_json_document(args.before)
     after = _load_json_document(args.after)
     if before is None or after is None:
         return 2
-    thresholds = DiffThresholds(wall_pct=args.wall_pct,
-                                rss_pct=args.rss_pct,
-                                quality_pct=args.quality_pct)
-    deltas = diff_documents(before, after, thresholds)
+    deltas = diff_documents(before, after)
     print(render_diff(deltas, label_a=os.path.basename(args.before),
                       label_b=os.path.basename(args.after)))
     return 1 if has_regressions(deltas) else 0
-
-
-def _cmd_obs_history(args) -> int:
-    from repro.obs import history
-    try:
-        entries = history.load_ledger(args.ledger)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if args.append:
-        if not args.label:
-            print("--append requires --label", file=sys.stderr)
-            return 2
-        measurement = _load_json_document(args.append)
-        if measurement is None:
-            return 2
-        try:
-            entry = history.entry_from_measurement(
-                measurement, label=args.label, commit=args.commit)
-        except ValueError as exc:
-            print(f"{args.append}: {exc}", file=sys.stderr)
-            return 2
-        history.append_entry(args.ledger, entry)
-        entries.append(entry)
-        print(f"appended entry '{args.label}' "
-              f"({len(entry['metrics'])} metrics) to {args.ledger}")
-    if args.check:
-        if len(entries) < 2:
-            print(f"need at least 2 ledger entries to check a "
-                  f"regression (ledger {args.ledger} has "
-                  f"{len(entries)})", file=sys.stderr)
-            return 2
-        regressions = history.check_latest(
-            entries, window=args.window,
-            threshold_pct=args.threshold)
-        if regressions:
-            for reg in regressions:
-                print(f"REGRESSION {reg.metric}: {reg.value:.6g} vs "
-                      f"baseline {reg.baseline:.6g} ({reg.pct:+.1f}% > "
-                      f"{args.threshold:.0f}%)")
-            return 1
-        print(f"no regressions in latest of {len(entries)} entries "
-              f"(window {args.window}, threshold {args.threshold:.0f}%)")
-        return 0
-    if not args.append:
-        print(history.render_history(entries, metric=args.metric))
-    return 0
 
 
 def _cmd_obs(args) -> int:
@@ -771,8 +676,6 @@ def _cmd_obs(args) -> int:
         return _cmd_obs_report(args)
     if args.obs_command == "diff":
         return _cmd_obs_diff(args)
-    if args.obs_command == "history":
-        return _cmd_obs_history(args)
     raise AssertionError(f"unhandled obs command {args.obs_command!r}")
 
 

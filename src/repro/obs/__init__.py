@@ -22,8 +22,8 @@ reports through:
 - :func:`get_logger` / :func:`configure_cli_logging` — namespaced
   ``repro.*`` logging (``log.py``);
 - :func:`render` / :func:`render_manifest` — plain-text telemetry and
-  manifest reports (``report.py``); run-to-run comparison lives in
-  ``diffing.py`` and the committed perf ledger in ``history.py``.
+  manifest reports (``report.py``); run-to-run comparison against
+  fixed wall, RSS and quality budgets lives in ``diffing.py``.
 
 Design note: ``repro.obs`` is the only part of ``src/repro`` allowed
 to touch the clocks directly — ``time.perf_counter`` (linter rule

@@ -3,18 +3,20 @@
 ``repro obs diff A B`` answers the question every optimisation PR and
 every head-to-head (bisection vs analytical global placement) has to
 answer honestly: *did wall time, memory or quality regress, and by how
-much?*  The comparison is threshold-gated per metric family —
+much?*  Each gated metric belongs to a family with a fixed budget, the
+percent increase over ``A`` it may grow by (:data:`BUDGET_PCT`):
 
-- **wall**: ``result.wall_seconds`` (and per-stage breakdowns,
+- **wall** (10 %): ``result.wall_seconds`` (per-stage breakdowns are
   reported but not gated — stage noise is much larger than total
   noise);
-- **rss**: the ``resources/peak_rss_bytes`` gauge / ``resources``
-  manifest section;
-- **quality**: objective, wirelength, ILV count and peak temperature.
+- **rss** (10 %): the ``resources/peak_rss_bytes`` gauge /
+  ``resources`` manifest section;
+- **quality** (1 %): objective, wirelength, ILV count and peak
+  temperature (tight: quality is deterministic per seed).
 
 A metric missing on either side is reported as ``n/a`` and never
 counts as a regression (older manifests predate the resources
-section); a metric whose increase exceeds its family threshold is a
+section); a metric whose increase exceeds its family budget is a
 :class:`MetricDelta` with ``regressed=True``, and the CLI exits
 nonzero when any exists.
 
@@ -26,33 +28,17 @@ shape instead of demanding one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional
 
-__all__ = ["DiffThresholds", "MetricDelta", "diff_documents",
-           "diff_files", "extract_metrics", "has_regressions",
-           "render_diff"]
+__all__ = ["BUDGET_PCT", "MetricDelta", "diff_documents",
+           "extract_metrics", "has_regressions", "render_diff"]
 
+#: family -> allowed percent increase of a metric over ``A``.
+BUDGET_PCT: Dict[str, float] = {"wall": 10.0, "rss": 10.0,
+                                "quality": 1.0}
 
-@dataclass(frozen=True)
-class DiffThresholds:
-    """Per-family regression budgets, percent increase over ``A``.
-
-    Attributes:
-        wall_pct: allowed wall-time increase (noisy; default 10 %).
-        rss_pct: allowed peak-RSS increase.
-        quality_pct: allowed objective/wirelength/ILV/temperature
-            increase (tight; quality is deterministic per seed).
-    """
-
-    wall_pct: float = 10.0
-    rss_pct: float = 10.0
-    quality_pct: float = 1.0
-
-
-#: metric name -> threshold family.  Metrics outside this table are
+#: metric name -> budget family.  Metrics outside this table are
 #: informational (reported, never gated).
 _GATED_FAMILIES: Dict[str, str] = {
     "wall_seconds": "wall",
@@ -136,21 +122,8 @@ def extract_metrics(document: Mapping[str, Any]) -> Dict[str, float]:
     return metrics
 
 
-def _threshold_for(name: str,
-                   thresholds: DiffThresholds) -> Optional[float]:
-    family = _GATED_FAMILIES.get(name)
-    if family == "wall":
-        return thresholds.wall_pct
-    if family == "rss":
-        return thresholds.rss_pct
-    if family == "quality":
-        return thresholds.quality_pct
-    return None
-
-
-def diff_documents(before: Mapping[str, Any], after: Mapping[str, Any],
-                   thresholds: Optional[DiffThresholds] = None,
-                   ) -> List[MetricDelta]:
+def diff_documents(before: Mapping[str, Any],
+                   after: Mapping[str, Any]) -> List[MetricDelta]:
     """Compare two documents metric by metric.
 
     Returns:
@@ -159,7 +132,6 @@ def diff_documents(before: Mapping[str, Any], after: Mapping[str, Any],
         present on only one side yield a delta with ``pct=None`` that
         never regresses.
     """
-    thresholds = thresholds or DiffThresholds()
     a = extract_metrics(before)
     b = extract_metrics(after)
     names = list(_GATED_FAMILIES)
@@ -172,26 +144,14 @@ def diff_documents(before: Mapping[str, Any], after: Mapping[str, Any],
         pct: Optional[float] = None
         if va is not None and vb is not None and va > 0:
             pct = 100.0 * (vb / va - 1.0)
-        threshold = _threshold_for(name, thresholds)
+        family = _GATED_FAMILIES.get(name)
+        threshold = None if family is None else BUDGET_PCT[family]
         regressed = (pct is not None and threshold is not None
                      and pct > threshold)
         deltas.append(MetricDelta(name=name, before=va, after=vb,
                                   pct=pct, threshold_pct=threshold,
                                   regressed=regressed))
     return deltas
-
-
-def diff_files(path_a: Union[str, Path], path_b: Union[str, Path],
-               thresholds: Optional[DiffThresholds] = None,
-               ) -> List[MetricDelta]:
-    """Load two JSON documents and compare them."""
-    with open(str(path_a), "r", encoding="utf-8") as fh:
-        before = json.load(fh)
-    with open(str(path_b), "r", encoding="utf-8") as fh:
-        after = json.load(fh)
-    if not isinstance(before, dict) or not isinstance(after, dict):
-        raise ValueError("diff inputs must be JSON objects")
-    return diff_documents(before, after, thresholds)
 
 
 def has_regressions(deltas: List[MetricDelta]) -> bool:

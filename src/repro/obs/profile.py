@@ -272,9 +272,7 @@ class SamplingProfiler:
         tracer: the run's span tracer; each sample is attributed to
             ``tracer.current_path()``.  ``None`` files every sample
             under the empty path.
-        interval: seconds between samples (default
-            :data:`DEFAULT_INTERVAL`; the ``REPRO_PROFILE_INTERVAL``
-            environment variable overrides when set).
+        interval: seconds between samples.
         clock: monotonic time source (injectable for tests).
         max_depth: stack-depth cap per sample.
 
@@ -286,12 +284,9 @@ class SamplingProfiler:
     """
 
     def __init__(self, tracer: Optional[Tracer] = None,
-                 interval: Optional[float] = None,
+                 interval: float = DEFAULT_INTERVAL,
                  clock: Callable[[], float] = time.perf_counter,
                  max_depth: int = 64) -> None:
-        if interval is None:
-            raw = os.environ.get("REPRO_PROFILE_INTERVAL", "").strip()
-            interval = float(raw) if raw else DEFAULT_INTERVAL
         if interval <= 0:
             raise ValueError(f"sample interval must be positive: "
                              f"{interval}")

@@ -155,12 +155,13 @@ class ResourceTracker:
         """Record memory state at a span boundary.
 
         Writes ``resources/rss/<label>`` (current RSS after the unit)
-        and refreshes the process-peak gauge; counts every sample so
-        worker-merged totals are checkable across worker counts.
+        and raises the peak gauge to this process's peak; counts every
+        sample so worker-merged totals are checkable across worker
+        counts.
         """
         rec = self._recorder
         rec.gauge(f"resources/rss/{label}", float(rss_bytes()))
-        rec.gauge(PEAK_RSS_GAUGE, float(peak_rss_bytes()))
+        rec.gauge_max(PEAK_RSS_GAUGE, float(peak_rss_bytes()))
         rec.count("resources/samples")
         self.samples += 1
 
@@ -197,25 +198,26 @@ class ResourceTracker:
     def finish(self) -> Dict[str, Any]:
         """Final sample plus the manifest ``resources`` section.
 
-        Stops tracemalloc if this tracker started it.  Safe to call
-        once; the recorder keeps the gauges either way.
+        The section's ``peak_rss_bytes`` is the peak gauge: the
+        largest of this process's peak and every peak merged in from
+        pool workers.  Stops tracemalloc if this tracker started it.
+        Safe to call once; the recorder keeps the gauges either way.
         """
-        peak = peak_rss_bytes()
         current = rss_bytes()
         rec = self._recorder
-        rec.gauge(PEAK_RSS_GAUGE, float(peak))
+        rec.gauge_max(PEAK_RSS_GAUGE, float(peak_rss_bytes()))
         traced_peak = 0
         allocations: List[Dict[str, Any]] = []
         if self.tracing and tracemalloc.is_tracing():
             allocations = self.top_allocation_rows()
             traced_peak = tracemalloc.get_traced_memory()[1]
-            rec.gauge("resources/tracemalloc_peak_bytes",
-                      float(traced_peak))
+            rec.gauge_max("resources/tracemalloc_peak_bytes",
+                          float(traced_peak))
             if self._owns_tracemalloc:
                 tracemalloc.stop()
                 self._owns_tracemalloc = False
         return {
-            "peak_rss_bytes": int(peak),
+            "peak_rss_bytes": int(rec.gauges[PEAK_RSS_GAUGE]),
             "current_rss_bytes": int(current),
             "baseline_rss_bytes": int(self.baseline_rss),
             "samples": int(self.samples),

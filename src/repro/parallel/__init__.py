@@ -43,6 +43,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from types import TracebackType
 from typing import (Callable, Iterable, List, Optional, Sequence, Type,
                     TypeVar)
@@ -219,6 +220,12 @@ class ProcessPoolBackend(ExecutionBackend):
     available — workers inherit the loaded modules instead of
     re-importing them.
 
+    A worker that dies breaks the whole pool, and every task in flight
+    fails with ``BrokenProcessPool``.  :meth:`map` lets that error
+    stand: a run whose level lost a task has failed.  :meth:`submit`
+    dispatches independent jobs, so it replaces a broken pool and the
+    next job runs on a fresh one.
+
     Args:
         num_workers: pool size (``>= 2``; use :func:`create_backend`
             to fall back to :class:`SerialBackend` below that).
@@ -230,11 +237,14 @@ class ProcessPoolBackend(ExecutionBackend):
                              "use SerialBackend (or create_backend) "
                              "for serial execution")
         self.num_workers = int(num_workers)
+        self._executor = self._new_executor()
+
+    def _new_executor(self) -> ProcessPoolExecutor:
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context(
             "fork" if "fork" in methods else None)
-        self._executor = ProcessPoolExecutor(
-            max_workers=self.num_workers, mp_context=context)
+        return ProcessPoolExecutor(max_workers=self.num_workers,
+                                   mp_context=context)
 
     def start(self) -> None:
         # with fork the executor launches its whole pool at the first
@@ -252,8 +262,17 @@ class ProcessPoolBackend(ExecutionBackend):
         return list(self._executor.map(fn, items, chunksize=chunksize))
 
     def submit(self, fn: Callable[[_T], _R], task: _T) -> Future[_R]:
-        """Dispatch the task to a pool worker; returns its future."""
-        return self._executor.submit(fn, task)
+        """Dispatch the task to a pool worker; returns its future.
+
+        A pool broken by a dead worker is shut down and replaced
+        first.
+        """
+        try:
+            return self._executor.submit(fn, task)
+        except BrokenProcessPool:
+            self._executor.shutdown(wait=True)
+            self._executor = self._new_executor()
+            return self._executor.submit(fn, task)
 
     def close(self) -> None:
         self._executor.shutdown(wait=True)

@@ -37,8 +37,7 @@ from typing import Any, Dict, Optional, Union
 
 from repro.obs import get_logger
 from repro.service.engine import PlacementEngine
-from repro.service.jobstore import (JobError, JobRequest,
-                                    JobStateError)
+from repro.service.jobstore import JobRequest
 
 __all__ = ["RpcError", "RpcServer", "ServiceClient"]
 
@@ -83,30 +82,31 @@ class RpcServer:
     # -- method dispatch -----------------------------------------------
     def handle(self, method: str,
                params: Dict[str, Any]) -> Dict[str, Any]:
-        """Execute one RPC method; returns its result document."""
-        try:
-            if method == "submit":
-                return self._handle_submit(params)
-            if method == "status":
-                return self.engine.status(self._job_id(params))
-            if method == "list":
-                return {"jobs": self.engine.list_jobs()}
-            if method == "cancel":
-                return self.engine.cancel(self._job_id(params))
-            if method == "resume":
-                return self.engine.resume(self._job_id(params))
-            if method == "result":
-                return self._handle_result(params)
-            if method == "stats":
-                return {"counters": self.engine.counters(),
-                        "liveness": self.engine.scheduler.liveness()}
-            if method == "shutdown":
-                self._shutdown = True
-                return {"ok": True}
-        except RpcError:
-            raise
-        except (JobStateError, JobError, ValueError) as exc:
-            raise RpcError(_JOB_ERROR, str(exc)) from exc
+        """Execute one RPC method; returns its result document.
+
+        Raises:
+            RpcError: a malformed call or an unknown method.  Any other
+                exception a method raises propagates; the wire loop
+                answers it as a job error.
+        """
+        if method == "submit":
+            return self._handle_submit(params)
+        if method == "status":
+            return self.engine.status(self._job_id(params))
+        if method == "list":
+            return {"jobs": self.engine.list_jobs()}
+        if method == "cancel":
+            return self.engine.cancel(self._job_id(params))
+        if method == "resume":
+            return self.engine.resume(self._job_id(params))
+        if method == "result":
+            return self._handle_result(params)
+        if method == "stats":
+            return {"counters": self.engine.counters(),
+                    "liveness": self.engine.scheduler.liveness()}
+        if method == "shutdown":
+            self._shutdown = True
+            return {"ok": True}
         raise RpcError(_METHOD_NOT_FOUND, f"unknown method {method!r}")
 
     @staticmethod
@@ -211,6 +211,9 @@ class RpcServer:
                 return
 
     def _respond(self, line: bytes) -> Dict[str, Any]:
+        """Answer one wire request.  Never raises: whatever a method
+        raises becomes an error response, so one bad request cannot
+        stop the server."""
         request_id: Any = None
         try:
             request = json.loads(line.decode("utf-8"))
@@ -236,6 +239,14 @@ class RpcServer:
             return {"id": request_id,
                     "error": {"code": _INVALID_REQUEST,
                               "message": f"invalid JSON: {exc}"}}
+        except Exception as exc:
+            # the traceback shows at -vv
+            _log.warning("rpc request %r failed: %s: %s", request_id,
+                         type(exc).__name__, exc)
+            _log.debug("rpc request %r failed", request_id,
+                       exc_info=True)
+            return {"id": request_id,
+                    "error": {"code": _JOB_ERROR, "message": str(exc)}}
 
 
 class ServiceClient:

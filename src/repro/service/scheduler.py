@@ -23,7 +23,9 @@ Scheduling policy, all observable through the job store:
   remains, so a requeue resumes bit-identically.
 
 Finished runs, spooled or inline, all leave the ``running`` state
-through :meth:`Scheduler.settle`.
+through :meth:`Scheduler.settle`, and so does a job the backend
+refuses to dispatch: it is settled ``failed``, never left
+``running``.
 """
 
 from __future__ import annotations
@@ -210,8 +212,15 @@ class Scheduler:
                 continue
             self.store.transition(job_id, "running", expect=("queued",))
             self._count("cache/miss")
-            future = self.backend.submit(
-                execute_job, {"job_dir": str(self.store.job_dir(job_id))})
+            try:
+                future = self.backend.submit(
+                    execute_job,
+                    {"job_dir": str(self.store.job_dir(job_id))})
+            except Exception as exc:
+                # a job the backend refused never runs: it fails now
+                self.settle(job_id, key,
+                            {"state": "failed", "error": str(exc)})
+                continue
             self._inflight[job_id] = (key, future)
             inflight_keys.add(key)
             capacity -= 1

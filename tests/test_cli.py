@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.obs.profile import DEFAULT_INTERVAL
 
 
 class TestSuiteCommand:
@@ -76,7 +77,6 @@ class TestPlaceCommand:
         prefix = str(tmp_path / "run")
         code = main(["-q", "place", "--circuit", "ibm01", "--scale",
                      "0.01", "--layers", "2", "--profile",
-                     "--profile-interval", "0.002",
                      "--telemetry-out", prefix])
         assert code == 0
         out = capsys.readouterr().out
@@ -93,7 +93,7 @@ class TestPlaceCommand:
         # the deeper --profile-alloc opt-in)
         assert resources["tracemalloc"]["enabled"] is False
         profile = manifest["profile"]
-        assert profile["interval_seconds"] == 0.002
+        assert profile["interval_seconds"] == DEFAULT_INTERVAL
         assert profile["samples"] >= 0
         collapsed = prefix + ".collapsed.txt"
         assert os.path.exists(collapsed)
@@ -135,6 +135,12 @@ class TestPlaceCommand:
         assert "-- stages --" in out
         assert "-- memory --" in out
         assert "-- hot functions --" in out
+
+    def test_obs_history_is_an_unknown_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["obs", "history"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'history'" in capsys.readouterr().err
 
     def test_verbose_flag_emits_progress_logs(self, capsys):
         code = main(["-v", "place", "--circuit", "ibm01", "--scale",

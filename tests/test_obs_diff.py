@@ -1,8 +1,8 @@
 """Tests for run-to-run diffing (``repro.obs.diffing`` + CLI).
 
 Covers metric extraction from every accepted document shape, the
-per-family threshold gating, missing-metric ``n/a`` behaviour, a
-golden render of the diff table, and the ``repro obs diff`` exit-code
+fixed per-family budgets, missing-metric ``n/a`` behaviour, a golden
+render of the diff table, and the ``repro obs diff`` exit-code
 contract (0 clean / 1 regression / 2 unreadable input).
 """
 
@@ -13,8 +13,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs.diffing import (DiffThresholds, MetricDelta,
-                               diff_documents, diff_files,
+from repro.obs.diffing import (BUDGET_PCT, MetricDelta, diff_documents,
                                extract_metrics, has_regressions,
                                render_diff)
 
@@ -30,6 +29,16 @@ def _manifest(wall=2.0, objective=100.0, rss=None, stages=None):
         doc["resources"] = {"peak_rss_bytes": rss}
     if stages is not None:
         doc["stages"] = stages
+    return doc
+
+
+def _scaled(name, factor):
+    """A manifest with every gated metric, ``name`` scaled by
+    ``factor``."""
+    doc = _manifest(rss=1000.0)
+    section = doc["resources"] if name == "peak_rss_bytes" \
+        else doc["result"]
+    section[name] *= factor
     return doc
 
 
@@ -103,11 +112,31 @@ class TestDiffDocuments:
                                 _manifest(wall=1.0))
         assert not has_regressions(deltas)
 
-    def test_custom_thresholds(self):
-        thresholds = DiffThresholds(wall_pct=50.0)
-        deltas = diff_documents(_manifest(wall=2.0),
-                                _manifest(wall=2.5), thresholds)
-        assert not has_regressions(deltas)
+    def test_each_family_has_one_fixed_budget(self):
+        assert BUDGET_PCT == {"wall": 10.0, "rss": 10.0, "quality": 1.0}
+        deltas = diff_documents(_manifest(wall=2.0, rss=100.0),
+                                _manifest(wall=2.0, rss=111.0))
+        rss = next(d for d in deltas if d.name == "peak_rss_bytes")
+        assert rss.threshold_pct == 10.0 and rss.regressed is True
+
+    @pytest.mark.parametrize("name, family", [
+        ("wall_seconds", "wall"), ("peak_rss_bytes", "rss"),
+        ("objective", "quality"), ("wirelength", "quality"),
+        ("ilv", "quality"), ("peak_temperature", "quality")])
+    def test_each_gated_metric_gates_at_its_family_budget(self, name,
+                                                          family):
+        """Growth of half the family's budget passes, growth of twice
+        it regresses, and only the grown metric is flagged."""
+        budget = BUDGET_PCT[family]
+        for multiple, regressed in ((0.5, False), (2.0, True)):
+            deltas = diff_documents(
+                _scaled(name, 1.0),
+                _scaled(name, 1.0 + multiple * budget / 100.0))
+            delta = next(d for d in deltas if d.name == name)
+            assert delta.threshold_pct == budget
+            assert delta.pct == pytest.approx(multiple * budget)
+            assert [d.name for d in deltas if d.regressed] == \
+                ([name] if regressed else [])
 
     def test_missing_metric_is_na_not_regression(self):
         before = _manifest()          # no resources section
@@ -164,21 +193,6 @@ class TestRenderDiff:
         assert text.endswith("no regressions within budget")
 
 
-class TestDiffFiles:
-    def test_loads_and_compares(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        a.write_text(json.dumps(_manifest(wall=1.0)))
-        b.write_text(json.dumps(_manifest(wall=2.0)))
-        deltas = diff_files(a, b)
-        assert has_regressions(deltas)
-
-    def test_rejects_non_object(self, tmp_path):
-        a = tmp_path / "a.json"
-        a.write_text("[1, 2]")
-        with pytest.raises(ValueError):
-            diff_files(a, a)
-
-
 class TestObsDiffCli:
     def _write(self, tmp_path, name, doc):
         path = tmp_path / name
@@ -197,10 +211,27 @@ class TestObsDiffCli:
         assert main(["obs", "diff", a, b]) == 1
         assert "REGRESSION: wall_seconds" in capsys.readouterr().out
 
-    def test_custom_wall_budget_flag(self, tmp_path):
-        a = self._write(tmp_path, "a.json", _manifest(wall=2.0))
-        b = self._write(tmp_path, "b.json", _manifest(wall=2.5))
-        assert main(["obs", "diff", "--wall-pct", "50", a, b]) == 0
+    def test_quality_regression_exits_one_even_when_faster(
+            self, capsys, tmp_path):
+        a = self._write(tmp_path, "a.json",
+                        _manifest(wall=2.0, objective=100.0))
+        b = self._write(tmp_path, "b.json",
+                        _manifest(wall=1.0, objective=102.0))
+        assert main(["obs", "diff", a, b]) == 1
+        assert "REGRESSION: objective exceeded" in \
+            capsys.readouterr().out
+
+    def test_telemetry_snapshots_gate_on_the_peak_rss_gauge(
+            self, capsys, tmp_path):
+        def snapshot(rss):
+            return {"spans": {}, "wall_seconds": 1.0,
+                    "gauges": {"resources/peak_rss_bytes": rss}}
+
+        a = self._write(tmp_path, "a.json", snapshot(1000.0))
+        b = self._write(tmp_path, "b.json", snapshot(1200.0))
+        assert main(["obs", "diff", a, b]) == 1
+        assert "REGRESSION: peak_rss_bytes exceeded" in \
+            capsys.readouterr().out
 
     def test_unreadable_input_exits_two(self, capsys, tmp_path):
         a = self._write(tmp_path, "a.json", _manifest())

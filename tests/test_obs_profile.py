@@ -134,11 +134,8 @@ class TestSamplingProfiler:
         paths = profiler.data.span_paths()
         assert set(paths) == {"global/level0", ""}
 
-    def test_interval_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE_INTERVAL", "0.123")
-        assert SamplingProfiler().interval == pytest.approx(0.123)
-        monkeypatch.delenv("REPRO_PROFILE_INTERVAL")
-        assert SamplingProfiler().interval == DEFAULT_INTERVAL
+    def test_samples_at_the_default_interval(self):
+        assert SamplingProfiler().interval == DEFAULT_INTERVAL == 0.01
 
     def test_rejects_nonpositive_interval(self):
         with pytest.raises(ValueError):

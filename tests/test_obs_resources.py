@@ -87,6 +87,39 @@ class TestResourceTracker:
         finally:
             tracemalloc.stop()
 
+    def test_finish_keeps_a_larger_merged_worker_peak(self):
+        """A pool worker's peak merged in before the run finishes
+        outlives the main process's own, smaller, final reading."""
+        rec = Recorder(track_resources=True)
+        worker_peak = 9e12
+        rec.merge(Telemetry(gauges={PEAK_RSS_GAUGE: worker_peak}))
+        rec.sample_resources("round1/moves")
+        doc = rec.finish_resources()
+        assert rec.gauges[PEAK_RSS_GAUGE] == worker_peak
+        assert doc is not None
+        assert doc["peak_rss_bytes"] == int(worker_peak)
+
+    def test_sample_keeps_a_larger_merged_worker_peak(self):
+        rec = Recorder(track_resources=False)
+        rec.merge(Telemetry(gauges={PEAK_RSS_GAUGE: 9e12}))
+        ResourceTracker(rec, trace_allocations=False).sample("global")
+        assert rec.gauges[PEAK_RSS_GAUGE] == 9e12
+        assert rec.gauges["resources/rss/global"] < 9e12
+
+    def test_own_peak_outlives_a_smaller_merged_worker_peak(self):
+        rec = Recorder(track_resources=False)
+        rec.merge(Telemetry(gauges={PEAK_RSS_GAUGE: 1.0}))
+        doc = ResourceTracker(rec, trace_allocations=False).finish()
+        assert doc["peak_rss_bytes"] > 1
+        assert rec.gauges[PEAK_RSS_GAUGE] == doc["peak_rss_bytes"]
+
+    def test_finish_keeps_a_larger_traced_peak_gauge(self):
+        rec = Recorder(track_resources=False)
+        rec.gauge("resources/tracemalloc_peak_bytes", 9e12)
+        doc = ResourceTracker(rec, trace_allocations=True).finish()
+        assert doc["tracemalloc"]["enabled"] is True
+        assert rec.gauges["resources/tracemalloc_peak_bytes"] == 9e12
+
     def test_disabled_tracing_reports_empty_allocations(self):
         rec = Recorder(track_resources=False)
         tracker = ResourceTracker(rec, trace_allocations=False)

@@ -19,7 +19,9 @@ region path-id propagation in the global placer.
 from __future__ import annotations
 
 import dataclasses
+import os
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -36,7 +38,9 @@ from repro.obs.trace import SpanStats
 from repro.parallel import (ProcessPoolBackend, SerialBackend,
                             WORKERS_ENV, create_backend, resolve_workers,
                             task_seed, task_seed_sequence)
-from repro.partition.subproblem import BisectionTask, solve, solve_recorded
+from repro.partition.subproblem import (BisectionTask, solve,
+                                        solve_packed_recorded,
+                                        solve_recorded)
 from tests.conftest import make_chip
 
 
@@ -46,6 +50,19 @@ def _square(x: int) -> int:
 
 def _fail(x: int) -> int:
     raise ValueError(f"task {x} failed")
+
+
+def _exit_worker(x: int) -> int:
+    """A task whose worker exits outright, breaking its pool."""
+    os._exit(9)
+
+
+def _worker_dies_on_fourth_task(ref):
+    """``solve_packed_recorded``, except that the worker handed a
+    level's fourth task exits outright."""
+    if ref.index == 3:
+        os._exit(9)
+    return solve_packed_recorded(ref)
 
 
 class TestResolveWorkers:
@@ -138,6 +155,34 @@ class TestBackends:
             assert future.result(timeout=60) == 144
             failed = backend.submit(_fail, 5)
             assert isinstance(failed.exception(timeout=60), ValueError)
+
+    def test_pool_submit_keeps_a_healthy_pool(self):
+        with create_backend(2) as backend:
+            executor = backend._executor
+            assert backend.submit(_square, 3).result(timeout=60) == 9
+            assert isinstance(backend.submit(_fail, 1).exception(
+                timeout=60), ValueError)
+            assert backend.submit(_square, 4).result(timeout=60) == 16
+            assert backend._executor is executor
+
+    def test_pool_submit_replaces_a_pool_a_dead_worker_broke(self):
+        """The dead worker's task fails; the next submit runs on a
+        fresh pool instead of raising ``BrokenProcessPool``."""
+        with create_backend(2) as backend:
+            dead = backend.submit(_exit_worker, 0)
+            assert isinstance(dead.exception(timeout=60),
+                              BrokenProcessPool)
+            assert backend.submit(_square, 6).result(timeout=60) == 36
+            assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]
+
+    def test_pool_map_lets_a_broken_pool_stand(self):
+        """``map`` never rebuilds: a level dispatched after a worker
+        died fails rather than running on a fresh pool."""
+        with create_backend(2) as backend:
+            dead = backend.submit(_exit_worker, 0)
+            dead.exception(timeout=60)
+            with pytest.raises(BrokenProcessPool):
+                backend.map(_square, [1, 2, 3])
 
     def test_config_rejects_negative_workers(self):
         with pytest.raises(ValueError):
@@ -631,6 +676,48 @@ class TestSharedMemoryDispatch:
                                               num_layers=2)).run()
         assert failure.value.errno == errno.ENOSPC
         assert len(created) == 2
+        assert [name for name in created
+                if os.path.exists(os.path.join("/dev/shm", name))] == []
+
+    def test_worker_dying_mid_level_fails_and_leaks_nothing(
+            self, monkeypatch):
+        """A global-only run whose pool worker exits on a level's
+        fourth task raises ``BrokenProcessPool`` (the run's own
+        backend is never rebuilt), and no segment the run created
+        stays behind in ``/dev/shm``."""
+        from types import SimpleNamespace
+
+        from repro.core import globalplace
+        from repro.core.pipeline import PipelineSpec, StageEntry
+        from repro.parallel import shared
+
+        if not os.path.isdir("/dev/shm") or not shared.available():
+            pytest.skip("no /dev/shm to inspect")
+        real = shared.shared_memory.SharedMemory
+        created = []
+
+        def recording(name=None, create=False, size=0):
+            segment = real(name=name, create=create, size=size)
+            if create:
+                created.append(segment.name)
+            return segment
+
+        monkeypatch.setattr(shared, "shared_memory",
+                            SimpleNamespace(SharedMemory=recording))
+        monkeypatch.setattr(shared, "_available", None)
+        monkeypatch.setattr(globalplace, "solve_packed_recorded",
+                            _worker_dies_on_fourth_task)
+        netlist = generate_netlist(GeneratorSpec(
+            name="worker-dies", num_cells=400, total_area=400 * 4e-12,
+            seed=11))
+        with pytest.raises(BrokenProcessPool):
+            Placer3D(netlist, PlacementConfig(num_workers=2,
+                                              num_layers=2),
+                     spec=PipelineSpec(entries=(StageEntry("global"),))
+                     ).run()
+        # the probe's segment, then levels 0, 1 and the level whose
+        # fourth task killed its worker
+        assert len(created) == 4
         assert [name for name in created
                 if os.path.exists(os.path.join("/dev/shm", name))] == []
 

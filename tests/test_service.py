@@ -5,13 +5,16 @@ document writes, schema validation), the content-addressed result
 cache (hit/miss, atomic publish, publish races), the placement engine
 (submit/wait, duplicate coalescing to cache hits, cancel/resume,
 telemetry counters), the config-key classification audit that keeps
-the cache key honest, and the unix-socket JSON-RPC server/client.
+the cache key honest, the unix-socket JSON-RPC server/client, and
+that neither a failing request nor a dead pool worker stops the
+service.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import sys
 import threading
 import time
@@ -33,8 +36,9 @@ from repro.service import (JOB_STATES, TERMINAL_STATES, JobError,
                            PlacementEngine, ResultCache, RpcError,
                            RpcServer, ServiceClient, cache_key,
                            netlist_hash)
+from repro.service import scheduler as scheduler_module
 from repro.service.jobstore import validate_job
-from repro.service.worker import run_job
+from repro.service.worker import execute_job, run_job
 
 
 def _netlist(num_cells: int = 40, seed: int = 17):
@@ -60,6 +64,13 @@ def _request(prefix: str, **overrides) -> JobRequest:
     base = dict(config=_config().to_dict(), bookshelf=prefix)
     base.update(overrides)
     return JobRequest(**base)
+
+
+def _first_job_worker_dies(payload):
+    """``execute_job``, except that job 1's pool worker exits outright."""
+    if payload["job_dir"].endswith("job-000001"):
+        os._exit(9)
+    return execute_job(payload)
 
 
 class TestJobRequest:
@@ -424,6 +435,25 @@ class TestPlacementEngine:
             assert document["error"]
             assert engine.counters()["jobs/failed"] == 1
 
+    def test_a_dead_pool_worker_does_not_wedge_the_engine(
+            self, tmp_path, monkeypatch):
+        """Job 1's worker dies and breaks the pool: the jobs in flight
+        fail, and job 3 runs on a fresh pool instead of staying
+        ``running`` with ``wait`` raising."""
+        monkeypatch.setattr(scheduler_module, "execute_job",
+                            _first_job_worker_dies)
+        prefix = _bookshelf(tmp_path)
+        with PlacementEngine(tmp_path / "jobs", workers=2) as engine:
+            jobs = [engine.submit(_request(
+                        prefix, config=_config(seed=seed).to_dict()))
+                    for seed in (1, 2, 3)]
+            assert jobs[0] == "job-000001"
+            first, second, third = engine.wait(jobs, timeout=120)
+        assert first["state"] == "failed"
+        assert "terminated abruptly" in first["error"]
+        assert second["state"] in ("failed", "done")
+        assert third["state"] == "done"
+
 
 class TestSchedulerLiveness:
     """The scheduler's in-flight table is the one record of a job in
@@ -478,6 +508,21 @@ class TestSchedulerLiveness:
             document = engine.status(job_id)
             assert document["state"] == "failed"
             assert "worker lost" in document["error"]
+
+    def test_refused_dispatch_settles_the_job_failed(self, tmp_path,
+                                                     monkeypatch):
+        """A job whose dispatch raises is settled ``failed`` at once,
+        not left ``running`` with the error leaving the pump."""
+        def refuse(fn, task):
+            raise RuntimeError("backend refused")
+
+        with PlacementEngine(tmp_path / "jobs", workers=1) as engine:
+            monkeypatch.setattr(engine.backend, "submit", refuse)
+            job_id = self._failing(engine, tmp_path)
+            (document,) = engine.wait([job_id], timeout=60)
+            assert document["state"] == "failed"
+            assert "backend refused" in document["error"]
+            assert engine.scheduler.liveness() == {}
 
     def test_liveness_does_not_wait_for_the_lock(self, tmp_path):
         with PlacementEngine(tmp_path / "jobs", workers=1) as engine:
@@ -577,9 +622,54 @@ class TestRpcDispatch:
     def test_job_errors_map_to_job_error_code(self, tmp_path):
         with self._engine(tmp_path) as engine:
             server = RpcServer(engine, tmp_path / "s.sock")
-            with pytest.raises(RpcError) as excinfo:
+            response = server._respond(
+                b'{"id": 3, "method": "status", '
+                b'"params": {"job_id": "job-999999"}}')
+            assert response["id"] == 3
+            assert response["error"]["code"] == -32000
+
+    @pytest.mark.parametrize("error", [
+        JobStateError("job-000001 is 'done', expected one of "
+                      "['cancelled', 'failed']"),
+        JobError("no such job: job-000009"),
+        ValueError("unknown job-request keys: ['bogus']"),
+        FileNotFoundError("svc.nodes"),
+        RuntimeError("worker lost"),
+    ], ids=lambda error: type(error).__name__)
+    def test_any_method_exception_is_a_job_error_response(
+            self, tmp_path, monkeypatch, error):
+        """Whatever a method raises is answered with code -32000 and
+        its message; it never leaves ``_respond``."""
+        def fail(method, params):
+            raise error
+
+        with self._engine(tmp_path) as engine:
+            server = RpcServer(engine, tmp_path / "s.sock")
+            monkeypatch.setattr(server, "handle", fail)
+            response = server._respond(
+                b'{"id": 4, "method": "status", "params": {}}')
+            assert response == {"id": 4, "error": {
+                "code": -32000, "message": str(error)}}
+
+    def test_handle_lets_job_errors_propagate(self, tmp_path):
+        """``handle`` maps nothing: the wire loop is the one place a
+        job error becomes a response."""
+        with self._engine(tmp_path) as engine:
+            server = RpcServer(engine, tmp_path / "s.sock")
+            with pytest.raises(JobError, match="no such job"):
                 server.handle("status", {"job_id": "job-999999"})
-            assert excinfo.value.code == -32000
+
+    def test_resume_of_a_queued_job_is_answered(self, tmp_path):
+        with self._engine(tmp_path) as engine:
+            server = RpcServer(engine, tmp_path / "s.sock")
+            job_id = TestSchedulerLiveness._failing(engine, tmp_path)
+            response = server._respond(json.dumps({
+                "id": 5, "method": "resume",
+                "params": {"job_id": job_id}}).encode("utf-8"))
+            assert response["id"] == 5
+            assert response["error"]["code"] == -32000
+            assert f"{job_id} is 'queued'" in response["error"]["message"]
+            assert engine.status(job_id)["state"] == "queued"
 
     def test_result_of_unfinished_job_errors(self, tmp_path):
         prefix = _bookshelf(tmp_path)
@@ -638,6 +728,8 @@ class TestRpcSocket:
                 time.sleep(0.02)
             try:
                 with ServiceClient(socket_path) as client:
+                    # a server that died would leave a read hanging
+                    client._sock.settimeout(30)
                     request = _request(prefix).to_dict()
                     first = client.submit(request)["job_id"]
                     second = client.submit(request)["job_id"]
@@ -656,6 +748,13 @@ class TestRpcSocket:
                     assert result["result"]["wirelength"] > 0
                     jobs = client.list_jobs()
                     assert [j["id"] for j in jobs] == [first, second]
+                    # a request whose handler raises is answered, and
+                    # the connection's next call still is too
+                    missing = _request(str(tmp_path / "missing"))
+                    with pytest.raises(RpcError) as excinfo:
+                        client.submit(missing.to_dict())
+                    assert excinfo.value.code == -32000
+                    assert "missing.nodes" in excinfo.value.message
                     stats = client.stats()
                     assert stats["counters"]["cache/hit"] == 1
                     with pytest.raises(RpcError) as excinfo:
