@@ -5,7 +5,8 @@ thermal placement costs about the same as regular placement.  Absolute
 seconds are not comparable (their C++/3.2 GHz vs our Python), but the
 *shape* — near-linear scaling and thermal ~ regular — is reproduced: we
 place a ladder of instance sizes in both modes and fit the power-law
-exponent.
+exponent.  Wall clock moves with machine load, so each size and mode
+is timed as the fastest of ``REPEATS`` identical runs.
 """
 
 import math
@@ -18,28 +19,37 @@ from repro import PlacementConfig
 #: instance sizes as multiples of the base REPRO_SCALE
 SIZE_LADDER = [0.5, 1.0, 2.0, 4.0]
 
+#: identical runs per size and mode; the fastest one's time is kept
+REPEATS = 3
+
+
+def best_run(scale, config):
+    """``(cells, seconds)``: the fastest of ``REPEATS`` identical
+    placements of ibm01 at ``scale``."""
+    reports = [run_placement("ibm01", config, scale=scale, thermal=False)
+               for _ in range(REPEATS)]
+    return (reports[0].num_cells,
+            min(report.runtime_seconds for report in reports))
+
 
 def run_fig10():
     writer = SeriesWriter("fig10_runtime")
     writer.row(f"Figure 10 reproduction (ibm01 ladder around scale "
-               f"{SCALE})")
+               f"{SCALE}, best of {REPEATS} runs)")
     writer.row(f"{'cells':>7} {'regular (s)':>12} {'thermal (s)':>12}")
     sizes = []
     regular = []
     thermal = []
     for mult in SIZE_LADDER:
         scale = SCALE * mult
-        r = run_placement("ibm01", PlacementConfig(
-            alpha_ilv=1e-5, alpha_temp=0.0, num_layers=4, seed=0),
-            scale=scale, thermal=False)
-        t = run_placement("ibm01", PlacementConfig(
-            alpha_ilv=1e-5, alpha_temp=1e-5, num_layers=4, seed=0),
-            scale=scale, thermal=False)
-        sizes.append(r.num_cells)
-        regular.append(r.runtime_seconds)
-        thermal.append(t.runtime_seconds)
-        writer.row(f"{r.num_cells:>7} {r.runtime_seconds:>12.2f} "
-                   f"{t.runtime_seconds:>12.2f}")
+        cells, r = best_run(scale, PlacementConfig(
+            alpha_ilv=1e-5, alpha_temp=0.0, num_layers=4, seed=0))
+        _, t = best_run(scale, PlacementConfig(
+            alpha_ilv=1e-5, alpha_temp=1e-5, num_layers=4, seed=0))
+        sizes.append(cells)
+        regular.append(r)
+        thermal.append(t)
+        writer.row(f"{cells:>7} {r:>12.2f} {t:>12.2f}")
 
     exp_reg = np.polyfit(np.log(sizes), np.log(regular), 1)[0]
     exp_thm = np.polyfit(np.log(sizes), np.log(thermal), 1)[0]

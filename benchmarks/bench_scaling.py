@@ -33,7 +33,8 @@ The rows:
 
 Gates: every worker row must place bit-identically to the serial row,
 and every row that dispatched tasks must ship >= 10x fewer bytes than
-dense pickled tasks would; a failed gate exits 1.
+the dense tasks' arrays hold (``parallel/dense_task_bytes``); a failed
+gate exits 1.
 ``--check-overhead`` and ``--check-profile-overhead`` add the
 overhead budgets.
 

@@ -22,8 +22,10 @@ Placement as a service::
 content-addressed result cache across runs, so an already-placed
 ``(config, spec, netlist)`` triple short-circuits to a cache hit.
 
-Profiling and perf watch (``obs diff`` exits 1 when wall time or peak
-RSS grew by more than 10%, or quality by more than 1%)::
+Profiling and perf watch (``obs report`` and ``obs diff`` read run
+manifests and exit 2 on one that fails ``manifest_schema.json``;
+``obs diff`` exits 1 when wall time or peak RSS grew by more than 10%,
+or quality by more than 1%)::
 
     python -m repro place --circuit ibm01 --scale 0.025 --profile \
         --telemetry-out /tmp/run
@@ -48,8 +50,9 @@ Examples::
 
 The ``place`` pipeline is composable: ``--pipeline SPEC.json`` runs a
 custom stage sequence (see ``repro.core.pipeline``), and with
-``--checkpoint-dir`` the run state is serialized after every stage
-boundary so ``--resume`` continues an interrupted run bit-identically.
+``--checkpoint-dir DIR`` the run state is serialized to
+``DIR/checkpoint.npz`` after every stage boundary so ``--resume``
+continues an interrupted run bit-identically.
 ``--halt-after UNIT`` stops at a named boundary (testing/drills).  The
 baselines are specs too: ``[random, detailed]``, ``[random, anneal,
 detailed]`` and ``[quadratic, detailed]``.  Every finished run ends
@@ -73,7 +76,7 @@ import shutil
 import sys
 import tempfile
 import time
-from typing import Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -145,8 +148,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run a custom stage pipeline from a JSON "
                             "spec instead of the default flow")
     place.add_argument("--checkpoint-dir", metavar="DIR",
-                       help="serialize run state here after every "
-                            "stage boundary")
+                       help="serialize run state to "
+                            "DIR/checkpoint.npz after every stage "
+                            "boundary")
     place.add_argument("--resume", action="store_true",
                        help="resume from the last checkpoint in "
                             "--checkpoint-dir (bit-identical to an "
@@ -279,18 +283,19 @@ def _build_parser() -> argparse.ArgumentParser:
                                         required=True)
 
     report_p = obs_sub.add_parser(
-        "report", help="render a run manifest (or raw telemetry "
-                       "trace snapshot) as a text report")
+        "report", help="render a run manifest as a text report; exit "
+                       "2 when it fails the manifest schema")
     report_p.add_argument("document",
                           help="manifest JSON written by "
                                "--telemetry-out")
 
     diff_p = obs_sub.add_parser(
-        "diff", help="compare two manifests/telemetry files; exit "
-                     "nonzero when wall time or peak RSS grew by "
-                     "more than 10%%, or quality by more than 1%%")
-    diff_p.add_argument("before", help="baseline document (A)")
-    diff_p.add_argument("after", help="candidate document (B)")
+        "diff", help="compare two run manifests; exit 1 when wall "
+                     "time or peak RSS grew by more than 10%%, or "
+                     "quality by more than 1%%, and 2 when either "
+                     "fails the manifest schema")
+    diff_p.add_argument("before", help="baseline manifest (A)")
+    diff_p.add_argument("after", help="candidate manifest (B)")
 
     sub.add_parser("suite", help="list benchmark profiles (Table 1)")
     return parser
@@ -625,35 +630,27 @@ def _cmd_config_dump(args) -> int:
     return 0
 
 
-def _load_json_document(path: str) -> Optional[dict]:
-    """Load a JSON object from ``path``; ``None`` (with a message on
-    stderr) on any load failure — obs commands exit 2, not traceback."""
+def _load_manifest(path: str) -> Optional[Dict[str, Any]]:
+    """Load a run manifest and validate it against
+    ``manifest_schema.json``; ``None`` (with the reasons on stderr)
+    when it cannot be read or fails the schema — obs commands exit 2,
+    not traceback."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            document = json.load(fh)
+            document: Dict[str, Any] = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         return None
-    if not isinstance(document, dict):
-        print(f"{path}: expected a JSON object", file=sys.stderr)
-        return None
-    return document
+    errors = obs.validate_manifest(document)  # any JSON value
+    for error in errors:
+        print(f"{path}: {error}", file=sys.stderr)
+    return None if errors else document
 
 
 def _cmd_obs_report(args) -> int:
-    document = _load_json_document(args.document)
+    document = _load_manifest(args.document)
     if document is None:
         return 2
-    if "spans" in document and "kind" not in document:
-        # raw Telemetry snapshot (e.g. a worker's shipped telemetry)
-        telemetry = obs.Telemetry(
-            spans=document.get("spans") or {},
-            counters=document.get("counters") or {},
-            gauges=document.get("gauges") or {},
-            series=document.get("series") or {},
-            wall_seconds=float(document.get("wall_seconds") or 0.0))
-        print(obs.render(telemetry, title=args.document))
-        return 0
     print(obs.render_manifest(document))
     return 0
 
@@ -661,8 +658,8 @@ def _cmd_obs_report(args) -> int:
 def _cmd_obs_diff(args) -> int:
     from repro.obs.diffing import (diff_documents, has_regressions,
                                    render_diff)
-    before = _load_json_document(args.before)
-    after = _load_json_document(args.after)
+    before = _load_manifest(args.before)
+    after = _load_manifest(args.after)
     if before is None or after is None:
         return 2
     deltas = diff_documents(before, after)

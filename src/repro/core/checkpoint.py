@@ -1,29 +1,28 @@
 """Checkpoint/resume: serialize a run at any stage boundary.
 
-A checkpoint is a directory holding two files:
+A checkpoint is one file, ``checkpoint.npz``, in the run's checkpoint
+directory.  It holds:
 
-- ``checkpoint.json`` — metadata: the full config (plus its stable
-  hash), the serialized pipeline spec (plus hash), the netlist's name
-  and content hash, the ordered list of completed pipeline units and
-  the objective accumulators' scalar half.  The document is pinned
-  by ``checkpoint_schema.json`` and validated with the same
+- the placement coordinate arrays ``x``, ``y`` and ``z``;
+- the incremental objective's *history-dependent* arrays: per-cell
+  ``power``, per-net spans ``wl`` and, when maintained, per-net driver
+  resistance sums ``drv_rsum`` (their low bits depend on the order
+  moves were applied in, see
+  :meth:`~repro.core.objective.ObjectiveState.checkpoint_state`);
+- the best-round snapshot arrays ``best_x``, ``best_y`` and ``best_z``
+  when one exists;
+- ``meta``, the metadata as a JSON string: the full config (plus its
+  stable hash), the serialized pipeline spec (plus hash), the
+  netlist's name and content hash, the ordered list of completed
+  pipeline units and the objective accumulators' scalar half.  It is
+  pinned by ``checkpoint_schema.json`` and validated with the same
   dependency-free validator the run manifests use.
-- an arrays file, the one ``checkpoint.json`` names in ``arrays_file``
-  (``state-0.npz`` or ``state-1.npz``; ``state.npz`` in older
-  checkpoints) — the placement coordinate arrays, the incremental
-  objective's *history-dependent* arrays (per-cell power, per-net
-  spans and, when maintained, per-net driver resistance sums: their
-  low bits depend on the order moves were applied in, see
-  :meth:`~repro.core.objective.ObjectiveState.checkpoint_state`), and
-  the best-round snapshot arrays when one exists.
 
-A save never writes over the files of the current checkpoint.  Each
-file is written under a temporary name and renamed into place: the
-arrays first, under the name the current metadata does not use, then
-the metadata; the superseded arrays file is removed only after that.
-So a save that fails at any point leaves the previous checkpoint whole
-(and removes what it wrote), and metadata is never paired with arrays
-from another boundary.
+A save writes ``checkpoint.npz.tmp`` and renames it over
+``checkpoint.npz`` in one ``os.replace``, so a save that fails at any
+point leaves the previous checkpoint whole (and removes what it
+wrote), and metadata is never paired with arrays from another
+boundary.
 
 Resume validates the config hash, spec hash and netlist hash before
 touching any state, so a checkpoint can never be silently applied to
@@ -37,10 +36,9 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -52,10 +50,13 @@ from repro.obs.manifest import (CHECKPOINT_KIND, config_hash, content_hash,
                                 validate_checkpoint_meta)
 
 __all__ = ["CHECKPOINT_VERSION", "CheckpointData", "CheckpointError",
-           "checkpoint_paths", "has_checkpoint", "load_checkpoint",
-           "save_checkpoint", "verify_matches"]
+           "has_checkpoint", "load_checkpoint", "save_checkpoint",
+           "verify_matches"]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+#: The checkpoint's file name inside its directory.
+_FILE = "checkpoint.npz"
 
 #: Best-round snapshot: (objective, x, y, z).
 BestState = Tuple[float, FloatArray, FloatArray, IntArray]
@@ -70,7 +71,7 @@ class CheckpointData:
     """One loaded checkpoint: metadata plus the serialized arrays.
 
     Attributes:
-        meta: the ``checkpoint.json`` document (schema-validated).
+        meta: the metadata document (schema-validated).
         x, y, z: placement coordinate arrays at the boundary.
         power: per-cell power accumulator of the objective, or ``None``
             when the objective had not been built yet.
@@ -95,62 +96,9 @@ class CheckpointData:
         return [str(u) for u in self.meta["completed"]]
 
 
-def checkpoint_paths(directory: Union[str, Path]) -> Tuple[Path, Path]:
-    """The ``(checkpoint.json, arrays file)`` paths of a directory: the
-    arrays file its metadata names, or ``state.npz`` while there is no
-    readable metadata."""
-    meta_path = Path(directory) / "checkpoint.json"
-    try:
-        name = _read_meta(meta_path)["arrays_file"]
-    except (OSError, CheckpointError):
-        name = "state.npz"
-    return meta_path, meta_path.with_name(name)
-
-
 def has_checkpoint(directory: Union[str, Path]) -> bool:
-    """Whether a complete checkpoint exists in ``directory``."""
-    meta_path, npz_path = checkpoint_paths(directory)
-    return meta_path.is_file() and npz_path.is_file()
-
-
-def _read_meta(meta_path: Path) -> Dict[str, Any]:
-    """Parse and schema-validate a ``checkpoint.json``; raises
-    :class:`CheckpointError` if it is not valid JSON, fails the schema
-    or names an arrays file outside its directory."""
-    try:
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except ValueError as exc:  # JSON or UTF-8 decoding
-        raise CheckpointError(f"{meta_path} is not valid JSON: {exc}"
-                              ) from None
-    if not isinstance(meta, dict):
-        raise CheckpointError(f"{meta_path} is not a JSON object")
-    errors = validate_checkpoint_meta(meta)
-    if errors:
-        raise CheckpointError(
-            f"{meta_path} failed schema validation: " + "; ".join(errors))
-    name = meta["arrays_file"]
-    if os.path.basename(name) != name or name in ("", ".", ".."):
-        raise CheckpointError(
-            f"{meta_path} names arrays file {name!r}, not a file name "
-            "in its directory")
-    return meta
-
-
-@contextmanager
-def _replacing(path: Path, mode: str,
-               encoding: Optional[str] = None) -> Iterator[IO[Any]]:
-    """Open a temporary file beside ``path`` and rename it over
-    ``path`` when the block completes; on an error remove it instead,
-    so ``path`` keeps its old content whole."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, mode, encoding=encoding) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Whether a checkpoint exists in ``directory``."""
+    return (Path(directory) / _FILE).is_file()
 
 
 def _netlist_identity(ctx: PlacementContext) -> Dict[str, Any]:
@@ -172,12 +120,8 @@ def save_checkpoint(directory: Union[str, Path], ctx: PlacementContext,
         best: the runner's best-round snapshot, if tracking one.
 
     Returns:
-        The path of the written ``checkpoint.json``.
+        The path of the written ``checkpoint.npz``.
     """
-    os.makedirs(str(Path(directory)), exist_ok=True)
-    meta_path, previous = checkpoint_paths(directory)
-    npz_path = previous.with_name(
-        "state-1.npz" if previous.name == "state-0.npz" else "state-0.npz")
     arrays: Dict[str, Any] = {
         "x": ctx.placement.x,
         "y": ctx.placement.y,
@@ -211,70 +155,77 @@ def save_checkpoint(directory: Union[str, Path], ctx: PlacementContext,
         "objective_built": ctx.objective_built,
         "objective_total": objective_total,
         "best_objective": best_objective,
-        "arrays_file": npz_path.name,
     }
     errors = validate_checkpoint_meta(meta)
     if errors:
         raise CheckpointError(
             "refusing to write an invalid checkpoint: "
             + "; ".join(errors))
-    with _replacing(npz_path, "wb") as fh:
-        np.savez(fh, **arrays)
+    os.makedirs(str(directory), exist_ok=True)
+    path = Path(directory) / _FILE
+    tmp = path.with_name(_FILE + ".tmp")
     try:
-        with _replacing(meta_path, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with open(tmp, "wb") as fh:
+            np.savez(fh, meta=np.array(json.dumps(meta, sort_keys=True)),
+                     **arrays)
+        os.replace(tmp, path)
     except BaseException:
-        npz_path.unlink(missing_ok=True)  # no metadata names it
+        tmp.unlink(missing_ok=True)
         raise
-    previous.unlink(missing_ok=True)
-    return str(meta_path)
+    return str(path)
 
 
 def load_checkpoint(directory: Union[str, Path]) -> CheckpointData:
     """Load and schema-validate a checkpoint directory.
 
     Raises:
-        CheckpointError: missing files, unparseable or schema-violating
-            metadata, or arrays inconsistent with the metadata.
+        CheckpointError: no checkpoint, an unreadable file (not an
+            ``.npz``, no ``meta`` entry, ``meta`` not JSON),
+            schema-violating metadata, or arrays inconsistent with the
+            metadata.
     """
-    meta_path = Path(directory) / "checkpoint.json"
-    if not meta_path.is_file():
-        raise CheckpointError(f"no checkpoint at {meta_path}")
-    meta = _read_meta(meta_path)
-    npz_path = meta_path.with_name(meta["arrays_file"])
-    if not npz_path.is_file():
+    path = Path(directory) / _FILE
+    if not path.is_file():
+        raise CheckpointError(f"no checkpoint at {path}")
+    try:
+        with np.load(str(path)) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        meta = json.loads(str(arrays.pop("meta")))
+    except Exception as exc:
+        # a damaged file makes the zip and .npy readers raise nearly
+        # anything (BadZipFile, EOFError, NotImplementedError, a
+        # RuntimeError for "encrypted" entries, tokenize errors ...)
+        raise CheckpointError(f"{path} is not a readable checkpoint: "
+                              f"{type(exc).__name__}: {exc}") from exc
+    errors = validate_checkpoint_meta(meta)
+    if errors:
         raise CheckpointError(
-            f"checkpoint arrays missing: {npz_path} (torn write?)")
-    with np.load(str(npz_path)) as arrays:
-        x = np.asarray(arrays["x"], dtype=np.float64)
-        y = np.asarray(arrays["y"], dtype=np.float64)
-        z = np.asarray(arrays["z"], dtype=np.int64)
-        power: Optional[FloatArray] = None
-        wl: Optional[FloatArray] = None
-        drv_rsum: Optional[FloatArray] = None
-        if meta["objective_built"]:
-            for key in ("power", "wl"):
-                if key not in arrays:
-                    raise CheckpointError(
-                        "checkpoint claims a built objective but has no "
-                        f"{key} array")
-            power = np.asarray(arrays["power"], dtype=np.float64)
-            wl = np.asarray(arrays["wl"], dtype=np.float64)
-            if "drv_rsum" in arrays:
-                drv_rsum = np.asarray(arrays["drv_rsum"], dtype=np.float64)
-        best: Optional[BestState] = None
-        if meta["best_objective"] is not None:
-            for key in ("best_x", "best_y", "best_z"):
-                if key not in arrays:
-                    raise CheckpointError(
-                        f"checkpoint has best_objective but no {key}")
-            best = (float(meta["best_objective"]),
-                    np.asarray(arrays["best_x"], dtype=np.float64),
-                    np.asarray(arrays["best_y"], dtype=np.float64),
-                    np.asarray(arrays["best_z"], dtype=np.int64))
-    return CheckpointData(meta=meta, x=x, y=y, z=z, power=power, wl=wl,
-                          drv_rsum=drv_rsum, best=best)
+            f"{path} failed schema validation: " + "; ".join(errors))
+
+    needed = ["x", "y", "z"]
+    if meta["objective_built"]:
+        needed += ["power", "wl"]
+    if meta["best_objective"] is not None:
+        needed += ["best_x", "best_y", "best_z"]
+    missing = [name for name in needed if name not in arrays]
+    if missing:
+        raise CheckpointError(f"{path} has no {', '.join(missing)} "
+                              "array for its metadata")
+
+    def get(name: str, dtype: Any = np.float64) -> Any:
+        return (np.asarray(arrays[name], dtype=dtype)
+                if name in arrays else None)
+
+    built = meta["objective_built"]
+    best: Optional[BestState] = None
+    if meta["best_objective"] is not None:
+        best = (float(meta["best_objective"]), get("best_x"),
+                get("best_y"), get("best_z", np.int64))
+    return CheckpointData(
+        meta=meta, x=get("x"), y=get("y"), z=get("z", np.int64),
+        power=get("power") if built else None,
+        wl=get("wl") if built else None,
+        drv_rsum=get("drv_rsum") if built else None, best=best)
 
 
 def verify_matches(data: CheckpointData, ctx: PlacementContext,

@@ -238,15 +238,18 @@ class GlobalPlacer:
         task objects, so results are bit-identical either way.
 
         When telemetry is on, dispatch accounting is recorded either
-        way: ``parallel/dispatch_bytes`` is what actually crossed the
-        process boundary per path, and ``parallel/dense_task_bytes`` is
-        what the pickled-CSR baseline would have shipped — the pair the
-        scaling bench turns into a reduction ratio.
+        way: ``parallel/dispatch_bytes`` is what crossed the process
+        boundary per path (the tasks' array bytes on the dense path,
+        the pickled refs on the shared-memory path), and
+        ``parallel/dense_task_bytes`` is the tasks' array bytes, what
+        the dense baseline ships — the pair the scaling bench turns
+        into a reduction ratio.  Both read array sizes: no task is
+        pickled just to be counted.
         """
         if pool is None:
             results = backend.map(solve_recorded, tasks)
             if rec.enabled and backend.num_workers > 1:
-                dense = sum(len(pickle.dumps(t)) for t in tasks)
+                dense = sum(t.nbytes for t in tasks)
                 rec.count("parallel/tasks", len(tasks))
                 rec.count("parallel/dispatch_bytes", dense)
                 rec.count("parallel/dense_task_bytes", dense)
@@ -261,7 +264,7 @@ class GlobalPlacer:
             rec.count("parallel/dispatch_bytes",
                       sum(len(pickle.dumps(r)) for r in batch.refs))
             rec.count("parallel/dense_task_bytes",
-                      sum(len(pickle.dumps(t)) for t in tasks))
+                      sum(t.nbytes for t in tasks))
             rec.count("parallel/segment_bytes", batch.segment_bytes)
         return results
 

@@ -359,10 +359,10 @@ class PlacementPipeline:
         preempt: the stop hook, called with each completed unit's label
             (``1:round1/moves``) *after* its checkpoint is saved.
             Returning ``True`` stops the run with
-            :class:`PipelineHalted`.  The job worker backs it with a
-            cancel sentinel file, so a cancelled job parks at the
-            nearest stage boundary; the CLI's ``--halt-after`` backs it
-            with a label match.
+            :class:`PipelineHalted`.  The job worker backs it with the
+            job document's ``cancel_requested`` field, so a cancelled
+            job parks at the nearest stage boundary; the CLI's
+            ``--halt-after`` backs it with a label match.
     """
 
     def __init__(self, spec: PipelineSpec, ctx: PlacementContext,

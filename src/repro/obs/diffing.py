@@ -1,4 +1,4 @@
-"""Run-to-run comparison of manifests and telemetry documents.
+"""Run-to-run comparison of run manifests.
 
 ``repro obs diff A B`` answers the question every optimisation PR and
 every head-to-head (bisection vs analytical global placement) has to
@@ -14,16 +14,12 @@ percent increase over ``A`` it may grow by (:data:`BUDGET_PCT`):
 - **quality** (1 %): objective, wirelength, ILV count and peak
   temperature (tight: quality is deterministic per seed).
 
-A metric missing on either side is reported as ``n/a`` and never
-counts as a regression (older manifests predate the resources
-section); a metric whose increase exceeds its family budget is a
-:class:`MetricDelta` with ``regressed=True``, and the CLI exits
+Both documents are run manifests that passed ``manifest_schema.json``
+(``repro obs diff`` validates them on load).  A metric missing on
+either side (a null ``peak_temperature``, no peak RSS) is ``n/a`` and
+never a regression; a metric whose increase exceeds its family budget
+is a :class:`MetricDelta` with ``regressed=True``, and the CLI exits
 nonzero when any exists.
-
-Documents may be run manifests (``kind: repro.placement.run``) or raw
-telemetry snapshots (the ``{"spans", "counters", "gauges", ...}``
-shape ``Recorder.snapshot`` serialises to); the extractor sniffs the
-shape instead of demanding one.
 """
 
 from __future__ import annotations
@@ -71,54 +67,31 @@ class MetricDelta:
     regressed: bool
 
 
-def _as_float(value: Any) -> Optional[float]:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    return float(value)
-
-
-def extract_metrics(document: Mapping[str, Any]) -> Dict[str, float]:
-    """Pull the comparable metrics out of a manifest or telemetry doc.
+def extract_metrics(manifest: Mapping[str, Any]) -> Dict[str, float]:
+    """Pull the comparable metrics out of a schema-valid manifest.
 
     Returns:
         ``{metric_name: value}``; gated metrics use the names in the
         family table, per-stage wall times appear as
-        ``stage/<path>`` informational rows.
+        ``stage/<path>`` informational rows.  Peak RSS comes from the
+        ``resources`` section, or from the ``resources/peak_rss_bytes``
+        gauge when that section is null; a peak of 0 (the platform
+        could not measure it) is left out.
     """
-    metrics: Dict[str, float] = {}
-    result = document.get("result")
-    if isinstance(result, Mapping):
-        for key in ("wall_seconds", "objective", "wirelength", "ilv",
-                    "peak_temperature"):
-            value = _as_float(result.get(key))
-            if value is not None:
-                metrics[key] = value
-    elif "wall_seconds" in document:
-        # raw Telemetry snapshot
-        value = _as_float(document.get("wall_seconds"))
-        if value is not None:
-            metrics["wall_seconds"] = value
-    resources = document.get("resources")
-    if isinstance(resources, Mapping):
-        value = _as_float(resources.get("peak_rss_bytes"))
-        if value is not None and value > 0:
-            metrics["peak_rss_bytes"] = value
-    if "peak_rss_bytes" not in metrics:
-        gauges = document.get("gauges")
-        if isinstance(gauges, Mapping):
-            value = _as_float(gauges.get("resources/peak_rss_bytes"))
-            if value is not None and value > 0:
-                metrics["peak_rss_bytes"] = value
-    stages = document.get("stages")
-    if isinstance(stages, list):
-        for row in stages:
-            if not isinstance(row, Mapping):
-                continue
-            path, seconds = row.get("path"), _as_float(
-                row.get("seconds"))
-            if isinstance(path, str) and "/" not in path \
-                    and seconds is not None:
-                metrics[f"stage/{path}"] = seconds
+    result = manifest["result"]
+    metrics = {key: float(result[key])
+               for key in ("wall_seconds", "objective", "wirelength",
+                           "ilv")}
+    if result["peak_temperature"] is not None:
+        metrics["peak_temperature"] = float(result["peak_temperature"])
+    resources = manifest["resources"]
+    rss = (manifest["gauges"].get("resources/peak_rss_bytes", 0)
+           if resources is None else resources["peak_rss_bytes"])
+    if rss > 0:
+        metrics["peak_rss_bytes"] = float(rss)
+    for row in manifest["stages"]:
+        if "/" not in row["path"]:
+            metrics[f"stage/{row['path']}"] = float(row["seconds"])
     return metrics
 
 

@@ -12,6 +12,7 @@ validator in :mod:`repro.obs.validate`).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -21,6 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from repro.obs.recorder import Telemetry
+from repro.obs.validate import validate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.config import PlacementConfig
@@ -30,9 +32,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["CHECKPOINT_KIND", "EXECUTION_ONLY_KEYS",
            "HASHED_CONFIG_KEYS", "MANIFEST_KIND", "SCHEMA_VERSION",
            "build_manifest", "config_hash", "content_hash",
-           "load_checkpoint_schema", "load_schema",
-           "validate_checkpoint_meta", "validate_manifest",
-           "write_manifest"]
+           "load_schema", "validate_checkpoint_meta",
+           "validate_manifest", "write_manifest"]
 
 MANIFEST_KIND = "repro.placement.run"
 CHECKPOINT_KIND = "repro.placement.checkpoint"
@@ -246,37 +247,27 @@ def write_manifest(path: Union[str, Path],
     return path
 
 
-def load_schema() -> Dict[str, Any]:
-    """Load the packaged manifest schema."""
-    with open(_SCHEMA_PATH, "r", encoding="utf-8") as fh:
+@functools.lru_cache(maxsize=None)
+def load_schema(path: Path = _SCHEMA_PATH) -> Dict[str, Any]:
+    """Load a packaged JSON schema (the run manifest's by default)
+    once per process; every caller shares the dict, so none may
+    mutate it."""
+    with open(path, "r", encoding="utf-8") as fh:
         schema = json.load(fh)
     assert isinstance(schema, dict)
     return schema
 
 
-def validate_manifest(manifest: Dict[str, Any],
-                      schema: Optional[Dict[str, Any]] = None,
-                      ) -> List[str]:
+def validate_manifest(manifest: Dict[str, Any]) -> List[str]:
     """Validate a manifest; returns a list of errors (empty = valid)."""
-    from repro.obs.validate import validate
-    return validate(manifest, schema if schema is not None
-                    else load_schema())
-
-
-def load_checkpoint_schema() -> Dict[str, Any]:
-    """Load the packaged checkpoint-metadata schema."""
-    with open(_CHECKPOINT_SCHEMA_PATH, "r", encoding="utf-8") as fh:
-        schema = json.load(fh)
-    assert isinstance(schema, dict)
-    return schema
+    return validate(manifest, load_schema())
 
 
 def validate_checkpoint_meta(meta: Dict[str, Any]) -> List[str]:
     """Validate checkpoint metadata; returns errors (empty = valid).
 
     Checkpoints reuse the same dependency-free schema validator as run
-    manifests, so a corrupt or hand-edited ``checkpoint.json`` is
-    refused with a precise error instead of resuming garbage.
+    manifests, so a corrupt or hand-edited checkpoint is refused with
+    a precise error instead of resuming garbage.
     """
-    from repro.obs.validate import validate
-    return validate(meta, load_checkpoint_schema())
+    return validate(meta, load_schema(_CHECKPOINT_SCHEMA_PATH))

@@ -4,11 +4,11 @@ Used by ``repro place --trace``, ``repro obs report`` and the
 benchmark harnesses to print per-stage, memory and hot-function
 breakdowns without any plotting dependencies.
 
-Every renderer here degrades gracefully: a trace with zero spans, a
-series with no points, a span node missing keys, or a manifest
-predating the ``resources``/``profile`` sections renders as an honest
-"(none)" instead of raising — reports run against whatever artifact
-the user has, including ones written by older versions.
+The manifest renderers read a document that passed
+``manifest_schema.json`` (``repro obs report`` validates it on load),
+so they read its fields directly.  A section the schema lets be null
+(``resources`` and ``profile`` of an unprofiled run) renders as an
+honest "(none)".
 """
 
 from __future__ import annotations
@@ -21,19 +21,6 @@ __all__ = ["render", "render_manifest", "render_profile",
            "render_resources", "render_spans"]
 
 
-def _node_total(node: Mapping[str, Any]) -> float:
-    total = node.get("total_seconds")
-    if isinstance(total, (int, float)) and not isinstance(total, bool):
-        return float(total)
-    if node.get("calls"):
-        seconds = node.get("seconds", 0.0)
-        if isinstance(seconds, (int, float)) \
-                and not isinstance(seconds, bool):
-            return float(seconds)
-    return sum(_node_total(c) for c in node.get("children", [])
-               if isinstance(c, Mapping))
-
-
 def render_spans(spans: Mapping[str, Any], max_depth: int = 4) -> str:
     """Render a span tree (as produced by ``SpanStats.as_dict``).
 
@@ -42,28 +29,21 @@ def render_spans(spans: Mapping[str, Any], max_depth: int = 4) -> str:
     empty string for an empty tree.
     """
     lines: List[str] = []
-    root_total = _node_total(spans)
 
     def visit(node: Mapping[str, Any], depth: int,
               parent_total: float) -> None:
         if depth > max_depth:
             return
-        total = _node_total(node)
+        total = float(node["total_seconds"])
         share = 100.0 * total / parent_total if parent_total > 0 else 0.0
-        calls = node.get("calls", 0)
-        calls = int(calls) if isinstance(calls, (int, float)) \
-            and not isinstance(calls, bool) else 0
-        name = str(node.get("name", "?"))
         indent = "  " * depth
-        lines.append(f"{indent}{name:<24s}"
-                     f"{total:>10.4f}s {share:>5.1f}%  x{calls}")
-        for child in node.get("children", []):
-            if isinstance(child, Mapping):
-                visit(child, depth + 1, total)
+        lines.append(f"{indent}{node['name']:<24s}"
+                     f"{total:>10.4f}s {share:>5.1f}%  x{node['calls']}")
+        for child in node["children"]:
+            visit(child, depth + 1, total)
 
     for child in spans.get("children", []):
-        if isinstance(child, Mapping):
-            visit(child, 0, root_total)
+        visit(child, 0, float(spans["total_seconds"]))
     return "\n".join(lines)
 
 
@@ -80,83 +60,54 @@ def _bytes_human(value: float) -> str:
 def render_resources(resources: Optional[Mapping[str, Any]]) -> str:
     """Render a manifest ``resources`` section (memory report).
 
-    ``None`` / empty (unprofiled run) renders a single "(none)" line.
+    ``None`` (unprofiled run) renders a single "(none)" line.
     """
-    if not resources:
+    if resources is None:
         return "-- memory --\n(none: run without --profile)"
     lines = ["-- memory --"]
     for key, label in (("peak_rss_bytes", "peak RSS"),
                        ("current_rss_bytes", "final RSS"),
                        ("baseline_rss_bytes", "baseline RSS")):
-        value = resources.get(key)
-        if isinstance(value, (int, float)) \
-                and not isinstance(value, bool) and value > 0:
-            lines.append(f"{label:<24s}{_bytes_human(value):>14s}")
-    samples = resources.get("samples")
-    if isinstance(samples, (int, float)) \
-            and not isinstance(samples, bool):
-        lines.append(f"{'samples':<24s}{int(samples):>14d}")
-    trace = resources.get("tracemalloc")
-    if isinstance(trace, Mapping) and trace.get("enabled"):
-        peak = trace.get("peak_bytes", 0)
-        if isinstance(peak, (int, float)) \
-                and not isinstance(peak, bool):
-            lines.append(f"{'python heap peak':<24s}"
-                         f"{_bytes_human(peak):>14s}")
-        rows = trace.get("top_allocations")
-        if isinstance(rows, list) and rows:
+        if resources[key] > 0:
+            lines.append(f"{label:<24s}"
+                         f"{_bytes_human(resources[key]):>14s}")
+    lines.append(f"{'samples':<24s}{resources['samples']:>14d}")
+    trace = resources["tracemalloc"]
+    if trace["enabled"]:
+        lines.append(f"{'python heap peak':<24s}"
+                     f"{_bytes_human(trace['peak_bytes']):>14s}")
+        if trace["top_allocations"]:
             lines.append("top allocation sites:")
-            for row in rows:
-                if not isinstance(row, Mapping):
-                    continue
-                site = str(row.get("site", "?"))
-                size = row.get("size_bytes", 0)
-                if not isinstance(size, (int, float)) \
-                        or isinstance(size, bool):
-                    size = 0
-                lines.append(f"  {site:<38s}"
-                             f"{_bytes_human(size):>12s}")
+            for row in trace["top_allocations"]:
+                lines.append(f"  {row['site']:<38s}"
+                             f"{_bytes_human(row['size_bytes']):>12s}")
     return "\n".join(lines)
 
 
 def render_profile(profile: Optional[Mapping[str, Any]]) -> str:
     """Render a manifest ``profile`` section (hot-function report).
 
-    ``None`` / empty (unprofiled run) renders a single "(none)" line.
+    ``None`` (unprofiled run) renders a single "(none)" line.
     """
-    if not profile:
+    if profile is None:
         return "-- hot functions --\n(none: run without --profile)"
     lines = ["-- hot functions --"]
-    samples = profile.get("samples", 0)
-    if not isinstance(samples, (int, float)) \
-            or isinstance(samples, bool):
-        samples = 0
-    interval = profile.get("interval_seconds")
-    header = f"{int(samples)} samples"
-    if isinstance(interval, (int, float)) \
-            and not isinstance(interval, bool) and interval > 0:
-        header += f" @ {float(interval) * 1000:.0f}ms"
+    header = f"{profile['samples']} samples"
+    if profile["interval_seconds"] > 0:
+        header += f" @ {profile['interval_seconds'] * 1000:.0f}ms"
     lines.append(header)
-    rows = profile.get("hot_functions")
-    if isinstance(rows, list) and rows:
+    if profile["hot_functions"]:
         lines.append(f"{'function':<44s}{'self':>6s}{'cum':>6s}")
-        for row in rows:
-            if not isinstance(row, Mapping):
-                continue
-            lines.append(f"{str(row.get('function', '?')):<44s}"
-                         f"{int(row.get('self', 0)):>6d}"
-                         f"{int(row.get('cum', 0)):>6d}")
+        for row in profile["hot_functions"]:
+            lines.append(f"{row['function']:<44s}"
+                         f"{row['self']:>6d}{row['cum']:>6d}")
     else:
         lines.append("(no samples attributed)")
-    spans = profile.get("spans")
-    if isinstance(spans, list) and spans:
+    if profile["spans"]:
         lines.append("per-span samples:")
-        for row in spans:
-            if not isinstance(row, Mapping):
-                continue
-            span = str(row.get("span") or "(no span)")
-            lines.append(f"  {span:<42s}"
-                         f"{int(row.get('samples', 0)):>6d}")
+        for row in profile["spans"]:
+            span = row["span"] or "(no span)"
+            lines.append(f"  {span:<42s}{row['samples']:>6d}")
     return "\n".join(lines)
 
 
@@ -201,48 +152,23 @@ def render(telemetry: Telemetry, title: str = "telemetry") -> str:
 
 
 def render_manifest(manifest: Mapping[str, Any]) -> str:
-    """Render a run manifest as a full text report.
+    """Render a schema-valid run manifest as a full text report.
 
     Sections: run header (circuit, seed, result), span stages, memory
-    and hot functions.  Missing sections degrade rather than raise, so
-    the report works on manifests from any schema version.
+    and hot functions.
     """
-    lines: List[str] = []
-    circuit = manifest.get("circuit")
-    name = circuit.get("name", "?") if isinstance(circuit, Mapping) \
-        else "?"
-    lines.append(f"== run report: {name} ==")
-    result = manifest.get("result")
-    if isinstance(result, Mapping):
-        for key in ("objective", "wirelength", "ilv", "wall_seconds",
-                    "peak_temperature"):
-            value = result.get(key)
-            if isinstance(value, (int, float)) \
-                    and not isinstance(value, bool):
-                lines.append(f"{key:<24s}{float(value):>14.6g}")
-    stages = manifest.get("stages")
+    lines = [f"== run report: {manifest['circuit']['name']} =="]
+    result = manifest["result"]
+    for key in ("objective", "wirelength", "ilv", "wall_seconds",
+                "peak_temperature"):
+        if result[key] is not None:
+            lines.append(f"{key:<24s}{float(result[key]):>14.6g}")
     lines.append("-- stages --")
-    if isinstance(stages, list) and stages:
-        for row in stages:
-            if not isinstance(row, Mapping):
-                continue
-            path = str(row.get("path", "?"))
-            seconds = row.get("seconds", 0.0)
-            if not isinstance(seconds, (int, float)) \
-                    or isinstance(seconds, bool):
-                seconds = 0.0
-            calls = row.get("calls", 0)
-            if not isinstance(calls, (int, float)) \
-                    or isinstance(calls, bool):
-                calls = 0
-            lines.append(f"{path:<36s}{float(seconds):>10.4f}s"
-                         f"  x{int(calls)}")
-    else:
+    for row in manifest["stages"]:
+        lines.append(f"{row['path']:<36s}{float(row['seconds']):>10.4f}s"
+                     f"  x{row['calls']}")
+    if not manifest["stages"]:
         lines.append("(no stages recorded)")
-    lines.append(render_resources(
-        manifest.get("resources") if isinstance(
-            manifest.get("resources"), Mapping) else None))
-    lines.append(render_profile(
-        manifest.get("profile") if isinstance(
-            manifest.get("profile"), Mapping) else None))
+    lines.append(render_resources(manifest["resources"]))
+    lines.append(render_profile(manifest["profile"]))
     return "\n".join(lines)

@@ -77,6 +77,14 @@ class BisectionTask:
         """Net count of the subproblem."""
         return len(self.net_ptr) - 1
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the task's arrays: the payload dense dispatch ships
+        besides a few scalars."""
+        return int(self.net_ptr.nbytes + self.pin_vertices.nbytes
+                   + self.net_weights.nbytes + self.vertex_weights.nbytes
+                   + self.fixed.nbytes)
+
     def hypergraph(self) -> Hypergraph:
         """Materialize the task's :class:`Hypergraph`."""
         return Hypergraph.from_csr(self.num_vertices, self.net_ptr,

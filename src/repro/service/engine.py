@@ -171,11 +171,12 @@ class PlacementEngine:
     def cancel(self, job_id: str) -> Dict[str, Any]:
         """Request cancellation (cooperative for running jobs).
 
-        A queued job parks as ``cancelled`` immediately; a running job
-        keeps going until its next stage boundary, where the worker's
-        preemption hook sees the sentinel and stops (the scheduler
-        then parks it).  Either way the checkpoint state supports a
-        bit-identical :meth:`resume`.
+        Sets the document's ``cancel_requested`` field.  A queued job
+        parks as ``cancelled`` immediately; a running job keeps going
+        until its next stage boundary, where the worker's preemption
+        hook reads the field and stops (the scheduler then parks it).
+        Either way the checkpoint state supports a bit-identical
+        :meth:`resume`.
         """
         document = self.store.request_cancel(job_id)
         if document["state"] == "queued":
@@ -183,7 +184,7 @@ class PlacementEngine:
                 document = self.store.transition(job_id, "cancelled",
                                                  expect=("queued",))
             except JobStateError:
-                # raced the scheduler's dispatch; the sentinel still
+                # raced the scheduler's dispatch; the field still
                 # preempts the now-running job at its next boundary
                 document = self.store.load(job_id)
         return document

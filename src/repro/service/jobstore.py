@@ -4,8 +4,7 @@ A job is a directory under the store root::
 
     <root>/job-000001/
         job.json        # the job document (schema-validated)
-        CANCEL          # cancel sentinel (cooperative preemption)
-        checkpoint/     # the run's stage-boundary checkpoints
+        checkpoint/     # checkpoint.npz, the last stage boundary's state
         result/         # placement.npz + manifest.json when done
 
 ``job.json`` is the single source of truth for a job's lifecycle.  It
@@ -19,17 +18,18 @@ legal state machine::
        ├────────> cancelled
        └────────> done   (cache hit)
 
-Cancellation of a *running* job is cooperative: the store writes the
-``CANCEL`` sentinel, the worker's preemption hook (polled at every
-stage boundary, after the checkpoint is saved) sees it and stops the
-run there; the scheduler then parks the job as ``cancelled``.  Because the checkpoint for the last
-completed unit is already on disk, a later resume replays the rest of
-the pipeline bit-identically.
+A cancel request is the document's ``cancel_requested`` field.
+Cancellation of a *running* job is cooperative: the worker's
+preemption hook reads ``job.json`` at every stage boundary, after the
+checkpoint is saved, and stops the run there once the field is set;
+the scheduler then parks the job as ``cancelled``.  Because the
+checkpoint for the last completed unit is already on disk, a later
+resume replays the rest of the pipeline bit-identically.
 
 All mutation happens in one process (the engine's); the threading lock
 serializes the scheduler thread against RPC handlers.  Other processes
-(pool workers) only ever *read* job documents and *create* files under
-their own job directory.
+(pool workers) only ever *read* job documents and write under their
+own job's ``checkpoint/`` and ``result/`` directories.
 """
 
 from __future__ import annotations
@@ -42,10 +42,12 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.obs.clock import wall_time
+from repro.obs.manifest import load_schema
+from repro.obs.validate import validate
 
 __all__ = ["JOB_KIND", "JOB_SCHEMA_VERSION", "JOB_STATES",
            "TERMINAL_STATES", "JobError", "JobRequest", "JobStateError",
-           "JobStore", "load_job_schema", "validate_job"]
+           "JobStore", "validate_job"]
 
 JOB_KIND = "repro.service.job"
 JOB_SCHEMA_VERSION = 1
@@ -160,18 +162,9 @@ class JobRequest:
             want_telemetry=bool(data.get("want_telemetry", False)))
 
 
-def load_job_schema() -> Dict[str, Any]:
-    """Load the packaged job-document schema."""
-    with open(_SCHEMA_PATH, "r", encoding="utf-8") as fh:
-        schema = json.load(fh)
-    assert isinstance(schema, dict)
-    return schema
-
-
 def validate_job(document: Dict[str, Any]) -> List[str]:
     """Validate a job document; returns errors (empty = valid)."""
-    from repro.obs.validate import validate
-    return validate(document, load_job_schema())
+    return validate(document, load_schema(_SCHEMA_PATH))
 
 
 @dataclass
@@ -202,10 +195,6 @@ class JobStore:
     def result_dir(self, job_id: str) -> Path:
         """Where the job's result artifacts live."""
         return self.job_dir(job_id) / "result"
-
-    def cancel_path(self, job_id: str) -> Path:
-        """The cooperative-cancellation sentinel file."""
-        return self.job_dir(job_id) / "CANCEL"
 
     def _doc_path(self, job_id: str) -> Path:
         return self.job_dir(job_id) / "job.json"
@@ -277,17 +266,20 @@ class JobStore:
             raise JobError(f"{path}: not a {JOB_KIND} document")
         return document
 
-    def list_jobs(self) -> List[Dict[str, Any]]:
-        """All job documents, ordered by job id (submission order)."""
-        with self._lock:
-            ids = sorted(p.name for p in self.root.iterdir()
-                         if p.is_dir() and p.name.startswith("job-")
-                         and (p / "job.json").is_file())
-            return [self.load(job_id) for job_id in ids]
+    def job_ids(self) -> List[str]:
+        """Every spooled job's id, in submission order."""
+        return sorted(p.name for p in self.root.iterdir()
+                      if p.is_dir() and p.name.startswith("job-")
+                      and (p / "job.json").is_file())
 
-    def cancel_requested(self, job_id: str) -> bool:
-        """Whether the job's cancel sentinel exists."""
-        return self.cancel_path(job_id).exists()
+    def list_jobs(self) -> List[Dict[str, Any]]:
+        """All job documents, ordered by job id (submission order).
+
+        Raises:
+            JobError: a job's document is malformed.
+        """
+        with self._lock:
+            return [self.load(job_id) for job_id in self.job_ids()]
 
     # -- mutation ------------------------------------------------------
     def _write(self, job_id: str, document: Dict[str, Any]) -> None:
@@ -350,35 +342,22 @@ class JobStore:
             return document
 
     def request_cancel(self, job_id: str) -> Dict[str, Any]:
-        """Raise the cancel sentinel and flag the document.
+        """Set the document's ``cancel_requested`` field.
 
-        A running worker's preemption hook polls the sentinel at every
-        stage boundary; a queued job is cancelled by the scheduler (or
-        the engine) before dispatch.
+        A running worker's preemption hook reads it at every stage
+        boundary; a queued job is cancelled by the scheduler (or the
+        engine) before dispatch.
         """
-        with self._lock:
-            self.load(job_id)  # existence check
-            self.cancel_path(job_id).touch()
-            return self.update(job_id, cancel_requested=True)
-
-    def clear_cancel(self, job_id: str) -> None:
-        """Drop the cancel sentinel (the resume path)."""
-        with self._lock:
-            try:
-                self.cancel_path(job_id).unlink()
-            except FileNotFoundError:
-                pass
+        return self.update(job_id, cancel_requested=True)
 
     def requeue(self, job_id: str) -> Dict[str, Any]:
         """Move a ``cancelled``/``failed`` job back to ``queued``.
 
-        Clears the cancel sentinel first, so the resumed run is not
-        immediately re-preempted; the job resumes from its last
-        checkpoint and finishes bit-identically to an uninterrupted
-        run.
+        Clears ``cancel_requested`` in the same write, so the resumed
+        run is not immediately re-preempted; the job resumes from its
+        last checkpoint and finishes bit-identically to an
+        uninterrupted run.
         """
-        with self._lock:
-            self.clear_cancel(job_id)
-            return self.transition(job_id, "queued",
-                                   expect=("cancelled", "failed"),
-                                   cancel_requested=False, error=None)
+        return self.transition(job_id, "queued",
+                               expect=("cancelled", "failed"),
+                               cancel_requested=False, error=None)

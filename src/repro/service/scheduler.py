@@ -11,21 +11,22 @@ Its in-flight table is the one record of a job in flight, and
 Scheduling policy, all observable through the job store:
 
 - FIFO by job id; at most ``backend.num_workers`` jobs in flight.
-- A queued job whose cancel sentinel is raised is parked as
-  ``cancelled`` without ever dispatching.
+- A queued job whose document has ``cancel_requested`` set is parked
+  as ``cancelled`` without ever dispatching.
 - A queued job whose cache key is already published short-circuits to
   ``done`` with ``cache="hit"`` (the ``cache/hit`` telemetry counter).
 - A queued job whose cache key is *in flight* is coalesced: it stays
   queued and resolves as a cache hit once the leader publishes.
-- A running job whose run stopped at a stage boundary (its cancel
-  sentinel fired the pipeline's ``preempt`` hook) is parked as
-  ``cancelled`` with its preemption count bumped; its checkpoint
-  remains, so a requeue resumes bit-identically.
+- A running job whose run stopped at a stage boundary (the
+  pipeline's ``preempt`` hook read ``cancel_requested`` there) is
+  parked as ``cancelled`` with its preemption count bumped; its
+  checkpoint remains, so a requeue resumes bit-identically.
 
 Finished runs, spooled or inline, all leave the ``running`` state
 through :meth:`Scheduler.settle`, and so does a job the backend
 refuses to dispatch: it is settled ``failed``, never left
-``running``.
+``running``.  No one job's bookkeeping stops the pump thread: it
+skips an unreadable job document, and logs any error a pump raises.
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ from __future__ import annotations
 import json
 import shutil
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.obs import Recorder, get_logger
 from repro.parallel import ExecutionBackend, Future
 from repro.service.cache import CacheEntry, ResultCache
-from repro.service.jobstore import JobStore
+from repro.service.jobstore import JobError, JobStore
 from repro.service.worker import execute_job
 
 __all__ = ["Scheduler", "fulfil_from_cache"]
@@ -115,6 +116,7 @@ class Scheduler:
         self._lock = threading.RLock()
         self._inflight: Dict[str, Tuple[str, Future[Dict[str, Any]]]] = {}
         self._outcomes: Dict[str, Dict[str, Any]] = {}
+        self._unreadable: Set[str] = set()
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
 
@@ -147,7 +149,9 @@ class Scheduler:
         ``failed`` parks it with the error; ``preempted`` parks it as
         ``cancelled`` with its preemption count bumped (its checkpoint
         stays, so a requeue resumes bit-identically); ``done`` records
-        the result and publishes it to the cache under ``key``.
+        the result and publishes it to the cache under ``key``.  A
+        publish that fails leaves the job ``done`` without a cache
+        entry, with a warning.
 
         Args:
             job_id: the running job.
@@ -178,23 +182,32 @@ class Scheduler:
                 job_id, "done", expect=("running",), result=summary,
                 manifest_path=str(outcome["manifest_path"]))
             self._count("jobs/done")
-            with open(outcome["manifest_path"], "r",
-                      encoding="utf-8") as fh:
-                manifest = json.load(fh)
-            self.cache.store(
-                key, self.store.result_dir(job_id) / "placement.npz",
-                manifest, summary)
+            try:
+                with open(outcome["manifest_path"], "r",
+                          encoding="utf-8") as fh:
+                    manifest = json.load(fh)
+                self.cache.store(
+                    key, self.store.result_dir(job_id) / "placement.npz",
+                    manifest, summary)
+            except (OSError, ValueError) as exc:
+                _log.warning("job %s is done but its result was not "
+                             "cached: %s", job_id, exc)
 
     def _dispatch(self) -> int:
         capacity = self.backend.num_workers - len(self._inflight)
         inflight_keys = {key for key, _ in self._inflight.values()}
         active = len(self._inflight)
-        for document in self.store.list_jobs():
+        for job_id in self.store.job_ids():
+            try:
+                document = self.store.load(job_id)
+            except JobError as exc:
+                if job_id not in self._unreadable:
+                    self._unreadable.add(job_id)
+                    _log.warning("skipping job %s: %s", job_id, exc)
+                continue
             if document["state"] != "queued":
                 continue
-            job_id = str(document["id"])
-            if document["cancel_requested"] \
-                    or self.store.cancel_requested(job_id):
+            if document["cancel_requested"]:
                 self.store.transition(job_id, "cancelled",
                                       expect=("queued",))
                 self._count("jobs/cancelled")
@@ -240,7 +253,13 @@ class Scheduler:
 
     def _loop(self) -> None:
         while not self._stop.is_set():
-            self.pump()
+            try:
+                self.pump()
+            except Exception as exc:
+                # the traceback shows at -vv
+                _log.warning("scheduler pump failed: %s: %s",
+                             type(exc).__name__, exc)
+                _log.debug("scheduler pump failed", exc_info=True)
             self._stop.wait(self.poll_seconds)
 
     def stop(self) -> None:

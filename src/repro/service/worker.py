@@ -14,9 +14,9 @@ rebuilds the netlist and recorder from the spooled ``job.json``.
 
 Cancellation and resume both ride the checkpoint substrate: the run
 always checkpoints into the job's ``checkpoint/`` directory, the
-preemption hook polls the job's ``CANCEL`` sentinel at every stage
-boundary, and a requeued job resumes from the last checkpoint —
-finishing bit-identically to an uninterrupted run.
+preemption hook reads the job document's ``cancel_requested`` field at
+every stage boundary, and a requeued job resumes from the last
+checkpoint — finishing bit-identically to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ def execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     The run checkpoints into the job's ``checkpoint/`` directory,
     resumes from it when a checkpoint is there, and stops at the first
-    stage boundary after the job's ``CANCEL`` sentinel appears.
+    stage boundary at which ``job.json`` reads ``cancel_requested``.
 
     Args:
         payload: ``{"job_dir": <path>}`` — the job's spool directory
@@ -174,8 +174,8 @@ def execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
         handle and park the job as ``failed``.
     """
     job_dir = Path(payload["job_dir"])
-    with open(job_dir / "job.json", "r", encoding="utf-8") as fh:
-        document = json.load(fh)
+    doc_path = job_dir / "job.json"
+    document = json.loads(doc_path.read_text(encoding="utf-8"))
     request = JobRequest.from_dict(document["request"])
     netlist = load_job_netlist(
         request, PlacementConfig.from_dict(request.config).seed)
@@ -185,8 +185,12 @@ def execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
             obs.EventSink(f"{request.telemetry_prefix}.trace.jsonl")
             if request.telemetry_prefix else None))
     checkpoint_dir = job_dir / "checkpoint"
-    cancel_path = job_dir / "CANCEL"
+
+    def cancel_requested(unit: str) -> bool:
+        text = doc_path.read_text(encoding="utf-8")
+        return bool(json.loads(text)["cancel_requested"])
+
     return run_job(document, job_dir / "result", netlist, recorder,
                    checkpoint_dir=checkpoint_dir,
                    resume=has_checkpoint(checkpoint_dir),
-                   preempt=lambda unit: cancel_path.exists())
+                   preempt=cancel_requested)

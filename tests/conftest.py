@@ -53,6 +53,34 @@ def tiny_netlist() -> Netlist:
 
 
 @pytest.fixture
+def run_manifest():
+    """Factory of small schema-valid run manifests (an unprofiled run
+    of a 4-cell circuit named ``tiny``).
+
+    ``run_manifest(result={...}, **sections)`` merges ``result`` into
+    the default result section and replaces each other named section.
+    """
+    def make(result=None, **sections):
+        document = {
+            "kind": "repro.placement.run", "schema_version": 1,
+            "created_unix": 0.0,
+            "circuit": {"name": "tiny", "num_cells": 4, "num_nets": 2,
+                        "num_movable": 4, "num_pins": 6},
+            "seed": 0, "config": {}, "config_hash": "sha256:0",
+            "versions": {"python": "3", "numpy": "2", "scipy": "1",
+                         "repro": "0"},
+            "result": {"objective": 10.0, "wirelength": 5.0, "ilv": 2,
+                       "wall_seconds": 0.25, "peak_temperature": None},
+            "stages": [], "rounds": [], "counters": {}, "gauges": {},
+            "resources": None, "profile": None,
+        }
+        document["result"].update(result or {})
+        document.update(sections)
+        return document
+    return make
+
+
+@pytest.fixture
 def small_netlist() -> Netlist:
     """A generated ~120-cell netlist (deterministic)."""
     spec = GeneratorSpec(name="small", num_cells=120,

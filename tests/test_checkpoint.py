@@ -4,23 +4,23 @@ The acceptance contract: interrupt a run after *any* stage boundary of
 the default pipeline, resume from the checkpoint directory, and the
 final ``.pl`` coordinates are bit-identical to the uninterrupted run —
 for every boundary, including mid-round, round-end bookkeeping and the
-best-snapshot restore.  Also covers the checkpoint file format, schema
-validation, torn-write detection and resume-against-wrong-run refusal.
+best-snapshot restore.  Also covers the one-file checkpoint format,
+schema validation, unreadable-file refusal, failed saves and
+resume-against-wrong-run refusal.
 """
 
 from __future__ import annotations
 
-import builtins
 import io
 import json
-from pathlib import Path
+import os
 
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import (CheckpointError, checkpoint_paths,
-                                   has_checkpoint, load_checkpoint,
-                                   save_checkpoint, verify_matches)
+from repro.core.checkpoint import (CheckpointError, has_checkpoint,
+                                   load_checkpoint, save_checkpoint,
+                                   verify_matches)
 from repro.core.config import PlacementConfig
 from repro.core.context import PlacementContext
 from repro.core.objective import ObjectiveState
@@ -68,6 +68,20 @@ def _config(**overrides) -> PlacementConfig:
 def _stop_after(unit):
     """A ``preempt`` hook that stops the run after ``unit``."""
     return lambda done: done == unit
+
+
+def _rewrite(ckpt_dir, edit):
+    """Rewrite ``checkpoint.npz`` with ``edit`` applied to its entries
+    (``{name: array}``, ``meta`` parsed to a dict)."""
+    path = ckpt_dir / "checkpoint.npz"
+    with np.load(str(path)) as npz:
+        entries = {name: npz[name] for name in npz.files}
+    entries["meta"] = json.loads(str(entries["meta"]))
+    edit(entries)
+    if "meta" in entries:
+        entries["meta"] = np.array(json.dumps(entries["meta"]))
+    with open(path, "wb") as fh:
+        np.savez(fh, **entries)
 
 
 def _assert_resumes_bit_identically(tmp_path, make_netlist, config,
@@ -186,9 +200,9 @@ class TestCheckpointFormat:
 
     def test_metadata_passes_schema_validation(self, tmp_path):
         ckpt_dir, _ = self._halted_checkpoint(tmp_path)
-        meta_path, _ = checkpoint_paths(ckpt_dir)
-        meta = json.loads(meta_path.read_text())
+        meta = load_checkpoint(ckpt_dir).meta
         assert validate_checkpoint_meta(meta) == []
+        assert meta["schema_version"] == 2
         assert meta["kind"] == "repro.placement.checkpoint"
         assert meta["completed"] == ["0:global", "1:round1/moves"]
         assert meta["objective_built"] is True
@@ -201,8 +215,7 @@ class TestCheckpointFormat:
         monkeypatch.setattr(ckpt_mod, "wall_time",
                             lambda: 1181260800.0)
         ckpt_dir, _ = self._halted_checkpoint(tmp_path)
-        meta_path, _ = checkpoint_paths(ckpt_dir)
-        meta = json.loads(meta_path.read_text())
+        meta = load_checkpoint(ckpt_dir).meta
         assert meta["created_unix"] == 1181260800.0
 
     def test_loaded_checkpoint_matches_run(self, tmp_path):
@@ -216,14 +229,6 @@ class TestCheckpointFormat:
         assert data.wl.shape == (ctx.netlist.num_nets,)
         assert data.drv_rsum is None  # not a thermal run
         assert data.x.shape == ctx.placement.x.shape
-
-    def test_missing_arrays_detected_as_torn_write(self, tmp_path):
-        ckpt_dir, _ = self._halted_checkpoint(tmp_path)
-        _, npz_path = checkpoint_paths(ckpt_dir)
-        npz_path.unlink()
-        assert not has_checkpoint(ckpt_dir)
-        with pytest.raises(CheckpointError, match="torn write"):
-            load_checkpoint(ckpt_dir)
 
     def test_thermal_checkpoint_carries_driver_sums(self, tmp_path):
         config = _config(alpha_temp=1e-5, legalization_rounds=1,
@@ -239,21 +244,76 @@ class TestCheckpointFormat:
 
     def test_checkpoint_without_spans_refused(self, tmp_path):
         ckpt_dir, _ = self._halted_checkpoint(tmp_path)
-        _, npz_path = checkpoint_paths(ckpt_dir)
-        with np.load(str(npz_path)) as arrays:
-            kept = {k: arrays[k] for k in arrays.files if k != "wl"}
-        np.savez(str(npz_path), **kept)
+        _rewrite(ckpt_dir, lambda entries: entries.pop("wl"))
         with pytest.raises(CheckpointError, match="no wl array"):
             load_checkpoint(ckpt_dir)
 
     def test_corrupt_metadata_rejected(self, tmp_path):
         ckpt_dir, _ = self._halted_checkpoint(tmp_path)
-        meta_path, _ = checkpoint_paths(ckpt_dir)
-        meta = json.loads(meta_path.read_text())
-        del meta["spec_hash"]
-        meta_path.write_text(json.dumps(meta))
+        _rewrite(ckpt_dir, lambda entries: entries["meta"].pop(
+            "spec_hash"))
         with pytest.raises(CheckpointError, match="schema validation"):
             load_checkpoint(ckpt_dir)
+
+    def test_truncated_file_raises_checkpoint_error(self, tmp_path):
+        ckpt_dir, _ = self._halted_checkpoint(tmp_path)
+        path = ckpt_dir / "checkpoint.npz"
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+        assert has_checkpoint(ckpt_dir)
+        with pytest.raises(CheckpointError,
+                           match="not a readable checkpoint"):
+            load_checkpoint(ckpt_dir)
+
+    def test_entry_flagged_encrypted_raises_checkpoint_error(self,
+                                                              tmp_path):
+        """A damaged zip directory makes the zip reader raise other
+        errors than ``BadZipFile`` (here a ``RuntimeError``): still a
+        :class:`CheckpointError`."""
+        ckpt_dir, _ = self._halted_checkpoint(tmp_path)
+        path = ckpt_dir / "checkpoint.npz"
+        data = bytearray(path.read_bytes())
+        entry = data.index(b"PK\x01\x02")  # first central-directory entry
+        data[entry + 8] |= 1  # general-purpose flag bit 0: encrypted
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError,
+                           match="readable checkpoint: RuntimeError"):
+            load_checkpoint(ckpt_dir)
+
+    def test_file_without_meta_refused(self, tmp_path):
+        ckpt_dir, _ = self._halted_checkpoint(tmp_path)
+        _rewrite(ckpt_dir, lambda entries: entries.pop("meta"))
+        with pytest.raises(CheckpointError,
+                           match="not a readable checkpoint"):
+            load_checkpoint(ckpt_dir)
+
+    def test_meta_that_is_not_json_refused(self, tmp_path):
+        ckpt_dir, _ = self._halted_checkpoint(tmp_path)
+        path = ckpt_dir / "checkpoint.npz"
+        with np.load(str(path)) as npz:
+            entries = {name: npz[name] for name in npz.files}
+        text = str(entries["meta"])
+        entries["meta"] = np.array(text[:len(text) // 2])
+        with open(path, "wb") as fh:
+            np.savez(fh, **entries)
+        with pytest.raises(CheckpointError,
+                           match="not a readable checkpoint"):
+            load_checkpoint(ckpt_dir)
+
+    def test_pickled_entries_are_not_loaded(self, tmp_path):
+        ckpt_dir, _ = self._halted_checkpoint(tmp_path)
+        _rewrite(ckpt_dir, lambda entries: entries.update(
+            x=np.array([{"not": "an array"}], dtype=object)))
+        with pytest.raises(CheckpointError,
+                           match="readable checkpoint.*allow_pickle"):
+            load_checkpoint(ckpt_dir)
+
+    def test_former_two_file_layout_reads_as_no_checkpoint(self,
+                                                           tmp_path):
+        (tmp_path / "checkpoint.json").write_text("{}")
+        assert not has_checkpoint(tmp_path)
+        with pytest.raises(CheckpointError, match="no checkpoint"):
+            load_checkpoint(tmp_path)
 
     def test_missing_checkpoint_dir_raises(self, tmp_path):
         with pytest.raises(CheckpointError, match="no checkpoint"):
@@ -278,10 +338,10 @@ class TestFailedSaves:
     """A save that fails leaves the previous checkpoint whole.
 
     The run's third save (after ``1:round1/cellshift``) fails inside
-    the arrays write, between the arrays and the metadata writes, or
-    inside the metadata write.  The checkpoint must still be the one of
-    the second boundary, arrays and all, and resuming from it must end
-    on the straight run's placement.
+    its write of ``checkpoint.npz.tmp`` or at the rename over
+    ``checkpoint.npz``.  The checkpoint must still be the one of the
+    second boundary, arrays and all, no other file may be left, and
+    resuming from it must end on the straight run's placement.
     """
 
     @staticmethod
@@ -307,45 +367,20 @@ class TestFailedSaves:
                 raise OSError(28, f"injected failure {where}")
             return call
 
-        def half_arrays(file, **arrays):
+        def half_file(file, *args, **arrays):
             buffer = io.BytesIO()
-            real_savez(buffer, **arrays)
-            data = buffer.getvalue()[:len(buffer.getvalue()) // 2]
-            if hasattr(file, "write"):
-                file.write(data)
-            else:
-                with open(file, "wb") as fh:
-                    fh.write(data)
-
-        def half_document(obj, fh, **kwargs):
-            text = json.dumps(obj, **kwargs)
-            fh.write(text[:len(text) // 2])
-
-        real_open = builtins.open
-
-        def metadata_open(file, mode="r", *args, **kwargs):
-            # the metadata file cannot be created: nothing of it is
-            # written, the arrays are
-            if "w" in mode and Path(file).name.startswith(
-                    "checkpoint.json"):
-                return failing(real_open, None)(file, mode, *args,
-                                                **kwargs)
-            return real_open(file, mode, *args, **kwargs)
+            real_savez(buffer, *args, **arrays)
+            data = buffer.getvalue()
+            file.write(data[:len(data) // 2])
 
         real_savez = np.savez
         monkeypatch.setattr(ckpt_mod, "save_checkpoint", counted_save)
-        if where == "in the arrays write":
-            monkeypatch.setattr(np, "savez", failing(np.savez,
-                                                     half_arrays))
-        elif where == "between the writes":
-            monkeypatch.setattr(builtins, "open", metadata_open)
+        if where == "in the write":
+            monkeypatch.setattr(np, "savez", failing(np.savez, half_file))
         else:
-            monkeypatch.setattr(json, "dump", failing(json.dump,
-                                                      half_document))
+            monkeypatch.setattr(os, "replace", failing(os.replace, None))
 
-    @pytest.mark.parametrize("where", ["in the arrays write",
-                                       "between the writes",
-                                       "in the metadata write"])
+    @pytest.mark.parametrize("where", ["in the write", "at the rename"])
     def test_previous_checkpoint_survives(self, tmp_path, monkeypatch,
                                           ibm01_runs, where):
         netlist, config, straight, at_moves = ibm01_runs
@@ -360,8 +395,7 @@ class TestFailedSaves:
             assert np.array_equal(getattr(data, name),
                                   getattr(at_moves, name)), name
         # and the failed save removed what it wrote
-        assert sorted(p.name for p in tmp_path.iterdir()) \
-            == ["checkpoint.json", data.meta["arrays_file"]]
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.npz"]
         resumed = Placer3D(netlist, config).run(checkpoint_dir=tmp_path,
                                                 resume=True)
         for axis in ("x", "y", "z"):
@@ -370,55 +404,25 @@ class TestFailedSaves:
         assert resumed.objective == straight.objective
 
 
-class TestArraysFile:
-    def _checkpoint(self, tmp_path):
+class TestOneFile:
+    def test_many_saves_leave_one_file(self, tmp_path):
         config = _config(legalization_rounds=1, refine_passes=0)
-        ckpt_dir = tmp_path / "arrays"
-        with pytest.raises(PipelineHalted):
-            Placer3D(_netlist(40), config).run(
-                checkpoint_dir=ckpt_dir,
-                preempt=_stop_after("1:round1/cellshift"))
-        return ckpt_dir
+        ckpt_dir = tmp_path / "one"
+        Placer3D(_netlist(40), config).run(checkpoint_dir=ckpt_dir)
+        assert [p.name for p in ckpt_dir.iterdir()] == ["checkpoint.npz"]
+        data = load_checkpoint(ckpt_dir)
+        assert data.completed \
+            == default_pipeline_spec(config).units()
 
-    def test_truncated_metadata_raises_checkpoint_error(self, tmp_path):
-        ckpt_dir = self._checkpoint(tmp_path)
-        meta_path, _ = checkpoint_paths(ckpt_dir)
-        text = meta_path.read_text()
-        meta_path.write_text(text[:len(text) // 2])
-        with pytest.raises(CheckpointError, match="not valid JSON"):
-            load_checkpoint(ckpt_dir)
-
-    def test_saves_alternate_and_leave_one_arrays_file(self, tmp_path):
-        ckpt_dir = self._checkpoint(tmp_path)
-        files = sorted(p.name for p in ckpt_dir.iterdir())
-        # three saves: state-0, state-1, state-0
-        assert files == ["checkpoint.json", "state-0.npz"]
-        assert checkpoint_paths(ckpt_dir)[1].name == "state-0.npz"
-
-    def test_legacy_state_npz_loads(self, tmp_path):
-        ckpt_dir = self._checkpoint(tmp_path)
-        before = load_checkpoint(ckpt_dir)
-        meta_path, npz_path = checkpoint_paths(ckpt_dir)
-        npz_path.rename(ckpt_dir / "state.npz")
-        meta = json.loads(meta_path.read_text())
-        meta["arrays_file"] = "state.npz"
-        meta_path.write_text(json.dumps(meta))
-        assert has_checkpoint(ckpt_dir)
-        after = load_checkpoint(ckpt_dir)
-        assert after.completed == before.completed
-        assert np.array_equal(after.x, before.x)
-
-    @pytest.mark.parametrize("name", ["../state-0.npz", "sub/state-0.npz",
-                                      "/tmp/state-0.npz", "", ".."])
-    def test_arrays_file_outside_directory_refused(self, tmp_path, name):
-        ckpt_dir = self._checkpoint(tmp_path)
-        meta_path, _ = checkpoint_paths(ckpt_dir)
-        meta = json.loads(meta_path.read_text())
-        meta["arrays_file"] = name
-        meta_path.write_text(json.dumps(meta))
-        assert not has_checkpoint(ckpt_dir)
-        with pytest.raises(CheckpointError, match="arrays file"):
-            load_checkpoint(ckpt_dir)
+    def test_save_overwrites_in_place(self, tmp_path):
+        config = _config(legalization_rounds=1)
+        ctx = PlacementContext.create(_netlist(40), config)
+        spec_dict = default_pipeline_spec(config).to_dict()
+        for completed in ([], ["0:global"]):
+            path = save_checkpoint(tmp_path, ctx, spec_dict, completed)
+            assert path == str(tmp_path / "checkpoint.npz")
+            assert load_checkpoint(tmp_path).completed == completed
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.npz"]
 
 
 class TestResumeRefusals:

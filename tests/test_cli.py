@@ -252,7 +252,7 @@ class TestPipelineFlags:
                      "--halt-after", "0:global"])
         assert code == 0
         assert "halted after 0:global" in capsys.readouterr().out
-        assert (ckpt / "checkpoint.json").is_file()
+        assert [p.name for p in ckpt.iterdir()] == ["checkpoint.npz"]
 
     def test_second_run_is_served_from_the_cache(self, capsys, tmp_path):
         import json

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import dataclasses
 import json
 
@@ -124,6 +125,30 @@ class TestManifest:
         loaded = json.loads(open(path).read())
         assert validate_manifest(loaded) == []
         assert loaded["trace_path"] == "run.trace.jsonl"
+
+    def test_schemas_are_read_once_per_process(self, monkeypatch):
+        """Validating a manifest, checkpoint metadata or a job document
+        reads its schema file the first time only."""
+        from repro.obs.manifest import validate_checkpoint_meta
+        from repro.service.jobstore import validate_job
+
+        checks = (validate_manifest, validate_checkpoint_meta,
+                  validate_job)
+        for check in checks:
+            assert check({})  # invalid, but validated
+        opened = []
+        real_open = builtins.open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        for check in checks:
+            assert check({})
+        assert [name for name in opened
+                if name.endswith("schema.json")] == []
+        assert load_schema() is load_schema()
 
     def test_schema_itself_uses_only_supported_keywords(self):
         # validating anything exercises every keyword in the schema;

@@ -1,30 +1,36 @@
-"""Tests for the text renderers (``repro.obs.report``).
+"""Tests for the text renderers (``repro.obs.report``) and
+``repro obs report``.
 
-The renderers must degrade gracefully on empty traces, span nodes
-missing keys, and manifests from schema versions predating the
-``resources``/``profile`` sections — every case here renders an honest
-placeholder instead of raising.
+The manifest renderers read schema-valid manifests: the command
+validates each one on load and exits 2, naming the errors, when it
+fails ``manifest_schema.json``.  Empty traces and the null
+``resources``/``profile`` sections of an unprofiled run render an
+honest placeholder.
 """
 
 from __future__ import annotations
 
+import json
+
+from repro.cli import main
 from repro.obs import (Recorder, Telemetry, render, render_manifest,
-                       render_profile, render_resources, render_spans)
+                       render_profile, render_resources, render_spans,
+                       validate_manifest)
+
+
+def _resources(**overrides):
+    section = {"peak_rss_bytes": 1000, "current_rss_bytes": 0,
+               "baseline_rss_bytes": 0, "samples": 1,
+               "tracemalloc": {"enabled": False, "peak_bytes": 0,
+                               "top_allocations": []}}
+    section.update(overrides)
+    return section
 
 
 class TestRenderSpans:
     def test_empty_tree_is_empty_string(self):
         assert render_spans({}) == ""
         assert render_spans({"children": []}) == ""
-
-    def test_nodes_missing_keys_render(self):
-        spans = {"children": [
-            {"name": "global", "total_seconds": 1.0,
-             "children": [{}, "garbage"]},
-        ]}
-        text = render_spans(spans)
-        assert "global" in text
-        assert "?" in text  # nameless child rendered with placeholder
 
     def test_real_trace_shares_sum(self):
         rec = Recorder()
@@ -58,10 +64,9 @@ class TestRenderTelemetry:
 
 
 class TestRenderResources:
-    def test_none_and_empty_render_placeholder(self):
+    def test_none_renders_placeholder(self):
         expected = "-- memory --\n(none: run without --profile)"
         assert render_resources(None) == expected
-        assert render_resources({}) == expected
 
     def test_full_section(self):
         doc = {
@@ -83,23 +88,20 @@ class TestRenderResources:
         assert "repro/core/fm.py:10" in text
 
     def test_zero_rss_rows_suppressed(self):
-        text = render_resources({"peak_rss_bytes": 0, "samples": 1})
+        text = render_resources(_resources(peak_rss_bytes=0))
         assert "peak RSS" not in text
         assert "samples" in text
 
     def test_disabled_tracemalloc_omits_heap(self):
-        text = render_resources({
-            "peak_rss_bytes": 1000,
-            "tracemalloc": {"enabled": False, "peak_bytes": 0,
-                            "top_allocations": []}})
+        text = render_resources(_resources())
+        assert "peak RSS" in text
         assert "python heap peak" not in text
 
 
 class TestRenderProfile:
-    def test_none_and_empty_render_placeholder(self):
+    def test_none_renders_placeholder(self):
         expected = "-- hot functions --\n(none: run without --profile)"
         assert render_profile(None) == expected
-        assert render_profile({}) == expected
 
     def test_full_section(self):
         doc = {
@@ -117,46 +119,40 @@ class TestRenderProfile:
         assert "(no span)" in text  # empty span path labelled honestly
 
     def test_no_attributed_samples(self):
-        text = render_profile({"samples": 0, "hot_functions": [],
-                               "spans": []})
+        text = render_profile({"samples": 0, "interval_seconds": 0.01,
+                               "hot_functions": [], "spans": []})
         assert "(no samples attributed)" in text
 
 
 class TestRenderManifest:
-    def test_legacy_manifest_without_new_sections(self):
-        # a PR-3-era manifest: no resources, no profile, no stages
-        manifest = {
-            "kind": "repro.placement.run",
-            "circuit": {"name": "ibm01"},
-            "result": {"objective": 123.0, "wall_seconds": 1.5},
-        }
-        text = render_manifest(manifest)
-        assert "== run report: ibm01 ==" in text
-        assert "objective" in text
+    def test_unprofiled_manifest(self, run_manifest):
+        text = render_manifest(run_manifest())
+        assert "== run report: tiny ==" in text
+        assert "peak_temperature" not in text  # null: not evaluated
         assert "(no stages recorded)" in text
-        assert "(none: run without --profile)" in text
+        assert "-- memory --\n(none: run without --profile)" in text
+        assert "-- hot functions --\n(none: run without --profile)" \
+            in text
 
-    def test_empty_manifest_renders(self):
-        text = render_manifest({})
-        assert "== run report: ? ==" in text
-        assert "(no stages recorded)" in text
-
-    def test_full_manifest_golden(self):
-        manifest = {
-            "circuit": {"name": "tiny"},
-            "result": {"objective": 10.0, "wall_seconds": 0.25},
-            "stages": [{"path": "global", "seconds": 0.2, "calls": 1}],
-            "resources": {"peak_rss_bytes": 1024, "samples": 2},
-            "profile": {"samples": 5, "interval_seconds": 0.01,
-                        "hot_functions": [{"function": "m:f",
-                                           "self": 5, "cum": 5}],
-                        "spans": [{"span": "global", "samples": 5}]},
-        }
+    def test_full_manifest_golden(self, run_manifest):
+        manifest = run_manifest(
+            result={"peak_temperature": 351.5},
+            stages=[{"path": "global", "seconds": 0.2, "calls": 1}],
+            resources=_resources(peak_rss_bytes=1024, samples=2),
+            profile={"samples": 5, "distinct_stacks": 1,
+                     "interval_seconds": 0.01,
+                     "hot_functions": [{"function": "m:f",
+                                        "self": 5, "cum": 5}],
+                     "spans": [{"span": "global", "samples": 5}]})
+        assert validate_manifest(manifest) == []
         text = render_manifest(manifest)
         assert text == "\n".join([
             "== run report: tiny ==",
             "objective                           10",
+            "wirelength                           5",
+            "ilv                                  2",
             "wall_seconds                      0.25",
+            "peak_temperature                 351.5",
             "-- stages --",
             "global                                  0.2000s  x1",
             "-- memory --",
@@ -170,15 +166,44 @@ class TestRenderManifest:
             "  global                                         5",
         ])
 
-    def test_malformed_rows_degrade(self):
-        manifest = {
-            "circuit": "not-a-mapping",
-            "stages": [{"path": "x", "seconds": "slow",
-                        "calls": None}, 42],
-            "resources": {"tracemalloc": {"enabled": True,
-                                          "top_allocations": ["?"]}},
-            "profile": {"samples": "many", "hot_functions": [None]},
-        }
-        text = render_manifest(manifest)  # must not raise
-        assert "== run report: ? ==" in text
-        assert "0.0000s" in text  # non-numeric seconds coerced
+
+class TestObsReportCli:
+    def _write(self, tmp_path, document):
+        path = tmp_path / "run.manifest.json"
+        path.write_text(json.dumps(document))
+        return str(path)
+
+    def test_valid_manifest_renders(self, capsys, tmp_path,
+                                    run_manifest):
+        path = self._write(tmp_path, run_manifest())
+        assert main(["obs", "report", path]) == 0
+        assert capsys.readouterr().out \
+            == render_manifest(run_manifest()) + "\n"
+
+    def test_schema_failure_exits_two_naming_the_errors(
+            self, capsys, tmp_path, run_manifest):
+        broken = run_manifest()
+        del broken["result"]
+        broken["stages"] = [{"path": "global", "seconds": "slow",
+                             "calls": 1}]
+        path = self._write(tmp_path, broken)
+        assert main(["obs", "report", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}: $: missing required key 'result'" \
+            in captured.err
+        assert f"{path}: $.stages[0].seconds: expected type number" \
+            in captured.err
+
+    def test_telemetry_snapshot_is_not_a_manifest(self, capsys,
+                                                  tmp_path):
+        snapshot = {"spans": {}, "counters": {}, "gauges": {},
+                    "series": {}, "wall_seconds": 1.0}
+        path = self._write(tmp_path, snapshot)
+        assert main(["obs", "report", path]) == 2
+        assert "missing required key 'kind'" in capsys.readouterr().err
+
+    def test_unreadable_input_exits_two(self, capsys, tmp_path):
+        assert main(["obs", "report",
+                     str(tmp_path / "missing.json")]) == 2
+        assert "cannot read" in capsys.readouterr().err

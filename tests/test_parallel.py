@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import pickle
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
@@ -541,8 +542,6 @@ class TestSharedMemoryDispatch:
             pool.close()
 
     def test_refs_are_tiny_vs_pickled_tasks(self):
-        import pickle
-
         from repro.parallel import SharedArrayPool
         if not pytest.importorskip("repro.parallel.shared").available():
             pytest.skip("shared memory unavailable")
@@ -583,7 +582,19 @@ class TestSharedMemoryDispatch:
             pool.close()
         np.testing.assert_array_equal(parts, expected)
 
-    def test_dispatch_counters_recorded(self, tmp_path):
+    def test_dispatch_counters_recorded(self, tmp_path, monkeypatch):
+        """The shared-memory path ships at least 10x fewer bytes than
+        dense dispatch would pickle for the same tasks (pickled here,
+        by the test: the run counts array bytes instead)."""
+        built = []
+        real_build = GlobalPlacer._build_tasks
+
+        def recording_build(placer, pending):
+            tasks = real_build(placer, pending)
+            built.extend(tasks)
+            return tasks
+
+        monkeypatch.setattr(GlobalPlacer, "_build_tasks", recording_build)
         spec = GeneratorSpec(name="shm", num_cells=96,
                              total_area=96 * 4e-12, seed=11)
         netlist = generate_netlist(spec)
@@ -597,7 +608,50 @@ class TestSharedMemoryDispatch:
         from repro.parallel import shared_memory_available
         if shared_memory_available():
             assert counters["parallel/dispatch_bytes"] * 10 \
-                <= counters["parallel/dense_task_bytes"]
+                <= sum(len(pickle.dumps(t)) for t in built)
+
+    def test_dispatch_accounting_pickles_no_task(self, monkeypatch):
+        """A traced 2-worker global run counts the tasks' array bytes
+        without pickling a :class:`BisectionTask`: the shared-memory
+        path ships refs, and ``parallel/dense_task_bytes`` is the sum
+        of the built tasks' array ``nbytes``."""
+        from repro.core.pipeline import PipelineSpec, StageEntry
+        from repro.parallel import shared
+
+        if not shared.available():
+            pytest.skip("shared memory unavailable")
+        built = []
+        real_build = GlobalPlacer._build_tasks
+
+        def recording_build(placer, pending):
+            tasks = real_build(placer, pending)
+            built.extend(tasks)
+            return tasks
+
+        pickled = []
+        real_reduce = BisectionTask.__reduce_ex__
+
+        def counting_reduce(task, protocol):
+            pickled.append(task.key)
+            return real_reduce(task, protocol)
+
+        monkeypatch.setattr(GlobalPlacer, "_build_tasks", recording_build)
+        monkeypatch.setattr(BisectionTask, "__reduce_ex__",
+                            counting_reduce)
+        netlist = generate_netlist(GeneratorSpec(
+            name="shm-bytes", num_cells=400, total_area=400 * 4e-12,
+            seed=11))
+        recorder = Recorder()
+        Placer3D(netlist, PlacementConfig(num_workers=2, num_layers=2),
+                 recorder=recorder,
+                 spec=PipelineSpec(entries=(StageEntry("global"),))
+                 ).run()
+        assert pickled == []
+        counters = recorder.counters
+        assert counters["parallel/tasks"] == len(built) > 0
+        assert counters["parallel/dense_task_bytes"] == sum(
+            t.net_ptr.nbytes + t.pin_vertices.nbytes + t.net_weights.nbytes
+            + t.vertex_weights.nbytes + t.fixed.nbytes for t in built)
 
     def test_failed_segment_creation_falls_back_to_dense(self,
                                                          monkeypatch):

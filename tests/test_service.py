@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import os
 import sys
 import threading
@@ -196,14 +197,18 @@ class TestJobStore:
         store = self._store(tmp_path)
         job_id = store.create(JobRequest(config={}, circuit="ibm01"),
                               self._hashes())["id"]
+        files = sorted(p.name for p in store.job_dir(job_id).iterdir())
         document = store.request_cancel(job_id)
         assert document["cancel_requested"] is True
-        assert store.cancel_requested(job_id)
+        assert store.load(job_id)["cancel_requested"] is True
+        # the request is the document's field: no file is created
+        assert sorted(p.name for p in store.job_dir(job_id).iterdir()) \
+            == files == ["job.json"]
         store.transition(job_id, "cancelled")
         requeued = store.requeue(job_id)
         assert requeued["state"] == "queued"
         assert requeued["cancel_requested"] is False
-        assert not store.cancel_requested(job_id)
+        assert store.load(job_id)["cancel_requested"] is False
 
     def test_requeue_refused_for_done_job(self, tmp_path):
         store = self._store(tmp_path)
@@ -583,6 +588,81 @@ class TestSchedulerLiveness:
                 writer.join(10)
                 sys.setswitchinterval(interval)
             assert not writer.is_alive()
+
+
+class TestSchedulerKeepsServing:
+    """One job's bookkeeping failure never stops the scheduler: the
+    pump thread keeps serving the other jobs."""
+
+    def test_failed_cache_publish_leaves_the_job_done(
+            self, tmp_path, monkeypatch, caplog):
+        caplog.set_level(logging.WARNING, logger="repro")
+        prefix = _bookshelf(tmp_path)
+        with PlacementEngine(tmp_path / "jobs", workers=1) as engine:
+            real_store = engine.cache.store
+            calls = []
+
+            def store_fails_once(*args, **kwargs):
+                calls.append(args)
+                if len(calls) == 1:
+                    raise OSError(28, "No space left on device")
+                return real_store(*args, **kwargs)
+
+            monkeypatch.setattr(engine.cache, "store", store_fails_once)
+            jobs = [engine.submit(_request(
+                        prefix, config=_config(seed=seed).to_dict()))
+                    for seed in (1, 2)]
+            engine.scheduler.start()
+            documents = engine.wait(jobs, timeout=60)
+            assert [d["state"] for d in documents] == ["done", "done"]
+            first, second = (engine.cache.fetch(d["hashes"]["cache_key"])
+                             for d in documents)
+        assert first is None and second is not None
+        assert f"job {jobs[0]} is done but its result was not cached" \
+            in caplog.text
+
+    def test_unreadable_document_is_skipped(self, tmp_path, caplog):
+        caplog.set_level(logging.WARNING, logger="repro")
+        prefix = _bookshelf(tmp_path)
+        with PlacementEngine(tmp_path / "jobs", workers=1) as engine:
+            broken, good = (engine.submit(_request(
+                                prefix, config=_config(seed=seed).to_dict()))
+                            for seed in (1, 2))
+            path = engine.store.job_dir(broken) / "job.json"
+            path.write_bytes(path.read_bytes()[:40])
+            (document,) = engine.wait([good], timeout=60)
+            assert document["state"] == "done"
+            engine.scheduler.pump()
+            with pytest.raises(JobError, match="invalid JSON"):
+                engine.status(broken)
+        skips = [r.getMessage() for r in caplog.records
+                 if "skipping job" in r.getMessage()]
+        assert len(skips) == 1 and broken in skips[0]
+
+    def test_pump_thread_survives_a_raising_pump(self, tmp_path,
+                                                 monkeypatch, caplog):
+        caplog.set_level(logging.WARNING, logger="repro")
+        prefix = _bookshelf(tmp_path)
+        with PlacementEngine(tmp_path / "jobs", workers=1) as engine:
+            scheduler = engine.scheduler
+            real_dispatch = scheduler._dispatch
+            calls = []
+
+            def dispatch_fails_once():
+                calls.append(True)
+                if len(calls) == 1:
+                    raise RuntimeError("injected pump failure")
+                return real_dispatch()
+
+            monkeypatch.setattr(scheduler, "_dispatch",
+                                dispatch_fails_once)
+            job_id = engine.submit(_request(prefix))
+            scheduler.start()
+            (document,) = engine.wait([job_id], timeout=60)
+        assert document["state"] == "done"
+        assert len(calls) > 1
+        assert "scheduler pump failed: RuntimeError: injected pump " \
+            "failure" in caplog.text
 
 
 class TestRunJob:

@@ -5,8 +5,8 @@ at the next stage boundary (the preemption hook fires *after* that
 boundary's checkpoint is saved), and a resumed job finishes
 bit-identically to a never-interrupted run.  Covered at two levels:
 the pipeline hook itself, preempted at every boundary of the default
-spec, and the spooled job path, preempted via the ``CANCEL`` sentinel
-and requeued through the engine.
+spec, and the spooled job path, preempted by its document's
+``cancel_requested`` field and requeued through the engine.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from repro.netlist.bookshelf import read_bookshelf, write_bookshelf
 from repro.netlist.generator import GeneratorSpec, generate_netlist
 from repro.service import PlacementEngine
 from repro.service.jobstore import JobRequest
-from repro.service.worker import execute_job
+from repro.service import worker
+from repro.service.worker import execute_job, run_job
 
 
 def _netlist(num_cells: int = 50, seed: int = 17):
@@ -104,13 +105,30 @@ class TestServiceJobPreemption:
             request = JobRequest(config=config.to_dict(),
                                  bookshelf=prefix)
             job_id = engine.submit(request)
-            # dispatch by hand with the cancel sentinel already up:
-            # the worker preempts at the first stage boundary
+            # dispatch by hand and request the cancel while the job
+            # runs, once its first boundary has passed: the worker
+            # reads job.json at the next boundary and preempts there
             engine.store.transition(job_id, "running")
-            engine.store.cancel_path(job_id).touch()
-            outcome = execute_job(
-                {"job_dir": str(engine.store.job_dir(job_id))})
-            assert outcome["state"] == "preempted"
+            units = default_pipeline_spec(config).units()
+
+            def cancel_after_first_boundary(*args, preempt, **kwargs):
+                def hook(unit):
+                    stop = preempt(unit)
+                    if unit == units[0]:
+                        engine.store.request_cancel(job_id)
+                    return stop
+                return run_job(*args, preempt=hook, **kwargs)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(worker, "run_job",
+                              cancel_after_first_boundary)
+                outcome = execute_job(
+                    {"job_dir": str(engine.store.job_dir(job_id))})
+            assert outcome == {"state": "preempted", "unit": units[1]}
+            # the request is the document's field: no file beside it
+            assert sorted(p.name for p in
+                          engine.store.job_dir(job_id).iterdir()) \
+                == ["checkpoint", "job.json"]
             assert has_checkpoint(engine.store.checkpoint_dir(job_id))
             engine.scheduler.settle(
                 job_id, engine.status(job_id)["hashes"]["cache_key"],
@@ -121,7 +139,7 @@ class TestServiceJobPreemption:
 
             resumed = engine.resume(job_id)
             assert resumed["state"] == "queued"
-            assert not engine.store.cancel_requested(job_id)
+            assert resumed["cancel_requested"] is False
             (document,) = engine.wait([job_id], timeout=120)
             assert document["state"] == "done"
             assert document["preemptions"] == 1
