@@ -300,7 +300,7 @@ def gates(rows: Dict[str, Row]) -> Row:
         for name, row in rows.items()
         if row["counters"].get("parallel/dispatch_bytes", 0.0) > 0}
     if reductions:
-        out["dispatch_reduction_vs_pickled"] = reductions
+        out["dispatch_reduction_vs_dense"] = reductions
         out["meets_10x_dispatch_reduction"] = min(
             reductions.values()) >= 10.0
     return out

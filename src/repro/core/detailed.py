@@ -154,6 +154,34 @@ class RowSegments:
                 best = c
         return best
 
+    @hot_path
+    def nearest_slots(self, layer: int, row: int, xs: FloatArray,
+                      widths: FloatArray) -> FloatArray:
+        """:meth:`nearest_slot` of many queries against one row.
+
+        Each query's centre is clamped into every gap ``[lo + w/2,
+        hi - w/2]`` that fits it (``hi - lo >= w - 1e-15``), and the
+        first gap of least distance wins, as in the scalar scan.
+
+        Returns:
+            Each query's slot centre, NaN where the row has no gap
+            wide enough or the cell is wider than the die.
+        """
+        gap_lo, gap_hi = self._gaps((layer, row))
+        lo = np.asarray(gap_lo, dtype=np.float64)
+        hi = np.asarray(gap_hi, dtype=np.float64)
+        x = xs[:, None]
+        half = 0.5 * widths[:, None]
+        left = lo + half
+        right = hi - half
+        centre = np.where(x < left, left, np.where(x > right, right, x))
+        dist = np.abs(centre - x)
+        dist[hi - lo < widths[:, None] - 1e-15] = np.inf
+        pick = np.argmin(dist, axis=1)
+        rows = np.arange(len(xs), dtype=np.int64)
+        found = (dist[rows, pick] < np.inf) & (widths <= self.chip.width)
+        return np.where(found, centre[rows, pick], np.nan)
+
     def occupants(self, layer: int, row: int) -> List[int]:
         """Cell ids currently placed in a row, in x order."""
         return list(self._cids.get((layer, row), ()))
@@ -367,56 +395,56 @@ class DetailedLegalizer:
         would trade a one-via hop for die-crossing lateral displacement.
         Keeps expanding one extra radius after the first hit so a
         slightly farther row with a much better objective can win.
+
+        Which shells are searched depends only on whether a shell holds
+        any candidate, so the shells are collected first, up to the
+        first non-empty radius plus one, and every free-gap candidate
+        of them is then scored in one batched objective call; rows with
+        no gap fall back to the scalar push-plan evaluation.  The first
+        minimum in (radius, layer, row) scan order wins, as in a strict
+        "<" scan shell by shell.
         """
         chip = self.chip
         n_rows = chip.rows_per_layer
         layers = sorted(range(chip.num_layers), key=lambda z: abs(z - z0))
-        best: Optional[Tuple[Any, ...]] = None
+        cands: List[List[Any]] = []
+        gap_idx: List[int] = []
         found_radius: Optional[int] = None
         radius = 0
-        while radius < n_rows:
+        while radius < n_rows and (found_radius is None
+                                   or radius <= found_radius + 1):
             rows: List[int] = []
             for r in (row0 - radius, row0 + radius):
                 if 0 <= r < n_rows:
                     rows.append(r)
             if radius == 0:
                 rows = rows[:1]
-            # Free-gap candidates across the whole shell are scored in
-            # one batched objective call; rows with no gap fall back to
-            # the scalar push-plan evaluation.  Candidates keep their
-            # (layer, row) scan order so ties resolve as the sequential
-            # version did.
-            shell: List[List[Any]] = []
-            gap_idx: List[int] = []
             for layer in layers:
                 for row in rows:
                     slot = segments.nearest_slot(layer, row, x0, width)
                     if slot is not None:
-                        y = chip.row_y(row)
-                        gap_idx.append(len(shell))
-                        shell.append([None, slot, y, layer, row, None])
+                        gap_idx.append(len(cands))
+                        cands.append([0.0, slot, chip.row_y(row), layer,
+                                      row, None])
                     else:
                         cand = self._evaluate_push(cid, width, x0,
                                                    layer, row, segments)
                         if cand is not None:
-                            shell.append(list(cand))
-            if gap_idx:
-                deltas = self.objective.eval_moves_batch(
-                    [cid] * len(gap_idx),
-                    [shell[k][1] for k in gap_idx],
-                    [shell[k][2] for k in gap_idx],
-                    [shell[k][3] for k in gap_idx])
-                for k, delta in zip(gap_idx, deltas):
-                    shell[k][0] = float(delta)
-            for cand in shell:
-                if best is None or cand[0] < best[0]:
-                    best = tuple(cand)
-            if best is not None and found_radius is None:
+                            cands.append(list(cand))
+            if cands and found_radius is None:
                 found_radius = radius
-            if found_radius is not None and radius >= found_radius + 1:
-                break
             radius += 1
-        return best
+        if not cands:
+            return None
+        if gap_idx:
+            deltas = self.objective.eval_moves_batch(
+                [cid] * len(gap_idx),
+                [cands[k][1] for k in gap_idx],
+                [cands[k][2] for k in gap_idx],
+                [cands[k][3] for k in gap_idx])
+            for k, delta in zip(gap_idx, deltas.tolist()):
+                cands[k][0] = delta
+        return tuple(cands[int(np.argmin([c[0] for c in cands]))])
 
     def _evaluate_push(self, cid: int, width: float, x0: float,
                        layer: int, row: int, segments: RowSegments

@@ -20,14 +20,15 @@ bounds); swaps must keep both bins within the limit.
 
 from __future__ import annotations
 
-from array import array
+from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.analysis import IntArray
+from repro.analysis import FloatArray, IntArray, hot_path
 from repro.core.config import PlacementConfig
-from repro.core.objective import BATCH_CHUNK, ObjectiveState, first_minima
+from repro.core.objective import ObjectiveState, first_minima
 from repro.geometry.density import BinIndex, DensityMesh
 from repro.obs import get_recorder
 
@@ -42,31 +43,27 @@ MAX_SWAP_CANDIDATES = 4
 #: jitter and swap-partner samples) from the config seed.
 SEED_OFFSET = 101
 
+#: Cells whose candidates phase 1 generates and scores together.
+CELL_BLOCK = 64
 
-class _Candidates:
-    """One scoring buffer of move/swap candidates in flat typed buffers.
 
-    A move is ``(cell, x, y, bin)`` and a swap ``(cell, partner, bin)``;
-    bins are stored as ``(i, j, k)`` triples, and a move lands on its
-    bin's layer ``k``.  ``entry`` lists every candidate in generation
-    order (``k`` for move ``k``, ``~k`` for swap ``k``), and ``span``
-    holds where each cell's run of entries starts, plus a final end:
-    the buffer's ``i``-th cell owns ``entry[span[i]:span[i + 1]]``.
-    The buffers go to the batch scorers as zero-copy ``np.frombuffer``
-    views, and an ``array`` a view still holds cannot grow, so every
-    buffer is scored once and then replaced by a fresh one.
+@dataclass
+class _Block:
+    """The move/swap candidates of consecutive cells, in generation
+    order.
+
+    Candidate ``c`` moves ``cell[c]`` to ``(x[c], y[c])`` on layer
+    ``bins[c, 2]`` when ``partner[c]`` is -1, and else swaps it with
+    ``partner[c]``; ``bins[c]`` is its target bin ``(i, j, k)``.  The
+    block's ``q``-th cell owns candidates ``span[q]:span[q + 1]``.
     """
 
-    def __init__(self) -> None:
-        self.mv_cell: array[int] = array("q")
-        self.mv_x: array[float] = array("d")
-        self.mv_y: array[float] = array("d")
-        self.mv_bin: array[int] = array("q")
-        self.sw_a: array[int] = array("q")
-        self.sw_b: array[int] = array("q")
-        self.sw_bin: array[int] = array("q")
-        self.entry: array[int] = array("q")
-        self.span: array[int] = array("q", [0])
+    cell: IntArray
+    partner: IntArray
+    x: FloatArray
+    y: FloatArray
+    bins: IntArray
+    span: IntArray
 
 
 class _Best:
@@ -86,12 +83,6 @@ class _Best:
         self.x = np.zeros(n, dtype=np.float64)
         self.y = np.zeros(n, dtype=np.float64)
         self.bins = np.zeros((n, 3), dtype=np.int64)
-
-
-def _bin_list(bins: Tuple[IntArray, IntArray, IntArray]
-              ) -> List[BinIndex]:
-    """Per-point ``(i, j, k)`` tuples of an array triple of bins."""
-    return list(zip(*(axis.tolist() for axis in bins)))
 
 
 class MoveOptimizer:
@@ -120,6 +111,9 @@ class MoveOptimizer:
         #: ids of the cells in each bin: ascending after a rebuild, then
         #: removed and appended as moves and swaps commit
         self.members: Dict[BinIndex, List[int]] = {}
+        # the membership of the last rebuild, flat (:meth:`_rebuild_mesh`)
+        self._bin_ptr = np.zeros(1, dtype=np.int64)
+        self._bin_ids = np.zeros(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
     def global_pass(self) -> int:
@@ -141,79 +135,95 @@ class MoveOptimizer:
 
     def _rebuild_mesh(self) -> None:
         """Rebuild the area grid and the bin membership from the
-        placement; each bin lists its cells by ascending id."""
+        placement; each bin lists its cells by ascending id.
+
+        The membership is also kept flat, as phase 1 reads it:
+        ``_bin_ids[_bin_ptr[b]:_bin_ptr[b + 1]]`` are the cells of the
+        bin of flat index ``b``, ``(i * ny + j) * nz + k``.
+        """
         placement = self.objective.placement
         mesh = self.mesh
         mesh.build_from_placement(placement, self._areas)
         i, j, k = mesh.bins_of(placement)
         flat = (i * mesh.ny + j) * mesh.nz + k
         order = np.argsort(flat, kind="stable")
-        ids = placement.netlist.movable_ids[order].tolist()
-        starts = np.flatnonzero(np.diff(flat[order], prepend=-1))
-        heads = order[starts]
-        bounds = starts.tolist() + [len(ids)]
-        self.members = {
-            index: ids[lo:hi] for index, lo, hi in zip(
-                _bin_list((i[heads], j[heads], k[heads])), bounds,
-                bounds[1:])}
+        self._bin_ids = placement.netlist.movable_ids[order]
+        sizes = np.bincount(flat, minlength=mesh.nx * mesh.ny * mesh.nz)
+        self._bin_ptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=self._bin_ptr[1:])
+        occupied = np.flatnonzero(sizes)
+        ids = self._bin_ids.tolist()
+        bounds = self._bin_ptr.tolist()
+        keys = zip(*(axis.tolist() for axis in np.unravel_index(
+            occupied, (mesh.nx, mesh.ny, mesh.nz))))
+        self.members = {index: ids[bounds[b]:bounds[b + 1]]
+                        for index, b in zip(keys, occupied.tolist())}
 
-    def _bins(self, cells: List[int], local_only: bool
-              ) -> Tuple[List[BinIndex], List[BinIndex]]:
+    def _bins(self, cells: IntArray, local_only: bool
+              ) -> Tuple[IntArray, IntArray]:
         """Each cell's current bin, and the bin its target region
         centres on: the current bin in a local pass, else the bin of
-        the cell's optimal-region centre, on the nearest layer."""
+        the cell's optimal-region centre, on the nearest layer; both
+        as ``(n, 3)`` arrays of ``(i, j, k)``."""
         placement = self.objective.placement
         mesh = self.mesh
-        current = _bin_list(mesh.bins_at(placement.x[cells],
-                                         placement.y[cells],
-                                         placement.z[cells]))
+        current = np.column_stack(mesh.bins_at(placement.x[cells],
+                                               placement.y[cells],
+                                               placement.z[cells]))
         if local_only:
             return current, current
         centre = self.objective.optimal_region_centers(cells)
-        return current, _bin_list(mesh.bins_at(centre[0], centre[1],
-                                               np.rint(centre[2])))
+        return current, np.column_stack(mesh.bins_at(
+            centre[0], centre[1], np.rint(centre[2])))
 
-    def _targets(self, centre: BinIndex, local_only: bool,
-                 radius: int) -> List[BinIndex]:
-        """Target bins of one cell: the bins within ``radius`` of its
-        region's centre bin (:meth:`_bins`)."""
-        mesh = self.mesh
-        targets = mesh.bins_within(centre, radius)
+    @hot_path
+    def _targets(self, centres: IntArray, local_only: bool,
+                 radius: int) -> Tuple[IntArray, IntArray]:
+        """Each cell's target bins: the bins within ``radius`` of its
+        region's centre bin (:meth:`_bins`), in ``(i, j, k)`` order.
+
+        Returns:
+            ``(owner, bins)``: cell ``q``'s targets are the rows of
+            ``bins`` whose ``owner`` is ``q``, owners ascending.
+        """
+        owner, bins = self.mesh.bins_within(centres, radius)
         # The optimal-region z is the nets' median layer; with
         # thermal placement on, the objective minimum may sit on
         # a cooler layer instead, so the full vertical stack at
-        # the optimal lateral position joins the target region.
-        if not local_only and self.config.alpha_temp > 0:
-            ci, cj, _ = centre
-            for k in range(mesh.nz):
-                index = (ci, cj, k)
-                if index not in targets:
-                    targets.append(index)
-        return targets
+        # the optimal lateral position joins the target region,
+        # after the cube, by ascending layer.
+        if local_only or not self.config.alpha_temp > 0:
+            return owner, bins
+        layers = np.arange(self.mesh.nz, dtype=np.int64)
+        s_owner, s_k = np.nonzero(
+            np.abs(layers[None, :] - centres[:, 2:3]) > radius)
+        stack = np.column_stack((centres[s_owner, :2], s_k))
+        owner = np.concatenate((owner, s_owner))
+        by_cell = np.argsort(owner, kind="stable")
+        return owner[by_cell], np.concatenate((bins, stack))[by_cell]
 
     def _pass(self, local_only: bool, radius: int) -> int:
         """One move/swap pass in two phases.
 
-        Phase 1 generates every cell's candidates against a snapshot of
-        the entering state into flat buffers (:class:`_Candidates`).
-        Whenever a buffer holds :data:`BATCH_CHUNK` candidates, at the
-        end of a cell, it is scored in one batched move call and one
-        batched swap call, and only each cell's best candidate, the
-        first minimum of its span in generation order, is kept
-        (:class:`_Best`); so phase 1 holds O(``BATCH_CHUNK``)
-        candidates plus one record per cell, at any size.  A delta
-        depends only on its own candidate, so where the buffers end
-        changes nothing.  Phase 2 walks the cells in permutation order
-        and greedily applies each cell's best candidate.  A cached
-        candidate was scored against the snapshot, so it is checked
-        against the current state first: its target bin must still have
-        room, a swap partner must not have moved, and once earlier
-        applies have dirtied the cell's (or the partner's) incident nets
-        its delta is re-checked with a scalar evaluation.  A cell
-        displaced mid-pass by a swap partner is rescanned from its new
-        position through the same generator and selector
-        (:meth:`_rescan`); that candidate is scored against the current
-        state and needs none of these checks.
+        Phase 1 generates the candidates of :data:`CELL_BLOCK` cells at
+        a time against a snapshot of the entering state
+        (:meth:`_candidates`), scores each block in one batched move
+        call and one batched swap call, and keeps only each cell's best
+        candidate, the first minimum of its span in generation order
+        (:class:`_Best`); so phase 1 holds one block of candidates plus
+        one record per cell, at any size.  A delta depends only on its
+        own candidate, so where the blocks end changes nothing.  Phase
+        2 walks the cells in permutation order and greedily applies
+        each cell's best candidate.  A cached candidate was scored
+        against the snapshot, so it is checked against the current
+        state first: its target bin must still have room, a swap
+        partner must not have moved, and once earlier applies have
+        dirtied the cell's (or the partner's) incident nets its delta
+        is re-checked with a scalar evaluation.  A cell displaced
+        mid-pass by a swap partner is rescanned from its new position
+        through the same generator and selector (:meth:`_rescan`); that
+        candidate is scored against the current state and needs none of
+        these checks.
         """
         self._rebuild_mesh()
         placement = self.objective.placement
@@ -221,21 +231,17 @@ class MoveOptimizer:
         mesh = self.mesh
         order: List[int] = self._rng.permutation(self._movable).tolist()
 
-        # ---- phase 1: candidate generation + chunked batch scores -----
-        cur_bins, centres = self._bins(order, local_only)
+        # ---- phase 1: candidate generation + blocked batch scores -----
+        cells = np.asarray(order, dtype=np.int64)
+        cur_bins, centres = self._bins(cells, local_only)
         best = _Best(len(order))
-        cand = _Candidates()
-        first = 0  # pass-order index of the buffer's first cell
         n_cand = 0
-        for i, cid in enumerate(order):
-            self._collect_candidates(
-                cid, cur_bins[i],
-                self._targets(centres[i], local_only, radius), cand)
-            if len(cand.entry) >= BATCH_CHUNK or i == len(order) - 1:
-                n_cand += len(cand.entry)
-                self._keep_best(cand, first, best)
-                cand = _Candidates()
-                first = i + 1
+        for lo in range(0, len(order), CELL_BLOCK):
+            hi = lo + CELL_BLOCK
+            block = self._candidates(cells[lo:hi], cur_bins[lo:hi],
+                                     centres[lo:hi], local_only, radius)
+            n_cand += len(block.cell)
+            self._keep_best(block, lo, best)
 
         # ---- phase 2: greedy apply with staleness tracking -----------
         executed = 0
@@ -244,16 +250,16 @@ class MoveOptimizer:
         areas = self._areas
         limit = DENSITY_LIMIT * mesh.bin_capacity
         cell_nets = obj.cell_nets
+        snapshot_bins = cur_bins.tolist()
         for i, cid in enumerate(order):
             cached = cid not in moved_since
             if cached:
-                cur_bin, row, r = cur_bins[i], best, i
+                row, r = best, i
+                cur_bin: BinIndex = tuple(snapshot_bins[i])
             else:
                 # displaced by an earlier swap: rescan from the new spot
-                (cur_bin,), (centre,) = self._bins([cid], local_only)
-                row, r = self._rescan(
-                    cid, cur_bin,
-                    self._targets(centre, local_only, radius)), 0
+                row, cur_bin = self._rescan(cid, local_only, radius)
+                r = 0
             if not row.delta[r] < -1e-18:  # strictly improving only
                 continue
             bi, bj, bk = row.bins[r].tolist()
@@ -308,123 +314,184 @@ class MoveOptimizer:
                                     if n_cand else 0.0))
         return executed
 
-    def _keep_best(self, cand: _Candidates, first: int,
-                   best: _Best) -> None:
-        """Score one buffer and record each of its cells' best candidate.
+    @hot_path
+    def _keep_best(self, block: _Block, first: int, best: _Best) -> None:
+        """Score one block and record each of its cells' best candidate.
 
-        The buffer's cells go to rows ``first``, ``first + 1``, ... of
+        The block's cells go to rows ``first``, ``first + 1``, ... of
         ``best``.  Each keeps the first minimum of its span
         (:func:`~repro.core.objective.first_minima`).
         """
-        mv_x = np.frombuffer(cand.mv_x, dtype=np.float64)
-        mv_y = np.frombuffer(cand.mv_y, dtype=np.float64)
-        mv_bin = np.frombuffer(cand.mv_bin, dtype=np.int64).reshape(-1, 3)
-        sw_b = np.frombuffer(cand.sw_b, dtype=np.int64)
-        sw_bin = np.frombuffer(cand.sw_bin, dtype=np.int64).reshape(-1, 3)
-        move_deltas = self.objective.eval_moves_batch(
-            np.frombuffer(cand.mv_cell, dtype=np.int64), mv_x, mv_y,
-            mv_bin[:, 2])
-        swap_deltas = self.objective.eval_swaps_batch(
-            np.frombuffer(cand.sw_a, dtype=np.int64), sw_b)
-        # every candidate's delta in generation order: entry k >= 0 is
-        # move k, entry ~k is swap k
-        entry = np.frombuffer(cand.entry, dtype=np.int64)
-        deltas = np.concatenate((move_deltas, swap_deltas))[
-            np.where(entry >= 0, entry, len(move_deltas) + ~entry)]
-
-        span = np.frombuffer(cand.span, dtype=np.int64)
-        owners = np.flatnonzero(np.diff(span))  # cells with candidates
+        move = block.partner < 0
+        swap = ~move
+        deltas = np.empty(len(move), dtype=np.float64)
+        deltas[move] = self.objective.eval_moves_batch(
+            block.cell[move], block.x[move], block.y[move],
+            block.bins[move, 2])
+        deltas[swap] = self.objective.eval_swaps_batch(
+            block.cell[swap], block.partner[swap])
+        owners = np.flatnonzero(np.diff(block.span))  # cells with some
         if not len(owners):
             return
-        pick = first_minima(deltas, span[owners])
+        pick = first_minima(deltas, block.span[owners])
         rows = first + owners
         best.delta[rows] = deltas[pick]
-        k = entry[pick]
-        is_move = k >= 0
-        mv, mv_rows = k[is_move], rows[is_move]
-        best.x[mv_rows] = mv_x[mv]
-        best.y[mv_rows] = mv_y[mv]
-        best.bins[mv_rows] = mv_bin[mv]
-        sw, sw_rows = ~k[~is_move], rows[~is_move]
-        best.partner[sw_rows] = sw_b[sw]
-        best.bins[sw_rows] = sw_bin[sw]
+        best.partner[rows] = block.partner[pick]
+        best.x[rows] = block.x[pick]
+        best.y[rows] = block.y[pick]
+        best.bins[rows] = block.bins[pick]
 
-    def _collect_candidates(self, cid: int, cur_bin: BinIndex,
-                            targets: List[BinIndex], cand: _Candidates,
-                            *, centred: bool = False) -> None:
-        """Append one cell's move/swap candidates to ``cand`` in
-        generation order, and close the cell's span.
+    @hot_path
+    def _candidates(self, cells: IntArray, cur_bins: IntArray,
+                    centres: IntArray, local_only: bool, radius: int,
+                    *, rescan: bool = False) -> _Block:
+        """The move/swap candidates of some cells, in generation order.
 
-        The random stream is drawn in one order: two jitter values per
-        target, then a swap-partner sample per crowded target bin.  A
-        move to bin ``(i, j, k)`` with jitter ``(u, v)`` lands at
-        ``x = (i + u) * bin_width``, or, with ``centred`` (a rescanned
-        cell), at ``x = (i + 0.5) * bin_width + (u - 0.5) *
-        (0.5 * bin_width) * 2.0``; ``y`` alike.  The two can differ in
-        the last bit, and writing both the same way changes placements
-        (DESIGN.md, "Two WL associations").
+        Per cell and per target bin other than the cell's own (in
+        :meth:`_targets` order): a move if the bin can take the cell's
+        area, then a swap with each sampled member whose exchanged
+        area keeps both bins within the limit.  A bin of at most
+        :data:`MAX_SWAP_CANDIDATES` cells offers all of them, in
+        membership order, a fuller one a random sample.
+
+        The random stream is drawn cell by cell (:meth:`_draws`).  A
+        move to bin ``(i, j, k)`` with jitter ``(u, v)`` lands at ``x =
+        (i + u) * bin_width``, or, with ``rescan`` (a cell displaced
+        mid-pass), at ``x = (i + 0.5) * bin_width + (u - 0.5) * (0.5 *
+        bin_width) * 2.0``; ``y`` alike.  The two can differ in the last
+        bit, and writing both the same way changes placements
+        (DESIGN.md, "Two WL associations").  A rescan also reads the
+        current membership (:attr:`members`), phase 1 the snapshot.
         """
         mesh = self.mesh
         areas = self._areas
-        area = float(areas[cid])
         limit = DENSITY_LIMIT * mesh.bin_capacity
-        bin_area = mesh._area
-        bin_members = self.members
+        owner, bins = self._targets(centres, local_only, radius)
+        ti, tj, tk = bins.T
+        flat = (ti * mesh.ny + tj) * mesh.nz + tk
+        own = (bins == cur_bins[owner]).all(axis=1)
+        if rescan:
+            start, count, ids = self._current_members(bins)
+        else:
+            start = self._bin_ptr[flat]
+            count = self._bin_ptr[flat + 1] - start
+            ids = self._bin_ids
+        crowded = ~own & (count > MAX_SWAP_CANDIDATES)
+        jitter, picks = self._draws(
+            np.bincount(owner, minlength=len(cells)), owner[crowded],
+            count[crowded])
+
+        # moves: one slot per target, in front of its swaps
+        area = areas[cells][owner]
+        bin_area = mesh._area.ravel()[flat]
+        can_move = ~own & (bin_area + area <= limit)
+        u = jitter[0::2]
+        v = jitter[1::2]
         bw = mesh.bin_width
         bh = mesh.bin_height
-        cur_area = float(bin_area[cur_bin])
-        # jittered landing points keep successive movers to one bin
-        # from piling up on one spot
-        jitter = self._rng.random(2 * len(targets)).tolist()
-        for ti, t in enumerate(targets):
-            if t == cur_bin:
-                continue
-            area_t = float(bin_area[t])
-            if area_t + area <= limit:
-                u, v = jitter[2 * ti], jitter[2 * ti + 1]
-                cand.entry.append(len(cand.mv_cell))
-                cand.mv_cell.append(cid)
-                if centred:
-                    cand.mv_x.append((t[0] + 0.5) * bw
-                                     + (u - 0.5) * (0.5 * bw) * 2.0)
-                    cand.mv_y.append((t[1] + 0.5) * bh
-                                     + (v - 0.5) * (0.5 * bh) * 2.0)
-                else:
-                    cand.mv_x.append((t[0] + u) * bw)
-                    cand.mv_y.append((t[1] + v) * bh)
-                cand.mv_bin.extend(t)
-            members = bin_members.get(t)
-            if not members:
-                continue
-            if len(members) > MAX_SWAP_CANDIDATES:
-                members = list(self._rng.choice(
-                    members, size=MAX_SWAP_CANDIDATES, replace=False))
-            for other in members:
-                other = int(other)
-                if other == cid:
-                    continue
-                other_area = float(areas[other])
-                # exchanged areas must keep both bins within the limit
-                if area_t - other_area + area > limit:
-                    continue
-                if cur_area - area + other_area > limit:
-                    continue
-                cand.entry.append(~len(cand.sw_a))
-                cand.sw_a.append(cid)
-                cand.sw_b.append(other)
-                cand.sw_bin.extend(t)
-        cand.span.append(len(cand.entry))
+        if rescan:
+            x = (ti + 0.5) * bw + (u - 0.5) * (0.5 * bw) * 2.0
+            y = (tj + 0.5) * bh + (v - 0.5) * (0.5 * bh) * 2.0
+        else:
+            x = (ti + u) * bw
+            y = (tj + v) * bh
 
-    def _rescan(self, cid: int, cur_bin: BinIndex,
-                targets: List[BinIndex]) -> _Best:
-        """A displaced cell's best candidate, scored against the current
-        state: phase 1's generator and selector on a one-cell buffer.
+        # swaps: the first members of each target, or its sample
+        n_swaps = np.where(own, 0, np.minimum(count,
+                                              MAX_SWAP_CANDIDATES))
+        sw_target = np.repeat(np.arange(len(owner), dtype=np.int64),
+                              n_swaps)
+        nth = (np.arange(len(sw_target), dtype=np.int64)
+               - np.repeat(np.cumsum(n_swaps) - n_swaps, n_swaps))
+        member = nth.copy()
+        member[crowded[sw_target]] = picks.ravel()
+        partner = ids[start[sw_target] + member]
+        other_area = areas[partner]
+        sw_area = area[sw_target]
+        cur_area = mesh._area[tuple(cur_bins.T)][owner[sw_target]]
+        can_swap = ((partner != cells[owner[sw_target]])
+                    & ~(bin_area[sw_target] - other_area + sw_area > limit)
+                    & ~(cur_area - sw_area + other_area > limit))
+
+        # lay each target's move and swaps out in generation order
+        slots = 1 + n_swaps
+        first = np.cumsum(slots) - slots
+        sw_slot = first[sw_target] + 1 + nth
+        keep = np.zeros(int(slots.sum()), dtype=bool)
+        keep[first] = can_move
+        keep[sw_slot] = can_swap
+        cand_partner = np.full(len(keep), -1, dtype=np.int64)
+        cand_partner[sw_slot] = partner
+        cand_x = np.zeros(len(keep), dtype=np.float64)
+        cand_x[first] = x
+        cand_y = np.zeros(len(keep), dtype=np.float64)
+        cand_y[first] = y
+        slot_owner = np.repeat(owner, slots)[keep]
+        span = np.zeros(len(cells) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(slot_owner, minlength=len(cells)),
+                  out=span[1:])
+        return _Block(cell=cells[slot_owner],
+                      partner=cand_partner[keep], x=cand_x[keep],
+                      y=cand_y[keep],
+                      bins=np.repeat(bins, slots, axis=0)[keep],
+                      span=span)
+
+    def _current_members(self, bins: IntArray
+                         ) -> Tuple[IntArray, IntArray, IntArray]:
+        """``(start, count, ids)`` of the bins' current members:
+        bin ``t``'s cells are ``ids[start[t]:start[t] + count[t]]``, in
+        the order :attr:`members` lists them."""
+        lists = [self.members.get(index, ())
+                 for index in map(tuple, bins.tolist())]
+        count = np.fromiter(map(len, lists), dtype=np.int64,
+                            count=len(lists))
+        ids = np.fromiter(chain.from_iterable(lists), dtype=np.int64,
+                          count=int(count.sum()))
+        return np.cumsum(count) - count, count, ids
+
+    def _draws(self, targets: IntArray, crowded_owner: IntArray,
+               crowded_count: IntArray) -> Tuple[FloatArray, IntArray]:
+        """The random stream of some cells' candidates, in one order.
+
+        Cell by cell: two jitter values per target (``targets[q]`` of
+        them for cell ``q``), then one sample of
+        :data:`MAX_SWAP_CANDIDATES` member positions without
+        replacement per crowded target, in target order (their owners
+        and member counts are ``crowded_owner`` and ``crowded_count``).
+
+        Returns:
+            ``(jitter, picks)``: ``(u, v)`` pairs of every target in
+            order, and one row of positions per crowded target.
         """
-        cand = _Candidates()
-        self._collect_candidates(cid, cur_bin, targets, cand, centred=True)
+        rng = self._rng
+        jitter: List[FloatArray] = []
+        picks: List[IntArray] = []
+        bounds = np.searchsorted(
+            crowded_owner,
+            np.arange(len(targets) + 1, dtype=np.int64)).tolist()
+        counts = crowded_count.tolist()
+        for q, n in enumerate(targets.tolist()):
+            jitter.append(rng.random(2 * n))
+            for size in counts[bounds[q]:bounds[q + 1]]:
+                picks.append(rng.choice(size, MAX_SWAP_CANDIDATES,
+                                        replace=False))
+        return (np.concatenate(jitter),
+                np.asarray(picks, dtype=np.int64).reshape(
+                    -1, MAX_SWAP_CANDIDATES))
+
+    def _rescan(self, cid: int, local_only: bool, radius: int
+                ) -> Tuple[_Best, BinIndex]:
+        """A displaced cell's best candidate, scored against the current
+        state, and its current bin: phase 1's generator and selector on
+        a one-cell block."""
+        cells = np.asarray([cid], dtype=np.int64)
+        cur_bins, centres = self._bins(cells, local_only)
+        block = self._candidates(cells, cur_bins, centres, local_only,
+                                 radius, rescan=True)
         row = _Best(1)
-        self._keep_best(cand, 0, row)
-        return row
+        self._keep_best(block, 0, row)
+        bi, bj, bk = cur_bins[0].tolist()
+        return row, (bi, bj, bk)
 
     def _update_bins(self, cid: int, cur_bin: BinIndex,
                      target_bin: BinIndex,
@@ -448,9 +515,8 @@ class MoveOptimizer:
         # partner's exact old position (inside target_bin)
         pair = [cid, swap_partner]
         placement = self.objective.placement
-        new_bins = _bin_list(mesh.bins_at(placement.x[pair],
-                                          placement.y[pair],
-                                          placement.z[pair]))
+        new_bins = zip(*(axis.tolist() for axis in mesh.bins_at(
+            placement.x[pair], placement.y[pair], placement.z[pair])))
         for c, a, index in zip(pair, (area, partner_area), new_bins):
             members.setdefault(index, []).append(c)
             mesh.add_area(index, a)

@@ -28,6 +28,7 @@ from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
+from repro.analysis import FloatArray, IntArray, hot_path
 from repro.core.config import PlacementConfig
 from repro.core.detailed import RowSegments
 from repro.core.objective import ObjectiveState, first_minima
@@ -48,6 +49,41 @@ SWAP_CANDIDATES = 6
 
 #: Rows above and below its own in which a gap move looks for a slot.
 GAP_ROW_RADIUS = 2
+
+#: Cells whose nearest same-width peers one array query finds.
+PEER_BLOCK = 64
+
+#: Cells whose gap-slot queries are built and answered together.
+GAP_BLOCK = 1024
+
+
+@hot_path
+def nearest_peers(px: FloatArray, py: FloatArray, ox: FloatArray,
+                  oy: FloatArray, selves: IntArray, k: int) -> IntArray:
+    """Each origin's ``k`` nearest peers, as positions in the peer array.
+
+    Distances are the L1 values ``|px - ox| + |py - oy|``; origin ``q``
+    is peer ``selves[q]`` and never its own candidate.  Ties break by
+    position in the peer array, as a stable argsort of each row does,
+    and ``k`` must be below the peer count.
+
+    Returns:
+        ``(len(ox), k)`` positions, each row nearest first.
+    """
+    n = len(ox)
+    dist = np.abs(px[None, :] - ox[:, None])
+    dist += np.abs(py[None, :] - oy[:, None])
+    dist[np.arange(n, dtype=np.int64), selves] = np.inf
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+    # every distance up to each row's k-th smallest, by (row, distance,
+    # position): a stable lexsort keeps nonzero's position order
+    row, col = np.nonzero(dist <= kth)
+    by_dist = np.lexsort((dist[row, col], row))
+    row = row[by_dist]
+    col = col[by_dist]
+    first = np.searchsorted(row, np.arange(n, dtype=np.int64))
+    take = np.arange(len(row), dtype=np.int64) - first[row] < k
+    return col[take].reshape(n, k)
 
 
 class LegalRefiner:
@@ -191,64 +227,29 @@ class LegalRefiner:
         """Swap same-width cells across the whole chip.
 
         Two-phase batching: every cell's nearest same-width peers are
-        collected against a snapshot of the placement and scored in one
+        collected against a snapshot of the placement
+        (:meth:`_equal_width_candidates`) and scored in one
         :meth:`ObjectiveState.eval_swaps_batch` call; promising swaps
         are then re-evaluated scalar (the state has moved on by the
         time their turn comes) and committed only if still improving.
         """
         improved = 0
-        widths = self.netlist.widths
         placement = self.placement
-        # width-bucketed index of movable cells
-        buckets: Dict[int, List[int]] = defaultdict(list)
-        quantum = max(float(widths.max()) * WIDTH_TOLERANCE, 1e-12)
-
-        def bucket_of(w: float) -> int:
-            return int(round(w / max(quantum, 1e-30)))
-
-        movable = [c.id for c in self.netlist.cells if c.movable]
-        for cid in movable:
-            buckets[bucket_of(float(widths[cid]))].append(cid)
-        peer_arrays = {b: np.asarray(m, dtype=np.int64)
-                       for b, m in buckets.items()}
-
-        order = [int(c) for c in self._rng.permutation(movable)]
-        centers = self.objective.optimal_region_centers(order)
-        cand_a: List[int] = []
-        cand_b: List[int] = []
-        # each cell with candidates, and where its run of them starts
-        owners: List[int] = []
-        starts: List[int] = []
-        for idx, cid in enumerate(order):
-            b = bucket_of(float(widths[cid]))
-            peers = peer_arrays[b]
-            if len(peers) < 2:
-                continue
-            ox, oy = centers[0, idx], centers[1, idx]
-            dist = (np.abs(placement.x[peers] - ox)
-                    + np.abs(placement.y[peers] - oy))
-            dist = np.where(peers == cid, np.inf, dist)
-            k = min(SWAP_CANDIDATES, len(peers) - 1)
-            near = peers[np.argsort(dist, kind="stable")[:k]]
-            others = [int(p) for p in near
-                      if abs(widths[p] - widths[cid]) <= quantum]
-            if not others:
-                continue
-            owners.append(cid)
-            starts.append(len(cand_a))
-            cand_a.extend([cid] * len(others))
-            cand_b.extend(others)
-        if not cand_a:
+        order = self._rng.permutation(self.netlist.movable_ids)
+        cand_a, cand_b, starts = self._equal_width_candidates(order)
+        if not len(cand_a):
             return 0
         deltas = self.objective.eval_swaps_batch(cand_a, cand_b)
         dirty: Set[int] = set()
         moved: Set[int] = set()
         cell_nets = self.objective.cell_nets
-        best = first_minima(deltas, np.asarray(starts, dtype=np.int64))
+        best = first_minima(deltas, starts)
+        owners = cand_a[starts].tolist()
+        partners = cand_b.tolist()
         for cid, k in zip(owners, best.tolist()):
             if deltas[k] >= -1e-18:
                 continue
-            other = cand_b[k]
+            other = partners[k]
             moves = [
                 (cid, float(placement.x[other]),
                  float(placement.y[other]), int(placement.z[other])),
@@ -277,7 +278,8 @@ class LegalRefiner:
 
         Two-phase batching like :meth:`_equal_width_swap_pass`: slot
         candidates for every cell are collected against the starting
-        row occupancy and scored in one batched call; a winning
+        row occupancy (:meth:`_gap_candidates`) and scored in one
+        batched call; a winning
         candidate's row is re-queried and the move re-evaluated scalar
         at its turn, since earlier commits may have claimed the gap.
         """
@@ -292,46 +294,25 @@ class LegalRefiner:
                 segments.insert(layer, row, cid, x, float(widths[cid]))
                 locations[cid] = (layer, row)
 
-        movable = [c.id for c in self.netlist.cells if c.movable]
-        order = [int(c) for c in self._rng.permutation(movable)]
-        cand_cells: List[int] = []
-        cand_slots: List[Tuple[float, float, int, int]] = []
-        owners: List[int] = []
-        starts: List[int] = []
-        for cid in order:
-            w = float(widths[cid])
-            layer0, row0 = locations[cid]
-            x0 = float(placement.x[cid])
-            start = len(cand_slots)
-            for layer in range(chip.num_layers):
-                for row in range(max(0, row0 - GAP_ROW_RADIUS),
-                                 min(chip.rows_per_layer,
-                                     row0 + GAP_ROW_RADIUS + 1)):
-                    if (layer, row) == (layer0, row0):
-                        continue
-                    slot = segments.nearest_slot(layer, row, x0, w)
-                    if slot is None:
-                        continue
-                    cand_slots.append((slot, self.chip.row_y(row), layer,
-                                       row))
-                    cand_cells.append(cid)
-            if len(cand_slots) > start:
-                owners.append(cid)
-                starts.append(start)
-        if not cand_slots:
+        order = self._rng.permutation(self.netlist.movable_ids)
+        cells, slots, layers, rows, starts = self._gap_candidates(
+            order, segments, locations)
+        if not len(cells):
             return 0
-        deltas = self.objective.eval_moves_batch(
-            cand_cells, [c[0] for c in cand_slots],
-            [c[1] for c in cand_slots], [c[2] for c in cand_slots])
+        ys = rows * chip.row_pitch + 0.5 * chip.row_height
+        deltas = self.objective.eval_moves_batch(cells, slots, ys, layers)
 
         dirty: Set[int] = set()
         rows_touched: Set[Tuple[int, int]] = set()
         cell_nets = self.objective.cell_nets
-        best = first_minima(deltas, np.asarray(starts, dtype=np.int64))
-        for cid, k in zip(owners, best.tolist()):
+        best = first_minima(deltas, starts)
+        for cid, k in zip(cells[starts].tolist(), best.tolist()):
             if deltas[k] >= -1e-18:
                 continue
-            slot, y, layer, row = cand_slots[k]
+            slot = float(slots[k])
+            y = float(ys[k])
+            layer = int(layers[k])
+            row = int(rows[k])
             w = float(widths[cid])
             if (layer, row) in rows_touched:
                 # the gap may have been taken by an earlier commit:
@@ -357,3 +338,116 @@ class LegalRefiner:
             dirty.update(cell_nets(cid))
             improved += 1
         return improved
+
+    # ------------------------------------------------------------------
+    def _equal_width_candidates(self, order: IntArray
+                                ) -> Tuple[IntArray, IntArray, IntArray]:
+        """Phase 1 of the equal-width pass: each cell's nearest peers.
+
+        A cell's peers are the other movable cells of its width class
+        (widths equal after rounding to ``WIDTH_TOLERANCE`` of the
+        widest cell), by ascending id.  Each cell of ``order`` takes
+        the :data:`SWAP_CANDIDATES` peers nearest its optimal-region
+        centre (:func:`nearest_peers`, one blocked query per class),
+        nearest first, and keeps those within the width quantum.
+
+        Returns:
+            ``(cand_a, cand_b, starts)``: swap ``c`` exchanges
+            ``cand_a[c]`` with ``cand_b[c]``; each cell with candidates
+            owns one run of them, starting at a ``starts`` entry, in
+            ``order``.
+        """
+        widths = self.netlist.widths
+        placement = self.placement
+        quantum = max(float(widths.max()) * WIDTH_TOLERANCE, 1e-12)
+        centers = self.objective.optimal_region_centers(order)
+        ids = self.netlist.movable_ids
+        _, cls = np.unique(np.rint(widths[ids] / max(quantum, 1e-30)),
+                           return_inverse=True)
+        cell_cls = np.empty(len(widths), dtype=np.int64)
+        cell_cls[ids] = cls
+        order_cls = cell_cls[order]
+        near = np.full((len(order), SWAP_CANDIDATES), -1, dtype=np.int64)
+        for c in range(int(cls.max(initial=-1)) + 1):
+            peers = ids[cls == c]
+            if len(peers) < 2:
+                continue
+            k = min(SWAP_CANDIDATES, len(peers) - 1)
+            rows = np.flatnonzero(order_cls == c)
+            selves = np.searchsorted(peers, order[rows])
+            for lo in range(0, len(rows), PEER_BLOCK):
+                block = rows[lo:lo + PEER_BLOCK]
+                near[block, :k] = peers[nearest_peers(
+                    placement.x[peers], placement.y[peers],
+                    centers[0, block], centers[1, block],
+                    selves[lo:lo + PEER_BLOCK], k)]
+        keep = near >= 0
+        keep &= np.abs(widths[near] - widths[order][:, None]) <= quantum
+        counts = keep.sum(axis=1)
+        return (np.repeat(order, counts), near[keep],
+                _run_starts(counts))
+
+    def _gap_candidates(self, order: IntArray, segments: RowSegments,
+                        locations: Dict[int, RowKey]
+                        ) -> Tuple[IntArray, FloatArray, IntArray,
+                                   IntArray, IntArray]:
+        """Phase 1 of the gap pass: each cell's slots in nearby rows.
+
+        A cell of ``order`` queries every layer's rows within
+        :data:`GAP_ROW_RADIUS` of its own row (``locations``), except
+        its own ``(layer, row)``, in (layer, row) order.  The queries of
+        :data:`GAP_BLOCK` cells at a time are answered row by row
+        against ``segments`` (:meth:`RowSegments.nearest_slots`), and a
+        row with no gap for the cell offers none.
+
+        Returns:
+            ``(cells, slots, layers, rows, starts)``: candidate ``c``
+            moves ``cells[c]`` to x ``slots[c]`` on ``(layers[c],
+            rows[c])``; each cell with candidates owns one run of them,
+            starting at a ``starts`` entry, in ``order``.
+        """
+        chip = self.chip
+        widths = self.netlist.widths
+        offsets = np.arange(-GAP_ROW_RADIUS, GAP_ROW_RADIUS + 1,
+                            dtype=np.int64)
+        layer = np.arange(chip.num_layers, dtype=np.int64)[None, :, None]
+        parts = []
+        for lo in range(0, len(order), GAP_BLOCK):
+            block = order[lo:lo + GAP_BLOCK]
+            home = np.asarray([locations[c] for c in block.tolist()],
+                              dtype=np.int64).reshape(-1, 2)
+            row = home[:, 1, None, None] + offsets[None, None, :]
+            valid = ((row >= 0) & (row < chip.rows_per_layer)
+                     & ((layer != home[:, 0, None, None])
+                        | (row != home[:, 1, None, None])))
+            q_cell, q_layer, q_off = np.nonzero(valid)
+            q_row = home[q_cell, 1] + offsets[q_off]
+            cells = block[q_cell]
+            xs = self.placement.x[cells]
+            slots = np.empty(len(cells), dtype=np.float64)
+            key = q_layer * chip.rows_per_layer + q_row
+            by_row = np.argsort(key, kind="stable")
+            bounds = np.flatnonzero(
+                np.diff(key[by_row], prepend=-1)).tolist()
+            bounds.append(len(key))
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                q = by_row[a:b]
+                slots[q] = segments.nearest_slots(
+                    int(q_layer[q[0]]), int(q_row[q[0]]), xs[q],
+                    widths[cells[q]])
+            found = ~np.isnan(slots)
+            parts.append((cells[found], slots[found], q_layer[found],
+                          q_row[found],
+                          np.bincount(q_cell[found],
+                                      minlength=len(block))))
+        cells, slots, layers, rows, counts = (
+            np.concatenate(column) for column in zip(*parts))
+        return cells, slots, layers, rows, _run_starts(counts)
+
+
+@hot_path
+def _run_starts(counts: IntArray) -> IntArray:
+    """Where each non-empty run of ``counts`` starts in their
+    concatenation."""
+    counts = counts[counts > 0]
+    return np.cumsum(counts) - counts

@@ -16,7 +16,7 @@ the one stage that asks, the move/swap pass
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Tuple, Union
+from typing import TYPE_CHECKING, Tuple, Union
 
 import numpy as np
 
@@ -111,21 +111,38 @@ class DensityMesh:
         return self.bins_at(placement.x[ids], placement.y[ids],
                             placement.z[ids])
 
-    def bins_within(self, center: BinIndex, radius: int,
-                    include_vertical: bool = True) -> List[BinIndex]:
-        """All bins within a Chebyshev ``radius`` of ``center``.
+    @hot_path
+    def bins_within(self, centres: IntArray, radius: int
+                    ) -> Tuple[IntArray, IntArray]:
+        """All bins within a Chebyshev ``radius`` of each centre bin.
 
-        Used to build target regions for the move/swap procedures.
+        The target-region rule of the move/swap procedures.
+
+        Args:
+            centres: ``(n, 3)`` bin indices ``(i, j, k)`` on the mesh.
+            radius: the region's half-width in bins, on every axis.
+
+        Returns:
+            ``(owner, bins)``: centre ``q``'s region is the rows of the
+            ``(m, 3)`` array ``bins`` whose ``owner`` is ``q``, in
+            ``(i, j, k)`` order; owners ascend.
+
+        Raises:
+            IndexError: a centre lies outside the mesh.
         """
-        ci, cj, ck = center
-        self._check_index(center)
-        zr = radius if include_vertical else 0
-        out: List[BinIndex] = []
-        for i in range(max(0, ci - radius), min(self.nx, ci + radius + 1)):
-            for j in range(max(0, cj - radius), min(self.ny, cj + radius + 1)):
-                for k in range(max(0, ck - zr), min(self.nz, ck + zr + 1)):
-                    out.append((i, j, k))
-        return out
+        shape = np.asarray((self.nx, self.ny, self.nz), dtype=np.int64)
+        outside = ((centres < 0) | (centres >= shape)).any(axis=1)
+        if outside.any():
+            index = tuple(centres[np.argmax(outside)].tolist())
+            raise IndexError(f"bin index {index} outside mesh "
+                             f"({self.nx} x {self.ny} x {self.nz})")
+        span = np.arange(-radius, radius + 1, dtype=np.int64)
+        offsets = np.stack(np.meshgrid(span, span, span, indexing="ij"),
+                           axis=-1).reshape(-1, 3)
+        bins = centres[:, None, :] + offsets[None, :, :]
+        inside = ((bins >= 0) & (bins < shape)).all(axis=2)
+        owner, _ = np.nonzero(inside)
+        return owner, bins[inside]
 
     def _check_index(self, index: BinIndex) -> None:
         i, j, k = index

@@ -62,7 +62,7 @@ import numpy as np
 
 from repro.analysis import IntArray, contract
 from repro.obs import get_recorder
-from repro.partition.hypergraph import FREE, Hypergraph
+from repro.partition.hypergraph import Hypergraph
 
 #: Below this many total pins the scalar setup path is used: NumPy's
 #: per-call overhead beats the loop only once there is real data.
@@ -136,9 +136,8 @@ class FMRefiner:
         half = tolerance * free_w
         # The window must leave room to move the heaviest free vertex out
         # of a perfectly balanced state, or FM deadlocks immediately.
-        movable = graph.fixed == FREE
-        if movable.any():
-            biggest = float(graph.vertex_weights[movable].max())
+        if len(graph.free_ids):
+            biggest = float(graph.vertex_weights[graph.free].max())
             half = max(half, biggest)
         self.lo = target * free_w - half
         self.hi = target * free_w + half
@@ -146,7 +145,7 @@ class FMRefiner:
         # indexes them millions of times, where list access beats NumPy
         # scalar access several-fold
         self._vw: List[float] = graph.vertex_weights.tolist()
-        self._free: List[bool] = (graph.fixed == FREE).tolist()
+        self._free: List[bool] = graph.free.tolist()
         # distinct vertex weights, ascending, and each vertex's index
         # into them: the weight classes of the pass's held groups
         self._class_w: List[float] = sorted(set(self._vw))
@@ -181,7 +180,7 @@ class FMRefiner:
             The final weighted cut cost.
         """
         g = self.graph
-        wrong = (g.fixed != FREE) & (parts != g.fixed)
+        wrong = ~g.free & (parts != g.fixed)
         if wrong.any():
             v = int(np.argmax(wrong))
             raise ValueError(
@@ -460,9 +459,8 @@ class FMRefiner:
             np.add.at(gains_arr, pins_arr[m_c1], pin_w[m_c1])
             counts = np.stack((c0, c1), axis=1).tolist()
             gains = gains_arr.tolist()
-            free_arr = g.fixed == FREE
             weight0 = float(g.vertex_weights[
-                free_arr & (side_arr == 0)].sum())
+                g.free & (side_arr == 0)].sum())
             return counts, gains, weight0, float(w[crit].sum())
 
         counts_l: List[List[int]] = []

@@ -81,6 +81,13 @@ class Hypergraph:
         fixed: int array; ``FREE`` (-1) for movable vertices, else the
             side (0/1) the vertex is pinned to.  Used for terminal
             propagation.
+        free: read-only bool mask of the free vertices
+            (``fixed == FREE``).
+        free_ids: read-only ids of the free vertices, ascending.
+        free_weight: total balance weight of the free vertices.
+
+    Nothing mutates a hypergraph after construction, so the free-vertex
+    values are computed once, in :meth:`_setup`.
     """
 
     def __init__(self, num_vertices: int,
@@ -149,6 +156,11 @@ class Hypergraph:
                       else np.asarray(fixed, dtype=np.int64))
         if self.fixed.shape != (self.num_vertices,):
             raise ValueError("fixed length mismatch")
+        self.free = self.fixed == FREE
+        self.free.flags.writeable = False
+        self.free_ids = np.flatnonzero(self.free)
+        self.free_ids.flags.writeable = False
+        self.free_weight = float(self.vertex_weights[self.free].sum())
         self._vertex_nets: Optional[List[List[int]]] = None
 
     # ------------------------------------------------------------------
@@ -169,11 +181,6 @@ class Hypergraph:
             vectorized FM gain and cut-cost kernels reduce over.
         """
         return self._csr
-
-    @property
-    def free_weight(self) -> float:
-        """Total balance weight of movable vertices."""
-        return float(self.vertex_weights[self.fixed == FREE].sum())
 
     def vertex_nets_all(self) -> List[List[int]]:
         """Incidence lists: for each vertex, the indices of its nets."""
@@ -234,7 +241,7 @@ class Hypergraph:
         # np.add.at adds in vertex order, as a loop over vertices would
         weights = np.zeros(n_coarse)
         np.add.at(weights, vertex_map, self.vertex_weights)
-        pinned = self.fixed != FREE
+        pinned = ~self.free
         groups = vertex_map[pinned]
         fixed = np.full(n_coarse, FREE, dtype=np.int64)
         fixed[groups] = self.fixed[pinned]

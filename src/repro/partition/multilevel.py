@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.partition.fm import FMRefiner, cut_cost
-from repro.partition.hypergraph import FREE, Hypergraph
+from repro.partition.hypergraph import Hypergraph
 
 #: Coarsening stops below this many vertices.
 COARSEN_TO = 96
@@ -66,8 +66,7 @@ def bisect(graph: Hypergraph, config: Optional[BisectionConfig] = None
 
     if graph.num_vertices == 0:
         return np.zeros(0, dtype=np.int64), 0.0
-    movable = int((graph.fixed == FREE).sum())
-    if movable == 0:
+    if not len(graph.free_ids):
         parts = graph.fixed.copy()
         return parts, cut_cost(graph, parts)
 
@@ -106,7 +105,7 @@ def _repair_empty_side(graph: Hypergraph, parts: np.ndarray) -> None:
     empty part is useless to callers, so the loosest-connected free
     vertex is moved across.
     """
-    free_ids = np.flatnonzero(graph.fixed == FREE)
+    free_ids = graph.free_ids
     if len(free_ids) < 2:
         return
     for side in (0, 1):
@@ -135,7 +134,7 @@ def _heavy_edge_matching(graph: Hypergraph, rng: np.random.Generator
     n = graph.num_vertices
     match = list(range(n))
     # matched or fixed: neither may join a new pair
-    busy = (graph.fixed != FREE).tolist()
+    busy = (~graph.free).tolist()
     for v in rng.permutation(n).tolist():
         if busy[v]:
             continue
@@ -177,9 +176,8 @@ def _random_balanced(graph: Hypergraph, target: float,
     weight reaches ``target`` of the free total; the rest go to part 1.
     Fixed vertices keep their side.
     """
-    free = graph.fixed == FREE
-    parts = np.where(free, 1, graph.fixed)
-    order = rng.permutation(np.flatnonzero(free))
+    parts = np.where(graph.free, 1, graph.fixed)
+    order = rng.permutation(graph.free_ids)
     goal = target * graph.free_weight
     # part 0's weight before each vertex joins, summed in order; weights
     # are non-negative, so the vertices it leaves short of the goal are

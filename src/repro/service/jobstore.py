@@ -39,11 +39,14 @@ import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple, Union
 
+from repro.obs import get_logger
 from repro.obs.clock import wall_time
 from repro.obs.manifest import load_schema
 from repro.obs.validate import validate
+
+_log = get_logger(__name__)
 
 __all__ = ["JOB_KIND", "JOB_SCHEMA_VERSION", "JOB_STATES",
            "TERMINAL_STATES", "JobError", "JobRequest", "JobStateError",
@@ -177,11 +180,14 @@ class JobStore:
 
     root: Path
     _lock: threading.RLock = field(init=False, repr=False)
+    #: jobs whose document a listing has skipped and warned about
+    _unreadable: Set[str] = field(init=False, repr=False)
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
+        self._unreadable = set()
 
     # -- paths ---------------------------------------------------------
     def job_dir(self, job_id: str) -> Path:
@@ -273,13 +279,22 @@ class JobStore:
                       and (p / "job.json").is_file())
 
     def list_jobs(self) -> List[Dict[str, Any]]:
-        """All job documents, ordered by job id (submission order).
+        """Every readable job document, ordered by job id (submission
+        order).
 
-        Raises:
-            JobError: a job's document is malformed.
+        A job whose document :meth:`load` cannot read is left out, with
+        one warning per job; loading that job still raises.
         """
+        documents = []
         with self._lock:
-            return [self.load(job_id) for job_id in self.job_ids()]
+            for job_id in self.job_ids():
+                try:
+                    documents.append(self.load(job_id))
+                except JobError as exc:
+                    if job_id not in self._unreadable:
+                        self._unreadable.add(job_id)
+                        _log.warning("skipping job %s: %s", job_id, exc)
+        return documents
 
     # -- mutation ------------------------------------------------------
     def _write(self, job_id: str, document: Dict[str, Any]) -> None:

@@ -34,12 +34,12 @@ from __future__ import annotations
 import json
 import shutil
 import threading
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.obs import Recorder, get_logger
 from repro.parallel import ExecutionBackend, Future
 from repro.service.cache import CacheEntry, ResultCache
-from repro.service.jobstore import JobError, JobStore
+from repro.service.jobstore import JobStore
 from repro.service.worker import execute_job
 
 __all__ = ["Scheduler", "fulfil_from_cache"]
@@ -116,7 +116,6 @@ class Scheduler:
         self._lock = threading.RLock()
         self._inflight: Dict[str, Tuple[str, Future[Dict[str, Any]]]] = {}
         self._outcomes: Dict[str, Dict[str, Any]] = {}
-        self._unreadable: Set[str] = set()
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
 
@@ -197,14 +196,8 @@ class Scheduler:
         capacity = self.backend.num_workers - len(self._inflight)
         inflight_keys = {key for key, _ in self._inflight.values()}
         active = len(self._inflight)
-        for job_id in self.store.job_ids():
-            try:
-                document = self.store.load(job_id)
-            except JobError as exc:
-                if job_id not in self._unreadable:
-                    self._unreadable.add(job_id)
-                    _log.warning("skipping job %s: %s", job_id, exc)
-                continue
+        for document in self.store.list_jobs():
+            job_id = document["id"]
             if document["state"] != "queued":
                 continue
             if document["cancel_requested"]:

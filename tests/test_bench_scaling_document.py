@@ -89,7 +89,7 @@ def test_worker_counts_place_bit_identically(document):
 
 def test_dispatching_rows_meet_the_dispatch_reduction_gate(document):
     gates = document["gates"]
-    reductions = gates["dispatch_reduction_vs_pickled"]
+    reductions = gates["dispatch_reduction_vs_dense"]
     assert reductions
     assert all(value >= 10.0 for value in reductions.values())
     assert gates["meets_10x_dispatch_reduction"] is True

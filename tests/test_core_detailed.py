@@ -284,6 +284,93 @@ class TestProcessingOrder:
         assert _reference_order(legalizer) == want
 
 
+def _search_per_shell(legalizer, cid, width, x0, z0, row0, segments):
+    """The former shell-by-shell search, kept as the reference: each
+    shell's free-gap candidates scored in one batched call as the shell
+    is reached, a strict "<" scan in (layer, row) order, and a stop one
+    radius after the first shell holding a candidate."""
+    chip = legalizer.chip
+    n_rows = chip.rows_per_layer
+    layers = sorted(range(chip.num_layers), key=lambda z: abs(z - z0))
+    best = None
+    found_radius = None
+    radius = 0
+    while radius < n_rows:
+        rows = [r for r in (row0 - radius, row0 + radius)
+                if 0 <= r < n_rows]
+        if radius == 0:
+            rows = rows[:1]
+        shell = []
+        gap_idx = []
+        for layer in layers:
+            for row in rows:
+                slot = segments.nearest_slot(layer, row, x0, width)
+                if slot is not None:
+                    gap_idx.append(len(shell))
+                    shell.append([None, slot, chip.row_y(row), layer, row,
+                                  None])
+                else:
+                    cand = legalizer._evaluate_push(cid, width, x0, layer,
+                                                    row, segments)
+                    if cand is not None:
+                        shell.append(list(cand))
+        if gap_idx:
+            deltas = legalizer.objective.eval_moves_batch(
+                [cid] * len(gap_idx), [shell[k][1] for k in gap_idx],
+                [shell[k][2] for k in gap_idx],
+                [shell[k][3] for k in gap_idx])
+            for k, delta in zip(gap_idx, deltas):
+                shell[k][0] = float(delta)
+        for cand in shell:
+            if best is None or cand[0] < best[0]:
+                best = tuple(cand)
+        if best is not None and found_radius is None:
+            found_radius = radius
+        if found_radius is not None and radius >= found_radius + 1:
+            break
+        radius += 1
+    return best
+
+
+def _search_bits(found):
+    """A search result with its floats as IEEE-754 bit patterns."""
+    if found is None:
+        return None
+    delta, x, y, z, row, plan = found
+    return (float(delta).hex(), float(x).hex(), float(y).hex(), int(z),
+            int(row), None if plan is None
+            else [(int(c), float(px).hex()) for c, px in plan])
+
+
+class TestSearchReference:
+    """Collecting the searched shells first and scoring their gap
+    candidates in one call picks what the shell-by-shell search did,
+    for every cell of a detailed legalization."""
+
+    @pytest.mark.parametrize("layers,alpha_temp",
+                             [(1, 0.0), (4, 0.0), (4, 5.2e-3)])
+    def test_search_matches_reference(self, coarse_legalized, layers,
+                                      alpha_temp):
+        legalizer = DetailedLegalizer(*coarse_legalized(layers,
+                                                        alpha_temp))
+        search = legalizer._search
+        pushes = []
+
+        def checked(cid, width, x0, z0, row0, segments):
+            got = search(cid, width, x0, z0, row0, segments)
+            want = _search_per_shell(legalizer, cid, width, x0, z0, row0,
+                                     segments)
+            assert _search_bits(got) == _search_bits(want)
+            pushes.append(got[5] is not None)
+            return got
+
+        legalizer._search = checked
+        legalizer.run()
+        check_legal(legalizer.placement)
+        assert len(pushes) == legalizer.netlist.num_movable
+        assert any(pushes) and not all(pushes)
+
+
 class TestCheckLegal:
     def test_detects_overlap(self, small_netlist, config):
         chip = make_chip(small_netlist)

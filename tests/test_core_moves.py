@@ -137,21 +137,20 @@ class TestBinModel:
         assert optimizer.members == group_by_bin(pl, optimizer.mesh)
 
 
-class TestChunkInvariance:
-    """Where phase 1's scoring buffers end changes nothing.
+class TestBlockInvariance:
+    """Where phase 1's cell blocks end changes nothing.
 
-    ``BATCH_CHUNK = 1`` scores after every cell; ``10**9`` scores the
-    whole pass in one buffer, the schedule that kept every candidate.
-    Both must leave the same placement, objective bits, executed counts
-    and candidate counter.
+    ``CELL_BLOCK = 1`` generates and scores every cell on its own;
+    ``10**9`` the whole pass in one block.  Both must leave the same
+    placement, objective bits, executed counts and candidate counter.
     """
 
     @staticmethod
-    def _run(monkeypatch, chunk, alpha_temp):
+    def _run(monkeypatch, block, alpha_temp):
         from repro import PlacementConfig, load_benchmark
         from repro.obs import Recorder, use_recorder
 
-        monkeypatch.setattr(moves_module, "BATCH_CHUNK", chunk)
+        monkeypatch.setattr(moves_module, "CELL_BLOCK", block)
         netlist = load_benchmark("ibm01", scale=0.03)
         config = PlacementConfig(alpha_temp=alpha_temp, seed=2)
         pl = Placement.random(netlist, make_chip(netlist), seed=4)
@@ -163,7 +162,7 @@ class TestChunkInvariance:
         return pl, obj.total, executed, rec.counters["moves/candidates"]
 
     @pytest.mark.parametrize("alpha_temp", [0.0, 1e-5])
-    def test_one_cell_and_one_buffer_agree(self, monkeypatch, alpha_temp):
+    def test_one_cell_and_one_block_agree(self, monkeypatch, alpha_temp):
         pl_a, total_a, exec_a, cand_a = self._run(monkeypatch, 1,
                                                   alpha_temp)
         pl_b, total_b, exec_b, cand_b = self._run(monkeypatch, 10**9,
@@ -175,6 +174,186 @@ class TestChunkInvariance:
             assert np.array_equal(a, b)
         assert np.float64(total_a).view(np.int64) \
             == np.float64(total_b).view(np.int64)
+
+
+def _reference_targets(opt, centre, local_only, radius):
+    """The former scalar target rule, kept as the reference: the bins
+    within ``radius`` of ``centre`` by nested (i, j, k) loops, then, in
+    a thermal global pass, the rest of the vertical stack at the
+    centre's lateral position by ascending layer."""
+    mesh = opt.mesh
+    ci, cj, ck = centre
+    targets = []
+    for i in range(max(0, ci - radius), min(mesh.nx, ci + radius + 1)):
+        for j in range(max(0, cj - radius), min(mesh.ny, cj + radius + 1)):
+            for k in range(max(0, ck - radius),
+                           min(mesh.nz, ck + radius + 1)):
+                targets.append((i, j, k))
+    if not local_only and opt.config.alpha_temp > 0:
+        for k in range(mesh.nz):
+            if (ci, cj, k) not in targets:
+                targets.append((ci, cj, k))
+    return targets
+
+
+class _ReferenceBuffers:
+    """The former per-candidate scoring buffers of one block: moves
+    ``(cell, x, y, bin)`` and swaps ``(cell, partner, bin)``, and in
+    ``entry`` every candidate in generation order (``k`` for move
+    ``k``, ``~k`` for swap ``k``); ``span`` holds where each cell's
+    entries start, plus a final end."""
+
+    def __init__(self):
+        self.mv_cell, self.mv_x, self.mv_y, self.mv_bin = [], [], [], []
+        self.sw_a, self.sw_b, self.sw_bin = [], [], []
+        self.entry, self.span = [], [0]
+
+    def unified(self):
+        """The candidates as ``(cell, partner, x, y, bins, span)``
+        arrays, a move's partner -1 and a swap's point 0.0."""
+        rows = []
+        for e in self.entry:
+            if e >= 0:
+                rows.append((self.mv_cell[e], -1, self.mv_x[e],
+                             self.mv_y[e], self.mv_bin[e]))
+            else:
+                rows.append((self.sw_a[~e], self.sw_b[~e], 0.0, 0.0,
+                             self.sw_bin[~e]))
+        cell, partner, x, y, bins = (list(col) for col in zip(*rows)) \
+            if rows else ([], [], [], [], [])
+        return (np.asarray(cell, dtype=np.int64),
+                np.asarray(partner, dtype=np.int64),
+                np.asarray(x, dtype=np.float64),
+                np.asarray(y, dtype=np.float64),
+                np.asarray(bins, dtype=np.int64).reshape(-1, 3),
+                np.asarray(self.span, dtype=np.int64))
+
+
+def _collect_candidates(opt, cid, cur_bin, targets, cand, centred):
+    """The former scalar scan of one cell's move/swap candidates, kept
+    as the reference: two jitter values per target, then a swap-partner
+    sample per crowded target bin, drawn from ``opt.members`` lists;
+    the landing point of a rescanned (``centred``) cell is written the
+    other way (DESIGN.md, "Two WL associations")."""
+    mesh = opt.mesh
+    areas = opt._areas
+    area = float(areas[cid])
+    limit = moves_module.DENSITY_LIMIT * mesh.bin_capacity
+    bin_area = mesh._area
+    bw = mesh.bin_width
+    bh = mesh.bin_height
+    cur_area = float(bin_area[cur_bin])
+    jitter = opt._rng.random(2 * len(targets)).tolist()
+    for ti, t in enumerate(targets):
+        if t == cur_bin:
+            continue
+        area_t = float(bin_area[t])
+        if area_t + area <= limit:
+            u, v = jitter[2 * ti], jitter[2 * ti + 1]
+            cand.entry.append(len(cand.mv_cell))
+            cand.mv_cell.append(cid)
+            if centred:
+                cand.mv_x.append((t[0] + 0.5) * bw
+                                 + (u - 0.5) * (0.5 * bw) * 2.0)
+                cand.mv_y.append((t[1] + 0.5) * bh
+                                 + (v - 0.5) * (0.5 * bh) * 2.0)
+            else:
+                cand.mv_x.append((t[0] + u) * bw)
+                cand.mv_y.append((t[1] + v) * bh)
+            cand.mv_bin.append(t)
+        members = opt.members.get(t)
+        if not members:
+            continue
+        if len(members) > moves_module.MAX_SWAP_CANDIDATES:
+            members = list(opt._rng.choice(
+                members, size=moves_module.MAX_SWAP_CANDIDATES,
+                replace=False))
+        for other in members:
+            other = int(other)
+            if other == cid:
+                continue
+            other_area = float(areas[other])
+            if area_t - other_area + area > limit:
+                continue
+            if cur_area - area + other_area > limit:
+                continue
+            cand.entry.append(~len(cand.sw_a))
+            cand.sw_a.append(cid)
+            cand.sw_b.append(other)
+            cand.sw_bin.append(t)
+    cand.span.append(len(cand.entry))
+
+
+def _float_bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestPhaseOneReference:
+    """Every block the generator builds, in phase 1 and in rescans,
+    equals the former per-cell scan's buffers on the same state and
+    the same random draws: the same entries in the same order, the
+    same spans, the same landing-point bits and the same random-stream
+    state after the block.  The reference runs first, then the stream
+    is rewound and the generator runs, so the pass continues
+    unchanged."""
+
+    @pytest.mark.parametrize("alpha_temp", [0.0, 5.2e-3])
+    def test_blocks_match_reference(self, monkeypatch, alpha_temp):
+        from repro import PlacementConfig, load_benchmark
+
+        monkeypatch.setattr(moves_module, "CELL_BLOCK", 50)
+        netlist = load_benchmark("ibm01", scale=0.03)
+        config = PlacementConfig(alpha_temp=alpha_temp, seed=2)
+        pl = Placement.random(netlist, make_chip(netlist), seed=4)
+        opt = MoveOptimizer(ObjectiveState(pl, config), config)
+        generate = opt._candidates
+        seen = {"phase1": 0, "rescan": 0, "stack": 0, "crowded": 0}
+
+        def checked(cells, cur_bins, centres, local_only, radius, *,
+                    rescan=False):
+            state = opt._rng.bit_generator.state
+            cand = _ReferenceBuffers()
+            for q, cid in enumerate(cells.tolist()):
+                centre = tuple(centres[q].tolist())
+                targets = _reference_targets(opt, centre, local_only,
+                                             radius)
+                seen["stack"] += any(abs(t[2] - centre[2]) > radius
+                                     for t in targets)
+                seen["crowded"] += sum(
+                    len(opt.members.get(t, ())) >
+                    moves_module.MAX_SWAP_CANDIDATES for t in targets)
+                _collect_candidates(opt, cid, tuple(cur_bins[q].tolist()),
+                                    targets, cand, centred=rescan)
+            after = opt._rng.bit_generator.state
+            opt._rng.bit_generator.state = state
+            block = generate(cells, cur_bins, centres, local_only, radius,
+                             rescan=rescan)
+            assert opt._rng.bit_generator.state == after
+            cell, partner, x, y, bins, span = cand.unified()
+            assert np.array_equal(block.span, span)
+            assert np.array_equal(block.cell, cell)
+            assert np.array_equal(block.partner, partner)
+            assert np.array_equal(block.bins, bins)
+            assert np.array_equal(_float_bits(block.x), _float_bits(x))
+            assert np.array_equal(_float_bits(block.y), _float_bits(y))
+            seen["rescan" if rescan else "phase1"] += 1
+            return block
+
+        opt._candidates = checked
+        for run_pass in (opt.global_pass, opt.local_pass):
+            assert run_pass() > 0
+        assert seen["phase1"] > 2 and seen["rescan"] > 0
+        assert seen["crowded"] > 0
+        assert (seen["stack"] > 0) == (alpha_temp > 0)
+
+    def test_snapshot_membership_matches_members(self, optimizer):
+        optimizer._rebuild_mesh()
+        mesh = optimizer.mesh
+        ptr, ids = optimizer._bin_ptr, optimizer._bin_ids
+        for (i, j, k), members in optimizer.members.items():
+            b = (i * mesh.ny + j) * mesh.nz + k
+            assert ids[ptr[b]:ptr[b + 1]].tolist() == members
+        assert ptr[-1] == sum(map(len, optimizer.members.values()))
 
 
 def _reference_best_action(opt, cid, cur_bin, targets):
@@ -291,13 +470,18 @@ class TestRescanReference:
         rescan = opt._rescan
         seen = []
 
-        def checked(cid, cur_bin, targets):
+        def checked(cid, local_only, radius):
+            cur_bins, centres = opt._bins(np.asarray([cid]), local_only)
+            cur_bin = tuple(cur_bins[0].tolist())
+            targets = _reference_targets(opt, tuple(centres[0].tolist()),
+                                         local_only, radius)
             state = opt._rng.bit_generator.state
             expected = _reference_best_action(opt, cid, cur_bin, targets)
             after = opt._rng.bit_generator.state
             opt._rng.bit_generator.state = state
-            row = rescan(cid, cur_bin, targets)
+            row, got_bin = rescan(cid, local_only, radius)
             assert opt._rng.bit_generator.state == after
+            assert got_bin == cur_bin
             got = None
             if row.delta[0] < -1e-18:
                 other = int(row.partner[0])
@@ -309,7 +493,7 @@ class TestRescanReference:
                 got = (moves, row.bins[0], None if other < 0 else other)
             assert _bits(got) == _bits(expected)
             seen.append(expected is not None)
-            return row
+            return row, got_bin
 
         opt._rescan = checked
         for run_pass in (opt.global_pass, opt.local_pass):

@@ -67,8 +67,8 @@ class TestGeometry:
     def test_invalid_index_raises(self, mesh):
         with pytest.raises(IndexError):
             mesh.area_in((8, 0, 0))
-        with pytest.raises(IndexError):
-            mesh.bins_within((0, 4, 0), 1)
+        with pytest.raises(IndexError, match=r"\(0, 4, 0\)"):
+            mesh.bins_within(np.array([[1, 1, 0], [0, 4, 0]]), 1)
 
     def test_invalid_mesh_size(self, chip):
         with pytest.raises(ValueError):
@@ -76,17 +76,32 @@ class TestGeometry:
 
 
 class TestNeighbors:
+    @staticmethod
+    def _within(mesh, centre, radius):
+        owner, bins = mesh.bins_within(np.array([centre]), radius)
+        assert (owner == 0).all()
+        return [tuple(b) for b in bins.tolist()]
+
     def test_bins_within_radius_zero(self, mesh):
-        assert mesh.bins_within((3, 2, 1), 0) == [(3, 2, 1)]
+        assert self._within(mesh, (3, 2, 1), 0) == [(3, 2, 1)]
 
     def test_bins_within_radius_one_interior(self, mesh):
-        bins = mesh.bins_within((3, 2, 0), 1)
+        bins = self._within(mesh, (3, 2, 0), 1)
         assert len(bins) == 3 * 3 * 2  # z clipped to 2 layers
         assert (3, 2, 0) in bins
+        assert bins == sorted(bins)  # (i, j, k) order
 
     def test_bins_within_clips_at_edges(self, mesh):
-        bins = mesh.bins_within((0, 0, 0), 1)
+        bins = self._within(mesh, (0, 0, 0), 1)
         assert len(bins) == 2 * 2 * 2
+
+    def test_bins_within_many_centres(self, mesh):
+        centres = [(0, 0, 0), (3, 2, 1), (7, 3, 1)]
+        owner, bins = mesh.bins_within(np.array(centres), 1)
+        assert np.array_equal(owner, np.sort(owner))
+        for q, centre in enumerate(centres):
+            assert [tuple(b) for b in bins[owner == q].tolist()] == \
+                self._within(mesh, centre, 1)
 
 
 class TestOccupancy:

@@ -95,6 +95,21 @@ class TestConstruction:
                        fixed=[FREE, 0, FREE])
         assert g.free_weight == pytest.approx(5.0)
 
+    def test_free_values_are_computed_once_and_read_only(self):
+        g = Hypergraph(4, [[0, 1], [2, 3]],
+                       vertex_weights=[0.1, 0.2, 0.3, 0.4],
+                       fixed=[FREE, 1, FREE, FREE])
+        coarse, _ = g.contract(np.array([0, 1, 2, 2]))
+        for graph in (g, coarse):
+            free = graph.fixed == FREE
+            assert np.array_equal(graph.free, free)
+            assert np.array_equal(graph.free_ids, np.flatnonzero(free))
+            assert graph.free_weight == float(
+                graph.vertex_weights[free].sum())
+            for array in (graph.free, graph.free_ids):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[1]
+
 
 class TestCanonicalization:
     """One array pass sorts, deduplicates and range-checks every net,

@@ -639,6 +639,48 @@ class TestSchedulerKeepsServing:
                  if "skipping job" in r.getMessage()]
         assert len(skips) == 1 and broken in skips[0]
 
+    @staticmethod
+    def _one_unreadable(engine, prefix):
+        """Submit two jobs and truncate the first one's document to 40
+        bytes; returns both ids."""
+        broken, good = (engine.submit(_request(
+                            prefix, config=_config(seed=seed).to_dict()))
+                        for seed in (1, 2))
+        path = engine.store.job_dir(broken) / "job.json"
+        path.write_bytes(path.read_bytes()[:40])
+        return broken, good
+
+    def test_rpc_list_skips_an_unreadable_document(self, tmp_path,
+                                                   caplog):
+        caplog.set_level(logging.WARNING, logger="repro")
+        prefix = _bookshelf(tmp_path)
+        with PlacementEngine(tmp_path / "jobs", workers=1) as engine:
+            broken, good = self._one_unreadable(engine, prefix)
+            server = RpcServer(engine, tmp_path / "s.sock")
+            for request_id in (1, 2):
+                response = server._respond(json.dumps(
+                    {"id": request_id, "method": "list"}).encode())
+                assert [d["id"] for d in response["result"]["jobs"]] \
+                    == [good]
+            response = server._respond(json.dumps(
+                {"id": 3, "method": "status",
+                 "params": {"job_id": broken}}).encode())
+            assert response["error"]["code"] == -32000
+            assert "invalid JSON" in response["error"]["message"]
+        skips = [r.getMessage() for r in caplog.records
+                 if "skipping job" in r.getMessage()]
+        assert len(skips) == 1 and broken in skips[0]
+
+    def test_wait_for_every_job_skips_an_unreadable_document(self,
+                                                             tmp_path):
+        prefix = _bookshelf(tmp_path)
+        with PlacementEngine(tmp_path / "jobs", workers=1) as engine:
+            broken, good = self._one_unreadable(engine, prefix)
+            (document,) = engine.wait(timeout=60)
+            assert document["id"] == good and document["state"] == "done"
+            with pytest.raises(JobError, match="invalid JSON"):
+                engine.status(broken)
+
     def test_pump_thread_survives_a_raising_pump(self, tmp_path,
                                                  monkeypatch, caplog):
         caplog.set_level(logging.WARNING, logger="repro")
