@@ -13,8 +13,8 @@ The rows:
 - ``ladder/<scale>/<leg>/<n>``: the full pipeline on ibm01 at each
   ladder scale, ``REPEATS`` times, each time as three back-to-back
   legs: ``plain`` (no ambient instrumentation), ``live`` (a live
-  :class:`repro.obs.Recorder`) and ``profiled`` (resource tracking
-  plus the sampling profiler at its default rate).  The telemetry and
+  :class:`repro.obs.Recorder`, which tracks RSS) and ``profiled`` (a
+  live recorder plus the sampling profiler).  The telemetry and
   profile overheads are medians of per-repeat ratios against the plain
   leg: pairing cancels slow machine drift, the median drops a pair a
   scheduler hiccup landed in, and negative readings (noise, not a
@@ -106,16 +106,13 @@ def _place(row: Row) -> Row:
     spec = (PipelineSpec(entries=(StageEntry("global"),))
             if row.get("global_only") else None)
     leg = row.get("leg", "live")
-    recorder = (None if leg == "plain"
-                else Recorder(track_resources=leg == "profiled"))
+    recorder = None if leg == "plain" else Recorder()
     profiler = (SamplingProfiler(tracer=recorder.tracer)
                 if leg == "profiled" else contextlib.nullcontext())
     watch = Stopwatch()
     with profiler:
         result = Placer3D(netlist, PlacementConfig(**row.get("config", {})),
                           recorder=recorder, spec=spec).run()
-    if leg == "profiled":
-        recorder.finish_resources()
     wall = watch.elapsed()
     digest = hashlib.sha256()
     for array in (result.placement.x, result.placement.y,
@@ -390,9 +387,8 @@ def main() -> None:
     parser.add_argument("--check-profile-overhead", type=float,
                         metavar="PCT",
                         help="also gate the profiled-run overhead "
-                             "(sampling profiler + resource tracking "
-                             "at the default rate) against this "
-                             "budget")
+                             "(a live recorder plus the sampling "
+                             "profiler) against this budget")
     args = parser.parse_args()
     document = run_bench(args.scales, workers=args.workers,
                          large=args.large)

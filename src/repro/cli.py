@@ -76,6 +76,7 @@ import shutil
 import sys
 import tempfile
 import time
+import tracemalloc
 from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
@@ -160,16 +161,16 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(e.g. round1/detailed), leaving the "
                             "checkpoint behind")
     place.add_argument("--profile", action="store_true",
-                       help="enable the sampling profiler and resource "
-                            "tracking (also via REPRO_PROFILE=1); "
-                            "prints memory/hot-function sections and, "
+                       help="run the sampling profiler; prints the "
+                            "memory and hot-function sections and, "
                             "with --telemetry-out, writes "
                             "PREFIX.collapsed.txt (flamegraph-ready) "
-                            "plus manifest resources/profile sections")
+                            "plus the manifest's profile section")
     place.add_argument("--profile-alloc", action="store_true",
-                       help="with --profile: also trace allocation "
-                            "sites via tracemalloc (also via "
-                            "REPRO_PROFILE_ALLOC=1); hooks every "
+                       help="run tracemalloc around the placement; "
+                            "prints the memory section with the Python "
+                            "heap peak and top allocation sites, also "
+                            "in the manifest's resources; hooks every "
                             "allocation, expect ~8x slower runs")
     place.add_argument("--jobs-dir", metavar="DIR",
                        help="persistent service job-store root "
@@ -333,7 +334,13 @@ def _cmd_place(args) -> int:
             spec=(PipelineSpec.from_json_file(args.pipeline).to_dict()
                   if args.pipeline else None))
         job_id = engine.submit(request, netlist=netlist)
-        return _place_job(args, netlist, config, engine, job_id)
+        if args.profile_alloc:
+            tracemalloc.start()
+        try:
+            return _place_job(args, netlist, config, engine, job_id)
+        finally:
+            if args.profile_alloc:
+                tracemalloc.stop()
     finally:
         engine.close()
         if ephemeral:
@@ -344,19 +351,9 @@ def _place_job(args, netlist, config, engine, job_id) -> int:
     """Run one `place` job inline (or serve it from the result cache)
     and render its placement: report row, --trace, --profile, --maps,
     --out, --telemetry-out."""
-    # --profile flips the environment opt-in *before* the recorder is
-    # built (so it auto-attaches a ResourceTracker) and before any
-    # worker processes fork (so they inherit the opt-in too).
-    profile_env_set = False
-    if args.profile and not obs.profile_enabled():
-        os.environ[obs.PROFILE_ENV] = "1"
-        profile_env_set = True
-    alloc_env_set = False
-    if args.profile_alloc and not obs.alloc_enabled():
-        os.environ[obs.ALLOC_ENV] = "1"
-        alloc_env_set = True
     recorder: Optional[obs.Recorder] = None
-    if args.trace or args.telemetry_out or args.profile:
+    if args.trace or args.telemetry_out or args.profile \
+            or args.profile_alloc:
         recorder = obs.Recorder(sink=(
             obs.EventSink(f"{args.telemetry_out}.trace.jsonl")
             if args.telemetry_out else None))
@@ -388,10 +385,6 @@ def _place_job(args, netlist, config, engine, job_id) -> int:
             profiler.stop()
         if recorder is not None:
             recorder.close()
-        if profile_env_set:
-            os.environ.pop(obs.PROFILE_ENV, None)
-        if alloc_env_set:
-            os.environ.pop(obs.ALLOC_ENV, None)
     if outcome is not None and outcome["state"] == "preempted":
         print(f"halted after {outcome['unit']}"
               + (f"; checkpoint at {args.checkpoint_dir}"
@@ -416,9 +409,10 @@ def _place_job(args, netlist, config, engine, job_id) -> int:
     resources_doc = (recorder.finish_resources()
                      if recorder is not None else None)
     profile_doc = profiler.summary() if profiler is not None else None
-    if args.profile:
+    if args.profile or args.profile_alloc:
         print()
         print(obs.render_resources(resources_doc))
+    if args.profile:
         print()
         print(obs.render_profile(profile_doc))
     if args.maps:

@@ -153,6 +153,10 @@ class GlobalPlacer:
                       zlo=0, zhi=self.chip.num_layers - 1, path=1)
         with create_backend(self.config.num_workers) as backend:
             self._run_levels(root, backend)
+            # a worker's peak RSS is gone once its pool closes
+            resources = get_recorder().resources
+            if resources is not None:
+                resources.sample_workers(backend.worker_pids())
 
     def _run_levels(self, root: Region,
                     backend: ExecutionBackend) -> None:
@@ -173,7 +177,7 @@ class GlobalPlacer:
         # Workers read only their task payloads, so they fork before the
         # level builds allocate (the netlist's signal CSR, the passes'
         # temporaries); after the probe above, so that they share the
-        # resource tracker it started.
+        # multiprocessing resource tracker it started.
         backend.start()
         try:
             frontier = [root]

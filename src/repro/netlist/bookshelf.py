@@ -292,8 +292,9 @@ def read_pl(path: str, netlist: Netlist, unit: float = 1e-6
     as the layer index (our 3D extension); 2D files default to layer 0.
 
     Raises:
-        ValueError: an unknown cell, a line with fewer than three
-            fields, or a non-numeric or non-finite coordinate.
+        ValueError: an unknown cell, a cell listed twice, a line with
+            fewer than three fields, a non-numeric or non-finite
+            coordinate, or a negative layer.
     """
     positions: Dict[str, Tuple[float, float, int]] = {}
     for line in _iter_content_lines(path):
@@ -303,6 +304,8 @@ def read_pl(path: str, netlist: Netlist, unit: float = 1e-6
         name = fields[0]
         if name not in netlist._cell_by_name:
             raise ValueError(f"{path}: unknown cell {name!r}")
+        if name in positions:
+            raise ValueError(f"{path}: cell {name!r} listed twice")
         x = _number(path, line, fields[1]) * unit
         y = _number(path, line, fields[2]) * unit
         layer = 0
@@ -311,6 +314,9 @@ def read_pl(path: str, netlist: Netlist, unit: float = 1e-6
                 layer = int(fields[3])
             except ValueError:
                 layer = 0  # orientation token such as ": N"
+            if layer < 0:
+                raise ValueError(
+                    f"{path}: cell {name!r} on negative layer {layer}")
         cell = netlist.cell(name)
         cx = x + 0.5 * cell.width
         cy = y + 0.5 * cell.height

@@ -22,6 +22,9 @@ class Placement:
         chip: the placement volume.
         x, y: float arrays of cell-centre coordinates, metres.
         z: int array of layer indices.
+
+    Fixed cells take their ``fixed_position``; one on a layer outside
+    ``[0, chip.num_layers)`` raises ``ValueError`` naming the cell.
     """
 
     def __init__(self, netlist: Netlist, chip: ChipGeometry,
@@ -42,9 +45,14 @@ class Placement:
         self._apply_fixed()
 
     def _apply_fixed(self) -> None:
+        layers = self.chip.num_layers
         for cell in self.netlist.cells:
             if cell.fixed:
                 fx, fy, fz = cell.fixed_position
+                if not 0 <= fz < layers:
+                    raise ValueError(
+                        f"fixed cell {cell.name!r} is on layer {fz}, "
+                        f"outside the chip's {layers} layers")
                 self.x[cell.id] = fx
                 self.y[cell.id] = fy
                 self.z[cell.id] = fz

@@ -12,8 +12,9 @@ reports through:
 - :class:`SamplingProfiler` / :class:`ProfileData` — opt-in sampling
   profiler attributing stacks to open span paths, with collapsed-stack
   export (``profile.py``);
-- :class:`ResourceTracker` — opt-in peak-RSS and tracemalloc
-  tracking feeding the recorder (``resources.py``);
+- :class:`ResourceTracker` — the RSS (and, while tracemalloc runs,
+  allocation-site) tracking every live recorder carries
+  (``resources.py``);
 - :class:`EventSink` / :func:`read_events` — structured JSONL event
   stream (``events.py``);
 - :func:`build_manifest` / :func:`write_manifest` /
@@ -37,23 +38,18 @@ from repro.obs.events import EventSink, read_events
 from repro.obs.log import configure_cli_logging, get_logger
 from repro.obs.manifest import (build_manifest, config_hash, load_schema,
                                 validate_manifest, write_manifest)
-from repro.obs.profile import (PROFILE_ENV, ProfileData,
-                               SamplingProfiler, profile_enabled)
+from repro.obs.profile import ProfileData, SamplingProfiler
 from repro.obs.recorder import (NULL_RECORDER, NullRecorder, Recorder,
                                 Telemetry, get_recorder, use_recorder)
 from repro.obs.report import (render, render_manifest, render_profile,
                               render_resources, render_spans)
-from repro.obs.resources import (ALLOC_ENV, ResourceTracker,
-                                 alloc_enabled, peak_rss_bytes,
-                                 resources_enabled, rss_bytes)
+from repro.obs.resources import ResourceTracker, peak_rss_bytes, rss_bytes
 from repro.obs.trace import SpanStats, Stopwatch, Tracer
 
 __all__ = [
-    "ALLOC_ENV",
     "EventSink",
     "NULL_RECORDER",
     "NullRecorder",
-    "PROFILE_ENV",
     "ProfileData",
     "Recorder",
     "ResourceTracker",
@@ -62,7 +58,6 @@ __all__ = [
     "Stopwatch",
     "Telemetry",
     "Tracer",
-    "alloc_enabled",
     "build_manifest",
     "config_hash",
     "configure_cli_logging",
@@ -70,14 +65,12 @@ __all__ = [
     "get_recorder",
     "load_schema",
     "peak_rss_bytes",
-    "profile_enabled",
     "read_events",
     "render",
     "render_manifest",
     "render_profile",
     "render_resources",
     "render_spans",
-    "resources_enabled",
     "rss_bytes",
     "use_recorder",
     "validate_manifest",

@@ -18,8 +18,8 @@ Everything aggregates into a :class:`ProfileData`, which exports
   and *cumulative* (anywhere on the stack) counts, overall and per
   span path.
 
-Profiling is strictly opt-in (``--profile`` / ``REPRO_PROFILE=1``):
-a disabled run constructs no profiler and no sampler thread, so the
+Profiling is strictly opt-in (``repro place --profile``): a run
+without it constructs no profiler and no sampler thread, so the
 default path pays nothing.  The sampler is a daemon thread
 rather than a SIGPROF handler so it composes with scipy's C code,
 worker processes and non-main threads; the clock and the sampled frame
@@ -42,64 +42,62 @@ from typing import (Any, Callable, Dict, List, Optional, Tuple, Type)
 
 from repro.obs.trace import Tracer
 
-__all__ = ["DEFAULT_INTERVAL", "PROFILE_ENV", "ProfileData",
-           "SamplingProfiler", "profile_enabled"]
+__all__ = ["INTERVAL", "MAX_DEPTH", "ProfileData", "SamplingProfiler",
+           "TOP_FUNCTIONS"]
 
-#: Environment variable that opts a run into profiling (and resource
-#: tracking — see :mod:`repro.obs.resources`).
-PROFILE_ENV = "REPRO_PROFILE"
+#: Sampling interval, seconds (100 Hz).  One sample costs a stack walk
+#: of the profiled thread (~tens of microseconds), so this rate keeps
+#: the profiled run within its overhead budget (<= 5 %, gated by
+#: ``benchmarks/bench_scaling.py --check-profile-overhead``).
+INTERVAL = 0.01
 
-#: Default sampling interval, seconds (100 Hz).  One sample costs a
-#: stack walk of the profiled thread (~tens of microseconds), so the
-#: default rate keeps the profiled run within its overhead budget
-#: (<= 5 %, gated by ``benchmarks/bench_scaling.py
-#: --check-profile-overhead``).
-DEFAULT_INTERVAL = 0.01
+#: Stack-depth cap per sample.
+MAX_DEPTH = 64
+
+#: Hot-function rows kept per table (overall and per span).
+TOP_FUNCTIONS = 10
 
 #: Path fragments stripped from frame filenames so collapsed stacks
 #: stay stable across checkouts and virtualenvs.
 _PATH_MARKERS = ("/src/repro/", "/site-packages/", "/lib/python")
 
 
-def profile_enabled() -> bool:
-    """Whether ``REPRO_PROFILE`` opts this process into profiling."""
-    return os.environ.get(PROFILE_ENV, "0").strip().lower() \
-        in ("1", "true", "yes", "on")
+def short_path(filename: str) -> str:
+    """A source path relative to the innermost recognised root
+    (``src/repro``, ``site-packages`` …), else its basename, so labels
+    are machine-independent."""
+    filename = filename.replace("\\", "/")
+    for marker in _PATH_MARKERS:
+        pos = filename.rfind(marker)
+        if pos >= 0:
+            return filename[pos + len(marker):]
+    return filename.rsplit("/", 1)[-1]
 
 
 def frame_label(frame: FrameType) -> str:
     """Human-stable label for one frame: ``module:qualname``.
 
-    The module part is the source path relative to the innermost
-    recognised root (``src/repro``, ``site-packages`` …), so labels are
-    machine-independent; the function part prefers ``co_qualname``
-    (3.11+) over the bare name so methods keep their class.
+    The module part is :func:`short_path` of the source file without
+    ``.py``; the function part prefers ``co_qualname`` (3.11+) over
+    the bare name so methods keep their class.
     """
     code = frame.f_code
-    filename = code.co_filename.replace("\\", "/")
-    for marker in _PATH_MARKERS:
-        pos = filename.rfind(marker)
-        if pos >= 0:
-            filename = filename[pos + len(marker):]
-            break
-    else:
-        filename = filename.rsplit("/", 1)[-1]
+    filename = short_path(code.co_filename)
     if filename.endswith(".py"):
         filename = filename[:-3]
     name = getattr(code, "co_qualname", code.co_name)
     return f"{filename}:{name}"
 
 
-def stack_of(frame: Optional[FrameType],
-             max_depth: int = 64) -> Tuple[str, ...]:
+def stack_of(frame: Optional[FrameType]) -> Tuple[str, ...]:
     """The frame's stack as labels, outermost first, depth-capped.
 
-    When the stack is deeper than ``max_depth`` the outermost frames
-    are dropped (the leaf — where the time is actually spent — always
-    survives truncation).
+    When the stack is deeper than :data:`MAX_DEPTH` the outermost
+    frames are dropped (the leaf — where the time is actually spent —
+    always survives truncation).
     """
     labels: List[str] = []
-    while frame is not None and len(labels) < max_depth:
+    while frame is not None and len(labels) < MAX_DEPTH:
         labels.append(frame_label(frame))
         frame = frame.f_back
     labels.reverse()
@@ -155,19 +153,18 @@ class ProfileData:
             lines.append(f"{';'.join(frames)} {count}")
         return lines
 
-    def hot_functions(self, span_path: Optional[str] = None,
-                      top: int = 0) -> List[Dict[str, Any]]:
+    def hot_functions(self, span_path: Optional[str] = None
+                      ) -> List[Dict[str, Any]]:
         """Self/cumulative sample counts per function, hottest first.
 
         Args:
             span_path: restrict to samples taken under this exact open
                 span path; ``None`` aggregates every sample.
-            top: keep only the ``top`` hottest rows (by self count);
-                ``0`` keeps all.
 
         Returns:
-            Rows ``{"function", "self", "cum"}`` sorted by descending
-            self count (cumulative count breaking ties), where ``cum``
+            The :data:`TOP_FUNCTIONS` hottest rows
+            ``{"function", "self", "cum"}``, sorted by descending self
+            count (cumulative count breaking ties), where ``cum``
             counts samples with the function anywhere on the stack and
             ``self`` counts samples with it at the leaf.
         """
@@ -188,7 +185,7 @@ class ProfileData:
                 for label, cum in cum_counts.items()]
         rows.sort(key=lambda r: (-int(r["self"]), -int(r["cum"]),
                                  str(r["function"])))
-        return rows[:top] if top > 0 else rows
+        return rows[:TOP_FUNCTIONS]
 
     def span_paths(self) -> List[str]:
         """Distinct open-span paths seen, by descending sample count."""
@@ -197,7 +194,7 @@ class ProfileData:
             totals[path] = totals.get(path, 0) + count
         return sorted(totals, key=lambda p: (-totals[p], p))
 
-    def span_table(self, top: int = 5) -> List[Dict[str, Any]]:
+    def span_table(self) -> List[Dict[str, Any]]:
         """Per-span hot-function summary for the manifest/report.
 
         Returns:
@@ -209,11 +206,11 @@ class ProfileData:
             samples = sum(c for (p, _), c in self.stacks.items()
                           if p == path)
             out.append({"span": path, "samples": samples,
-                        "functions": self.hot_functions(path, top=top)})
+                        "functions": self.hot_functions(path)})
         return out
 
     # -- serialization -------------------------------------------------
-    def as_dict(self, top: int = 10) -> Dict[str, Any]:
+    def as_dict(self) -> Dict[str, Any]:
         """JSON-friendly summary (the manifest's ``profile`` section).
 
         Carries the aggregate hot-function table and the per-span
@@ -223,8 +220,8 @@ class ProfileData:
         return {
             "samples": self.samples,
             "distinct_stacks": len(self.stacks),
-            "hot_functions": self.hot_functions(top=top),
-            "spans": self.span_table(top=top),
+            "hot_functions": self.hot_functions(),
+            "spans": self.span_table(),
         }
 
     @classmethod
@@ -272,9 +269,10 @@ class SamplingProfiler:
         tracer: the run's span tracer; each sample is attributed to
             ``tracer.current_path()``.  ``None`` files every sample
             under the empty path.
-        interval: seconds between samples.
         clock: monotonic time source (injectable for tests).
-        max_depth: stack-depth cap per sample.
+
+    It samples every :data:`INTERVAL` seconds, each stack capped at
+    :data:`MAX_DEPTH` frames.
 
     Use as a context manager, or call :meth:`start` / :meth:`stop`.
     The profiled thread is the one that *constructs* the profiler —
@@ -284,16 +282,9 @@ class SamplingProfiler:
     """
 
     def __init__(self, tracer: Optional[Tracer] = None,
-                 interval: float = DEFAULT_INTERVAL,
-                 clock: Callable[[], float] = time.perf_counter,
-                 max_depth: int = 64) -> None:
-        if interval <= 0:
-            raise ValueError(f"sample interval must be positive: "
-                             f"{interval}")
+                 clock: Callable[[], float] = time.perf_counter) -> None:
         self.tracer = tracer
-        self.interval = float(interval)
         self.clock = clock
-        self.max_depth = int(max_depth)
         self.data = ProfileData()
         self._target_ident = threading.get_ident()
         self._stop_event = threading.Event()
@@ -315,10 +306,10 @@ class SamplingProfiler:
                 return
         span_path = self.tracer.current_path() \
             if self.tracer is not None else ""
-        self.data.add(span_path, stack_of(frame, self.max_depth))
+        self.data.add(span_path, stack_of(frame))
 
     def _run(self) -> None:
-        while not self._stop_event.wait(self.interval):
+        while not self._stop_event.wait(INTERVAL):
             self.sample_once()
 
     # -- lifecycle -----------------------------------------------------
@@ -351,9 +342,9 @@ class SamplingProfiler:
         self.stop()
 
     # -- reporting -----------------------------------------------------
-    def summary(self, top: int = 10) -> Dict[str, Any]:
+    def summary(self) -> Dict[str, Any]:
         """The manifest ``profile`` section for this run."""
-        document = self.data.as_dict(top=top)
-        document["interval_seconds"] = self.interval
+        document = self.data.as_dict()
+        document["interval_seconds"] = INTERVAL
         document["wall_seconds"] = self.wall_seconds
         return document

@@ -18,22 +18,20 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import TracebackType
-from typing import (TYPE_CHECKING, Any, Callable, ContextManager, Dict,
-                    Iterator, List, Optional, Tuple, Type)
+from typing import (Any, Callable, ContextManager, Dict, Iterator, List,
+                    Optional, Tuple, Type)
 
 from repro.obs.events import EventSink
+from repro.obs.resources import ResourceTracker
 from repro.obs.trace import SpanStats, Tracer
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.resources import ResourceTracker
 
 __all__ = ["NULL_RECORDER", "NullRecorder", "Recorder", "Telemetry",
            "get_recorder", "use_recorder"]
 
-#: Gauge-name prefixes that merge by *max* when folding worker
-#: telemetry (:meth:`Recorder.merge`).  Peak-memory gauges are
-#: high-water marks: the merged run's peak is the largest worker's
-#: peak, not whichever worker merged last.
+#: Gauge-name prefixes that merge by *max* when folding another
+#: recorder's telemetry (:meth:`Recorder.merge`), such as a service
+#: job's.  Peak-memory gauges are high-water marks: the merged peak is
+#: the largest snapshot's, not whichever merged last.
 _MAX_MERGE_GAUGE_PREFIXES: Tuple[str, ...] = (
     "resources/peak_", "resources/tracemalloc_peak_")
 
@@ -71,12 +69,10 @@ class Recorder:
             streamed to it as they happen.
         clock: monotonic time source, seconds (injectable for tests).
         track_resources: attach a
-            :class:`~repro.obs.resources.ResourceTracker` (per-span RSS
-            gauges, optional tracemalloc attribution).  ``None`` (the
-            default) defers to the ``REPRO_PROFILE`` environment
-            opt-in — which is how forked workers inherit tracking
-            without any parameter threading through
-            :mod:`repro.parallel`.
+            :class:`~repro.obs.resources.ResourceTracker` (RSS gauges
+            at stage boundaries, tracemalloc attribution while it
+            runs).  Off only for recorders too short-lived to report
+            memory: a bisection task's, and :class:`NullRecorder`.
 
     Attributes:
         enabled: ``True`` — branch on this in hot call sites instead of
@@ -90,7 +86,7 @@ class Recorder:
 
     def __init__(self, sink: Optional[EventSink] = None,
                  clock: Callable[[], float] = time.perf_counter,
-                 track_resources: Optional[bool] = None) -> None:
+                 track_resources: bool = True) -> None:
         self.sink = sink
         self._clock = clock
         self._t0 = clock()
@@ -99,13 +95,8 @@ class Recorder:
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
         self.series: Dict[str, List[Dict[str, float]]] = {}
-        self.resources: Optional["ResourceTracker"] = None
-        if track_resources is None:
-            from repro.obs.resources import resources_enabled
-            track_resources = resources_enabled()
-        if track_resources:
-            from repro.obs.resources import ResourceTracker
-            self.resources = ResourceTracker(self)
+        self.resources = ResourceTracker(self) if track_resources \
+            else None
 
     # -- spans ---------------------------------------------------------
     def span(self, name: str) -> ContextManager[Any]:
@@ -155,16 +146,15 @@ class Recorder:
     def sample_resources(self, label: str) -> None:
         """Record per-span memory gauges, when a tracker is attached.
 
-        Called at pipeline stage boundaries; a plain counter-check
-        no-op when resource tracking is off, so the default path stays
-        at its historical cost.
+        Called at pipeline stage boundaries; a no-op without a
+        tracker.
         """
         if self.resources is not None:
             self.resources.sample(label)
 
     def finish_resources(self) -> Optional[Dict[str, Any]]:
         """Finalize resource tracking; the manifest ``resources``
-        section, or ``None`` when tracking is off."""
+        section, or ``None`` without a tracker."""
         if self.resources is None:
             return None
         return self.resources.finish()
@@ -188,8 +178,7 @@ class Recorder:
         - **counters**: added — totals are distribution-independent;
         - **gauges**: last write wins, matching in-process behaviour —
           except peak-memory gauges (``resources/peak_*``), which are
-          high-water marks and merge by max so totals stay
-          distribution-independent at any worker count;
+          high-water marks and merge by max;
         - **series**: points append in merge-call order (the caller
           merges results in task order, keeping this deterministic).
         """

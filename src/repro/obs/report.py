@@ -7,8 +7,8 @@ breakdowns without any plotting dependencies.
 The manifest renderers read a document that passed
 ``manifest_schema.json`` (``repro obs report`` validates it on load),
 so they read its fields directly.  A section the schema lets be null
-(``resources`` and ``profile`` of an unprofiled run) renders as an
-honest "(none)".
+(``profile`` of an unprofiled run, ``resources`` of a service job's
+manifest) renders as an honest "(none)".
 """
 
 from __future__ import annotations
@@ -20,19 +20,22 @@ from repro.obs.recorder import Telemetry
 __all__ = ["render", "render_manifest", "render_profile",
            "render_resources", "render_spans"]
 
+#: Deepest span level :func:`render_spans` prints (0 = top level).
+SPAN_DEPTH = 4
 
-def render_spans(spans: Mapping[str, Any], max_depth: int = 4) -> str:
+
+def render_spans(spans: Mapping[str, Any]) -> str:
     """Render a span tree (as produced by ``SpanStats.as_dict``).
 
     Each line shows indentation by depth, the node name, its total
-    seconds, its share of the parent, and the call count.  Returns an
-    empty string for an empty tree.
+    seconds, its share of the parent, and the call count, down to
+    :data:`SPAN_DEPTH`.  Returns an empty string for an empty tree.
     """
     lines: List[str] = []
 
     def visit(node: Mapping[str, Any], depth: int,
               parent_total: float) -> None:
-        if depth > max_depth:
+        if depth > SPAN_DEPTH:
             return
         total = float(node["total_seconds"])
         share = 100.0 * total / parent_total if parent_total > 0 else 0.0
@@ -60,10 +63,10 @@ def _bytes_human(value: float) -> str:
 def render_resources(resources: Optional[Mapping[str, Any]]) -> str:
     """Render a manifest ``resources`` section (memory report).
 
-    ``None`` (unprofiled run) renders a single "(none)" line.
+    ``None`` (no section recorded) renders a single "(none)" line.
     """
     if resources is None:
-        return "-- memory --\n(none: run without --profile)"
+        return "-- memory --\n(none recorded)"
     lines = ["-- memory --"]
     for key, label in (("peak_rss_bytes", "peak RSS"),
                        ("current_rss_bytes", "final RSS"),

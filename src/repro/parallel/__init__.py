@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import tracemalloc
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from types import TracebackType
@@ -178,6 +179,13 @@ class ExecutionBackend:
         backend has nothing to start.
         """
 
+    def worker_pids(self) -> List[int]:
+        """Pids of the live worker processes, ascending.
+
+        Empty for a serial backend: its tasks ran in this process.
+        """
+        return []
+
     def close(self) -> None:
         """Release backend resources (idempotent)."""
 
@@ -209,6 +217,13 @@ class SerialBackend(ExecutionBackend):
             # future.result(), as a pool's does
             future.set_exception(exc)
         return future
+
+
+def _init_worker() -> None:
+    """Pool worker initializer: stop a tracemalloc inherited through
+    fork, which would trace every task and report nowhere."""
+    if tracemalloc.is_tracing():
+        tracemalloc.stop()
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -244,12 +259,19 @@ class ProcessPoolBackend(ExecutionBackend):
         context = multiprocessing.get_context(
             "fork" if "fork" in methods else None)
         return ProcessPoolExecutor(max_workers=self.num_workers,
-                                   mp_context=context)
+                                   mp_context=context,
+                                   initializer=_init_worker)
 
     def start(self) -> None:
         # with fork the executor launches its whole pool at the first
         # submission: one no-op round trip makes that happen now
         self._executor.submit(int).result()
+
+    def worker_pids(self) -> List[int]:
+        # the executor's own table of the processes it started
+        processes = self._executor._processes or {}
+        return sorted(pid for pid, process in processes.items()
+                      if process.is_alive())
 
     def map(self, fn: Callable[[_T], _R],
             tasks: Iterable[_T]) -> List[_R]:

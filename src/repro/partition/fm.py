@@ -96,7 +96,7 @@ def cut_cost(graph: Hypergraph,
     if len(graph.net_csr()[1]) >= VECTOR_MIN_PINS:
         side_arr = np.asarray(parts, dtype=np.int64)
         c0, c1 = _side_counts(graph, side_arr)
-        w = np.asarray(graph.net_weights, dtype=np.float64)
+        w = graph.net_weight_array
         return float(w[(c0 > 0) & (c1 > 0)].sum())
     side = [int(p) for p in parts]
     total = 0.0
@@ -157,7 +157,7 @@ class FMRefiner:
         # sides, which every cut includes
         _, pins, pin_net = graph.net_csr()
         pin_fixed = graph.fixed[pins]
-        self._net_w = np.asarray(graph.net_weights, dtype=np.float64)
+        self._net_w = graph.net_weight_array
         on = [np.zeros(graph.num_nets, dtype=bool) for _ in range(2)]
         for s in (0, 1):
             on[s][pin_net[pin_fixed == s]] = True

@@ -75,6 +75,8 @@ class Hypergraph:
         num_vertices: vertex count; vertices are ``0..num_vertices-1``.
         nets: list of pin lists; each pin list holds distinct vertex ids.
         net_weights: list of floats, cost of cutting each net.
+        net_weight_array: the same weights as a read-only float64
+            array, for the array passes.
         vertex_weights: float array, balance weight of each vertex
             (cell area in the placer; fixed vertices conventionally get
             weight 0 because they do not occupy the region being split).
@@ -86,8 +88,9 @@ class Hypergraph:
         free_ids: read-only ids of the free vertices, ascending.
         free_weight: total balance weight of the free vertices.
 
-    Nothing mutates a hypergraph after construction, so the free-vertex
-    values are computed once, in :meth:`_setup`.
+    Nothing mutates a hypergraph after construction, so the net-weight
+    array and the free-vertex values are computed once, in
+    :meth:`_setup`.
     """
 
     def __init__(self, num_vertices: int,
@@ -133,13 +136,15 @@ class Hypergraph:
             flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
         m = len(self.nets)
         net_w = (np.ones(m) if net_weights is None
-                 else np.asarray(net_weights, dtype=float))
+                 else np.array(net_weights, dtype=np.float64))
         if net_w.shape != (m,):
             raise ValueError("net_weights length mismatch")
         # FM's exact pass stop relies on finite, non-negative weights
         if not (np.isfinite(net_w).all() and (net_w >= 0).all()):
             raise ValueError("net weights must be finite and "
                              "non-negative")
+        net_w.flags.writeable = False
+        self.net_weight_array = net_w
         self.net_weights: List[float] = net_w.tolist()
         self.vertex_weights = (np.ones(self.num_vertices)
                                if vertex_weights is None

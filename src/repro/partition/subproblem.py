@@ -88,8 +88,7 @@ class BisectionTask:
     def hypergraph(self) -> Hypergraph:
         """Materialize the task's :class:`Hypergraph`."""
         return Hypergraph.from_csr(self.num_vertices, self.net_ptr,
-                                   self.pin_vertices,
-                                   self.net_weights.tolist(),
+                                   self.pin_vertices, self.net_weights,
                                    self.vertex_weights, self.fixed)
 
     @classmethod
@@ -138,15 +137,13 @@ def solve_recorded(task: BisectionTask) -> Tuple[np.ndarray, Telemetry]:
     in-process, then returns them as a snapshot for the dispatching
     side to fold into the run recorder with
     :meth:`~repro.obs.Recorder.merge`.  Counters are additive, so the
-    merged totals are independent of how tasks were distributed.
+    merged totals are independent of how tasks were distributed.  The
+    recorder tracks no resources: the dispatching side reads each pool
+    worker's peak RSS once, before the pool closes.
     """
-    recorder = Recorder()
+    recorder = Recorder(track_resources=False)
     with use_recorder(recorder):
         parts = solve(task)
-    # Resource telemetry (attached when REPRO_PROFILE opts the process
-    # tree in): one sample per task, so the merged sample counter and
-    # max-merged peak gauges are identical at any worker count.
-    recorder.sample_resources("worker")
     return parts, recorder.snapshot()
 
 

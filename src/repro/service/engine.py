@@ -30,7 +30,8 @@ from repro.obs.manifest import config_hash, content_hash
 from repro.parallel import create_backend
 from repro.service.cache import CacheEntry, ResultCache, cache_key
 from repro.service.jobstore import JobRequest, JobStateError, JobStore
-from repro.service.scheduler import Scheduler, fulfil_from_cache
+from repro.service.scheduler import (POLL_SECONDS, Scheduler,
+                                     fulfil_from_cache)
 from repro.service.worker import load_job_netlist, run_job
 
 __all__ = ["PlacementEngine"]
@@ -47,14 +48,12 @@ class PlacementEngine:
             auto, same resolution as ``--workers``).
         recorder: service telemetry recorder; a private one is created
             when omitted (counters surface via :meth:`counters`).
-        poll_seconds: scheduler pump cadence.
     """
 
     def __init__(self, jobs_dir: Union[str, Path],
                  cache_dir: Optional[Union[str, Path]] = None,
                  workers: Optional[int] = None,
-                 recorder: Optional[obs.Recorder] = None,
-                 poll_seconds: float = 0.05) -> None:
+                 recorder: Optional[obs.Recorder] = None) -> None:
         self.jobs_dir = Path(jobs_dir)
         self.store = JobStore(self.jobs_dir)
         self.cache = ResultCache(cache_dir if cache_dir is not None
@@ -63,8 +62,7 @@ class PlacementEngine:
         self.recorder = recorder if recorder is not None \
             else obs.Recorder()
         self.scheduler = Scheduler(self.store, self.cache, self.backend,
-                                   recorder=self.recorder,
-                                   poll_seconds=poll_seconds)
+                                   recorder=self.recorder)
 
     # -- submission ----------------------------------------------------
     def job_hashes(self, request: JobRequest,
@@ -231,7 +229,7 @@ class PlacementEngine:
                     f"jobs still active after {timeout:.1f}s: "
                     + ", ".join(sorted(j for j, s in states.items()
                                        if s in ("queued", "running"))))
-            time.sleep(self.scheduler.poll_seconds)
+            time.sleep(POLL_SECONDS)
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:

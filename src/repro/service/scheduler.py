@@ -42,9 +42,13 @@ from repro.service.cache import CacheEntry, ResultCache
 from repro.service.jobstore import JobStore
 from repro.service.worker import execute_job
 
-__all__ = ["Scheduler", "fulfil_from_cache"]
+__all__ = ["POLL_SECONDS", "Scheduler", "fulfil_from_cache"]
 
 _log = get_logger(__name__)
+
+#: Pump cadence, seconds: the daemon-thread loop's harvest interval
+#: and the engine's ``wait`` poll.
+POLL_SECONDS = 0.05
 
 
 def fulfil_from_cache(store: JobStore, document: Dict[str, Any],
@@ -101,18 +105,15 @@ class Scheduler:
             the shard width.
         recorder: service telemetry (``cache/hit``, ``cache/miss``,
             ``jobs/*`` counters).
-        poll_seconds: harvest cadence of the daemon-thread loop.
     """
 
     def __init__(self, store: JobStore, cache: ResultCache,
                  backend: ExecutionBackend,
-                 recorder: Optional[Recorder] = None,
-                 poll_seconds: float = 0.05) -> None:
+                 recorder: Optional[Recorder] = None) -> None:
         self.store = store
         self.cache = cache
         self.backend = backend
         self.recorder = recorder
-        self.poll_seconds = float(poll_seconds)
         self._lock = threading.RLock()
         self._inflight: Dict[str, Tuple[str, Future[Dict[str, Any]]]] = {}
         self._outcomes: Dict[str, Dict[str, Any]] = {}
@@ -253,7 +254,7 @@ class Scheduler:
                 _log.warning("scheduler pump failed: %s: %s",
                              type(exc).__name__, exc)
                 _log.debug("scheduler pump failed", exc_info=True)
-            self._stop.wait(self.poll_seconds)
+            self._stop.wait(POLL_SECONDS)
 
     def stop(self) -> None:
         """Stop the pump thread (in-flight backend tasks keep running)."""

@@ -1,11 +1,23 @@
 """Tests for the command-line interface."""
 
+import json
 import os
+import tracemalloc
 
 import pytest
 
 from repro.cli import main
-from repro.obs.profile import DEFAULT_INTERVAL
+from repro.core.pipeline import PipelineSpec
+from repro.obs.profile import INTERVAL
+
+
+def _stage_boundaries(manifest):
+    """The stage-boundary labels of a manifest's pipeline, in order:
+    every unit but the round and group ends."""
+    units = PipelineSpec.from_dict(manifest["pipeline"]).units()
+    labels = [unit.partition(":")[2] for unit in units]
+    return [label for label in labels
+            if label != "end" and not label.endswith("/end")]
 
 
 class TestSuiteCommand:
@@ -51,8 +63,6 @@ class TestPlaceCommand:
             main(["place"])
 
     def test_place_with_telemetry_out_and_trace(self, capsys, tmp_path):
-        import json
-
         from repro.obs import read_events, validate_manifest
         prefix = str(tmp_path / "run")
         code = main(["-q", "place", "--circuit", "ibm01", "--scale",
@@ -69,11 +79,8 @@ class TestPlaceCommand:
         assert any(e["type"] == "span" and e["path"] == "place"
                    for e in events)
 
-    def test_place_with_profile(self, capsys, tmp_path, monkeypatch):
-        import json
-
+    def test_place_with_profile(self, capsys, tmp_path):
         from repro.obs import validate_manifest
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
         prefix = str(tmp_path / "run")
         code = main(["-q", "place", "--circuit", "ibm01", "--scale",
                      "0.01", "--layers", "2", "--profile",
@@ -82,8 +89,6 @@ class TestPlaceCommand:
         out = capsys.readouterr().out
         assert "-- memory --" in out
         assert "-- hot functions --" in out
-        # --profile sets the env for worker processes, then restores it
-        assert "REPRO_PROFILE" not in os.environ
         manifest = json.load(open(prefix + ".manifest.json"))
         assert validate_manifest(manifest) == []
         resources = manifest["resources"]
@@ -93,7 +98,7 @@ class TestPlaceCommand:
         # the deeper --profile-alloc opt-in)
         assert resources["tracemalloc"]["enabled"] is False
         profile = manifest["profile"]
-        assert profile["interval_seconds"] == DEFAULT_INTERVAL
+        assert profile["interval_seconds"] == INTERVAL
         assert profile["samples"] >= 0
         collapsed = prefix + ".collapsed.txt"
         assert os.path.exists(collapsed)
@@ -103,27 +108,90 @@ class TestPlaceCommand:
             data = ProfileData.from_collapsed(fh.read().splitlines())
         assert data.samples == profile["samples"]
 
-    def test_place_with_profile_alloc(self, capsys, tmp_path,
-                                      monkeypatch):
-        import json
-
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        monkeypatch.delenv("REPRO_PROFILE_ALLOC", raising=False)
+    def test_place_with_profile_alloc(self, capsys, tmp_path):
         prefix = str(tmp_path / "run")
         code = main(["-q", "place", "--circuit", "ibm01", "--scale",
                      "0.01", "--layers", "2", "--profile",
                      "--profile-alloc", "--telemetry-out", prefix])
         assert code == 0
-        assert "REPRO_PROFILE_ALLOC" not in os.environ  # restored
+        assert not tracemalloc.is_tracing()  # stopped after the run
         manifest = json.load(open(prefix + ".manifest.json"))
         trace = manifest["resources"]["tracemalloc"]
         assert trace["enabled"] is True
         assert trace["peak_bytes"] > 0
         assert trace["top_allocations"]
 
-    def test_obs_report_on_profiled_manifest(self, capsys, tmp_path,
-                                             monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
+    def test_profile_alloc_alone_prints_the_memory_section(self, capsys):
+        code = main(["-q", "place", "--circuit", "ibm01", "--scale",
+                     "0.01", "--layers", "2", "--profile-alloc"])
+        assert code == 0
+        assert not tracemalloc.is_tracing()
+        out = capsys.readouterr().out
+        assert "-- memory --" in out
+        assert "python heap peak" in out
+        assert "top allocation sites:" in out
+        assert "-- hot functions --" not in out
+
+    def test_telemetry_out_records_rss_at_every_stage_boundary(
+            self, capsys, tmp_path):
+        """Without --profile a traced run's manifest still carries its
+        memory: one RSS sample per stage boundary, no profile."""
+        from repro.obs import validate_manifest
+        prefix = str(tmp_path / "run")
+        assert main(["-q", "place", "--circuit", "ibm01", "--scale",
+                     "0.01", "--layers", "2",
+                     "--telemetry-out", prefix]) == 0
+        manifest = json.load(open(prefix + ".manifest.json"))
+        assert validate_manifest(manifest) == []
+        resources = manifest["resources"]
+        assert resources is not None
+        assert resources["peak_rss_bytes"] > 0
+        assert resources["tracemalloc"]["enabled"] is False
+        assert manifest["profile"] is None
+        boundaries = _stage_boundaries(manifest)
+        assert len(boundaries) > 2
+        assert resources["samples"] == len(boundaries)
+        assert manifest["counters"]["resources/samples"] == len(boundaries)
+        sampled = sorted(name[len("resources/rss/"):]
+                         for name in manifest["gauges"]
+                         if name.startswith("resources/rss/"))
+        assert sampled == sorted(boundaries)
+
+    def test_profile_with_workers_reads_each_worker_peak(
+            self, capsys, tmp_path, monkeypatch):
+        """Under --workers 2 the run's peak is the pool workers' peak,
+        read once per worker while the pool is alive; the bisection
+        tasks themselves sample nothing."""
+        import repro.obs.resources as resources_module
+        real = resources_module.peak_rss_bytes
+        worker_reads = []
+
+        def inflated(pid=None):
+            value = real(pid)
+            if pid is None:
+                return value
+            # a worker peak no real process reaches, so it must win
+            worker_reads.append((pid, value))
+            return value + 2 ** 40 if value > 0 else 0
+
+        monkeypatch.setattr(resources_module, "peak_rss_bytes", inflated)
+        prefix = str(tmp_path / "run")
+        assert main(["-q", "place", "--circuit", "ibm01", "--scale",
+                     "0.02", "--layers", "2", "--workers", "2",
+                     "--profile", "--telemetry-out", prefix]) == 0
+        manifest = json.load(open(prefix + ".manifest.json"))
+        pids = [pid for pid, _ in worker_reads]
+        assert len(pids) == len(set(pids)) == 2
+        assert os.getpid() not in pids
+        assert all(value > 0 for _, value in worker_reads)
+        peak = max(value for _, value in worker_reads) + 2 ** 40
+        assert manifest["resources"]["peak_rss_bytes"] == peak
+        assert manifest["gauges"]["resources/peak_rss_bytes"] == peak
+        boundaries = _stage_boundaries(manifest)
+        assert manifest["resources"]["samples"] == len(boundaries)
+        assert manifest["counters"]["resources/samples"] == len(boundaries)
+
+    def test_obs_report_on_profiled_manifest(self, capsys, tmp_path):
         prefix = str(tmp_path / "run")
         assert main(["-q", "place", "--circuit", "ibm01", "--scale",
                      "0.01", "--layers", "2", "--profile",

@@ -346,3 +346,142 @@ class TestStreamingErrorPaths:
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: non-finite value '-inf' in 'a -inf 1.0 0'")):
             bookshelf.read_pl(path, self._netlist_ab())
+
+    def test_pl_negative_layer(self, tmp_path):
+        path = self._pl(tmp_path, "UCLA pl 1.0\n  a 1.0 1.0 -1\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: cell 'a' on negative layer -1")):
+            bookshelf.read_pl(path, self._netlist_ab())
+
+    def test_pl_cell_listed_twice(self, tmp_path):
+        path = self._pl(tmp_path, "UCLA pl 1.0\n  a 1.0 1.0 0\n"
+                                  "  b 2.0 1.0 0\n  a 3.0 1.0 1\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: cell 'a' listed twice")):
+            bookshelf.read_pl(path, self._netlist_ab())
+
+
+class TestLayerOutsideTheStack:
+    """A fixed cell's layer is checked against the chip it is bound
+    to: the reader cannot know the stack height."""
+
+    def test_binding_refuses_a_fixed_cell_above_the_stack(self, prefix):
+        with open(prefix + ".pl") as fh:
+            text = fh.read()
+        with open(prefix + ".pl", "w") as fh:
+            fh.write(text.replace("p1 10.0 10.0 0", "p1 10.0 10.0 9"))
+        nl = bookshelf.read_bookshelf(prefix)
+        assert nl.cell("p1").fixed_position[2] == 9
+        for layers in (2, 9):
+            chip = ChipGeometry(width=50e-6, height=50e-6,
+                                num_layers=layers, row_height=1e-6,
+                                row_pitch=1.25e-6)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"fixed cell 'p1' is on layer 9, outside the "
+                    f"chip's {layers} layers")):
+                Placement.at_center(nl, chip)
+        chip = ChipGeometry(width=50e-6, height=50e-6, num_layers=10,
+                            row_height=1e-6, row_pitch=1.25e-6)
+        assert Placement.at_center(nl, chip).z[nl.cell("p1").id] == 9
+
+    def test_place_fails_on_a_fixed_cell_above_the_stack(
+            self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.netlist.suite import load_benchmark
+        nl = load_benchmark("ibm01", scale=0.01)
+        chip = ChipGeometry(width=500e-6, height=500e-6, num_layers=2,
+                            row_height=1e-6, row_pitch=1.25e-6)
+        out = str(tmp_path / "ibm")
+        bookshelf.write_bookshelf(out, nl, Placement.at_center(nl, chip))
+        # make the first cell a terminal on layer 9
+        name = nl.cells[0].name
+        nodes = open(out + ".nodes").read().replace(
+            "NumTerminals : 0", "NumTerminals : 1")
+        lines = nodes.splitlines()
+        at = next(i for i, line in enumerate(lines)
+                  if line.split()[:1] == [name])
+        lines[at] += " terminal"
+        open(out + ".nodes", "w").write("\n".join(lines) + "\n")
+        pl = open(out + ".pl").read().splitlines()
+        at = next(i for i, line in enumerate(pl)
+                  if line.split()[:1] == [name])
+        pl[at] = " ".join(pl[at].split()[:3] + ["9"])
+        open(out + ".pl", "w").write("\n".join(pl) + "\n")
+        assert main(["place", "--bookshelf", out, "--layers", "2"]) == 1
+        assert (f"fixed cell {name!r} is on layer 9, outside the chip's "
+                f"2 layers") in capsys.readouterr().err
+
+
+class TestMutatedCircuits:
+    """Seeded mutants of a written circuit: truncated files, deleted,
+    duplicated and swapped lines, replaced tokens.  The reader returns
+    a netlist or raises ``ValueError``, nothing else."""
+
+    TOKENS = ("", "-1", "0", "2", "7", "-3.5", "1e9", "nan", "inf", "x",
+              ":", "O", "I", "B", "terminal", "NetDegree", "NumPins")
+    MUTANTS = 60
+
+    @pytest.fixture(scope="class")
+    def circuit(self, tmp_path_factory):
+        from repro.netlist.suite import load_benchmark
+        nl = load_benchmark("ibm01", scale=0.01)
+        chip = ChipGeometry(width=500e-6, height=500e-6, num_layers=4,
+                            row_height=1e-6, row_pitch=1.25e-6)
+        prefix = str(tmp_path_factory.mktemp("fuzz") / "ibm")
+        bookshelf.write_bookshelf(prefix, nl,
+                                  Placement.random(nl, chip, seed=3))
+        texts = {}
+        for ext in (".nodes", ".nets", ".pl"):
+            with open(prefix + ext) as fh:
+                texts[ext] = fh.read()
+        return prefix, texts, [c.name for c in nl.cells]
+
+    @staticmethod
+    def _mutate(kind, text, rng, names, tokens):
+        lines = text.splitlines()
+        if kind == "truncate":
+            return text[:int(rng.integers(0, len(text)))]
+        i, j = (int(v) for v in rng.integers(0, len(lines), 2))
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(j, lines[i])
+        elif kind == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        else:  # replace one token of one line
+            fields = lines[i].split() or [""]
+            k = int(rng.integers(0, len(fields)))
+            choice = int(rng.integers(0, len(tokens) + 1))
+            fields[k] = (tokens[choice] if choice < len(tokens)
+                         else names[int(rng.integers(0, len(names)))])
+            lines[i] = " ".join(fields)
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("kind", ["truncate", "delete", "duplicate",
+                                      "swap", "replace"])
+    def test_every_mutant_reads_or_raises_value_error(self, circuit,
+                                                      tmp_path, kind):
+        prefix, texts, names = circuit
+        rng = np.random.default_rng(["truncate", "delete", "duplicate",
+                                     "swap", "replace"].index(kind))
+        outcomes = {"netlist": 0, "ValueError": 0}
+        for n in range(self.MUTANTS):
+            target = str(tmp_path / f"m{n}")
+            mutated = (".nodes", ".nets", ".pl")[n % 3]
+            for ext, text in texts.items():
+                if ext == mutated:
+                    text = self._mutate(kind, text, rng, names,
+                                        self.TOKENS)
+                with open(target + ext, "w") as fh:
+                    fh.write(text)
+            try:
+                netlist = bookshelf.read_bookshelf(target)
+            except ValueError:
+                outcomes["ValueError"] += 1
+            else:
+                assert isinstance(netlist, Netlist)
+                outcomes["netlist"] += 1
+        assert sum(outcomes.values()) == self.MUTANTS
+        # every kind of mutation reaches the reader's error paths
+        assert outcomes["ValueError"] > 0, outcomes
+

@@ -8,17 +8,23 @@ smoke test exercises the actual daemon thread.
 from __future__ import annotations
 
 import sys
+import time
 
 import pytest
 
 from repro.obs import ProfileData, SamplingProfiler, Tracer
-from repro.obs.profile import (DEFAULT_INTERVAL, frame_label,
-                               profile_enabled, stack_of)
+from repro.obs.profile import (INTERVAL, MAX_DEPTH, TOP_FUNCTIONS,
+                               frame_label, stack_of)
 
 
 def _here():
     """A real frame from a helper (leaf of the captured stack)."""
     return sys._getframe()
+
+
+def _deep(depth):
+    """A real frame ``depth`` calls below this one."""
+    return _deep(depth - 1) if depth > 0 else _here()
 
 
 class TestFrameLabels:
@@ -28,26 +34,14 @@ class TestFrameLabels:
         assert ".py" not in label
 
     def test_stack_is_outermost_first_and_leaf_survives(self):
-        frame = _here()
-        stack = stack_of(frame)
+        stack = stack_of(_here())
         assert stack[-1].endswith(":_here")
         # truncation drops outer frames, never the leaf
-        short = stack_of(frame, max_depth=1)
-        assert short == (stack[-1],)
-
-
-class TestProfileEnabled:
-    @pytest.mark.parametrize("value,expected", [
-        ("1", True), ("true", True), ("YES", True), ("on", True),
-        ("0", False), ("", False), ("off", False), ("maybe", False),
-    ])
-    def test_env_values(self, monkeypatch, value, expected):
-        monkeypatch.setenv("REPRO_PROFILE", value)
-        assert profile_enabled() is expected
-
-    def test_unset_is_disabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        assert profile_enabled() is False
+        deep = stack_of(_deep(MAX_DEPTH + 10))
+        assert len(deep) == MAX_DEPTH
+        assert deep[-1].endswith(":_here")
+        assert deep[:-1] == (deep[0],) * (MAX_DEPTH - 1)
+        assert deep[0].endswith(":_deep")
 
 
 class TestProfileData:
@@ -127,37 +121,44 @@ class TestProfileData:
 class TestSamplingProfiler:
     def test_sample_once_attributes_to_open_span(self):
         tracer = Tracer()
-        profiler = SamplingProfiler(tracer=tracer, interval=0.5)
+        profiler = SamplingProfiler(tracer=tracer)
         with tracer.span("global/level0"):
             profiler.sample_once(_here())
         profiler.sample_once(_here())
         paths = profiler.data.span_paths()
         assert set(paths) == {"global/level0", ""}
 
-    def test_samples_at_the_default_interval(self):
-        assert SamplingProfiler().interval == DEFAULT_INTERVAL == 0.01
-
-    def test_rejects_nonpositive_interval(self):
-        with pytest.raises(ValueError):
-            SamplingProfiler(interval=0.0)
-
     def test_summary_carries_interval_and_wall(self):
         clock_t = [0.0]
-        profiler = SamplingProfiler(interval=0.25,
-                                    clock=lambda: clock_t[0])
+        profiler = SamplingProfiler(clock=lambda: clock_t[0])
         profiler.sample_once(_here())
-        doc = profiler.summary(top=3)
-        assert doc["interval_seconds"] == pytest.approx(0.25)
+        doc = profiler.summary()
+        assert doc["interval_seconds"] == INTERVAL == 0.01
         assert doc["samples"] == 1
         assert doc["wall_seconds"] == 0.0  # never started
 
+    def test_hot_tables_keep_the_top_functions(self):
+        data = ProfileData()
+        for i in range(TOP_FUNCTIONS + 5):
+            data.add("s", (f"m:f{i}",), i + 1)
+        rows = data.hot_functions()
+        assert len(rows) == TOP_FUNCTIONS
+        assert rows[0]["function"] == f"m:f{TOP_FUNCTIONS + 4}"
+        (span,) = data.span_table()
+        assert span["functions"] == rows
+        assert data.as_dict()["hot_functions"] == rows
+
     def test_thread_lifecycle_collects_samples(self):
-        # real daemon-thread smoke: sample this thread while it works
-        profiler = SamplingProfiler(interval=0.001)
+        # real daemon-thread smoke: sample this thread while it works,
+        # until the first sample lands (a few intervals)
+        profiler = SamplingProfiler()
+        acc = 0.0
         with profiler:
-            acc = 0.0
-            for i in range(200000):
-                acc += i * 0.5
+            deadline = time.monotonic() + 10.0
+            while profiler.data.samples == 0 \
+                    and time.monotonic() < deadline:
+                for i in range(10000):
+                    acc += i * 0.5
         assert acc > 0
         assert profiler.wall_seconds > 0
         # start/stop are idempotent

@@ -65,7 +65,7 @@ class TestRenderTelemetry:
 
 class TestRenderResources:
     def test_none_renders_placeholder(self):
-        expected = "-- memory --\n(none: run without --profile)"
+        expected = "-- memory --\n(none recorded)"
         assert render_resources(None) == expected
 
     def test_full_section(self):
@@ -130,7 +130,7 @@ class TestRenderManifest:
         assert "== run report: tiny ==" in text
         assert "peak_temperature" not in text  # null: not evaluated
         assert "(no stages recorded)" in text
-        assert "-- memory --\n(none: run without --profile)" in text
+        assert "-- memory --\n(none recorded)" in text
         assert "-- hot functions --\n(none: run without --profile)" \
             in text
 

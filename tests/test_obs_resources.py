@@ -1,20 +1,33 @@
 """Unit tests for resource tracking and its Recorder integration.
 
-Covers the RSS helpers, ``ResourceTracker`` lifecycle (including
-tracemalloc ownership), the opt-in attach paths on ``Recorder``, and
-the ``Recorder.merge`` edge cases the parallel backend relies on:
-peak gauges merging by max, empty telemetry, and nested-span
-anchoring of worker resource telemetry.
+Covers the RSS helpers, the ``ResourceTracker`` lifecycle (it reports
+a running tracemalloc and never starts or stops one), the tracker
+every live ``Recorder`` carries, and the ``Recorder.merge`` edge cases
+telemetry folding relies on: peak gauges merging by max, empty
+telemetry, and nested-span anchoring.
 """
 
 from __future__ import annotations
 
+import os
 import tracemalloc
 
+import pytest
+
 from repro.obs import NullRecorder, Recorder, Telemetry
-from repro.obs.resources import (PEAK_RSS_GAUGE, ResourceTracker,
-                                 alloc_enabled, peak_rss_bytes,
-                                 resources_enabled, rss_bytes)
+from repro.obs.resources import (PEAK_RSS_GAUGE, TOP_ALLOCATIONS,
+                                 ResourceTracker, peak_rss_bytes,
+                                 rss_bytes)
+
+
+@pytest.fixture
+def traced():
+    """tracemalloc running for the test body, stopped after it."""
+    tracemalloc.start()
+    try:
+        yield
+    finally:
+        tracemalloc.stop()
 
 
 class TestRssHelpers:
@@ -26,31 +39,17 @@ class TestRssHelpers:
     def test_peak_is_at_least_current_magnitude(self):
         assert peak_rss_bytes() > 0
 
-    def test_resources_enabled_follows_profile_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        assert resources_enabled() is True
-        monkeypatch.setenv("REPRO_PROFILE", "0")
-        assert resources_enabled() is False
-
-    def test_alloc_tracing_is_a_separate_opt_in(self, monkeypatch):
-        # REPRO_PROFILE alone must NOT start tracemalloc (~8x cost)
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        monkeypatch.delenv("REPRO_PROFILE_ALLOC", raising=False)
-        assert alloc_enabled() is False
-        rec = Recorder(track_resources=False)
-        tracker = ResourceTracker(rec)  # default defers to env
-        assert tracker.tracing is False
-        monkeypatch.setenv("REPRO_PROFILE_ALLOC", "1")
-        assert alloc_enabled() is True
-        tracker = ResourceTracker(rec)
-        assert tracker.tracing is True
-        tracker.finish()  # stops the tracemalloc it started
+    def test_peak_of_a_pid(self):
+        assert peak_rss_bytes(os.getpid()) > 0
+        # a pid with no /proc entry reads as unknown, not as this
+        # process's peak
+        assert peak_rss_bytes(-1) == 0
 
 
 class TestResourceTracker:
     def test_sample_writes_gauges_and_counter(self):
         rec = Recorder(track_resources=False)
-        tracker = ResourceTracker(rec, trace_allocations=False)
+        tracker = ResourceTracker(rec)
         tracker.sample("global")
         tracker.sample("round1/moves")
         assert rec.gauges["resources/rss/global"] > 0
@@ -59,33 +58,46 @@ class TestResourceTracker:
         assert rec.counters["resources/samples"] == 2
         assert tracker.samples == 2
 
-    def test_finish_document_shape(self):
+    def test_finish_reports_a_running_tracemalloc(self, traced):
         rec = Recorder(track_resources=False)
-        tracker = ResourceTracker(rec, trace_allocations=True,
-                                  top_allocations=3)
+        tracker = ResourceTracker(rec)
         blob = [bytes(1000) for _ in range(50)]  # traced allocations
         doc = tracker.finish()
         assert blob  # keep alive through the snapshot
         assert doc["peak_rss_bytes"] > 0
         assert doc["baseline_rss_bytes"] > 0
         assert doc["tracemalloc"]["enabled"] is True
-        assert len(doc["tracemalloc"]["top_allocations"]) <= 3
-        for row in doc["tracemalloc"]["top_allocations"]:
+        assert doc["tracemalloc"]["peak_bytes"] > 0
+        rows = doc["tracemalloc"]["top_allocations"]
+        assert 0 < len(rows) <= TOP_ALLOCATIONS
+        for row in rows:
             assert set(row) == {"site", "size_bytes", "count"}
             assert ":" in row["site"]
-        # finish stopped the tracemalloc this tracker started
-        assert not tracemalloc.is_tracing()
+        # the tracker reads tracemalloc and leaves it running
+        assert tracemalloc.is_tracing()
 
-    def test_does_not_stop_foreign_tracemalloc(self):
-        tracemalloc.start()
-        try:
-            rec = Recorder(track_resources=False)
-            tracker = ResourceTracker(rec, trace_allocations=True)
-            assert tracker._owns_tracemalloc is False
-            tracker.finish()
-            assert tracemalloc.is_tracing()  # left running
-        finally:
-            tracemalloc.stop()
+    def test_live_recorder_never_starts_tracemalloc(self):
+        assert not tracemalloc.is_tracing()
+        rec = Recorder()
+        rec.sample_resources("global")
+        doc = rec.finish_resources()
+        rec.close()
+        assert not tracemalloc.is_tracing()
+        assert doc is not None and doc["tracemalloc"]["enabled"] is False
+        assert "resources/tracemalloc_peak_bytes" not in rec.gauges
+
+    def test_sample_workers_raises_the_peak_to_theirs(self):
+        rec = Recorder(track_resources=False)
+        tracker = ResourceTracker(rec)
+        tracker.sample_workers([])
+        assert PEAK_RSS_GAUGE not in rec.gauges
+        rec.gauge(PEAK_RSS_GAUGE, 1.0)
+        tracker.sample_workers([os.getpid()])
+        assert rec.gauges[PEAK_RSS_GAUGE] > 1.0
+        # a worker gone before the reading leaves the peak as it was
+        peak = rec.gauges[PEAK_RSS_GAUGE]
+        tracker.sample_workers([-1])
+        assert rec.gauges[PEAK_RSS_GAUGE] == peak
 
     def test_finish_keeps_a_larger_merged_worker_peak(self):
         """A pool worker's peak merged in before the run finishes
@@ -102,46 +114,40 @@ class TestResourceTracker:
     def test_sample_keeps_a_larger_merged_worker_peak(self):
         rec = Recorder(track_resources=False)
         rec.merge(Telemetry(gauges={PEAK_RSS_GAUGE: 9e12}))
-        ResourceTracker(rec, trace_allocations=False).sample("global")
+        ResourceTracker(rec).sample("global")
         assert rec.gauges[PEAK_RSS_GAUGE] == 9e12
         assert rec.gauges["resources/rss/global"] < 9e12
 
     def test_own_peak_outlives_a_smaller_merged_worker_peak(self):
         rec = Recorder(track_resources=False)
         rec.merge(Telemetry(gauges={PEAK_RSS_GAUGE: 1.0}))
-        doc = ResourceTracker(rec, trace_allocations=False).finish()
+        doc = ResourceTracker(rec).finish()
         assert doc["peak_rss_bytes"] > 1
         assert rec.gauges[PEAK_RSS_GAUGE] == doc["peak_rss_bytes"]
 
-    def test_finish_keeps_a_larger_traced_peak_gauge(self):
+    def test_finish_keeps_a_larger_traced_peak_gauge(self, traced):
         rec = Recorder(track_resources=False)
         rec.gauge("resources/tracemalloc_peak_bytes", 9e12)
-        doc = ResourceTracker(rec, trace_allocations=True).finish()
+        doc = ResourceTracker(rec).finish()
         assert doc["tracemalloc"]["enabled"] is True
         assert rec.gauges["resources/tracemalloc_peak_bytes"] == 9e12
 
-    def test_disabled_tracing_reports_empty_allocations(self):
+    def test_no_tracemalloc_reports_empty_allocations(self):
         rec = Recorder(track_resources=False)
-        tracker = ResourceTracker(rec, trace_allocations=False)
+        tracker = ResourceTracker(rec)
         doc = tracker.finish()
         assert doc["tracemalloc"]["enabled"] is False
         assert doc["tracemalloc"]["top_allocations"] == []
 
 
 class TestRecorderAttach:
-    def test_explicit_opt_in_attaches_tracker(self):
-        rec = Recorder(track_resources=True)
+    def test_live_recorder_attaches_tracker(self):
+        rec = Recorder()
         assert rec.resources is not None
         rec.sample_resources("x")
         assert rec.counters["resources/samples"] == 1
         doc = rec.finish_resources()
         assert doc is not None and doc["samples"] == 1
-
-    def test_default_follows_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        assert Recorder().resources is not None
-        monkeypatch.delenv("REPRO_PROFILE")
-        assert Recorder().resources is None
 
     def test_disabled_recorder_resource_calls_are_noops(self):
         rec = Recorder(track_resources=False)
@@ -149,8 +155,7 @@ class TestRecorderAttach:
         assert rec.counters == {}
         assert rec.finish_resources() is None
 
-    def test_null_recorder_never_attaches(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "1")
+    def test_null_recorder_never_attaches(self):
         null = NullRecorder()
         assert null.resources is None
         null.gauge_max("resources/peak_rss_bytes", 1.0)
@@ -227,7 +232,8 @@ class TestMergeEdgeCases:
 
 
 class TestWorkerRoundTrip:
-    """solve_recorded ships one resource sample per task when opted in."""
+    """A bisection task's recorder tracks no resources: the
+    dispatching side reads each pool worker's peak once instead."""
 
     @staticmethod
     def _tiny_task():
@@ -238,17 +244,10 @@ class TestWorkerRoundTrip:
             target=0.5, tolerance=0.1, num_starts=1, max_passes=2,
             seed=0)
 
-    def test_solve_recorded_samples_resources(self, monkeypatch):
+    def test_task_telemetry_carries_no_resources(self):
         from repro.partition.subproblem import solve_recorded
 
-        monkeypatch.setenv("REPRO_PROFILE", "1")
         _, telemetry = solve_recorded(self._tiny_task())
-        assert telemetry.counters.get("resources/samples") == 1.0
-        assert telemetry.gauges.get(PEAK_RSS_GAUGE, 0.0) > 0
-
-    def test_solve_recorded_clean_without_opt_in(self, monkeypatch):
-        from repro.partition.subproblem import solve_recorded
-
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        _, telemetry = solve_recorded(self._tiny_task())
-        assert "resources/samples" not in telemetry.counters
+        assert telemetry.counters  # the task did report telemetry
+        for name in [*telemetry.counters, *telemetry.gauges]:
+            assert not name.startswith("resources/"), name

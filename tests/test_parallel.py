@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import pickle
+import tracemalloc
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
@@ -51,6 +52,14 @@ def _square(x: int) -> int:
 
 def _fail(x: int) -> int:
     raise ValueError(f"task {x} failed")
+
+
+def _is_tracing(x: int) -> bool:
+    return tracemalloc.is_tracing()
+
+
+def _pid(x: int) -> int:
+    return os.getpid()
 
 
 def _exit_worker(x: int) -> int:
@@ -121,6 +130,28 @@ class TestBackends:
             before = len(multiprocessing.active_children())
             backend.start()
             assert len(multiprocessing.active_children()) == before + 2
+
+    def test_pool_workers_run_without_tracemalloc(self):
+        """A worker forked from a traced dispatcher stops the
+        tracemalloc it inherited: its tasks would be traced and
+        reported nowhere."""
+        tracemalloc.start()
+        try:
+            with create_backend(2) as backend:
+                assert backend.map(_is_tracing, range(4)) == [False] * 4
+            assert tracemalloc.is_tracing()  # the dispatcher's own
+        finally:
+            tracemalloc.stop()
+
+    def test_worker_pids_lists_the_live_pool(self):
+        assert SerialBackend().worker_pids() == []
+        with create_backend(2) as backend:
+            ran_on = set(backend.map(_pid, range(8)))
+            pids = backend.worker_pids()
+            assert len(pids) == 2 and pids == sorted(pids)
+            assert ran_on <= set(pids)
+            assert os.getpid() not in pids
+        assert backend.worker_pids() == []
 
     def test_pool_requires_two_workers(self):
         with pytest.raises(ValueError):

@@ -110,6 +110,28 @@ class TestConstruction:
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = array[1]
 
+    def test_net_weight_array_is_the_list_read_only(self):
+        """One validated weight array beside the list, for cut_cost,
+        FM and tasks; the caller's array is copied, not frozen."""
+        from repro.partition.subproblem import BisectionTask
+
+        g = Hypergraph(4, [[0, 1], [1, 2], [2, 3]],
+                       net_weights=[0.5, 1.5, 2.0])
+        coarse, _ = g.contract(np.array([0, 0, 1, 1]))
+        task = BisectionTask.from_nets(
+            nets=[[0, 1], [2, 3]], net_weights=[0.25, 4.0],
+            vertex_weights=[1.0] * 4, fixed=[FREE] * 4, target=0.5,
+            tolerance=0.1, num_starts=1, max_passes=2, seed=0)
+        from_task = task.hypergraph()
+        for graph in (g, coarse, from_task):
+            array = graph.net_weight_array
+            assert array.dtype == np.float64
+            assert array.tolist() == graph.net_weights
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        assert task.net_weights.flags.writeable
+        assert from_task.net_weight_array is not task.net_weights
+
 
 class TestCanonicalization:
     """One array pass sorts, deduplicates and range-checks every net,
