@@ -180,9 +180,9 @@ def build_manifest(netlist: "Netlist", config: "PlacementConfig",
             executed (``spec.to_dict()``), recorded so a manifest pins
             the exact stage composition, not just the config knobs.
         resources: the resource tracker's summary
-            (``Recorder.finish_resources()``) — peak RSS and
-            tracemalloc attribution.  ``None`` when the run was not
-            profiled.
+            (``Recorder.finish_resources()``) — peak RSS and, while
+            tracemalloc runs, allocation sites.  ``None`` when the
+            caller has no tracker's summary to give.
         profile: the sampling profiler's summary
             (``SamplingProfiler.summary()``).  ``None`` when the run
             was not profiled.

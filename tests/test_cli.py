@@ -94,8 +94,8 @@ class TestPlaceCommand:
         resources = manifest["resources"]
         assert resources["peak_rss_bytes"] > 0
         assert resources["samples"] > 0
-        # plain --profile keeps tracemalloc off (it costs ~8x; needs
-        # the deeper --profile-alloc opt-in)
+        # --profile alone keeps tracemalloc off (it costs ~8x; only
+        # --profile-alloc runs it)
         assert resources["tracemalloc"]["enabled"] is False
         profile = manifest["profile"]
         assert profile["interval_seconds"] == INTERVAL

@@ -417,6 +417,7 @@ class TestMutatedCircuits:
     duplicated and swapped lines, replaced tokens.  The reader returns
     a netlist or raises ``ValueError``, nothing else."""
 
+    KINDS = ("truncate", "delete", "duplicate", "swap", "replace")
     TOKENS = ("", "-1", "0", "2", "7", "-3.5", "1e9", "nan", "inf", "x",
               ":", "O", "I", "B", "terminal", "NetDegree", "NumPins")
     MUTANTS = 60
@@ -434,10 +435,9 @@ class TestMutatedCircuits:
         for ext in (".nodes", ".nets", ".pl"):
             with open(prefix + ext) as fh:
                 texts[ext] = fh.read()
-        return prefix, texts, [c.name for c in nl.cells]
+        return texts, [c.name for c in nl.cells]
 
-    @staticmethod
-    def _mutate(kind, text, rng, names, tokens):
+    def _mutate(self, kind, text, rng, names):
         lines = text.splitlines()
         if kind == "truncate":
             return text[:int(rng.integers(0, len(text)))]
@@ -451,37 +451,31 @@ class TestMutatedCircuits:
         else:  # replace one token of one line
             fields = lines[i].split() or [""]
             k = int(rng.integers(0, len(fields)))
-            choice = int(rng.integers(0, len(tokens) + 1))
-            fields[k] = (tokens[choice] if choice < len(tokens)
+            choice = int(rng.integers(0, len(self.TOKENS) + 1))
+            fields[k] = (self.TOKENS[choice] if choice < len(self.TOKENS)
                          else names[int(rng.integers(0, len(names)))])
             lines[i] = " ".join(fields)
         return "\n".join(lines) + "\n"
 
-    @pytest.mark.parametrize("kind", ["truncate", "delete", "duplicate",
-                                      "swap", "replace"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_every_mutant_reads_or_raises_value_error(self, circuit,
                                                       tmp_path, kind):
-        prefix, texts, names = circuit
-        rng = np.random.default_rng(["truncate", "delete", "duplicate",
-                                     "swap", "replace"].index(kind))
-        outcomes = {"netlist": 0, "ValueError": 0}
+        texts, names = circuit
+        rng = np.random.default_rng(self.KINDS.index(kind))
+        refused = 0
         for n in range(self.MUTANTS):
             target = str(tmp_path / f"m{n}")
             mutated = (".nodes", ".nets", ".pl")[n % 3]
             for ext, text in texts.items():
                 if ext == mutated:
-                    text = self._mutate(kind, text, rng, names,
-                                        self.TOKENS)
+                    text = self._mutate(kind, text, rng, names)
                 with open(target + ext, "w") as fh:
                     fh.write(text)
             try:
                 netlist = bookshelf.read_bookshelf(target)
             except ValueError:
-                outcomes["ValueError"] += 1
+                refused += 1
             else:
                 assert isinstance(netlist, Netlist)
-                outcomes["netlist"] += 1
-        assert sum(outcomes.values()) == self.MUTANTS
         # every kind of mutation reaches the reader's error paths
-        assert outcomes["ValueError"] > 0, outcomes
-
+        assert refused > 0
